@@ -1,17 +1,31 @@
 """Scalar-coefficient message passing for charged-particle force regression.
 
-Per layer, four scalar networks multiply hidden-vector differences:
+Per layer, four scalar networks give pair coefficients that multiply
+hidden-vector differences of the position channel h_r and velocity channel h_v:
 
-    m_r_i = sum_{j != i} (h_r_i - h_r_j) g_r(E_i) + sum_{j != i} (h_v_i - h_v_j) g_v(E_i)
-    m_v_i = sum_{j != i} (h_r_i - h_r_j) gt_r(E_i) + sum_{j != i} (h_v_i - h_v_j) gt_v(E_i)
+    m_r_i = sum_{j != i} g_r(i, j) (h_r_i - h_r_j) + sum_{j != i} g_v(i, j) (h_v_i - h_v_j)
+    m_v_i = sum_{j != i} gt_r(i, j) (h_r_i - h_r_j) + sum_{j != i} gt_v(i, j) (h_v_i - h_v_j)
 
 with residual updates h <- h + m. The networks consume only invariant edge
 scalars, so rotation equivariance, translation invariance, and permutation
-equivariance hold by construction. In "concat" mode E_i is the full set
-{e_i1, ..., e_in} concatenated in canonical (sorted) block order, so the
-input does not depend on particle numbering; "pooled" mode feeds
-(e_ij, sum_k e_ik) per pair to decouple the width from n. Everything is float64 numpy with
-hand-rolled reverse-mode gradients.
+equivariance hold by construction. In "concat" mode every pair (i, j) gets
+g(E_i), where E_i is the full set {e_i1, ..., e_in} concatenated in canonical
+(sorted) block order, so the input does not depend on particle numbering;
+"pooled" mode feeds (e_ij, sum_k e_ik) per pair to decouple the width from n.
+
+Both modes share one message kernel, applied to a whole minibatch per call:
+each net fills a (B, n, n) pair-coefficient matrix G with a zero diagonal,
+and m_i = rowsum(G)_i h_i - (G h)_i. Its reverse is dG_ij = dm_i . (h_i - h_j)
+and dh += rowsum(G) dm - G^T dm. The four matrices of a layer are stacked as
+(2, 2, B, n, n), indexed by message channel and hidden channel, so that each
+of these is one array expression per layer. `MpnnModel.forward` takes one
+sample, (n,) charges with (n, 3) positions and velocities, or stacks (B, n)
+and (B, n, 3). Its cache keeps only the net input rows z, the G matrices and
+each layer's input h: `backward` recomputes each net's activations from z
+and drops them before the next net, because keeping them all would hold
+every hidden layer for every pair of the minibatch at once (about four times
+the peak memory of a training step at n = 12). Everything is float64 numpy
+with hand-rolled reverse-mode gradients.
 """
 from __future__ import annotations
 
@@ -45,29 +59,32 @@ class EdgeConfig:
 
 
 def edge_features(qs, rs, vs, config: EdgeConfig = EdgeConfig()) -> np.ndarray:
-    """(n, n, C) invariant scalars per ordered pair; diagonal entries use
+    """(..., n, n, C) invariant scalars per ordered pair, for (..., n)
+    charges and (..., n, 3) positions and velocities; diagonal entries use
     delta = 0 (the inverse channel is defined as 0 there)."""
     qs = np.asarray(qs, dtype=np.float64)
     rs = np.asarray(rs, dtype=np.float64)
     vs = np.asarray(vs, dtype=np.float64)
-    n = qs.size
-    if rs.shape != (n, 3) or vs.shape != (n, 3):
-        raise ShapeError(f"expected (n, 3) positions and velocities for n={n}")
-    delta = rs[:, None, :] - rs[None, :, :]
-    dist_sq = np.einsum("ijk,ijk->ij", delta, delta)
+    if qs.ndim == 0 or rs.shape != (*qs.shape, 3) or vs.shape != rs.shape:
+        raise ShapeError(
+            f"expected positions and velocities of shape {(*qs.shape, 3)}, "
+            f"got {rs.shape} and {vs.shape}"
+        )
+    delta = rs[..., :, None, :] - rs[..., None, :, :]
+    dist_sq = np.einsum("...ijk,...ijk->...ij", delta, delta)
     channels = [
-        np.outer(qs, qs),
-        vs @ vs.T,
+        qs[..., :, None] * qs[..., None, :],
+        vs @ np.swapaxes(vs, -1, -2),
         dist_sq,
     ]
     if config.include_inv_sqrt:
-        off_diag = ~np.eye(n, dtype=bool)
-        if np.any(dist_sq[off_diag] == 0.0):
+        off_diag = ~np.eye(qs.shape[-1], dtype=bool)
+        if np.any(dist_sq[..., off_diag] == 0.0):
             raise DegenerateInputError(
                 "coincident positions with the inverse-sqrt channel enabled"
             )
         inv = np.zeros_like(dist_sq)
-        inv[off_diag] = dist_sq[off_diag] ** -0.5
+        inv[..., off_diag] = dist_sq[..., off_diag] ** -0.5
         channels.append(inv)
     if config.rbf_centers:
         dist = np.sqrt(dist_sq)
@@ -76,29 +93,57 @@ def edge_features(qs, rs, vs, config: EdgeConfig = EdgeConfig()) -> np.ndarray:
     return np.stack(channels, axis=-1)
 
 
-def _sorted_blocks(rows: np.ndarray) -> np.ndarray:
-    """Flatten the rows in lexicographic order, making the result a function
-    of the row multiset rather than the row order."""
-    order = np.lexsort(rows.T[::-1])
-    return rows[order].ravel()
+def _sorted_blocks(e: np.ndarray) -> np.ndarray:
+    """(..., n, n * C): each node's rows e[..., i, :, :] flattened in
+    lexicographic order, making the result a function of the row multiset
+    rather than the row order."""
+    order = np.lexsort(np.moveaxis(e, -1, 0)[::-1], axis=-1)
+    return np.take_along_axis(e, order[..., None], axis=-2).reshape(*e.shape[:-2], -1)
+
+
+def _pair_matrix(vals, shape, off):
+    """(..., B, n, n) pair coefficients with zero diagonals from net outputs
+    (..., B * n * k) on input rows of shape (B, n, k, W): k = n - 1 gives one
+    value per ordered pair, k = 1 one value per node that fills its row."""
+    b, n, k = shape[:3]
+    lead = vals.shape[:-1]
+    g = np.zeros((*lead, b, n, n))
+    if k == 1:
+        vals = np.repeat(vals, n - 1, axis=-1)
+    g[..., off] = vals.reshape(*lead, b, n * (n - 1))
+    return g
+
+
+def _row_grads(dg, shape, off):
+    """Adjoint of _pair_matrix: per-row output gradients (..., B * n * k)
+    from (..., B, n, n) pair-coefficient gradients."""
+    b, n, k = shape[:3]
+    lead = dg.shape[:-3]
+    d = dg[..., off].reshape(*lead, b * n, n - 1)
+    return d.sum(axis=-1) if k == 1 else d.reshape(*lead, -1)
 
 
 # -- scalar feedforward net ---------------------------------------------------
 
 
 def _act(name, x):
+    """Apply the activation to x in place and return it."""
     if name == "tanh":
-        return np.tanh(x)
+        return np.tanh(x, out=x)
     if name == "softplus":
-        return np.logaddexp(0.0, x)
+        return np.logaddexp(0.0, x, out=x)
     raise ValueError(f"unknown activation {name!r}")
 
 
-def _act_grad(name, x):
+def _act_grad(name, a):
+    """Activation derivative as a new array, written in terms of the
+    activation output a."""
     if name == "tanh":
-        return 1.0 - np.tanh(x) ** 2
+        g = np.square(a)
+        return np.subtract(1.0, g, out=g)
     if name == "softplus":
-        return 1.0 / (1.0 + np.exp(-x))
+        g = np.expm1(np.negative(a))  # sigmoid(x) = 1 - exp(-softplus(x))
+        return np.negative(g, out=g)
     raise ValueError(f"unknown activation {name!r}")
 
 
@@ -121,7 +166,8 @@ class ScalarNet:
         """Evaluate on one input vector or a stack of them.
 
         Returns (value, cache): a float for a 1-d input, an (m,) array for an
-        (m, in_width) input.
+        (m, in_width) input. The cache is the list of layer outputs, input
+        first.
         """
         a = np.asarray(x, dtype=np.float64)
         single = a.ndim == 1
@@ -129,34 +175,39 @@ class ScalarNet:
         if a.shape[1] != self.widths[0]:
             raise ShapeError(f"net expects input width {self.widths[0]}, got {a.shape[1]}")
         activations = [a]
-        pre = []
+        last = len(self.weights) - 1
         for layer, (w, b) in enumerate(zip(self.weights, self.biases)):
-            z = a @ w.T + b
-            pre.append(z)
-            a = z if layer == len(self.weights) - 1 else _act(self.activation, z)
+            # In-place updates: at training batch sizes a fresh temporary
+            # costs more in page faults than the arithmetic on it.
+            a = a @ w.T
+            a += b
+            if layer != last:
+                _act(self.activation, a)
             activations.append(a)
         out = a[:, 0]
-        return (float(out[0]) if single else out), (activations, pre)
+        return (float(out[0]) if single else out), activations
 
     def backward(self, cache, dscalar):
-        """Parameter gradients for d(loss)/d(output) = dscalar, summed over
-        the rows the cached forward was run on."""
-        activations, pre = cache
-        grads_w = [np.zeros_like(w) for w in self.weights]
-        grads_b = [np.zeros_like(b) for b in self.biases]
+        """Parameter gradients (weights, biases) for d(loss)/d(output) =
+        dscalar, summed over the rows the cached forward was run on."""
+        activations = cache
+        last = len(self.weights) - 1
+        grads_w, grads_b = [None] * (last + 1), [None] * (last + 1)
         delta = np.atleast_1d(np.asarray(dscalar, dtype=np.float64))[:, None]
-        for layer in reversed(range(len(self.weights))):
-            if layer != len(self.weights) - 1:
-                delta = delta * _act_grad(self.activation, pre[layer])
-            grads_w[layer] += delta.T @ activations[layer]
-            grads_b[layer] += delta.sum(axis=0)
-            delta = delta @ self.weights[layer]
+        for layer in reversed(range(last + 1)):
+            if layer != last:
+                g = _act_grad(self.activation, activations[layer + 1])
+                g *= delta
+                delta = g
+            grads_w[layer] = delta.T @ activations[layer]
+            grads_b[layer] = delta.sum(axis=0)
+            if layer:
+                delta = delta @ self.weights[layer]
         return grads_w, grads_b
 
-    def zero_grads(self):
-        return [np.zeros_like(w) for w in self.weights], [np.zeros_like(b) for b in self.biases]
 
-
+# In this order the nets' pair matrices stack as G[m channel, h channel],
+# channel 0 being position and 1 velocity.
 NET_NAMES = ("g_r", "g_v", "gt_r", "gt_v")
 
 
@@ -201,60 +252,52 @@ class MpnnModel:
 
     # -- forward ---------------------------------------------------------
 
+    def _net_input(self, e, off):
+        """(B, n, k, W) net input rows from (B, n, n, C) edge features: one
+        row per ordered pair (k = n - 1) in pooled mode, one per node (k = 1)
+        in concat mode."""
+        if self.mode == CONCAT:
+            # z_i is the multiset {e_i1..e_in} concatenated in a canonical
+            # (lexicographically sorted) block order, so that reordering
+            # the particles cannot change the net input.
+            return _sorted_blocks(e)[:, :, None, :]
+        b, n = e.shape[:2]
+        pooled = np.broadcast_to(e.sum(axis=2, keepdims=True), e.shape)
+        return np.concatenate([e, pooled], axis=-1)[:, off].reshape(b, n, n - 1, -1)
+
     def forward(self, qs, rs, vs, want_cache=False):
+        """Output vectors: (n, 3) for one sample given as (n,) charges and
+        (n, 3) positions and velocities, (B, n, 3) for stacks of B samples.
+        With want_cache, returns (output, cache) for `backward`."""
         qs = np.asarray(qs, dtype=np.float64)
         rs = np.asarray(rs, dtype=np.float64)
         vs = np.asarray(vs, dtype=np.float64)
-        n = qs.size
+        single = qs.ndim == 1
+        if single:
+            qs, rs, vs = qs[None], rs[None], vs[None]
+        if qs.ndim != 2:
+            raise ShapeError(f"expected (n,) or (B, n) charges, got shape {qs.shape}")
+        n = qs.shape[1]
         if self.mode == CONCAT and n != self.n_particles:
             raise ShapeError(
                 f"concat-mode model built for n={self.n_particles}, got n={n}"
             )
-        e = edge_features(qs, rs, vs, self.edge_config)
-        h_r = rs - rs.mean(axis=0)
-        h_v = vs.copy()
-        cache = {"inputs": [], "h": [(h_r.copy(), h_v.copy())], "n": n}
-        for layer in range(self.layers):
-            nets = self.nets[layer]
-            if self.mode == CONCAT:
-                # z_i is the multiset {e_i1..e_in} concatenated in a canonical
-                # (lexicographically sorted) block order, so that reordering
-                # the particles cannot change the net input.
-                z = np.stack([_sorted_blocks(e[i]) for i in range(n)])
-                vals = {}
-                net_caches = {}
-                for name in NET_NAMES:
-                    vals[name], net_caches[name] = nets[name].forward(z)
-                s_r = n * h_r - h_r.sum(axis=0)  # sum_{j != i} (h_i - h_j)
-                s_v = n * h_v - h_v.sum(axis=0)
-                m_r = s_r * vals["g_r"][:, None] + s_v * vals["g_v"][:, None]
-                m_v = s_r * vals["gt_r"][:, None] + s_v * vals["gt_v"][:, None]
-                cache["inputs"].append(
-                    {"kind": CONCAT, "vals": vals, "net_caches": net_caches,
-                     "s_r": s_r, "s_v": s_v}
-                )
-            else:
-                pooled = e.sum(axis=1)  # (n, C)
-                iidx, jidx = np.nonzero(~np.eye(n, dtype=bool))
-                z = np.concatenate([e[iidx, jidx], pooled[iidx]], axis=1)  # (P, 2C)
-                vals = {}
-                net_caches = {}
-                for name in NET_NAMES:
-                    vals[name], net_caches[name] = nets[name].forward(z)
-                dr = h_r[iidx] - h_r[jidx]  # (P, 3)
-                dv = h_v[iidx] - h_v[jidx]
-                m_r = np.zeros_like(h_r)
-                m_v = np.zeros_like(h_v)
-                np.add.at(m_r, iidx, dr * vals["g_r"][:, None] + dv * vals["g_v"][:, None])
-                np.add.at(m_v, iidx, dr * vals["gt_r"][:, None] + dv * vals["gt_v"][:, None])
-                cache["inputs"].append(
-                    {"kind": POOLED, "vals": vals, "net_caches": net_caches,
-                     "iidx": iidx, "jidx": jidx}
-                )
-            h_r = h_r + m_r
-            h_v = h_v + m_v
-            cache["h"].append((h_r.copy(), h_v.copy()))
-        out = h_r if self.readout == READOUT_POSITION else h_v
+        off = ~np.eye(n, dtype=bool)
+        z = self._net_input(edge_features(qs, rs, vs, self.edge_config), off)
+        rows = z.reshape(-1, z.shape[-1])
+        h = np.stack([rs - rs.mean(axis=1, keepdims=True), vs])  # (2, B, n, 3)
+        cache = {"n": n, "z": z, "h": [], "G": []}
+        for nets in self.nets:
+            vals = np.stack([nets[name].forward(rows)[0] for name in NET_NAMES])
+            g = _pair_matrix(vals.reshape(2, 2, -1), z.shape, off)  # (2, 2, B, n, n)
+            if want_cache:
+                cache["h"].append(h)
+                cache["G"].append(g)
+            # m_i = sum_j G_ij (h_i - h_j), summed over both h channels
+            h = h + (g.sum(axis=-1)[..., None] * h - g @ h).sum(axis=1)
+        out = h[0 if self.readout == READOUT_POSITION else 1]
+        if single:
+            out = out[0]
         if want_cache:
             return out, cache
         return out
@@ -262,72 +305,28 @@ class MpnnModel:
     # -- backward ----------------------------------------------------------
 
     def backward(self, cache, dout):
-        """Reverse-mode parameter gradients for upstream d(loss)/d(output)."""
-        n = cache["n"]
-        grads = [
-            {name: self.nets[layer][name].zero_grads() for name in NET_NAMES}
-            for layer in range(self.layers)
-        ]
-        dh_r = dout.copy() if self.readout == READOUT_POSITION else np.zeros((n, 3))
-        dh_v = dout.copy() if self.readout == READOUT_VELOCITY else np.zeros((n, 3))
+        """Reverse-mode parameter gradients for upstream d(loss)/d(output),
+        summed over the samples of the cached forward.
+
+        Each net's activations are recomputed from the cached input rows and
+        released before the next net runs; keeping them all from the forward
+        pass would hold every hidden layer for every pair of the batch.
+        """
+        z = cache["z"]
+        rows = z.reshape(-1, z.shape[-1])
+        off = ~np.eye(cache["n"], dtype=bool)
+        dh = np.zeros((2, *z.shape[:2], 3))
+        dh[0 if self.readout == READOUT_POSITION else 1] = dout
+        grads = [{} for _ in range(self.layers)]
         for layer in reversed(range(self.layers)):
-            info = cache["inputs"][layer]
-            h_r_prev, h_v_prev = cache["h"][layer]
-            dm_r = dh_r  # residual update: gradient reaches both h and m
-            dm_v = dh_v
-            if info["kind"] == CONCAT:
-                vals = info["vals"]
-                s_r, s_v = info["s_r"], info["s_v"]
-                dval = {
-                    "g_r": np.einsum("ik,ik->i", dm_r, s_r),
-                    "g_v": np.einsum("ik,ik->i", dm_r, s_v),
-                    "gt_r": np.einsum("ik,ik->i", dm_v, s_r),
-                    "gt_v": np.einsum("ik,ik->i", dm_v, s_v),
-                }
-                ds_r = dm_r * vals["g_r"][:, None] + dm_v * vals["gt_r"][:, None]
-                ds_v = dm_r * vals["g_v"][:, None] + dm_v * vals["gt_v"][:, None]
-                # s_i = n h_i - sum_j h_j
-                dh_r = dh_r + n * ds_r - ds_r.sum(axis=0)
-                dh_v = dh_v + n * ds_v - ds_v.sum(axis=0)
-                for name in NET_NAMES:
-                    gw, gb = self.nets[layer][name].backward(
-                        info["net_caches"][name], dval[name]
-                    )
-                    acc_w, acc_b = grads[layer][name]
-                    for a, g in zip(acc_w, gw):
-                        a += g
-                    for a, g in zip(acc_b, gb):
-                        a += g
-            else:
-                vals = info["vals"]
-                iidx, jidx = info["iidx"], info["jidx"]
-                dr = h_r_prev[iidx] - h_r_prev[jidx]
-                dv = h_v_prev[iidx] - h_v_prev[jidx]
-                dval = {
-                    "g_r": np.einsum("pk,pk->p", dm_r[iidx], dr),
-                    "g_v": np.einsum("pk,pk->p", dm_r[iidx], dv),
-                    "gt_r": np.einsum("pk,pk->p", dm_v[iidx], dr),
-                    "gt_v": np.einsum("pk,pk->p", dm_v[iidx], dv),
-                }
-                for name in NET_NAMES:
-                    gw, gb = self.nets[layer][name].backward(
-                        info["net_caches"][name], dval[name]
-                    )
-                    acc_w, acc_b = grads[layer][name]
-                    for a, g in zip(acc_w, gw):
-                        a += g
-                    for a, g in zip(acc_b, gb):
-                        a += g
-                contrib_r = dm_r[iidx] * vals["g_r"][:, None] + dm_v[iidx] * vals["gt_r"][:, None]
-                contrib_v = dm_r[iidx] * vals["g_v"][:, None] + dm_v[iidx] * vals["gt_v"][:, None]
-                dh_r_new = dh_r.copy()
-                dh_v_new = dh_v.copy()
-                np.add.at(dh_r_new, iidx, contrib_r)
-                np.subtract.at(dh_r_new, jidx, contrib_r)
-                np.add.at(dh_v_new, iidx, contrib_v)
-                np.subtract.at(dh_v_new, jidx, contrib_v)
-                dh_r = dh_r_new
-                dh_v = dh_v_new
+            h, g, nets = cache["h"][layer], cache["G"][layer], self.nets[layer]
+            dm = dh[:, None]  # residual update: gradient reaches both h and m
+            # dG_ij = dm_i . (h_i - h_j);  dh += rowsum(G) dm - G^T dm
+            dg = (dm * h).sum(axis=-1)[..., None] - dm @ np.swapaxes(h, -1, -2)
+            dh = dh + (g.sum(axis=-1)[..., None] * dm - np.swapaxes(g, -1, -2) @ dm).sum(axis=0)
+            for name, dvals in zip(NET_NAMES, _row_grads(dg, z.shape, off).reshape(4, -1)):
+                net = nets[name]
+                grads[layer][name] = net.backward(net.forward(rows)[1], dvals)
         return grads
 
     # -- parameter access --------------------------------------------------
@@ -510,63 +509,54 @@ def mse_loss(pred, target):
     return float(np.mean(diff * diff))
 
 
-def evaluate_mse(model, dataset, indices):
+def evaluate_mse(model, dataset, indices, batch_size=TrainConfig.batch_size):
+    """Mean per-sample force MSE over `indices`, evaluated `batch_size`
+    samples per forward call."""
+    if len(indices) == 0:
+        raise ShapeError("no samples to evaluate")
     total = 0.0
-    for s in indices:
-        pred = model.forward(dataset.qs[s], dataset.rs[s], dataset.vs[s])
-        total += mse_loss(pred, dataset.targets[s])
+    for start in range(0, len(indices), batch_size):
+        batch = indices[start : start + batch_size]
+        pred = model.forward(dataset.qs[batch], dataset.rs[batch], dataset.vs[batch])
+        total += mse_loss(pred, dataset.targets[batch]) * len(batch)
     return total / len(indices)
 
 
 def train(model: MpnnModel, dataset: Dataset, config: TrainConfig) -> TrainReport:
-    """Plain SGD on per-particle force MSE; deterministic given the seed."""
-    rng = np.random.default_rng(config.seed)
+    """Plain SGD on per-particle force MSE; deterministic given the seed.
+
+    Raises ShapeError when the batch size is below 1 or the validation split
+    leaves no training sample.
+    """
+    if config.batch_size < 1:
+        raise ShapeError(f"batch size must be at least 1, got {config.batch_size}")
     n_val = max(1, int(round(dataset.size * config.val_fraction)))
+    if n_val >= dataset.size:
+        raise ShapeError(
+            f"{dataset.size} samples leave none for training after {n_val} for validation"
+        )
+    rng = np.random.default_rng(config.seed)
     perm = rng.permutation(dataset.size)
     val_idx = perm[:n_val]
     train_idx = perm[n_val:]
     report = TrainReport()
-    val0 = evaluate_mse(model, dataset, val_idx)
-    train0 = evaluate_mse(model, dataset, train_idx)
+    val0 = evaluate_mse(model, dataset, val_idx, config.batch_size)
+    train0 = evaluate_mse(model, dataset, train_idx, config.batch_size)
     report.epochs.append((0, train0, val0))
     for epoch in range(1, config.epochs + 1):
         order = rng.permutation(train_idx)
         epoch_loss = 0.0
         for start in range(0, len(order), config.batch_size):
             batch = order[start : start + config.batch_size]
-            acc = None
-            batch_loss = 0.0
-            for s in batch:
-                pred, cache = model.forward(
-                    dataset.qs[s], dataset.rs[s], dataset.vs[s], want_cache=True
-                )
-                diff = pred - dataset.targets[s]
-                batch_loss += float(np.mean(diff * diff))
-                dout = 2.0 * diff / diff.size
-                grads = model.backward(cache, dout)
-                if acc is None:
-                    acc = grads
-                else:
-                    for layer in range(model.layers):
-                        for name in NET_NAMES:
-                            aw, ab = acc[layer][name]
-                            gw, gb = grads[layer][name]
-                            for a, g in zip(aw, gw):
-                                a += g
-                            for a, g in zip(ab, gb):
-                                a += g
-            # mean gradient over the batch
-            for layer in range(model.layers):
-                for name in NET_NAMES:
-                    aw, ab = acc[layer][name]
-                    for a in aw:
-                        a /= len(batch)
-                    for a in ab:
-                        a /= len(batch)
-            model.apply_gradients(acc, config.lr)
-            epoch_loss += batch_loss
+            pred, cache = model.forward(
+                dataset.qs[batch], dataset.rs[batch], dataset.vs[batch], want_cache=True
+            )
+            diff = pred - dataset.targets[batch]
+            epoch_loss += float(np.mean(diff * diff)) * len(batch)
+            # d(mean over the batch of per-sample MSE)/d(pred)
+            model.apply_gradients(model.backward(cache, 2.0 * diff / diff.size), config.lr)
         train_mse = epoch_loss / len(order)
-        val_mse = evaluate_mse(model, dataset, val_idx)
+        val_mse = evaluate_mse(model, dataset, val_idx, config.batch_size)
         report.epochs.append((epoch, train_mse, val_mse))
         if train_mse > DIVERGENCE_LIMIT or not np.isfinite(train_mse):
             report.aborted = True

@@ -224,6 +224,16 @@ def test_train_requires_seed(runner, tmp_path):
     assert result.exit_code == 2
 
 
+def test_train_single_sample_exits_2(runner, tmp_path):
+    # One sample goes to validation and leaves none to train on.
+    cfg = _write(tmp_path / "train.cfg", TRAIN_CONFIG.replace("n_samples = 12", "n_samples = 1"))
+    result = runner.invoke(
+        main,
+        ["train", "--config", cfg, "--out", str(tmp_path / "m.json"), "--report", str(tmp_path / "r.csv")],
+    )
+    assert result.exit_code == 2
+
+
 # -- certify ---------------------------------------------------------------------
 
 
