@@ -1,9 +1,14 @@
 """Invariant scalar features of vector tuples.
 
 Gram matrices under either metric, SO(d) subdeterminants, translation
-quotients, the wrap-around band sampling of a low-rank Gram matrix with its
-alternating-least-squares completion, Gram reconstruction, and Minkowski
-Gram-Schmidt with lightlike restarts.
+quotients, the wrap-around band sampling of a low-rank Gram matrix and its
+completion, Gram reconstruction, and Minkowski Gram-Schmidt with lightlike
+restarts.
+
+Completion stitches the eigh factors of all (d+1)-windows of the band with
+orthogonal Procrustes fits, polished by vectorised alternating least squares;
+it flags failure instead of raising, and malformed samples are rejected when
+built.
 """
 from __future__ import annotations
 
@@ -13,7 +18,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .core import EUCLIDEAN, FREE, MINKOWSKI, POSITION, Metric, VectorTuple, as_matrix
-from .errors import DegenerateInputError, IndefiniteMatrixError, RoleError, ShapeError
+from .errors import DegenerateInputError, IndefiniteMatrixError, NonFiniteError, RoleError, ShapeError
 
 FIRST_POSITION = "first-position"
 CENTER_OF_POSITIONS = "center-of-positions"
@@ -94,20 +99,33 @@ def translation_reduce(x: VectorTuple, pivot: str = FIRST_POSITION) -> VectorTup
     raise ValueError(f"unknown pivot rule {pivot!r}")
 
 
+def _band_keys(n: int, d: int) -> list:
+    """Keys (i, (i+s) mod n) of the wrap-around band, in (i, s) order."""
+    return [(i, (i + s) % n) for i in range(n) for s in range(d + 1)]
+
+
 @dataclass(frozen=True)
 class OmegaSample:
-    """Wrap-around band of a square matrix: entries (i, (i+s) mod n), s = 0..d."""
+    """Wrap-around band of a square matrix: entries (i, (i+s) mod n), s = 0..d.
+
+    Raises ShapeError unless the keys are exactly that band (so n >= d+1) and
+    NonFiniteError unless every value is finite.
+    """
 
     n: int
     d: int
     entries: dict  # (i, j) -> value
 
     def __post_init__(self):
-        if len(self.entries) != self.n * (self.d + 1):
+        if not 0 <= self.d < self.n:
+            raise ShapeError(f"band width d+1={self.d + 1} must lie in 1..n={self.n}")
+        if self.entries.keys() != set(_band_keys(self.n, self.d)):
             raise ShapeError(
-                f"omega sample must hold n(d+1)={self.n * (self.d + 1)} entries, "
-                f"got {len(self.entries)}"
+                f"omega sample must hold exactly the n(d+1)={self.n * (self.d + 1)} band "
+                f"entries (i, (i+s) mod n), s = 0..{self.d}"
             )
+        if not np.all(np.isfinite(np.fromiter(self.entries.values(), float))):
+            raise NonFiniteError("omega sample contains NaN or Inf")
 
 
 def omega_sample(m, d: int) -> OmegaSample:
@@ -115,14 +133,9 @@ def omega_sample(m, d: int) -> OmegaSample:
     n = m.shape[0]
     if m.shape[1] != n:
         raise ShapeError("omega_sample requires a square matrix")
-    if n < d + 1:
-        raise ShapeError(f"band of width d+1={d + 1} needs n >= d+1, got n={n}")
-    entries = {}
-    for i in range(n):
-        for s in range(d + 1):
-            j = (i + s) % n
-            entries[(i, j)] = float(m[i, j])
-    return OmegaSample(n, d, entries)
+    rows = np.arange(n)[:, None]
+    band = m[rows, (rows + np.arange(d + 1)) % n]
+    return OmegaSample(n, d, dict(zip(_band_keys(n, d), band.ravel().tolist())))
 
 
 @dataclass(frozen=True)
@@ -133,31 +146,38 @@ class CompletionResult:
     iterations: int
 
 
-def _propagated_factor(known: dict, n: int, d: int) -> np.ndarray | None:
-    """Deterministic factor from the band: every (d+1)-window of consecutive
-    indices has its full Gram submatrix sampled, so factor the first window
-    and solve each later vector from its d inner products with predecessors.
-    Returns (d, n) or None when a window system is singular."""
-    idx = list(range(d + 1))
-    g = np.array([[known[(min(a, b), max(a, b))] for b in idx] for a in idx])
-    eigvals, eigvecs = np.linalg.eigh(0.5 * (g + g.T))
-    order = np.argsort(eigvals)[::-1][:d]
-    if eigvals[order].min() < -1e-8 * max(1.0, abs(eigvals).max()):
+def _stitched_factor(band: np.ndarray) -> np.ndarray | None:
+    """Rank-d factor (n, d) of a PSD band, or None when a window is not PSD.
+
+    Each (d+1)-window k..k+d (mod n) has its whole Gram sampled; one batched
+    eigh factors them all. Window k is turned onto the d vectors already placed
+    by an orthogonal Procrustes fit and places its last one: only a rotation is
+    carried, so errors add along the chain instead of multiplying. The
+    wrap-around windows place nothing; the completion residual checks them.
+    """
+    n, d = band.shape[0], band.shape[1] - 1
+    p = np.arange(d + 1)
+    grams = band[(np.arange(n)[:, None, None] + np.minimum.outer(p, p)) % n, np.abs(p[:, None] - p)]
+    eigvals, eigvecs = np.linalg.eigh(grams)
+    if eigvals.min() < -1e-8 * max(1.0, float(np.abs(eigvals).max())):
         return None
-    v = (eigvecs[:, order] * np.sqrt(np.clip(eigvals[order], 0.0, None))).T  # (d, d+1)
-    out = np.zeros((d, n))
-    out[:, : d + 1] = v
-    for j in range(d + 1, n):
-        prev = list(range(j - d, j))
-        a = out[:, prev].T  # (d, d)
-        b = np.array([known[(p, j)] for p in prev])
-        try:
-            out[:, j] = np.linalg.solve(a, b)
-        except np.linalg.LinAlgError:
-            return None
-        if not np.all(np.isfinite(out[:, j])):
-            return None
-    return out
+    top = eigvals[:, 1:]  # ascending order: drop the smallest of d+1
+    factors = eigvecs[:, :, 1:] * np.sqrt(np.clip(top, 0.0, None))[:, None, :]  # (n, d+1, d)
+    x = np.empty((n, d))
+    x[: d + 1] = factors[0]
+    for k in range(1, n - d):
+        u, _, vt = np.linalg.svd(factors[k, :d].T @ x[k : k + d])
+        x[k + d] = factors[k, d] @ (u @ vt)
+    return x
+
+
+def _fit_rows(fixed: np.ndarray, cols: np.ndarray, vals: np.ndarray) -> np.ndarray:
+    """Row i of the free factor: least squares of fixed[cols[i]] @ a = vals[i],
+    all rows in one batched (n, d, d) solve."""
+    b = fixed[cols]  # (n, K, d)
+    bt = b.transpose(0, 2, 1)
+    normal = bt @ b + 1e-12 * np.eye(fixed.shape[1])  # ridge at unit band scale
+    return np.linalg.solve(normal, bt @ vals[..., None])[..., 0]
 
 
 def omega_complete(
@@ -167,70 +187,68 @@ def omega_complete(
     tol: float = 1e-12,
     restarts: int = 8,
 ) -> CompletionResult:
-    """Complete a rank-<=d matrix from its wrap-around band.
+    """Complete a rank-<=d symmetric matrix from its wrap-around band.
 
-    Alternating least squares on M = W^T H with W, H of shape (d, n), fitted
-    to the sampled entries and their transposes (the band comes from a
-    symmetric matrix). The first attempt starts from a deterministic
-    window-propagated factor (exact in the generic case); random restarts
-    cover the rest. The output is symmetrized. Non-convergence is reported
-    through the flag, never raised: degenerate inputs may legitimately fail.
+    The first start is the stitched factor of the (d+1)-windows (see
+    ``_stitched_factor``), exact for a PSD rank-d source whose windows have
+    full rank. Alternating least squares on M = W H^T, with W, H of shape
+    (n, d), then polishes it against the sampled entries and their transposes
+    (the band comes from a symmetric matrix); each sweep fits all rows of W,
+    then all rows of H, in one batched solve each. Random restarts follow
+    only when a start does not converge (indefinite or full-rank input).
+    ``iterations`` counts ALS sweeps summed over the starts tried, at least
+    one per start. The output is symmetrized. Non-convergence, including a
+    LinAlgError in a solve, is reported through ``converged``, never raised:
+    the result is finite unless ``converged`` is False.
     """
     n, d = sample.n, sample.d
-    # Symmetric source matrix: constrain both (i, j) and (j, i).
-    known = dict(sample.entries)
-    for (i, j), v in sample.entries.items():
-        known.setdefault((j, i), v)
-    rows = [[] for _ in range(n)]  # j, value pairs per row i
-    cols = [[] for _ in range(n)]
-    for (i, j), v in known.items():
-        rows[i].append((j, v))
-        cols[j].append((i, v))
-    scale = max(1.0, max(abs(v) for v in known.values()))
+    band = np.array([sample.entries[k] for k in _band_keys(n, d)]).reshape(n, d + 1)
+    scale = max(1.0, float(np.abs(band).max()))
+    band = band / scale  # the ridge and the convergence tests act at unit scale
+    # Known entries of row i: columns i+o (mod n) for o = 0..d and -1..-d,
+    # dropping -s when it wraps onto n-s <= d, which the band already holds.
+    offsets = np.array([o for o in range(-d, d + 1) if o >= 0 or n + o > d])
+    rows = np.arange(n)[:, None]
+    cols = (rows + offsets) % n  # (n, K)
+    vals = np.where(offsets >= 0, band[rows, np.abs(offsets)], band[cols, np.abs(offsets)])
+    # Entry (cols[i, t], i) sits in row cols[i, t] at the offset -offsets[t].
+    mirror = np.argmax((offsets[:, None] + offsets) % n == 0, axis=1)
+    vals_t = vals[cols, mirror]
+
+    start = _stitched_factor(band)
     rng = np.random.default_rng(seed)
-
-    inits = []
-    propagated = _propagated_factor(known, n, d)
-    if propagated is not None:
-        inits.append((propagated, propagated.copy()))
-    while len(inits) < max(1, restarts) + (propagated is not None):
-        inits.append((rng.standard_normal((d, n)), rng.standard_normal((d, n))))
-
-    best = None
-    total_iters = 0
-    for w, h in inits:
+    randoms = (
+        (rng.standard_normal((n, d)), rng.standard_normal((n, d))) for _ in range(max(1, restarts))
+    )
+    best = CompletionResult(np.full((n, n), np.nan), False, np.inf, 0)
+    iterations = 0
+    for w, h in itertools.chain([] if start is None else [(start, start)], randoms):
         prev_obj = np.inf
-        it = 0
-        for it in range(1, max_iter + 1):
-            for mat_a, mat_b, index in ((w, h, rows), (h, w, cols)):
-                # Solve each column of mat_a against fixed mat_b.
-                for i in range(n):
-                    js = [j for j, _ in index[i]]
-                    vals = np.array([v for _, v in index[i]])
-                    b = mat_b[:, js]  # (d, k)
-                    gram_b = b @ b.T + 1e-12 * np.eye(d)
-                    mat_a[:, i] = np.linalg.solve(gram_b, b @ vals)
-            obj = sum(
-                (w[:, i] @ h[:, j] - v) ** 2 for (i, j), v in known.items()
-            )
-            if obj <= (1e-10 * scale) ** 2 * len(known):
-                break
-            # Relative decrease test: an absolute test would stall runs that
-            # are still converging geometrically toward a tiny objective.
-            if prev_obj - obj < tol * max(obj, 1e-30):
-                break
-            prev_obj = obj
-        total_iters += it
-        m_hat = w.T @ h
+        try:
+            for _ in range(max(1, max_iter)):
+                iterations += 1
+                w = _fit_rows(h, cols, vals)
+                h = _fit_rows(w, cols, vals_t)
+                obj = float(np.sum((np.einsum("ikd,id->ik", h[cols], w) - vals) ** 2))
+                if obj <= 1e-20 * vals.size:
+                    break
+                # Relative decrease test: an absolute test would stall runs that
+                # are still converging geometrically toward a tiny objective.
+                if prev_obj - obj < tol * max(obj, 1e-30):
+                    break
+                prev_obj = obj
+        except np.linalg.LinAlgError:
+            continue  # a singular solve ends this start unconverged
+        m_hat = w @ h.T
         m_hat = 0.5 * (m_hat + m_hat.T)
-        residual = float(
-            np.sqrt(np.mean([(m_hat[i, j] - v) ** 2 for (i, j), v in known.items()]))
-        )
-        if best is None or residual < best.residual:
-            best = CompletionResult(m_hat, residual <= 1e-8 * scale, residual, total_iters)
+        residual = float(np.sqrt(np.mean((m_hat[rows, cols] - vals) ** 2)))
+        if residual < best.residual:
+            matrix = m_hat * scale
+            converged = residual <= 1e-8 and bool(np.all(np.isfinite(matrix)))
+            best = CompletionResult(matrix, converged, residual * scale, iterations)
         if best.converged:
             break
-    return CompletionResult(best.matrix, best.converged, best.residual, total_iters)
+    return CompletionResult(best.matrix, best.converged, best.residual, iterations)
 
 
 def cholesky_reconstruct(m) -> VectorTuple:

@@ -522,8 +522,11 @@ def evaluate_mse(model, dataset, indices, batch_size=TrainConfig.batch_size):
     return total / len(indices)
 
 
-def train(model: MpnnModel, dataset: Dataset, config: TrainConfig) -> TrainReport:
+def train(model: MpnnModel, dataset: Dataset, config: TrainConfig, on_epoch=None) -> TrainReport:
     """Plain SGD on per-particle force MSE; deterministic given the seed.
+
+    ``on_epoch(epoch, model)``, when given, runs after each epoch's losses are
+    recorded, epoch 0 (the untrained model) included.
 
     Raises ShapeError when the batch size is below 1 or the validation split
     leaves no training sample.
@@ -543,6 +546,8 @@ def train(model: MpnnModel, dataset: Dataset, config: TrainConfig) -> TrainRepor
     val0 = evaluate_mse(model, dataset, val_idx, config.batch_size)
     train0 = evaluate_mse(model, dataset, train_idx, config.batch_size)
     report.epochs.append((0, train0, val0))
+    if on_epoch is not None:
+        on_epoch(0, model)
     for epoch in range(1, config.epochs + 1):
         order = rng.permutation(train_idx)
         epoch_loss = 0.0
@@ -558,6 +563,8 @@ def train(model: MpnnModel, dataset: Dataset, config: TrainConfig) -> TrainRepor
         train_mse = epoch_loss / len(order)
         val_mse = evaluate_mse(model, dataset, val_idx, config.batch_size)
         report.epochs.append((epoch, train_mse, val_mse))
+        if on_epoch is not None:
+            on_epoch(epoch, model)
         if train_mse > DIVERGENCE_LIMIT or not np.isfinite(train_mse):
             report.aborted = True
             break

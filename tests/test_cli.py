@@ -200,6 +200,22 @@ def test_train_writes_model_and_report(runner, tmp_path):
     assert json.loads(model_path.read_text())["mode"] == "pooled"
 
 
+def test_train_report_residual_per_epoch(runner, tmp_path):
+    cfg = _write(tmp_path / "train.cfg", TRAIN_CONFIG.replace("epochs = 1", "epochs = 3"))
+    report_path = tmp_path / "report.csv"
+    result = runner.invoke(
+        main,
+        ["train", "--config", cfg, "--out", str(tmp_path / "m.json"), "--report", str(report_path)],
+    )
+    assert result.exit_code == 0, result.output
+    with open(report_path, newline="") as fh:
+        residuals = [float(row[3]) for row in list(csv.reader(fh))[1:]]
+    assert len(residuals) == 4  # epochs 0..3
+    assert len(set(residuals)) > 1  # each row certifies that epoch's model
+    assert max(residuals) <= 1e-9
+    assert json.loads(result.output)["equivariance_residual"] == residuals[-1]
+
+
 def test_train_deterministic(runner, tmp_path):
     cfg = _write(tmp_path / "train.cfg", TRAIN_CONFIG)
     outputs = []

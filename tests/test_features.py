@@ -1,5 +1,6 @@
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from equiscalar import features, groups
 from equiscalar.core import (
@@ -12,6 +13,7 @@ from equiscalar.core import (
 from equiscalar.errors import (
     DegenerateInputError,
     IndefiniteMatrixError,
+    NonFiniteError,
     RoleError,
     ShapeError,
 )
@@ -170,6 +172,81 @@ def test_omega_sample_includes_diagonal():
 def test_omega_sample_band_too_wide():
     with pytest.raises(ShapeError):
         features.omega_sample(np.eye(3), 3)
+
+
+def test_omega_sample_rejects_key_off_band():
+    entries = dict(features.omega_sample(np.eye(5), 1).entries)
+    entries[(0, 3)] = entries.pop((0, 1))
+    with pytest.raises(ShapeError):
+        features.OmegaSample(5, 1, entries)
+
+
+@pytest.mark.parametrize("bad", [np.nan, np.inf])
+def test_omega_sample_rejects_non_finite_entry(bad):
+    entries = dict(features.omega_sample(np.eye(5), 1).entries)
+    entries[(2, 3)] = bad
+    with pytest.raises(NonFiniteError):
+        features.OmegaSample(5, 1, entries)
+
+
+def _low_rank_band(n, d, seed):
+    """Criterion 4's generator: a rank-d Gram of n standard normal vectors."""
+    v = np.random.default_rng(seed).standard_normal((d, n))
+    m = v.T @ v
+    return m, features.omega_sample(m, d)
+
+
+def _held_out_rel(m, sample, result):
+    """Relative error off the band, or on the whole matrix when the band is all of it."""
+    held = np.ones(m.shape, dtype=bool)
+    for i, j in sample.entries:
+        held[i, j] = held[j, i] = False
+    if not held.any():
+        held[:] = True
+    return np.linalg.norm((result.matrix - m)[held]) / np.linalg.norm(m[held])
+
+
+@pytest.mark.parametrize(
+    "n,d,seed",
+    [(50, 3, 0), (200, 3, 0), (1000, 3, 0), (200, 1, 0), (200, 2, 0), (200, 4, 0),
+     (4, 3, 0), (2, 1, 0), (40, 3, 1), (50, 3, 1)],
+)
+def test_omega_complete_stitched_recovery(n, d, seed):
+    # Up to n=1000, and n=d+1 where the band is the whole matrix. (40, 3, 1),
+    # (50, 3, 0) and (50, 3, 1) are the grid cases the chained-solve start
+    # got wrong: unconverged, or converged with held-out error above 1e-6.
+    m, sample = _low_rank_band(n, d, seed)
+    result = features.omega_complete(sample, seed=seed)
+    assert result.converged
+    assert result.iterations == 1  # the stitched start is exact; one polish sweep
+    assert _held_out_rel(m, sample, result) <= 1e-6
+
+
+@settings(max_examples=25)
+@given(d=st.integers(1, 4), data=st.data())
+def test_omega_complete_never_raises_on_finite_band(d, data):
+    # Any rank (zero, below d, d, full) and any signature, over 200 decades.
+    n = data.draw(st.integers(d + 1, 60), label="n")
+    rank = data.draw(st.integers(0, d) | st.integers(0, n), label="rank")
+    indefinite = data.draw(st.booleans(), label="indefinite")
+    exponent = data.draw(st.integers(-100, 100), label="exponent")
+    rng = np.random.default_rng(data.draw(st.integers(0, 2**32 - 1), label="seed"))
+    a = rng.standard_normal((n, rank))
+    signs = rng.choice([-1.0, 1.0], rank) if indefinite else np.ones(rank)
+    m = (a * signs) @ a.T * 10.0**exponent
+    result = features.omega_complete(features.omega_sample(m, d))
+    assert result.matrix.shape == (n, n)
+    assert result.iterations >= 1
+    assert not result.converged or np.all(np.isfinite(result.matrix))
+
+
+def test_omega_complete_linalg_error_is_unconverged(monkeypatch):
+    def singular(*args, **kwargs):
+        raise np.linalg.LinAlgError("Singular matrix")
+
+    monkeypatch.setattr(np.linalg, "solve", singular)
+    result = features.omega_complete(_low_rank_band(10, 3, 0)[1])
+    assert not result.converged
 
 
 def test_omega_complete_rank_one_exact():

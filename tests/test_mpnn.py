@@ -360,9 +360,12 @@ def test_train_early_stop_on_val_ratio():
     ds = mpnn.generate_dataset(np.random.default_rng(18), 3, 40)
     model = _small_model(mpnn.POOLED, seed=22)
     cfg = mpnn.TrainConfig(epochs=50, lr=1e-3, batch_size=8, seed=3, stop_at_val_ratio=1e9)
-    report = mpnn.train(model, ds, cfg)
+    seen = []
+    report = mpnn.train(model, ds, cfg, on_epoch=lambda epoch, m: seen.append((epoch, m)))
     # An absurdly generous ratio stops after the very first epoch.
     assert report.epochs[-1][0] == 1
+    # The callback sees every recorded epoch, the untrained model's included.
+    assert seen == [(0, model), (1, model)]
 
 
 @pytest.mark.parametrize("n_samples, batch_size", [(1, 32), (10, 0)])
