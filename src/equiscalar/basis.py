@@ -44,12 +44,11 @@ def generalized_cross(vs) -> np.ndarray:
     d = len(vs) + 1
     for v in vs:
         as_vector(v, d)
-    cols = np.column_stack(vs)  # (d, d-1)
-    out = np.empty(d)
-    for k in range(d):
-        minor = np.delete(cols, k, axis=0)
-        out[k] = (-1.0) ** (k + d + 1) * np.linalg.det(minor)
-    return out
+    # x_k = <x, e_k> = det(v_1, ..., v_{d-1}, e_k): one batched det over k.
+    mats = np.empty((d, d, d))
+    mats[:, :, :-1] = np.column_stack(vs)
+    mats[:, :, -1] = np.eye(d)
+    return np.linalg.det(mats)
 
 
 class FixedClosure:
@@ -182,8 +181,7 @@ class _SymmetrizedCoefficients:
                 permuted_subdets = _permute_subdets(features.subdets, sigma)
             pf = ScalarFeatureSet(permuted_gram, features.metric, subdets=permuted_subdets)
             coeffs, cross = self.base.coefficients(pf)
-            for t in range(n):
-                total[sigma[t]] += coeffs[t]
+            total[idx] += coeffs
             if cross:
                 for subset, c in cross.items():
                     mapped = [sigma[i] for i in subset]

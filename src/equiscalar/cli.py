@@ -187,7 +187,7 @@ def einsum_check(expr, metric_kind, dim, mode):
 @click.option("--dim", type=int, required=True)
 @click.option("--metric", "metric_kind", type=click.Choice(["euclid", "minkowski"]), default="euclid", show_default=True)
 def einsum_eval(expr, bindfile, dim, metric_kind):
-    """Evaluate EXPR on the given bindings by brute-force contraction."""
+    """Evaluate EXPR on the given bindings, one np.einsum contraction per term."""
     try:
         parsed = einsum.parse(expr)
         with open(bindfile) as fh:

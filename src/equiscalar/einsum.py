@@ -1,4 +1,4 @@
-"""Index-notation expressions: parsing, rule validation, brute-force evaluation.
+"""Index-notation expressions: parsing, rule validation, evaluation by np.einsum.
 
 The concrete grammar is underscore/caret with single-letter index labels:
 
@@ -16,6 +16,7 @@ summed pair is one lower and one upper occurrence.
 """
 from __future__ import annotations
 
+import functools
 import itertools
 import re
 from dataclasses import dataclass, field
@@ -253,21 +254,45 @@ def validate(expr: IndexExpr, metric: Metric, mode: str = MODE_PLAIN) -> Validat
     return ValidationReport(not violations, free_indices, len(free_indices), tuple(violations))
 
 
-def _levi_civita(idx) -> int:
-    if len(set(idx)) != len(idx):
-        return 0
-    sign = 1
-    idx = list(idx)
-    for i in range(len(idx)):
-        for j in range(i + 1, len(idx)):
-            if idx[i] > idx[j]:
-                sign = -sign
-    return sign
+@functools.lru_cache(maxsize=None)
+def _levi_civita(d: int) -> np.ndarray:
+    """Dense Levi-Civita tensor of order d: the sign of each permutation of
+    range(d) at that index, 0 wherever an index repeats. Read-only, and
+    cached for the few d <= MAX_EVAL_DIM that evaluate accepts."""
+    perms = np.array(list(itertools.permutations(range(d))))
+    eps = np.zeros((d,) * d)
+    eps[tuple(perms.T)] = np.rint(np.linalg.det(np.eye(d)[perms]))
+    eps.flags.writeable = False
+    return eps
+
+
+def _bound_tensor(factor: Factor, bindings: dict, d: int, lam: np.ndarray) -> np.ndarray:
+    """The bound array of a named factor, its upper indices raised through lam."""
+    if factor.name not in bindings:
+        raise ShapeError(f"no binding for tensor {factor.name!r}")
+    try:
+        a = np.asarray(bindings[factor.name], dtype=np.float64)
+    except (TypeError, ValueError) as exc:
+        raise ShapeError(f"tensor {factor.name!r} is not a numeric array: {exc}") from None
+    if a.ndim != len(factor.indices):
+        raise ShapeError(
+            f"tensor {factor.name!r} has order {a.ndim}, "
+            f"expression uses {len(factor.indices)} indices"
+        )
+    if any(s != d for s in a.shape):
+        raise ShapeError(f"tensor {factor.name!r} has shape {a.shape}, expected all axes = {d}")
+    for axis, (_, var) in enumerate(factor.indices):
+        if var == UPPER:
+            a = np.tensordot(lam, a, axes=([1], [axis]))
+            a = np.moveaxis(a, 0, axis)
+    return a
 
 
 def evaluate(expr: IndexExpr, bindings: dict, d: int, metric: Metric | None = None):
-    """Brute-force contraction; upper indices are raised through the metric.
+    """Contract each term with one np.einsum; upper indices are raised
+    through the metric.
 
+    eps is the dense d^d Levi-Civita tensor and delta the d x d identity.
     Returns a float for scalar output, otherwise an array whose axes follow
     the first appearance of each free label.
     """
@@ -281,57 +306,27 @@ def evaluate(expr: IndexExpr, bindings: dict, d: int, metric: Metric | None = No
             + "; ".join(v.message for v in report.violations)
         )
     lam = Metric(metric.kind, d).matrix
-    free = report.free_indices
-    out = 0.0 if not free else np.zeros((d,) * len(free))
+    free = "".join(report.free_indices)
+    out = np.zeros((d,) * len(free))
     for term in expr.terms:
-        labels = []
-        for factor in term.factors:
-            for lbl, _ in factor.indices:
-                if lbl not in labels:
-                    labels.append(lbl)
+        labels = {lbl for factor in term.factors for lbl, _ in factor.indices}
         if len(labels) > MAX_EVAL_INDICES:
             raise ShapeError(
                 f"term uses {len(labels)} distinct indices; limit is {MAX_EVAL_INDICES}"
             )
-        arrays = {}
+        operands = []
         for factor in term.factors:
-            if factor.is_epsilon or factor.is_delta:
-                continue
-            if factor.name not in bindings:
-                raise ShapeError(f"no binding for tensor {factor.name!r}")
-            a = np.asarray(bindings[factor.name], dtype=np.float64)
-            if a.ndim != len(factor.indices):
-                raise ShapeError(
-                    f"tensor {factor.name!r} has order {a.ndim}, "
-                    f"expression uses {len(factor.indices)} indices"
-                )
-            if any(s != d for s in a.shape):
-                raise ShapeError(f"tensor {factor.name!r} has shape {a.shape}, expected all axes = {d}")
-            for axis, (_, var) in enumerate(factor.indices):
-                if var == UPPER:
-                    a = np.tensordot(lam, a, axes=([1], [axis]))
-                    a = np.moveaxis(a, 0, axis)
-            arrays[id(factor)] = a
-        for assignment in itertools.product(range(d), repeat=len(labels)):
-            env = dict(zip(labels, assignment))
-            value = float(term.sign)
-            for factor in term.factors:
-                idx = tuple(env[lbl] for lbl, _ in factor.indices)
-                if factor.is_epsilon:
-                    value *= _levi_civita(idx)
-                elif factor.is_delta:
-                    value *= 1.0 if idx[0] == idx[1] else 0.0
-                else:
-                    value *= float(arrays[id(factor)][idx])
-                if value == 0.0:
-                    break
-            if value == 0.0:
-                continue
-            if not free:
-                out += value
+            if factor.is_epsilon:
+                # More than d slots means a repeated label, and the symbol vanishes.
+                order = len(factor.indices)
+                operands.append(_levi_civita(d) if order == d else np.zeros((d,) * order))
+            elif factor.is_delta:
+                operands.append(np.eye(d))
             else:
-                out[tuple(env[lbl] for lbl in free)] += value
-    return out
+                operands.append(_bound_tensor(factor, bindings, d, lam))
+        subscripts = ",".join("".join(lbl for lbl, _ in f.indices) for f in term.factors)
+        out = out + term.sign * np.einsum(subscripts + "->" + free, *operands)
+    return out if free else float(out)
 
 
 def rewrite_epsilon_pair(expr: IndexExpr) -> IndexExpr:

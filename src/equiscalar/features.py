@@ -13,11 +13,12 @@ built.
 from __future__ import annotations
 
 import itertools
+import math
 from dataclasses import dataclass
 
 import numpy as np
 
-from .core import EUCLIDEAN, FREE, MINKOWSKI, POSITION, Metric, VectorTuple, as_matrix
+from .core import MINKOWSKI, Metric, VectorTuple, as_matrix
 from .errors import DegenerateInputError, IndefiniteMatrixError, NonFiniteError, RoleError, ShapeError
 
 FIRST_POSITION = "first-position"
@@ -25,6 +26,7 @@ CENTER_OF_POSITIONS = "center-of-positions"
 
 LIGHTLIKE_REL_TOL = 1e-10
 MAX_GS_RESTARTS = 50
+MAX_SUBDET_ENTRIES = 2**24  # float64 entries of stacked minors (128 MiB)
 
 
 @dataclass(frozen=True)
@@ -42,33 +44,34 @@ class ScalarFeatureSet:
 
 
 def gram(metric: Metric, x: VectorTuple) -> np.ndarray:
-    """Pairwise invariant scalar products; exact symmetry by mirroring i <= j."""
-    n = x.n
-    sig = metric.signature
+    """Pairwise invariant scalar products; exactly symmetric, the lower
+    triangle being a copy of the upper one."""
     if x.d != metric.dim:
         raise ShapeError(f"tuple dimension {x.d} does not match metric dimension {metric.dim}")
-    m = np.empty((n, n))
-    weighted = x.vectors * sig
-    for i in range(n):
-        for j in range(i, n):
-            m[i, j] = m[j, i] = float(np.dot(weighted[i], x.vectors[j]))
+    m = (x.vectors * metric.signature) @ x.vectors.T
+    lower = np.tri(x.n, k=-1, dtype=bool)
+    m[lower] = m.T[lower]
     return m
 
 
 def subdeterminants(x: VectorTuple) -> dict:
     """All d x d column subdeterminants of the d x n matrix of vectors.
 
-    Keys are ascending index d-subsets (0-based); columns are taken in
-    ascending index order.
+    Keys are ascending index d-subsets (0-based), in itertools.combinations
+    order; columns are taken in ascending index order. Raises ShapeError
+    when the C(n, d) stacked minors would exceed MAX_SUBDET_ENTRIES floats.
     """
     n, d = x.n, x.d
     if n < d:
         raise ShapeError(f"need at least d={d} vectors for subdeterminants, got n={n}")
-    cols = x.vectors.T  # (d, n)
-    out = {}
-    for subset in itertools.combinations(range(n), d):
-        out[subset] = float(np.linalg.det(cols[:, list(subset)]))
-    return out
+    if math.comb(n, d) * d * d > MAX_SUBDET_ENTRIES:
+        raise ShapeError(
+            f"C({n}, {d}) = {math.comb(n, d)} subdeterminants exceed the limit of "
+            f"{MAX_SUBDET_ENTRIES} stacked minor entries"
+        )
+    subsets = list(itertools.combinations(range(n), d))
+    minors = x.vectors[np.array(subsets, dtype=np.intp)].transpose(0, 2, 1)  # (C, d, d)
+    return dict(zip(subsets, np.linalg.det(minors).tolist()))
 
 
 def translation_reduce(x: VectorTuple, pivot: str = FIRST_POSITION) -> VectorTuple:
@@ -82,19 +85,12 @@ def translation_reduce(x: VectorTuple, pivot: str = FIRST_POSITION) -> VectorTup
     if pos.size == 0:
         raise RoleError("translation_reduce requires at least one position vector")
     if pivot == FIRST_POSITION:
-        p0 = x.vectors[pos[0]]
-        rows = []
-        for i in range(x.n):
-            if i == pos[0]:
-                continue
-            v = x.vectors[i]
-            rows.append(v - p0 if x.roles[i] == POSITION else v)
-        return VectorTuple(np.asarray(rows).reshape(len(rows), x.d))
-    if pivot == CENTER_OF_POSITIONS:
-        center = x.vectors[pos].mean(axis=0)
         out = x.vectors.copy()
-        for i in pos:
-            out[i] = out[i] - center
+        out[pos] -= x.vectors[pos[0]]
+        return VectorTuple(np.delete(out, pos[0], axis=0))
+    if pivot == CENTER_OF_POSITIONS:
+        out = x.vectors.copy()
+        out[pos] -= x.vectors[pos].mean(axis=0)
         return VectorTuple(out)
     raise ValueError(f"unknown pivot rule {pivot!r}")
 
@@ -200,6 +196,12 @@ def omega_complete(
     one per start. The output is symmetrized. Non-convergence, including a
     LinAlgError in a solve, is reported through ``converged``, never raised:
     the result is finite unless ``converged`` is False.
+
+    ``converged`` certifies the fit on the band only (RMS misfit at most
+    1e-8 x max(1, max |entry|)), not the unsampled entries. The completion is then the source
+    for a PSD rank-d source whose windows have full rank; for an indefinite
+    or full-rank source a rank-d W H^T can fit the band and still be wrong
+    off it.
     """
     n, d = sample.n, sample.d
     band = np.array([sample.entries[k] for k in _band_keys(n, d)]).reshape(n, d + 1)

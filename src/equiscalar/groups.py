@@ -12,7 +12,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .core import FREE, POSITION, VectorTuple, as_matrix, as_vector, minkowski
+from .core import VectorTuple, as_matrix, as_vector, minkowski
 from .errors import DimensionMismatchError, ShapeError
 
 ORTHO_TOL = 1e-12
@@ -209,17 +209,13 @@ def apply(g: GroupElement, x: VectorTuple) -> VectorTuple:
         if g.w.size != x.d:
             raise DimensionMismatchError(x.d, g.w.size, "translation")
         out = v.copy()
-        for i, role in enumerate(x.roles):
-            if role == POSITION:
-                out[i] = out[i] + g.w
+        out[x.position_indices()] += g.w
         return x.with_vectors(out)
     if isinstance(g, (Euclidean, Poincare)):
         if g.q.shape[0] != x.d:
             raise DimensionMismatchError(g.q.shape[0], x.d)
         out = v @ g.q.T
-        for i, role in enumerate(x.roles):
-            if role == POSITION:
-                out[i] = out[i] + g.w
+        out[x.position_indices()] += g.w
         return x.with_vectors(out)
     if isinstance(g, Permutation):
         if len(g.sigma) != x.n:
@@ -254,10 +250,7 @@ def inverse(g: GroupElement) -> GroupElement:
     if isinstance(g, Translation):
         return Translation(-g.w)
     if isinstance(g, Permutation):
-        inv = [0] * len(g.sigma)
-        for i, s in enumerate(g.sigma):
-            inv[s] = i
-        return Permutation(tuple(inv))
+        return Permutation(tuple(np.argsort(g.sigma)))
     if isinstance(g, (Euclidean, Poincare)):
         if isinstance(g, Euclidean):
             qinv = g.q.T

@@ -108,10 +108,8 @@ def _lift_block_permutation(g: groups.Permutation, spec: SymmetrySpec) -> groups
     if spec.blocks is None or len(g.sigma) == spec.n_vectors:
         return g
     per_block = spec.n_vectors // spec.blocks
-    sigma = []
-    for b in g.sigma:
-        sigma.extend(range(b * per_block, (b + 1) * per_block))
-    return groups.Permutation(tuple(sigma))
+    sigma = np.add.outer(np.multiply(g.sigma, per_block), np.arange(per_block))
+    return groups.Permutation(tuple(sigma.ravel()))
 
 
 def _apply_input(g, spec: SymmetrySpec, x: VectorTuple, scalars):
@@ -146,9 +144,8 @@ def _transform_output(g, spec: SymmetrySpec, out):
 
 
 def _component_key(g) -> str | None:
-    if isinstance(g, (groups.Orthogonal, groups.Rotation, groups.Lorentz)):
-        return f"det={'+1' if np.linalg.det(g.q) > 0 else '-1'}"
-    if isinstance(g, (groups.Euclidean, groups.Poincare)):
+    linear = (groups.Orthogonal, groups.Rotation, groups.Lorentz, groups.Euclidean, groups.Poincare)
+    if isinstance(g, linear):
         return f"det={'+1' if np.linalg.det(g.q) > 0 else '-1'}"
     return None
 

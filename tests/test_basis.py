@@ -43,6 +43,26 @@ def test_cross_defining_identity():
             assert np.dot(x, y) == pytest.approx(det, rel=1e-10, abs=1e-10)
 
 
+def _cofactor_cross(vs):
+    """Cofactor expansion of det(v_1, ..., v_{d-1}, y) along its last column."""
+    cols = np.column_stack(vs)
+    d = cols.shape[0]
+    return np.array(
+        [(-1.0) ** (k + d + 1) * np.linalg.det(np.delete(cols, k, axis=0)) for k in range(d)]
+    )
+
+
+@pytest.mark.parametrize("d", [2, 3, 4, 5, 6])
+def test_cross_matches_cofactor_expansion(d):
+    rng = np.random.default_rng(10 + d)
+    for _ in range(20):
+        vs = rng.standard_normal((d - 1, d))
+        want = _cofactor_cross(vs)
+        got = basis.generalized_cross(vs)
+        assert got.shape == (d,)
+        assert np.max(np.abs(got - want)) <= 1e-12 * max(1.0, np.max(np.abs(want)))
+
+
 def test_cross_dependent_inputs_vanish():
     v = np.array([1.0, 2.0, 3.0])
     out = basis.generalized_cross([v, 2.0 * v])

@@ -84,6 +84,14 @@ def test_features_bad_input_exits_2(runner, tmp_path):
     assert result.exit_code == 2
 
 
+def test_features_too_many_subdets_exits_2(runner, tmp_path):
+    x = VectorTuple(np.random.default_rng(0).standard_normal((200, 4)))
+    infile = _write(tmp_path / "x.json", x.to_json())
+    result = runner.invoke(main, ["features", "--in", infile, "--subdets"])
+    assert result.exit_code == 2
+    assert "subdeterminants" in result.output
+
+
 # -- demo ------------------------------------------------------------------------
 
 
@@ -161,6 +169,15 @@ def test_einsum_eval_dot(runner, tmp_path):
     )
     assert result.exit_code == 0
     assert json.loads(result.output)["value"] == pytest.approx(32.0)
+
+
+def test_einsum_eval_non_numeric_binding_exits_2(runner, tmp_path):
+    bindfile = _write(tmp_path / "b.json", json.dumps({"u": {"a": 1}, "v": [1, 2, 3]}))
+    result = runner.invoke(
+        main, ["einsum", "eval", "u_i v_i", "--bind", bindfile, "--dim", "3"]
+    )
+    assert result.exit_code == 2
+    assert "'u'" in result.output
 
 
 # -- train -----------------------------------------------------------------------

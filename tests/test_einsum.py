@@ -246,6 +246,47 @@ def test_eval_equivariance_order2():
         )
 
 
+@pytest.mark.parametrize(
+    "src,shapes,metric",
+    [
+        ("A_ii", {"A": 2}, euclidean(3)),  # repeated label within one factor
+        ("A_ii u_j", {"A": 2, "u": 1}, euclidean(3)),
+        ("A_ij B_ji", {"A": 2, "B": 2}, euclidean(3)),
+        ("A_ij u_j - B_ji u_j", {"A": 2, "B": 2, "u": 1}, euclidean(4)),
+        ("delta_ii", {}, euclidean(4)),
+        ("eps_ijkl u_j v_k w_l", {"u": 1, "v": 1, "w": 1}, euclidean(4)),
+        ("A^ij B_ij", {"A": 2, "B": 2}, minkowski(4)),
+        ("A^ij u_j v^k", {"A": 2, "u": 1, "v": 1}, minkowski(4)),
+        ("u^i v^j - v^j u^i + A^ij", {"u": 1, "v": 1, "A": 2}, minkowski(4)),
+    ],
+)
+def test_eval_matches_oracle_on_matrices(src, shapes, metric):
+    rng = np.random.default_rng(9)
+    d = metric.dim
+    expr = einsum.parse(src)
+    for _ in range(5):
+        bindings = {name: rng.standard_normal((d,) * order) for name, order in shapes.items()}
+        got = einsum.evaluate(expr, bindings, d, metric=metric)
+        want = oracle_eval(src, bindings, d, signature=metric.signature)
+        assert np.shape(got) == np.shape(want)
+        assert np.max(np.abs(np.asarray(got) - want)) <= 1e-12 * max(1.0, float(np.max(np.abs(want))))
+
+
+def test_eval_repeated_eps_label_vanishes():
+    # eps_iijk passes the arity rule (three distinct labels at d=3) but its
+    # four slots repeat a label, so every entry is zero.
+    rng = np.random.default_rng(10)
+    u, v = rng.standard_normal((2, 3))
+    out = einsum.evaluate(einsum.parse("eps_iijk u_j v_k + u_i v_i"), {"u": u, "v": v}, 3)
+    assert out == pytest.approx(float(np.dot(u, v)), abs=1e-15)
+
+
+@pytest.mark.parametrize("bad", [{"a": 1}, "abc", [1.0, [2.0, 3.0], 4.0], [1 + 2j, 0, 0]])
+def test_eval_non_numeric_binding(bad):
+    with pytest.raises(ShapeError, match="'u'"):
+        einsum.evaluate(einsum.parse("u_i v_i"), {"u": bad, "v": np.ones(3)}, 3)
+
+
 def test_eval_rejects_invalid_expression():
     with pytest.raises(ShapeError):
         einsum.evaluate(einsum.parse("u_i v_i w_i"), {"u": np.ones(3), "v": np.ones(3), "w": np.ones(3)}, 3)

@@ -1,3 +1,5 @@
+import itertools
+
 import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
@@ -57,6 +59,29 @@ def test_gram_orthogonal_invariance():
         assert np.max(np.abs(g1 - g0)) <= 1e-9 * (1.0 + np.max(np.abs(g0)))
 
 
+def _loop_gram(metric, x):
+    """Entry-by-entry oracle: one dot product per i <= j, mirrored."""
+    m = np.empty((x.n, x.n))
+    weighted = x.vectors * metric.signature
+    for i in range(x.n):
+        for j in range(i, x.n):
+            m[i, j] = m[j, i] = float(np.dot(weighted[i], x.vectors[j]))
+    return m
+
+
+@pytest.mark.parametrize("metric", [euclidean(4), minkowski(4)], ids=["euclid", "minkowski"])
+@pytest.mark.parametrize("n", [1, 3, 4, 10, 100, 1000])
+def test_gram_matches_loop_oracle(metric, n):
+    x = VectorTuple(np.random.default_rng(n).standard_normal((n, 4)))
+    g = features.gram(metric, x)
+    want = _loop_gram(metric, x)
+    assert np.array_equal(g, g.T)
+    if n <= 100:
+        assert np.array_equal(g, want)
+    else:
+        assert np.max(np.abs(g - want)) <= 1e-12 * np.max(np.abs(want))
+
+
 def test_gram_metric_dimension_mismatch():
     with pytest.raises(ShapeError):
         features.gram(euclidean(3), VectorTuple(np.eye(2)))
@@ -106,6 +131,33 @@ def test_subdeterminants_rotation_invariance_and_reflection_sign():
         assert reflected[key] == pytest.approx(-base[key], abs=1e-10)
 
 
+@pytest.mark.parametrize("n,d", [(3, 3), (7, 3), (9, 2), (8, 4), (5, 1)])
+def test_subdeterminants_match_per_subset_det(n, d):
+    x = VectorTuple(np.random.default_rng(n * d).standard_normal((n, d)))
+    got = features.subdeterminants(x)
+    subsets = list(itertools.combinations(range(n), d))
+    assert list(got) == subsets
+    for subset in subsets:
+        want = np.linalg.det(x.vectors[list(subset)].T)
+        assert abs(got[subset] - want) <= 1e-12 * max(1.0, abs(want))
+
+
+def test_subdeterminants_count_limit():
+    # C(200, 4) = 64,684,950 minors: refused before any subset is built.
+    with pytest.raises(ShapeError, match="exceed"):
+        features.subdeterminants(VectorTuple(np.ones((200, 4))))
+
+
+def test_subdeterminants_limit_is_on_stacked_entries(monkeypatch):
+    x = VectorTuple(np.random.default_rng(6).standard_normal((16, 3)))
+    entries = 560 * 3 * 3  # C(16, 3) minors of 3 x 3
+    monkeypatch.setattr(features, "MAX_SUBDET_ENTRIES", entries)
+    assert len(features.subdeterminants(x)) == 560
+    monkeypatch.setattr(features, "MAX_SUBDET_ENTRIES", entries - 1)
+    with pytest.raises(ShapeError):
+        features.subdeterminants(x)
+
+
 def test_subdeterminants_needs_enough_vectors():
     with pytest.raises(ShapeError):
         features.subdeterminants(VectorTuple([[1.0, 0.0, 0.0]]))
@@ -138,6 +190,19 @@ def test_reduce_center_sums_to_zero():
     x = VectorTuple(rng.standard_normal((3, 2)), (POSITION,) * 3)
     out = features.translation_reduce(x, features.CENTER_OF_POSITIONS)
     assert np.max(np.abs(out.vectors.sum(axis=0))) <= 1e-12
+
+
+def test_reduce_interleaved_roles():
+    # The first position sits in slot 1, not slot 0.
+    v = np.array([[1.0, 2.0], [3.0, 5.0], [-1.0, 4.0], [7.0, 11.0]])
+    x = VectorTuple(v, (FREE, POSITION, FREE, POSITION))
+    first = features.translation_reduce(x, features.FIRST_POSITION)
+    assert np.array_equal(first.vectors, [[1.0, 2.0], [-1.0, 4.0], [4.0, 6.0]])
+    assert first.roles == (FREE,) * 3
+    center = features.translation_reduce(x, features.CENTER_OF_POSITIONS)
+    assert np.array_equal(center.vectors, [[1.0, 2.0], [-2.0, -3.0], [-1.0, 4.0], [2.0, 3.0]])
+    assert center.roles == (FREE,) * 4
+    assert np.array_equal(x.vectors, v)  # the input is not modified
 
 
 def test_reduce_requires_positions():
