@@ -121,14 +121,15 @@ def demo(which, infile, trials, seed):
         _fail_usage("--check-equivariance requires an explicit --seed")
     try:
         obj, particles = _load_particles(infile)
+        G, k, c = obj.get("G", 1.0), obj.get("k", 1.0), obj.get("c", 1.0)
         out = {}
         if which == "energy":
-            out["energy"] = physics.total_energy(particles, obj.get("G", 1.0))
+            a = out["energy"] = physics.total_energy(particles, G)
         else:
             test, sources = particles[0], particles[1:]
-            k, c = obj.get("k", 1.0), obj.get("c", 1.0)
+            a = physics.em_force_scalar(test, sources, k, c)
             out["force_cross"] = physics.em_force_cross(test, sources, k, c).tolist()
-            out["force_scalar"] = physics.em_force_scalar(test, sources, k, c).tolist()
+            out["force_scalar"] = a.tolist()
         if trials > 0:
             rng = groups.make_rng(seed)
             residuals = []
@@ -140,12 +141,9 @@ def demo(which, infile, trials, seed):
                     for p in particles
                 ]
                 if which == "energy":
-                    a = physics.total_energy(particles, obj.get("G", 1.0))
-                    b = physics.total_energy(moved, obj.get("G", 1.0))
+                    b = physics.total_energy(moved, G)
                     residuals.append(abs(a - b) / (1.0 + abs(a)))
                 else:
-                    k, c = obj.get("k", 1.0), obj.get("c", 1.0)
-                    a = physics.em_force_scalar(particles[0], particles[1:], k, c)
                     b = physics.em_force_scalar(moved[0], moved[1:], k, c)
                     residuals.append(
                         float(np.linalg.norm(b - q @ a) / (1.0 + np.linalg.norm(a)))

@@ -24,7 +24,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .core import Metric
-from .errors import ParseError, PatternError, ShapeError
+from .errors import NonFiniteError, ParseError, PatternError, ShapeError
 
 LOWER = "lower"
 UPPER = "upper"
@@ -274,6 +274,8 @@ def _bound_tensor(factor: Factor, bindings: dict, d: int, lam: np.ndarray) -> np
         a = np.asarray(bindings[factor.name], dtype=np.float64)
     except (TypeError, ValueError) as exc:
         raise ShapeError(f"tensor {factor.name!r} is not a numeric array: {exc}") from None
+    if not np.all(np.isfinite(a)):
+        raise NonFiniteError(f"tensor {factor.name!r} contains NaN or Inf")
     if a.ndim != len(factor.indices):
         raise ShapeError(
             f"tensor {factor.name!r} has order {a.ndim}, "

@@ -464,12 +464,10 @@ def generate_dataset(rng, n_particles: int, n_samples: int, k=1.0, c=1.0) -> Dat
 
 def forces_for(qs, rs, vs, k=1.0, c=1.0) -> np.ndarray:
     """Per-particle electromagnetic force from the scalar-form law."""
-    n = len(qs)
-    out = np.empty((n, 3))
-    for i in range(n):
-        test = Particle(rs[i], vs[i], charge=qs[i])
-        sources = [Particle(rs[j], vs[j], charge=qs[j]) for j in range(n) if j != i]
-        out[i] = em_force_scalar(test, sources, k, c)
+    parts = [Particle(r, v, charge=q) for q, r, v in zip(qs, rs, vs)]
+    out = np.empty((len(parts), 3))
+    for i, p in enumerate(parts):
+        out[i] = em_force_scalar(p, parts[:i] + parts[i + 1 :], k, c)
     return out
 
 

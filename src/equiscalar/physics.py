@@ -2,8 +2,9 @@
 
 Newtonian total mechanical energy (verbatim ordered double sum), the
 electromagnetic force on a test particle in both the double-cross-product
-form and the expanded scalar form, and the vector triple-product identity
-connecting them.
+form (a per-source loop, kept as the reference) and the expanded scalar
+form, and the vector triple-product identity connecting them. The energy
+and the scalar-form force are each one array expression over the particles.
 """
 from __future__ import annotations
 
@@ -13,7 +14,7 @@ import numpy as np
 
 from .basis import generalized_cross
 from .core import as_vector
-from .errors import DegenerateInputError, ShapeError
+from .errors import DegenerateInputError, DimensionMismatchError, ShapeError
 
 
 @dataclass(frozen=True)
@@ -36,28 +37,33 @@ def total_energy(particles, G: float) -> float:
     The ordered double sum counts each unordered pair twice; implemented
     exactly as written, without a 1/2 pair correction.
     """
-    t = 0.0
+    if not particles:
+        return 0.0
+    d = particles[0].r.size
     for p in particles:
-        t += 0.5 * p.mass * float(np.dot(p.v, p.v))
-    for i, pi in enumerate(particles):
-        for j, pj in enumerate(particles):
-            if i == j:
-                continue
-            sep = float(np.linalg.norm(pi.r - pj.r))
-            if sep == 0.0:
-                raise DegenerateInputError(f"particles {i} and {j} have coincident positions")
-            t -= G * pi.mass * pj.mass / sep
-    return t
+        if p.r.size != d:
+            raise DimensionMismatchError(d, p.r.size, "particle")
+    r = np.array([p.r for p in particles])
+    v = np.array([p.v for p in particles])
+    m = np.array([p.mass for p in particles], dtype=np.float64)
+    sep = np.linalg.norm(r[:, None] - r[None, :], axis=-1)
+    np.fill_diagonal(sep, np.inf)
+    hit = np.argwhere(sep == 0.0)
+    if hit.size:
+        raise DegenerateInputError("particles %d and %d have coincident positions" % tuple(hit[0]))
+    return 0.5 * float(m @ (v * v).sum(axis=1)) - G * float(np.sum(np.outer(m, m) / sep))
 
 
 def _check_em_inputs(test, sources):
-    if test.r.size != 3:
+    """Stacked source positions (m, 3), velocities (m, 3) and charges (m,)."""
+    if test.r.size != 3 or any(s.r.size != 3 for s in sources):
         raise ShapeError("electromagnetic force is defined for d=3")
-    for i, s in enumerate(sources):
-        if s.r.size != 3:
-            raise ShapeError("electromagnetic force is defined for d=3")
-        if np.array_equal(s.r, test.r):
-            raise DegenerateInputError(f"source {i} coincides with the test particle position")
+    r = np.array([s.r for s in sources]).reshape(-1, 3)
+    hit = np.flatnonzero((r == test.r).all(axis=1))
+    if hit.size:
+        raise DegenerateInputError(f"source {hit[0]} coincides with the test particle position")
+    q = np.array([s.charge for s in sources], dtype=np.float64)
+    return r, np.array([s.v for s in sources]).reshape(-1, 3), q
 
 
 def em_force_cross(test: Particle, sources, k: float, c: float) -> np.ndarray:
@@ -80,16 +86,11 @@ def em_force_cross(test: Particle, sources, k: float, c: float) -> np.ndarray:
 
 def em_force_scalar(test: Particle, sources, k: float, c: float) -> np.ndarray:
     """Same force with the triple product expanded: no cross products anywhere."""
-    _check_em_inputs(test, sources)
-    f = np.zeros(3)
-    for s in sources:
-        delta = test.r - s.r
-        dist3 = float(np.linalg.norm(delta)) ** 3
-        vv = float(np.dot(test.v, s.v))
-        vd = float(np.dot(test.v, delta))
-        f += k * test.charge * s.charge * (1.0 - vv / c**2) * delta / dist3
-        f += k * test.charge * s.charge * vd * s.v / (c**2 * dist3)
-    return f
+    r, v, q = _check_em_inputs(test, sources)
+    delta = test.r - r
+    coef = k * test.charge * q / np.linalg.norm(delta, axis=1) ** 3
+    vv, vd = v @ test.v, delta @ test.v
+    return coef @ ((1.0 - vv / c**2)[:, None] * delta + (vd / c**2)[:, None] * v)
 
 
 def triple_product_check(a, b, c) -> float:

@@ -180,6 +180,15 @@ def test_einsum_eval_non_numeric_binding_exits_2(runner, tmp_path):
     assert "'u'" in result.output
 
 
+def test_einsum_eval_non_finite_binding_exits_2(runner, tmp_path):
+    bindfile = _write(tmp_path / "b.json", '{"u": [Infinity, 0, 0], "v": [0, 1, 0]}')
+    result = runner.invoke(
+        main, ["einsum", "eval", "eps_ijk u_j v_k", "--bind", bindfile, "--dim", "3"]
+    )
+    assert result.exit_code == 2
+    assert "'u'" in result.output
+
+
 # -- train -----------------------------------------------------------------------
 
 TRAIN_CONFIG = """

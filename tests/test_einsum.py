@@ -7,7 +7,7 @@ import pytest
 from equiscalar import einsum, groups
 from equiscalar.basis import generalized_cross
 from equiscalar.core import euclidean, minkowski
-from equiscalar.errors import ParseError, PatternError, ShapeError
+from equiscalar.errors import NonFiniteError, ParseError, PatternError, ShapeError
 
 
 # -- independent oracle --------------------------------------------------------
@@ -285,6 +285,14 @@ def test_eval_repeated_eps_label_vanishes():
 def test_eval_non_numeric_binding(bad):
     with pytest.raises(ShapeError, match="'u'"):
         einsum.evaluate(einsum.parse("u_i v_i"), {"u": bad, "v": np.ones(3)}, 3)
+
+
+@pytest.mark.parametrize("bad", [np.inf, -np.inf, np.nan])
+def test_eval_non_finite_binding(bad):
+    with pytest.raises(NonFiniteError, match="'u'"):
+        einsum.evaluate(
+            einsum.parse("eps_ijk u_j v_k"), {"u": [bad, 0.0, 0.0], "v": [0.0, 1.0, 0.0]}, 3
+        )
 
 
 def test_eval_rejects_invalid_expression():

@@ -5,7 +5,7 @@ import tracemalloc
 import numpy as np
 import pytest
 
-from equiscalar import groups, mpnn
+from equiscalar import groups, mpnn, physics
 from equiscalar.errors import DegenerateInputError, ShapeError
 
 
@@ -327,10 +327,17 @@ def test_dataset_min_separation():
 
 
 def test_dataset_targets_are_forces():
+    # Checked against the cross-product form, which shares no code with the
+    # scalar form that generate_dataset uses.
     ds = mpnn.generate_dataset(np.random.default_rng(15), 3, 5, k=1.2, c=2.0)
     for s in range(ds.size):
-        want = mpnn.forces_for(ds.qs[s], ds.rs[s], ds.vs[s], k=1.2, c=2.0)
-        assert np.max(np.abs(ds.targets[s] - want)) <= 1e-12
+        parts = [
+            physics.Particle(r, v, charge=q) for q, r, v in zip(ds.qs[s], ds.rs[s], ds.vs[s])
+        ]
+        for i, test in enumerate(parts):
+            want = physics.em_force_cross(test, parts[:i] + parts[i + 1 :], k=1.2, c=2.0)
+            got = ds.targets[s, i]
+            assert np.max(np.abs(got - want)) <= 1e-12 * max(1.0, np.max(np.abs(want)))
 
 
 def test_dataset_deterministic():

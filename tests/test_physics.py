@@ -4,13 +4,128 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from equiscalar import groups, physics
-from equiscalar.errors import DegenerateInputError, ShapeError
+from equiscalar.errors import DegenerateInputError, DimensionMismatchError, ShapeError
 
 
 def _particle(rng, charge=1.0):
     return physics.Particle(
         rng.standard_normal(3), rng.standard_normal(3), mass=1.0, charge=charge
     )
+
+
+# -- loop oracles ----------------------------------------------------------------
+# The laws as written, one source or one ordered pair at a time. Each returns
+# the value and the sum of the absolute values of its terms, the scale that
+# rounding error is relative to.
+
+
+def _energy_loop(particles, G):
+    t, scale = 0.0, 0.0
+    for p in particles:
+        t += 0.5 * p.mass * float(np.dot(p.v, p.v))
+        scale += abs(0.5 * p.mass * float(np.dot(p.v, p.v)))
+    for i, pi in enumerate(particles):
+        for j, pj in enumerate(particles):
+            if i == j:
+                continue
+            sep = float(np.linalg.norm(pi.r - pj.r))
+            if sep == 0.0:
+                raise DegenerateInputError(f"particles {i} and {j} have coincident positions")
+            t -= G * pi.mass * pj.mass / sep
+            scale += abs(G * pi.mass * pj.mass / sep)
+    return t, scale
+
+
+def _em_force_loop(test, sources, k, c):
+    f, scale = np.zeros(3), 0.0
+    for i, s in enumerate(sources):
+        if np.array_equal(s.r, test.r):
+            raise DegenerateInputError(f"source {i} coincides with the test particle position")
+        delta = test.r - s.r
+        dist3 = float(np.linalg.norm(delta)) ** 3
+        vv = float(np.dot(test.v, s.v))
+        vd = float(np.dot(test.v, delta))
+        term = k * test.charge * s.charge * (1.0 - vv / c**2) * delta / dist3
+        term += k * test.charge * s.charge * vd * s.v / (c**2 * dist3)
+        f += term
+        scale += float(np.max(np.abs(term)))
+    return f, scale
+
+
+def _mixed_particles(rng, n):
+    return [
+        physics.Particle(
+            rng.standard_normal(3), rng.standard_normal(3),
+            mass=float(rng.uniform(0.1, 5.0)), charge=float(rng.standard_normal()),
+        )
+        for _ in range(n)
+    ]
+
+
+@pytest.mark.parametrize("n_sources", [0, 1, 3, 11])
+@pytest.mark.parametrize("k, c", [(1.0, 1.0), (1.3, 2.0), (0.4, 0.7)])
+def test_em_force_scalar_matches_loop(n_sources, k, c):
+    rng = np.random.default_rng(100 + n_sources)
+    for _ in range(20):
+        test, *sources = _mixed_particles(rng, n_sources + 1)
+        want, scale = _em_force_loop(test, sources, k, c)
+        got = physics.em_force_scalar(test, sources, k, c)
+        assert got.shape == (3,) and got.dtype == np.float64
+        assert np.max(np.abs(got - want)) <= 1e-13 * scale
+
+
+@pytest.mark.parametrize("n", [0, 1, 3, 11])
+@pytest.mark.parametrize("G", [1.0, 0.7, 6.5])
+def test_energy_matches_loop(n, G):
+    rng = np.random.default_rng(200 + n)
+    for _ in range(20):
+        parts = _mixed_particles(rng, n)
+        want, scale = _energy_loop(parts, G)
+        got = physics.total_energy(parts, G)
+        assert isinstance(got, float)
+        assert abs(got - want) <= 1e-13 * scale
+
+
+def test_energy_empty_and_single():
+    assert physics.total_energy([], G=1.0) == 0.0
+    p = physics.Particle([0.5, 0, 0], [1.0, 2.0, 2.0], mass=2.0)
+    assert physics.total_energy([p], G=3.0) == 9.0
+
+
+def test_em_coincidence_names_the_loops_source():
+    rng = np.random.default_rng(5)
+    test, *sources = _mixed_particles(rng, 8)
+    for i in (5, 2):
+        sources[i] = physics.Particle(test.r, sources[i].v, charge=1.0)
+    with pytest.raises(DegenerateInputError) as loop:
+        _em_force_loop(test, sources, 1.0, 1.0)
+    with pytest.raises(DegenerateInputError) as got:
+        physics.em_force_scalar(test, sources, 1.0, 1.0)
+    assert str(got.value) == str(loop.value) == (
+        "source 2 coincides with the test particle position"
+    )
+
+
+def test_energy_coincidence_names_the_loops_pair():
+    rng = np.random.default_rng(6)
+    parts = _mixed_particles(rng, 7)
+    parts[6] = physics.Particle(parts[1].r, parts[6].v)
+    parts[4] = physics.Particle(parts[2].r, parts[4].v)
+    parts[5] = physics.Particle(parts[2].r, parts[5].v)
+    with pytest.raises(DegenerateInputError) as loop:
+        _energy_loop(parts, 1.0)
+    with pytest.raises(DegenerateInputError) as got:
+        physics.total_energy(parts, 1.0)
+    assert str(got.value) == str(loop.value) == "particles 1 and 6 have coincident positions"
+
+
+def test_energy_mixed_dimensions_raise():
+    p = [
+        physics.Particle([0.0, 0, 0], [0.0, 0, 0]),
+        physics.Particle([1.0, 0], [0.0, 0]),
+    ]
+    with pytest.raises(DimensionMismatchError):
+        physics.total_energy(p, G=1.0)
 
 
 # -- total_energy --------------------------------------------------------------
