@@ -13,7 +13,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .core import EUCLIDEAN, MINKOWSKI, Metric, VectorTuple, as_vector, euclidean
+from .core import Metric, VectorTuple, as_vector
 from .errors import RoleError, ShapeError
 from .features import (
     CENTER_OF_POSITIONS,

@@ -14,9 +14,9 @@ import sys
 import click
 import numpy as np
 
-from . import basis, einsum, features, groups, harness, mpnn, physics
+from . import einsum, features, groups, harness, mpnn, physics
 from .core import EUCLIDEAN, MINKOWSKI, Metric, VectorTuple
-from .errors import EquiscalarError
+from .errors import EquiscalarError, ShapeError
 
 
 def _emit(obj):
@@ -43,17 +43,8 @@ def main():
 @click.option("--rapidity-max", type=float, default=groups.DEFAULT_RAPIDITY_MAX, show_default=True)
 def sample_group(group, dim, seed, rapidity_max):
     """Sample one group element and print it as JSON."""
-    rng = groups.make_rng(seed)
-    samplers = {
-        "o": lambda: groups.sample_orthogonal(rng, dim),
-        "so": lambda: groups.sample_rotation(rng, dim),
-        "lorentz": lambda: groups.sample_lorentz(rng, dim, rapidity_max),
-        "e": lambda: groups.sample_euclidean(rng, dim),
-        "poincare": lambda: groups.sample_poincare(rng, dim, rapidity_max),
-        "perm": lambda: groups.sample_permutation(rng, dim),
-    }
     try:
-        _emit(groups.element_to_dict(samplers[group]()))
+        _emit(groups.element_to_dict(groups.sample(group, groups.make_rng(seed), dim, rapidity_max)))
     except EquiscalarError as exc:
         _fail_usage(str(exc))
 
@@ -101,11 +92,14 @@ def features_cmd(metric_kind, subdets, omega_d, infile, outfile):
 def _load_particles(path):
     with open(path) as fh:
         obj = json.load(fh)
+    entries = obj.get("particles") if isinstance(obj, dict) else None
+    if not isinstance(entries, list) or not all(isinstance(p, dict) for p in entries):
+        raise ShapeError("particle file must be an object whose 'particles' is a list of objects")
     particles = [
         physics.Particle(
             p["r"], p["v"], mass=p.get("mass", 1.0), charge=p.get("charge", 0.0)
         )
-        for p in obj["particles"]
+        for p in entries
     ]
     return obj, particles
 
@@ -315,7 +309,6 @@ def _mpnn_specs(n):
 
 def _mpnn_certify_fn(model):
     def fn(x, scalars):
-        n = x.n // 2
         rs = x.vectors[0::2]
         vs = x.vectors[1::2]
         return model.forward(scalars[:, 0], rs, vs)

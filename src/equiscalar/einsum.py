@@ -65,7 +65,6 @@ class IndexExpr:
     terms: tuple
 
 
-_TOKEN = re.compile(r"\s*([a-zA-Z]+|[_^+\-])")
 _INDICES = re.compile(r"[a-z]+")
 
 

@@ -1,18 +1,23 @@
 """Sampling and application of group elements.
 
 Covers O(d), SO(d), the Lorentz group O(1,d), translations, permutations,
-and the semidirect families E(d) and Poincare. Sampling is uniform (Haar)
-for the compact groups; Lorentz elements come from a boost-times-rotation
-family with bounded rapidity (the group is non-compact, so no Haar measure
-exists there).
+and the semidirect families E(d) and Poincare. Every element but a
+permutation is affine: it carries a d x d matrix ``q`` and a length-d
+shift ``w`` and maps a tuple to ``x q^T``, plus ``w`` on its position
+vectors, so one formula applies, composes and inverts all of them.
+``FAMILIES`` maps each ``SymmetrySpec.group`` name to its sampler, and
+``sample`` draws from it. Sampling is uniform (Haar) for the compact
+groups; Lorentz elements come from a boost-times-rotation family with
+bounded rapidity (the group is non-compact, so no Haar measure exists
+there).
 """
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, fields
 
 import numpy as np
 
-from .core import VectorTuple, as_matrix, as_vector, minkowski
+from .core import EUCLIDEAN, MINKOWSKI, POSITION, Metric, VectorTuple, as_matrix, as_vector, minkowski
 from .errors import DimensionMismatchError, ShapeError
 
 ORTHO_TOL = 1e-12
@@ -26,6 +31,42 @@ def make_rng(seed) -> np.random.Generator:
 
 
 # -- element types ---------------------------------------------------------
+# Each affine constructor validates its fields, then stores (q, w) once, with
+# the metric eta that q preserves, so that q^-1 = eta q^T eta.
+
+
+def _square(m) -> np.ndarray:
+    q = as_matrix(m)
+    if q.shape[0] != q.shape[1]:
+        raise ShapeError(f"group matrix must be square, got shape {q.shape}")
+    return q
+
+
+def _orthogonal(m) -> np.ndarray:
+    q = _square(m)
+    if np.max(np.abs(q.T @ q - np.eye(q.shape[0]))) > ORTHO_TOL:
+        raise ShapeError("matrix is not orthogonal within 1e-12")
+    return q
+
+
+def _lorentz(m) -> np.ndarray:
+    q = _square(m)
+    lam = minkowski(q.shape[0]).matrix
+    if np.max(np.abs(q.T @ lam @ q - lam)) > LORENTZ_TOL:
+        raise ShapeError("matrix does not preserve the Minkowski metric within 1e-9")
+    return q
+
+
+def _set_affine(g, q, w=None, metric=EUCLIDEAN):
+    """Store q, w and eta's kind; ``_translates`` is False where w is 0 by
+    construction, so the actions skip adding it."""
+    object.__setattr__(g, "_translates", w is not None)
+    w = np.zeros(q.shape[0]) if w is None else w
+    if w.size != q.shape[0]:
+        raise DimensionMismatchError(q.shape[0], w.size, "translation")
+    object.__setattr__(g, "q", q)
+    object.__setattr__(g, "w", w)
+    object.__setattr__(g, "_metric", metric)
 
 
 @dataclass(frozen=True)
@@ -33,12 +74,7 @@ class Orthogonal:
     q: np.ndarray
 
     def __post_init__(self):
-        q = as_matrix(self.q)
-        if q.shape[0] != q.shape[1]:
-            raise ShapeError("orthogonal matrix must be square")
-        if np.max(np.abs(q.T @ q - np.eye(q.shape[0]))) > ORTHO_TOL:
-            raise ShapeError("matrix is not orthogonal within 1e-12")
-        object.__setattr__(self, "q", q)
+        _set_affine(self, _orthogonal(self.q))
 
 
 @dataclass(frozen=True)
@@ -46,12 +82,10 @@ class Rotation:
     q: np.ndarray
 
     def __post_init__(self):
-        q = as_matrix(self.q)
-        if np.max(np.abs(q.T @ q - np.eye(q.shape[0]))) > ORTHO_TOL:
-            raise ShapeError("matrix is not orthogonal within 1e-12")
+        q = _orthogonal(self.q)
         if abs(np.linalg.det(q) - 1.0) > 1e-9:
             raise ShapeError("rotation must have determinant 1")
-        object.__setattr__(self, "q", q)
+        _set_affine(self, q)
 
 
 @dataclass(frozen=True)
@@ -59,11 +93,7 @@ class Lorentz:
     q: np.ndarray
 
     def __post_init__(self):
-        q = as_matrix(self.q)
-        lam = minkowski(q.shape[0]).matrix
-        if np.max(np.abs(q.T @ lam @ q - lam)) > LORENTZ_TOL:
-            raise ShapeError("matrix does not preserve the Minkowski metric within 1e-9")
-        object.__setattr__(self, "q", q)
+        _set_affine(self, _lorentz(self.q), metric=MINKOWSKI)
 
 
 @dataclass(frozen=True)
@@ -71,7 +101,8 @@ class Translation:
     w: np.ndarray
 
     def __post_init__(self):
-        object.__setattr__(self, "w", as_vector(self.w))
+        w = as_vector(self.w)
+        _set_affine(self, np.eye(w.size), w)
 
 
 @dataclass(frozen=True)
@@ -91,12 +122,7 @@ class Euclidean:
     q: np.ndarray
 
     def __post_init__(self):
-        w = as_vector(self.w)
-        q = Orthogonal(self.q).q
-        if w.size != q.shape[0]:
-            raise DimensionMismatchError(q.shape[0], w.size, "translation")
-        object.__setattr__(self, "w", w)
-        object.__setattr__(self, "q", q)
+        _set_affine(self, _orthogonal(self.q), as_vector(self.w))
 
 
 @dataclass(frozen=True)
@@ -105,12 +131,7 @@ class Poincare:
     q: np.ndarray
 
     def __post_init__(self):
-        w = as_vector(self.w)
-        q = Lorentz(self.q).q
-        if w.size != q.shape[0]:
-            raise DimensionMismatchError(q.shape[0], w.size, "translation")
-        object.__setattr__(self, "w", w)
-        object.__setattr__(self, "q", q)
+        _set_affine(self, _lorentz(self.q), as_vector(self.w), MINKOWSKI)
 
 
 GroupElement = Orthogonal | Rotation | Lorentz | Translation | Permutation | Euclidean | Poincare
@@ -195,79 +216,70 @@ def sample_poincare(rng, d_plus_1: int, rapidity_max: float = DEFAULT_RAPIDITY_M
     return Poincare(rng.standard_normal(d_plus_1), sample_lorentz(rng, d_plus_1, rapidity_max).q)
 
 
+# The families by their SymmetrySpec.group names. Each entry calls its
+# sampler by its global name, so a rebinding of ``sample_*`` is seen here.
+FAMILIES = {
+    "o": lambda rng, dim, rapidity_max: sample_orthogonal(rng, dim),
+    "so": lambda rng, dim, rapidity_max: sample_rotation(rng, dim),
+    "lorentz": lambda rng, dim, rapidity_max: sample_lorentz(rng, dim, rapidity_max),
+    "e": lambda rng, dim, rapidity_max: sample_euclidean(rng, dim),
+    "poincare": lambda rng, dim, rapidity_max: sample_poincare(rng, dim, rapidity_max),
+    "perm": lambda rng, dim, rapidity_max: sample_permutation(rng, dim),
+    "translation": lambda rng, dim, rapidity_max: sample_translation(rng, dim),
+}
+
+
+def sample(family: str, rng, dim: int, rapidity_max: float = DEFAULT_RAPIDITY_MAX) -> GroupElement:
+    """One element of ``family``; ``dim`` is the slot count for "perm"."""
+    if family not in FAMILIES:
+        raise ShapeError(f"unknown group {family!r}")
+    return FAMILIES[family](rng, dim, rapidity_max)
+
+
 # -- actions ---------------------------------------------------------------
+
+
+def _affine(family, q, w) -> GroupElement:
+    """The element of ``family`` whose action is x -> q x (+ w on positions)."""
+    parts = {"q": q, "w": w}
+    return family(*(parts[f.name] for f in fields(family)))
 
 
 def apply(g: GroupElement, x: VectorTuple) -> VectorTuple:
     """Group action on role-tagged tuples; translations touch positions only."""
     v = x.vectors
-    if isinstance(g, (Orthogonal, Rotation, Lorentz)):
-        if g.q.shape[0] != x.d:
-            raise DimensionMismatchError(g.q.shape[0], x.d)
-        return x.with_vectors(v @ g.q.T)
-    if isinstance(g, Translation):
-        if g.w.size != x.d:
-            raise DimensionMismatchError(x.d, g.w.size, "translation")
-        out = v.copy()
-        out[x.position_indices()] += g.w
-        return x.with_vectors(out)
-    if isinstance(g, (Euclidean, Poincare)):
-        if g.q.shape[0] != x.d:
-            raise DimensionMismatchError(g.q.shape[0], x.d)
-        out = v @ g.q.T
-        out[x.position_indices()] += g.w
-        return x.with_vectors(out)
     if isinstance(g, Permutation):
         if len(g.sigma) != x.n:
             raise ShapeError(f"permutation on {len(g.sigma)} slots applied to {x.n} vectors")
         idx = list(g.sigma)
         return VectorTuple(v[idx], tuple(x.roles[i] for i in idx))
-    raise TypeError(f"unknown group element {type(g).__name__}")
+    if g.q.shape[0] != x.d:
+        raise DimensionMismatchError(g.q.shape[0], x.d)
+    out = v @ g.q.T
+    if g._translates and POSITION in x.roles:
+        out[x.position_indices()] += g.w
+    return x.with_vectors(out)
 
 
 def compose(g1: GroupElement, g2: GroupElement) -> GroupElement:
     """Composition: apply(compose(g1, g2), x) == apply(g1, apply(g2, x))."""
     if type(g1) is not type(g2):
         raise TypeError(f"cannot compose {type(g1).__name__} with {type(g2).__name__}")
-    if isinstance(g1, (Orthogonal, Rotation, Lorentz)):
-        return type(g1)(g1.q @ g2.q)
-    if isinstance(g1, Translation):
-        return Translation(g1.w + g2.w)
-    if isinstance(g1, (Euclidean, Poincare)):
-        return type(g1)(g1.w + g1.q @ g2.w, g1.q @ g2.q)
     if isinstance(g1, Permutation):
         # apply(g2) then apply(g1) selects x[sigma2[sigma1[i]]].
         return Permutation(tuple(g2.sigma[i] for i in g1.sigma))
-    raise TypeError(f"unknown group element {type(g1).__name__}")
+    return _affine(type(g1), g1.q @ g2.q, g1.w + g1.q @ g2.w)
 
 
 def inverse(g: GroupElement) -> GroupElement:
-    if isinstance(g, (Orthogonal, Rotation)):
-        return type(g)(g.q.T)
-    if isinstance(g, Lorentz):
-        lam = minkowski(g.q.shape[0]).matrix
-        return Lorentz(lam @ g.q.T @ lam)
-    if isinstance(g, Translation):
-        return Translation(-g.w)
     if isinstance(g, Permutation):
         return Permutation(tuple(np.argsort(g.sigma)))
-    if isinstance(g, (Euclidean, Poincare)):
-        if isinstance(g, Euclidean):
-            qinv = g.q.T
-        else:
-            lam = minkowski(g.q.shape[0]).matrix
-            qinv = lam @ g.q.T @ lam
-        return type(g)(-(qinv @ g.w), qinv)
-    raise TypeError(f"unknown group element {type(g).__name__}")
+    eta = Metric(g._metric, g.q.shape[0]).signature
+    qinv = eta[:, None] * g.q.T * eta  # eta q^T eta, eta diagonal
+    return _affine(type(g), qinv, -(qinv @ g.w))
 
 
 def element_to_dict(g: GroupElement) -> dict:
-    if isinstance(g, (Orthogonal, Rotation, Lorentz)):
-        return {"family": type(g).__name__.lower(), "q": g.q.tolist()}
-    if isinstance(g, Translation):
-        return {"family": "translation", "w": g.w.tolist()}
-    if isinstance(g, Permutation):
-        return {"family": "permutation", "sigma": list(g.sigma)}
-    if isinstance(g, (Euclidean, Poincare)):
-        return {"family": type(g).__name__.lower(), "w": g.w.tolist(), "q": g.q.tolist()}
-    raise TypeError(f"unknown group element {type(g).__name__}")
+    out = {"family": type(g).__name__.lower()}
+    out.update((f.name, np.asarray(getattr(g, f.name)).tolist()) for f in fields(g))
+    return out

@@ -12,7 +12,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .core import FREE, POSITION, VectorTuple
+from .core import FREE, VectorTuple
 from .errors import ShapeError
 from . import groups
 
@@ -27,8 +27,6 @@ _OUTPUT_KINDS = (
     VECTOR_TRANSLATION_INVARIANT,
     PSEUDO_VECTOR,
 )
-
-_GROUPS = ("o", "so", "lorentz", "e", "poincare", "perm", "translation")
 
 
 @dataclass(frozen=True)
@@ -51,11 +49,11 @@ class SymmetrySpec:
     scalars_per_block: int = 0
 
     def __post_init__(self):
-        if self.group not in _GROUPS:
+        if self.group not in groups.FAMILIES:
             raise ShapeError(f"unknown group {self.group!r}")
         if self.output_kind not in _OUTPUT_KINDS:
             raise ShapeError(f"unknown output kind {self.output_kind!r}")
-        if self.blocks is not None and self.n_vectors % self.blocks != 0:
+        if self.blocks is not None and (self.blocks < 1 or self.n_vectors % self.blocks):
             raise ShapeError(f"{self.n_vectors} vectors do not split into {self.blocks} blocks")
         roles = self.roles
         if roles is None:
@@ -86,22 +84,8 @@ class CertReport:
 
 
 def _sample_element(spec: SymmetrySpec, rng):
-    if spec.group == "o":
-        return groups.sample_orthogonal(rng, spec.dim)
-    if spec.group == "so":
-        return groups.sample_rotation(rng, spec.dim)
-    if spec.group == "lorentz":
-        return groups.sample_lorentz(rng, spec.dim, spec.rapidity_max)
-    if spec.group == "e":
-        return groups.sample_euclidean(rng, spec.dim)
-    if spec.group == "poincare":
-        return groups.sample_poincare(rng, spec.dim, spec.rapidity_max)
-    if spec.group == "translation":
-        return groups.sample_translation(rng, spec.dim)
-    if spec.group == "perm":
-        n = spec.blocks if spec.blocks is not None else spec.n_vectors
-        return groups.sample_permutation(rng, n)
-    raise ShapeError(f"unknown group {spec.group!r}")
+    dim = (spec.blocks or spec.n_vectors) if spec.group == "perm" else spec.dim
+    return groups.sample(spec.group, rng, dim, spec.rapidity_max)
 
 
 def _lift_block_permutation(g: groups.Permutation, spec: SymmetrySpec) -> groups.Permutation:
@@ -127,20 +111,13 @@ def _transform_output(g, spec: SymmetrySpec, out):
     if kind == SCALAR_INVARIANT:
         return out
     if isinstance(g, groups.Permutation):
-        if out.ndim == 2:
-            return out[list(g.sigma)]
-        return out
-    if isinstance(g, groups.Translation):
-        if kind == VECTOR_EQUIVARIANT:
-            return out + g.w
-        return out
-    q = g.q
-    rotated = out @ q.T
-    if isinstance(g, (groups.Euclidean, groups.Poincare)) and kind == VECTOR_EQUIVARIANT:
-        rotated = rotated + g.w
+        return out[list(g.sigma)] if out.ndim == 2 else out
+    out = out @ g.q.T
+    if kind == VECTOR_EQUIVARIANT and g._translates:
+        return out + g.w
     if kind == PSEUDO_VECTOR:
-        rotated = rotated * np.linalg.det(q)
-    return rotated
+        return out * np.linalg.det(g.q)
+    return out
 
 
 def _component_key(g) -> str | None:
@@ -156,13 +133,13 @@ def _sample_input(specs, rng, trial: int):
     vecs = rng.standard_normal((n, d))
     lorentzian = any(s.group in ("lorentz", "poincare") for s in specs)
     if lorentzian and trial % 4 == 3:
-        # Near-lightlike stress inputs: timelike plus 0.999 spacelike.
-        for i in range(n):
-            u = rng.standard_normal(d - 1)
-            u /= np.linalg.norm(u)
-            scale = rng.standard_normal()
-            vecs[i, 0] = scale
-            vecs[i, 1:] = 0.999 * scale * u
+        # Near-lightlike stress inputs: timelike plus 0.999 spacelike. Row i
+        # draws its spatial direction, then its scale.
+        draw = rng.standard_normal((n, d))
+        u, scale = draw[:, :-1], draw[:, -1]
+        u = u / np.sqrt(u[:, None, :] @ u[:, :, None])[:, 0]
+        vecs[:, 0] = scale
+        vecs[:, 1:] = (0.999 * scale)[:, None] * u
     x = VectorTuple(vecs, spec.roles)
     scalars = (
         rng.standard_normal((spec.blocks, spec.scalars_per_block))

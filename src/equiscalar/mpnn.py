@@ -150,7 +150,7 @@ def _act_grad(name, a):
 class ScalarNet:
     """Fully connected net with scalar output and cached-forward backprop."""
 
-    def __init__(self, widths, activation="tanh", rng=None, init_scale=1.0):
+    def __init__(self, widths, activation="tanh", rng=None):
         if widths[-1] != 1:
             raise ShapeError("scalar net output width must be 1")
         self.widths = list(widths)
@@ -159,7 +159,7 @@ class ScalarNet:
         self.weights = []
         self.biases = []
         for fan_in, fan_out in zip(widths[:-1], widths[1:]):
-            self.weights.append(rng.standard_normal((fan_out, fan_in)) * init_scale / np.sqrt(fan_in))
+            self.weights.append(rng.standard_normal((fan_out, fan_in)) / np.sqrt(fan_in))
             self.biases.append(np.zeros(fan_out))
 
     def forward(self, x):
@@ -225,7 +225,6 @@ class MpnnModel:
         edge_config=EdgeConfig(),
         readout=READOUT_POSITION,
         seed=0,
-        init_scale=1.0,
     ):
         if mode not in (CONCAT, POOLED):
             raise ValueError(f"unknown mode {mode!r}")
@@ -244,7 +243,7 @@ class MpnnModel:
         rng = np.random.default_rng(seed)
         self.nets = [
             {
-                name: ScalarNet([in_width, *hidden, 1], activation, rng, init_scale)
+                name: ScalarNet([in_width, *hidden, 1], activation, rng)
                 for name in NET_NAMES
             }
             for _ in range(layers)

@@ -8,13 +8,15 @@ and the scalar-form force are each one array expression over the particles.
 """
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
+from numbers import Real
 
 import numpy as np
 
 from .basis import generalized_cross
 from .core import as_vector
-from .errors import DegenerateInputError, DimensionMismatchError, ShapeError
+from .errors import DegenerateInputError, DimensionMismatchError, NonFiniteError, ShapeError
 
 
 @dataclass(frozen=True)
@@ -29,6 +31,16 @@ class Particle:
         v = as_vector(self.v, r.size)
         object.__setattr__(self, "r", r)
         object.__setattr__(self, "v", v)
+        object.__setattr__(self, "mass", _finite_scalar(self.mass, "mass"))
+        object.__setattr__(self, "charge", _finite_scalar(self.charge, "charge"))
+
+
+def _finite_scalar(value, what) -> float:
+    if not isinstance(value, (float, Real)):  # float first: the common case, and fast
+        raise ShapeError(f"particle {what} must be a number, got {value!r}")
+    if not math.isfinite(value):
+        raise NonFiniteError(f"particle {what} is NaN or Inf")
+    return float(value)
 
 
 def total_energy(particles, G: float) -> float:

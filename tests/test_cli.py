@@ -1,12 +1,16 @@
 import csv
 import json
+from pathlib import Path
 
 import numpy as np
 import pytest
 from click.testing import CliRunner
 
+from equiscalar import groups
 from equiscalar.cli import main
 from equiscalar.core import VectorTuple
+
+DATA = Path(__file__).parent / "data"
 
 
 @pytest.fixture()
@@ -35,6 +39,21 @@ def test_sample_group_deterministic(runner):
     a = runner.invoke(main, args)
     b = runner.invoke(main, args)
     assert a.output == b.output
+
+
+@pytest.mark.parametrize("family", ["o", "so", "lorentz", "e", "poincare", "perm"])
+def test_sample_group_matches_golden_output(runner, family):
+    # Written by the per-family samplers before they shared one family table.
+    case = json.loads((DATA / "golden_sample_group.json").read_text())[family]
+    result = runner.invoke(main, case["args"])
+    assert result.exit_code == 0
+    assert result.output == case["output"]
+
+
+def test_sample_group_choices_are_sampled_families():
+    option = next(p for p in main.commands["sample-group"].params if p.name == "group")
+    assert list(option.type.choices) == ["o", "so", "lorentz", "e", "poincare", "perm"]
+    assert set(option.type.choices) <= set(groups.FAMILIES)
 
 
 def test_sample_group_requires_seed(runner):
@@ -127,6 +146,34 @@ def test_demo_emforce_forms_agree(runner, tmp_path):
     obj = json.loads(result.output)
     assert np.allclose(obj["force_cross"], obj["force_scalar"], atol=1e-12)
     assert obj["equivariance"]["max_residual"] <= 1e-12
+
+
+@pytest.mark.parametrize(
+    "particle",
+    [
+        {"r": [0.0, 0, 0], "v": [0.0, 0, 0], "mass": float("nan")},
+        {"r": [0.0, 0, 0], "v": [0.0, 0, 0], "mass": float("inf")},
+        {"r": [0.0, 0, 0], "v": [0.0, 0, 0], "charge": float("-inf")},
+        {"r": [0.0, 0, 0], "v": [0.0, 0, 0], "charge": "x"},
+        {"r": [0.0, 0, 0], "v": [0.0, 0, 0], "mass": [1.0]},
+    ],
+    ids=["mass-nan", "mass-inf", "charge-inf", "charge-str", "mass-list"],
+)
+@pytest.mark.parametrize("which", ["energy", "emforce"])
+def test_demo_rejects_bad_mass_or_charge(runner, tmp_path, particle, which):
+    other = {"r": [1.0, 0, 0], "v": [0.0, 0, 0]}
+    infile = _write(tmp_path / "p.json", json.dumps({"particles": [particle, other]}))
+    result = runner.invoke(main, ["demo", which, "--in", infile])
+    assert result.exit_code == 2
+    assert "demo: particle" in result.output
+
+
+@pytest.mark.parametrize("text", ["[1, 2]", '{"particles": [1]}', '{"particles": 3}', "{}"])
+def test_demo_rejects_malformed_particle_file(runner, tmp_path, text):
+    infile = _write(tmp_path / "p.json", text)
+    result = runner.invoke(main, ["demo", "energy", "--in", infile])
+    assert result.exit_code == 2
+    assert "particle file must be an object" in result.output
 
 
 def test_demo_equivariance_requires_seed(runner, tmp_path):

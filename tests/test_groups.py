@@ -1,9 +1,11 @@
 import numpy as np
 import pytest
 
-from equiscalar import groups
+from equiscalar import groups, harness
 from equiscalar.core import FREE, POSITION, VectorTuple, minkowski
-from equiscalar.errors import ShapeError
+from equiscalar.errors import DimensionMismatchError, ShapeError
+
+FAMILIES = ["o", "so", "lorentz", "e", "poincare", "perm", "translation"]
 
 
 def test_sample_orthogonal_d1_is_sign():
@@ -106,44 +108,26 @@ def test_euclidean_action_on_mixed_roles():
     assert np.allclose(out[1], g.q @ v, atol=1e-12)
 
 
-@pytest.mark.parametrize("family", ["o", "so", "lorentz", "e", "poincare", "perm", "translation"])
+@pytest.mark.parametrize("family", FAMILIES)
 def test_compose_matches_sequential_application(family):
     rng = groups.make_rng(8)
-    samplers = {
-        "o": lambda: groups.sample_orthogonal(rng, 3),
-        "so": lambda: groups.sample_rotation(rng, 3),
-        "lorentz": lambda: groups.sample_lorentz(rng, 4),
-        "e": lambda: groups.sample_euclidean(rng, 3),
-        "poincare": lambda: groups.sample_poincare(rng, 4),
-        "perm": lambda: groups.sample_permutation(rng, 4),
-        "translation": lambda: groups.sample_translation(rng, 3),
-    }
     d = 4 if family in ("lorentz", "poincare") else (4 if family == "perm" else 3)
     n = 4
     x = VectorTuple(rng.standard_normal((n, d)), (POSITION, POSITION, FREE, FREE))
     for _ in range(10):
-        g1, g2 = samplers[family](), samplers[family]()
+        g1, g2 = groups.sample(family, rng, d), groups.sample(family, rng, d)
         a = groups.apply(groups.compose(g1, g2), x).vectors
         b = groups.apply(g1, groups.apply(g2, x)).vectors
         assert np.max(np.abs(a - b)) <= 1e-10
 
 
-@pytest.mark.parametrize("family", ["o", "so", "lorentz", "e", "poincare", "perm", "translation"])
+@pytest.mark.parametrize("family", FAMILIES)
 def test_inverse_round_trip(family):
     rng = groups.make_rng(9)
-    samplers = {
-        "o": lambda: groups.sample_orthogonal(rng, 3),
-        "so": lambda: groups.sample_rotation(rng, 3),
-        "lorentz": lambda: groups.sample_lorentz(rng, 4),
-        "e": lambda: groups.sample_euclidean(rng, 3),
-        "poincare": lambda: groups.sample_poincare(rng, 4),
-        "perm": lambda: groups.sample_permutation(rng, 5),
-        "translation": lambda: groups.sample_translation(rng, 3),
-    }
     d = 4 if family in ("lorentz", "poincare") else (5 if family == "perm" else 3)
     x = VectorTuple(rng.standard_normal((5, d)), (POSITION, POSITION, FREE, FREE, FREE))
     for _ in range(10):
-        g = samplers[family]()
+        g = groups.sample(family, rng, d)
         back = groups.apply(groups.inverse(g), groups.apply(g, x)).vectors
         assert np.max(np.abs(back - x.vectors)) <= 1e-9
 
@@ -174,3 +158,93 @@ def test_permutation_rejects_non_bijection():
 def test_compose_family_mismatch():
     with pytest.raises(TypeError):
         groups.compose(groups.Translation(np.ones(3)), groups.Permutation((0, 1)))
+
+
+@pytest.mark.parametrize("cls", [groups.Orthogonal, groups.Rotation, groups.Lorentz])
+def test_non_square_matrix_raises_shape_error(cls):
+    with pytest.raises(ShapeError):
+        cls(np.ones((2, 3)))
+
+
+@pytest.mark.parametrize("cls", [groups.Euclidean, groups.Poincare])
+def test_semidirect_non_square_matrix_raises_shape_error(cls):
+    with pytest.raises(ShapeError):
+        cls(np.zeros(2), np.ones((2, 3)))
+
+
+def test_semidirect_translation_length_must_match():
+    with pytest.raises(DimensionMismatchError):
+        groups.Euclidean(np.zeros(2), np.eye(3))
+
+
+# -- one affine form, one family table ---------------------------------------------
+
+
+def test_family_table_is_the_spec_groups():
+    assert sorted(groups.FAMILIES) == sorted(FAMILIES)
+    for family in groups.FAMILIES:
+        harness.SymmetrySpec(family, 4, 4)
+    for family in ["O", "euclidean", "lorentz ", "sample_orthogonal", "u2", ""]:
+        with pytest.raises(ShapeError):
+            harness.SymmetrySpec(family, 4, 4)
+        with pytest.raises(ShapeError):
+            groups.sample(family, groups.make_rng(0), 4)
+
+
+@pytest.mark.parametrize(
+    "family, sampler",
+    [
+        ("o", lambda rng: groups.sample_orthogonal(rng, 3)),
+        ("so", lambda rng: groups.sample_rotation(rng, 3)),
+        ("lorentz", lambda rng: groups.sample_lorentz(rng, 3, 0.7)),
+        ("e", lambda rng: groups.sample_euclidean(rng, 3)),
+        ("poincare", lambda rng: groups.sample_poincare(rng, 3, 0.7)),
+        ("perm", lambda rng: groups.sample_permutation(rng, 3)),
+        ("translation", lambda rng: groups.sample_translation(rng, 3)),
+    ],
+)
+def test_sample_draws_what_the_family_sampler_draws(family, sampler):
+    a = groups.sample(family, groups.make_rng(11), 3, 0.7)
+    b = sampler(groups.make_rng(11))
+    assert groups.element_to_dict(a) == groups.element_to_dict(b)
+
+
+def test_sample_calls_samplers_through_module_globals(monkeypatch):
+    calls = []
+    original = groups.sample_rotation
+
+    def counted(rng, d):
+        calls.append(d)
+        return original(rng, d)
+
+    monkeypatch.setattr(groups, "sample_rotation", counted)
+    groups.sample("so", groups.make_rng(0), 3)
+    groups.sample("lorentz", groups.make_rng(0), 4)  # rotates its spatial block
+    assert calls == [3, 3]
+
+
+@pytest.mark.parametrize("family", [f for f in FAMILIES if f != "perm"])
+def test_every_affine_element_exposes_q_and_w(family):
+    d = 4
+    g = groups.sample(family, groups.make_rng(12), d)
+    assert g.q.shape == (d, d) and g.w.shape == (d,)
+    if family == "translation":
+        assert np.array_equal(g.q, np.eye(d))
+    if family in ("o", "so", "lorentz"):
+        assert np.array_equal(g.w, np.zeros(d))
+
+
+def test_element_to_dict_names_family_and_fields():
+    g = groups.Euclidean([1.0, 2.0], [[0.0, 1.0], [1.0, 0.0]])
+    assert groups.element_to_dict(g) == {
+        "family": "euclidean", "w": [1.0, 2.0], "q": [[0.0, 1.0], [1.0, 0.0]],
+    }
+    assert groups.element_to_dict(groups.Translation([3.0])) == {"family": "translation", "w": [3.0]}
+    assert groups.element_to_dict(groups.Permutation((1, 0))) == {"family": "permutation", "sigma": [1, 0]}
+
+
+@pytest.mark.parametrize("family", ["lorentz", "poincare"])
+def test_minkowski_inverse_is_eta_q_transpose_eta(family):
+    g = groups.sample(family, groups.make_rng(13), 4)
+    lam = minkowski(4).matrix
+    assert np.array_equal(groups.inverse(g).q, lam @ g.q.T @ lam)

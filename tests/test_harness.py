@@ -34,6 +34,12 @@ def test_spec_rejects_ragged_blocks():
         harness.SymmetrySpec("perm", 3, 5, blocks=2)
 
 
+@pytest.mark.parametrize("blocks", [0, -2])
+def test_spec_rejects_non_positive_blocks(blocks):
+    with pytest.raises(ShapeError):
+        harness.SymmetrySpec("perm", 3, 4, blocks=blocks)
+
+
 def test_spec_defaults_free_roles():
     spec = harness.SymmetrySpec("o", 3, 2)
     assert spec.roles == ("free", "free")
@@ -67,6 +73,30 @@ def test_lorentz_certification_with_lightlike_stress():
         lambda x: basis.evaluate(model, x), spec, 100, groups.make_rng(2)
     )
     assert report.max_residual <= 1e-8
+
+
+def _lightlike_loop(rng, n, d):
+    """The near-lightlike stress input drawn one vector at a time."""
+    vecs = rng.standard_normal((n, d))
+    for i in range(n):
+        u = rng.standard_normal(d - 1)
+        u /= np.linalg.norm(u)
+        scale = rng.standard_normal()
+        vecs[i, 0] = scale
+        vecs[i, 1:] = 0.999 * scale * u
+    return vecs
+
+
+@pytest.mark.parametrize("family", ["lorentz", "poincare"])
+def test_lightlike_stress_input_matches_the_loop_bit_for_bit(family):
+    for seed in range(40):
+        for n in (1, 2, 5, 13, 30):
+            d = 2 + seed % 7
+            spec = harness.SymmetrySpec(family, d, n)
+            rng_a, rng_b = groups.make_rng(seed), groups.make_rng(seed)
+            x, _ = harness._sample_input([spec], rng_a, trial=3)
+            assert np.array_equal(x.vectors, _lightlike_loop(rng_b, n, d))
+            assert rng_a.standard_normal() == rng_b.standard_normal()
 
 
 def test_pseudo_vector_output_kind():

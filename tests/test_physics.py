@@ -4,7 +4,12 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from equiscalar import groups, physics
-from equiscalar.errors import DegenerateInputError, DimensionMismatchError, ShapeError
+from equiscalar.errors import (
+    DegenerateInputError,
+    DimensionMismatchError,
+    NonFiniteError,
+    ShapeError,
+)
 
 
 def _particle(rng, charge=1.0):
@@ -126,6 +131,29 @@ def test_energy_mixed_dimensions_raise():
     ]
     with pytest.raises(DimensionMismatchError):
         physics.total_energy(p, G=1.0)
+
+
+# -- Particle --------------------------------------------------------------------
+
+
+def test_particle_stores_mass_and_charge_as_floats():
+    p = physics.Particle([0.0, 0, 0], [0.0, 0, 0], mass=2, charge=np.float64(-0.5))
+    assert type(p.mass) is float and p.mass == 2.0
+    assert type(p.charge) is float and p.charge == -0.5
+
+
+@pytest.mark.parametrize("field", ["mass", "charge"])
+@pytest.mark.parametrize("value", [float("nan"), float("inf"), -np.inf])
+def test_particle_rejects_non_finite_mass_or_charge(field, value):
+    with pytest.raises(NonFiniteError):
+        physics.Particle([0.0, 0, 0], [0.0, 0, 0], **{field: value})
+
+
+@pytest.mark.parametrize("field", ["mass", "charge"])
+@pytest.mark.parametrize("value", ["x", "1.0", None, [1.0], {"a": 1}])
+def test_particle_rejects_non_numeric_mass_or_charge(field, value):
+    with pytest.raises(ShapeError):
+        physics.Particle([0.0, 0, 0], [0.0, 0, 0], **{field: value})
 
 
 # -- total_energy --------------------------------------------------------------
