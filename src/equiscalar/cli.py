@@ -15,7 +15,7 @@ import click
 import numpy as np
 
 from . import einsum, features, groups, harness, mpnn, physics
-from .core import EUCLIDEAN, MINKOWSKI, Metric, VectorTuple
+from .core import EUCLIDEAN, MINKOWSKI, Metric, VectorTuple, as_scalar
 from .errors import EquiscalarError, ShapeError
 
 
@@ -115,7 +115,7 @@ def demo(which, infile, trials, seed):
         _fail_usage("--check-equivariance requires an explicit --seed")
     try:
         obj, particles = _load_particles(infile)
-        G, k, c = obj.get("G", 1.0), obj.get("k", 1.0), obj.get("c", 1.0)
+        G, k, c = (as_scalar(obj.get(name, 1.0), name) for name in ("G", "k", "c"))
         out = {}
         if which == "energy":
             a = out["energy"] = physics.total_energy(particles, G)

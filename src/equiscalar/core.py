@@ -7,7 +7,9 @@ downstream code can assume well-formed inputs.
 from __future__ import annotations
 
 import json
+import math
 from dataclasses import dataclass, field
+from numbers import Real
 
 import numpy as np
 
@@ -18,6 +20,15 @@ FREE = "free"
 
 EUCLIDEAN = "euclidean"
 MINKOWSKI = "minkowski"
+
+
+def as_scalar(value, what) -> float:
+    """Validate and return a finite real number; ``what`` names it in errors."""
+    if not isinstance(value, (float, Real)):  # float first: the common case, and fast
+        raise ShapeError(f"{what} must be a number, got {value!r}")
+    if not math.isfinite(value):
+        raise NonFiniteError(f"{what} is NaN or Inf")
+    return float(value)
 
 
 def as_vector(v, d=None) -> np.ndarray:
@@ -105,7 +116,7 @@ class VectorTuple:
         a = np.asarray(self.vectors, dtype=np.float64)
         if a.ndim != 2:
             raise ShapeError(f"expected an (n, d) array of vectors, got shape {a.shape}")
-        if not np.all(np.isfinite(a)):
+        if not np.isfinite(a).all():
             raise NonFiniteError("vector tuple contains NaN or Inf")
         object.__setattr__(self, "vectors", a)
         roles = self.roles
@@ -139,7 +150,7 @@ class VectorTuple:
         return json.dumps(
             {
                 "d": self.d,
-                "vectors": [list(map(float, v)) for v in self.vectors],
+                "vectors": self.vectors.tolist(),
                 "roles": list(self.roles),
             }
         )

@@ -5,11 +5,20 @@ and the semidirect families E(d) and Poincare. Every element but a
 permutation is affine: it carries a d x d matrix ``q`` and a length-d
 shift ``w`` and maps a tuple to ``x q^T``, plus ``w`` on its position
 vectors, so one formula applies, composes and inverts all of them.
-``FAMILIES`` maps each ``SymmetrySpec.group`` name to its sampler, and
-``sample`` draws from it. Sampling is uniform (Haar) for the compact
-groups; Lorentz elements come from a boost-times-rotation family with
-bounded rapidity (the group is non-compact, so no Haar measure exists
-there).
+
+An element may also be a stack of T elements of one family (``q`` of shape
+(T, d, d), ``w`` of shape (T, d), ``sigma`` of shape (T, n)); a stack acts
+blockwise on a tuple of T*n rows, element t on rows t*n ... t*n + n - 1.
+
+Sampling takes two steps. ``draw`` takes one element's raw numbers from
+the generator; ``sample_stack`` builds T draws at once, with one batched
+QR, determinant and boost. ``sample`` and every ``sample_*`` are that build
+at T = 1, so an element has the same bits whether it is sampled alone or
+as element t of a stack drawn at the same point of the stream.
+``FAMILIES`` maps each ``SymmetrySpec.group`` name to its draw and build.
+Sampling is uniform (Haar) for the compact groups; Lorentz elements come
+from a boost-times-rotation family with bounded rapidity (the group is
+non-compact, so no Haar measure exists there).
 """
 from __future__ import annotations
 
@@ -17,8 +26,8 @@ from dataclasses import dataclass, fields
 
 import numpy as np
 
-from .core import EUCLIDEAN, MINKOWSKI, POSITION, Metric, VectorTuple, as_matrix, as_vector, minkowski
-from .errors import DimensionMismatchError, ShapeError
+from .core import EUCLIDEAN, MINKOWSKI, POSITION, Metric, VectorTuple, as_vector, minkowski
+from .errors import DimensionMismatchError, NonFiniteError, ShapeError
 
 ORTHO_TOL = 1e-12
 LORENTZ_TOL = 1e-9
@@ -32,27 +41,39 @@ def make_rng(seed) -> np.random.Generator:
 
 # -- element types ---------------------------------------------------------
 # Each affine constructor validates its fields, then stores (q, w) once, with
-# the metric eta that q preserves, so that q^-1 = eta q^T eta.
+# the metric eta that q preserves, so that q^-1 = eta q^T eta. Every check
+# runs over a whole stack at once.
 
 
 def _square(m) -> np.ndarray:
-    q = as_matrix(m)
-    if q.shape[0] != q.shape[1]:
-        raise ShapeError(f"group matrix must be square, got shape {q.shape}")
+    q = np.asarray(m, dtype=np.float64)
+    if q.ndim not in (2, 3) or q.shape[-1] != q.shape[-2]:
+        raise ShapeError(f"group matrix must be square (d, d) or a (T, d, d) stack, got shape {q.shape}")
+    if not np.isfinite(q).all():
+        raise NonFiniteError("matrix contains NaN or Inf")
     return q
+
+
+def _shift(v) -> np.ndarray:
+    w = np.asarray(v, dtype=np.float64)
+    if w.ndim not in (1, 2) or w.shape[-1] < 1:
+        raise ShapeError(f"expected a 1-d vector or a (T, d) stack, got shape {w.shape}")
+    if not np.isfinite(w).all():
+        raise NonFiniteError("vector contains NaN or Inf")
+    return w
 
 
 def _orthogonal(m) -> np.ndarray:
     q = _square(m)
-    if np.max(np.abs(q.T @ q - np.eye(q.shape[0]))) > ORTHO_TOL:
+    if np.abs(q.mT @ q - np.eye(q.shape[-1])).max() > ORTHO_TOL:
         raise ShapeError("matrix is not orthogonal within 1e-12")
     return q
 
 
 def _lorentz(m) -> np.ndarray:
     q = _square(m)
-    lam = minkowski(q.shape[0]).matrix
-    if np.max(np.abs(q.T @ lam @ q - lam)) > LORENTZ_TOL:
+    lam = minkowski(q.shape[-1]).matrix
+    if np.abs(q.mT @ lam @ q - lam).max() > LORENTZ_TOL:
         raise ShapeError("matrix does not preserve the Minkowski metric within 1e-9")
     return q
 
@@ -61,9 +82,9 @@ def _set_affine(g, q, w=None, metric=EUCLIDEAN):
     """Store q, w and eta's kind; ``_translates`` is False where w is 0 by
     construction, so the actions skip adding it."""
     object.__setattr__(g, "_translates", w is not None)
-    w = np.zeros(q.shape[0]) if w is None else w
-    if w.size != q.shape[0]:
-        raise DimensionMismatchError(q.shape[0], w.size, "translation")
+    w = np.zeros(q.shape[:-1]) if w is None else w
+    if w.shape != q.shape[:-1]:
+        raise DimensionMismatchError(q.shape[-1], w.shape[-1], "translation")
     object.__setattr__(g, "q", q)
     object.__setattr__(g, "w", w)
     object.__setattr__(g, "_metric", metric)
@@ -83,7 +104,7 @@ class Rotation:
 
     def __post_init__(self):
         q = _orthogonal(self.q)
-        if abs(np.linalg.det(q) - 1.0) > 1e-9:
+        if np.any(np.abs(np.linalg.det(q) - 1.0) > 1e-9):
             raise ShapeError("rotation must have determinant 1")
         _set_affine(self, q)
 
@@ -101,17 +122,19 @@ class Translation:
     w: np.ndarray
 
     def __post_init__(self):
-        w = as_vector(self.w)
-        _set_affine(self, np.eye(w.size), w)
+        w = _shift(self.w)
+        d = w.shape[-1]
+        _set_affine(self, np.broadcast_to(np.eye(d), w.shape + (d,)), w)
 
 
 @dataclass(frozen=True)
 class Permutation:
-    sigma: tuple  # sigma[i] = source index of output slot i
+    sigma: np.ndarray  # sigma[i] = source index of output slot i
 
     def __post_init__(self):
-        sigma = tuple(int(s) for s in self.sigma)
-        if sorted(sigma) != list(range(len(sigma))):
+        sigma = np.asarray(self.sigma, dtype=np.intp)
+        if sigma.ndim not in (1, 2) or not np.array_equal(
+                np.sort(sigma, axis=-1), np.broadcast_to(np.arange(sigma.shape[-1]), sigma.shape)):
             raise ShapeError("permutation is not a bijection on 0..n-1")
         object.__setattr__(self, "sigma", sigma)
 
@@ -122,7 +145,7 @@ class Euclidean:
     q: np.ndarray
 
     def __post_init__(self):
-        _set_affine(self, _orthogonal(self.q), as_vector(self.w))
+        _set_affine(self, _orthogonal(self.q), _shift(self.w))
 
 
 @dataclass(frozen=True)
@@ -131,109 +154,171 @@ class Poincare:
     q: np.ndarray
 
     def __post_init__(self):
-        _set_affine(self, _lorentz(self.q), as_vector(self.w), MINKOWSKI)
+        _set_affine(self, _lorentz(self.q), _shift(self.w), MINKOWSKI)
 
 
 GroupElement = Orthogonal | Rotation | Lorentz | Translation | Permutation | Euclidean | Poincare
 
 
 # -- sampling --------------------------------------------------------------
+# ``_draw_*`` takes one element's raw numbers in the order the family has
+# always drawn them; ``_build_*`` turns those numbers, each stacked over T
+# draws, into the element's fields.
 
 
-def _haar_orthogonal(rng, d):
-    """Sign-corrected QR of a Gaussian matrix: Haar measure on O(d)."""
-    a = rng.standard_normal((d, d))
-    q, r = np.linalg.qr(a)
-    signs = np.sign(np.diag(r))
-    signs[signs == 0] = 1.0
-    return q * signs
-
-
-def sample_orthogonal(rng, d: int) -> Orthogonal:
+def _draw_haar(rng, d):
     if d < 1:
         raise ShapeError("d must be >= 1")
-    q = _haar_orthogonal(rng, d)
-    # Explicit sign flip of a random column so both components of O(d) are
-    # covered regardless of the QR convention.
+    return rng.standard_normal((d, d))
+
+
+def _draw_orthogonal(rng, d, rapidity_max):
+    a = _draw_haar(rng, d)
     col = int(rng.integers(d))
     sign = 1.0 if rng.integers(2) == 0 else -1.0
-    q = q.copy()
-    q[:, col] *= sign
-    return Orthogonal(q)
+    return a, col, sign
 
 
-def sample_rotation(rng, d: int) -> Rotation:
-    if d < 1:
-        raise ShapeError("d must be >= 1")
-    q = _haar_orthogonal(rng, d).copy()
-    if np.linalg.det(q) < 0:
-        q[:, 0] *= -1.0
-    return Rotation(q)
+def _draw_rotation(rng, d, rapidity_max):
+    return (_draw_haar(rng, d),)
 
 
-def boost(phi: float, axis, d_plus_1: int) -> np.ndarray:
-    """Lorentz boost of rapidity phi along the spatial unit direction `axis`."""
-    u = as_vector(axis, d_plus_1 - 1)
-    u = u / np.linalg.norm(u)
-    b = np.eye(d_plus_1)
-    b[0, 0] = np.cosh(phi)
-    b[0, 1:] = np.sinh(phi) * u
-    b[1:, 0] = np.sinh(phi) * u
-    b[1:, 1:] = np.eye(d_plus_1 - 1) + (np.cosh(phi) - 1.0) * np.outer(u, u)
-    return b
-
-
-def sample_lorentz(rng, d_plus_1: int, rapidity_max: float = DEFAULT_RAPIDITY_MAX) -> Lorentz:
-    """Boost times embedded spatial rotation; preserves the metric to rounding."""
+def _draw_lorentz(rng, d_plus_1, rapidity_max):
     if d_plus_1 < 2:
         raise ShapeError("d+1 must be >= 2")
     if rapidity_max <= 0:
         raise ShapeError("rapidity_max must be > 0")
     d = d_plus_1 - 1
-    r = np.eye(d_plus_1)
-    if d >= 2:
-        r[1:, 1:] = sample_rotation(rng, d).q
+    a = _draw_haar(rng, d) if d >= 2 else np.empty((0, 0))
     phi = rng.uniform(-rapidity_max, rapidity_max)
     axis = rng.standard_normal(d)
-    while np.linalg.norm(axis) < 1e-8:
+    norm = np.linalg.norm(axis)
+    while norm < 1e-8:
         axis = rng.standard_normal(d)
-    return Lorentz(boost(phi, axis, d_plus_1) @ r)
+        norm = np.linalg.norm(axis)
+    # Each axis is normalised on its own: a norm over a stack of axes
+    # differs from the per-vector norm in the last bit.
+    return a, phi, axis / norm
 
 
-def sample_translation(rng, d: int) -> Translation:
-    return Translation(rng.standard_normal(d))
+def _haar(a):
+    """Sign-corrected QR of Gaussian matrices: Haar measure on O(d)."""
+    q, r = np.linalg.qr(a)
+    signs = np.sign(np.diagonal(r, axis1=-2, axis2=-1))
+    signs[signs == 0] = 1.0
+    return q * signs[:, None, :]
 
 
-def sample_permutation(rng, n: int) -> Permutation:
-    return Permutation(tuple(rng.permutation(n)))
+def _build_orthogonal(a, col, sign):
+    q = _haar(a)
+    # Explicit sign flip of a random column so both components of O(d) are
+    # covered regardless of the QR convention.
+    q[np.arange(len(q)), :, col] *= sign[:, None]
+    return (q,)
 
 
-def sample_euclidean(rng, d: int) -> Euclidean:
-    return Euclidean(rng.standard_normal(d), sample_orthogonal(rng, d).q)
+def _build_rotation(a):
+    q = _haar(a)
+    q[np.linalg.det(q) < 0, :, 0] *= -1.0
+    return (q,)
 
 
-def sample_poincare(rng, d_plus_1: int, rapidity_max: float = DEFAULT_RAPIDITY_MAX) -> Poincare:
-    return Poincare(rng.standard_normal(d_plus_1), sample_lorentz(rng, d_plus_1, rapidity_max).q)
+def _boosts(phi, u):
+    """Lorentz boosts of rapidities phi (T,) along spatial unit directions u (T, d)."""
+    t, d = u.shape
+    cosh, sinh = np.cosh(phi), np.sinh(phi)
+    b = np.empty((t, d + 1, d + 1))
+    b[:, 0, 0] = cosh
+    b[:, 0, 1:] = b[:, 1:, 0] = sinh[:, None] * u
+    b[:, 1:, 1:] = np.eye(d) + (cosh - 1.0)[:, None, None] * (u[:, :, None] * u[:, None, :])
+    return b
 
 
-# The families by their SymmetrySpec.group names. Each entry calls its
-# sampler by its global name, so a rebinding of ``sample_*`` is seen here.
+def boost(phi: float, axis, d_plus_1: int) -> np.ndarray:
+    """Lorentz boost of rapidity phi along the spatial unit direction `axis`."""
+    u = as_vector(axis, d_plus_1 - 1)
+    return _boosts(np.array([phi], dtype=np.float64), (u / np.linalg.norm(u))[None])[0]
+
+
+def _build_lorentz(a, phi, u):
+    """Boost times embedded spatial rotation; preserves the metric to rounding."""
+    t, d = u.shape
+    r = np.zeros((t, d + 1, d + 1))
+    r[:, 0, 0] = 1.0
+    r[:, 1:, 1:] = _build_rotation(a)[0] if d >= 2 else 1.0
+    return (_boosts(phi, u) @ r,)
+
+
+def _translated(draw, build):
+    """Draw and build of a semidirect family: its shift first, then its linear part."""
+    return (lambda rng, d, rapidity_max: (rng.standard_normal(d), *draw(rng, d, rapidity_max)),
+            lambda w, *linear: (w, *build(*linear)))
+
+
+# name -> (draw(rng, dim, rapidity_max) -> raw numbers of one element,
+#          build(*raw numbers stacked over T draws) -> the class's fields, class).
+# ``dim`` is the slot count for "perm".
 FAMILIES = {
-    "o": lambda rng, dim, rapidity_max: sample_orthogonal(rng, dim),
-    "so": lambda rng, dim, rapidity_max: sample_rotation(rng, dim),
-    "lorentz": lambda rng, dim, rapidity_max: sample_lorentz(rng, dim, rapidity_max),
-    "e": lambda rng, dim, rapidity_max: sample_euclidean(rng, dim),
-    "poincare": lambda rng, dim, rapidity_max: sample_poincare(rng, dim, rapidity_max),
-    "perm": lambda rng, dim, rapidity_max: sample_permutation(rng, dim),
-    "translation": lambda rng, dim, rapidity_max: sample_translation(rng, dim),
+    "o": (_draw_orthogonal, _build_orthogonal, Orthogonal),
+    "so": (_draw_rotation, _build_rotation, Rotation),
+    "lorentz": (_draw_lorentz, _build_lorentz, Lorentz),
+    "e": (*_translated(_draw_orthogonal, _build_orthogonal), Euclidean),
+    "poincare": (*_translated(_draw_lorentz, _build_lorentz), Poincare),
+    "perm": (lambda rng, n, rapidity_max: (rng.permutation(n),), lambda sigma: (sigma,), Permutation),
+    "translation": (lambda rng, d, rapidity_max: (rng.standard_normal(d),), lambda w: (w,), Translation),
 }
 
 
-def sample(family: str, rng, dim: int, rapidity_max: float = DEFAULT_RAPIDITY_MAX) -> GroupElement:
-    """One element of ``family``; ``dim`` is the slot count for "perm"."""
+def _family(family: str):
     if family not in FAMILIES:
         raise ShapeError(f"unknown group {family!r}")
-    return FAMILIES[family](rng, dim, rapidity_max)
+    return FAMILIES[family]
+
+
+def draw(family: str, rng, dim: int, rapidity_max: float = DEFAULT_RAPIDITY_MAX) -> tuple:
+    """The raw numbers of one element of ``family``, taken from ``rng``."""
+    return _family(family)[0](rng, dim, rapidity_max)
+
+
+def sample_stack(family: str, draws) -> GroupElement:
+    """The elements of ``draws`` (a list of ``draw`` results) as one stack."""
+    _, build, cls = _family(family)
+    return cls(*build(*(np.array(column) for column in zip(*draws))))
+
+
+def sample(family: str, rng, dim: int, rapidity_max: float = DEFAULT_RAPIDITY_MAX) -> GroupElement:
+    """One element of ``family``: the stacked build of a single draw."""
+    draw_one, build, cls = _family(family)
+    stacked = build(*(np.array([r]) for r in draw_one(rng, dim, rapidity_max)))
+    return cls(*(f[0] for f in stacked))
+
+
+def sample_orthogonal(rng, d: int) -> Orthogonal:
+    return sample("o", rng, d)
+
+
+def sample_rotation(rng, d: int) -> Rotation:
+    return sample("so", rng, d)
+
+
+def sample_lorentz(rng, d_plus_1: int, rapidity_max: float = DEFAULT_RAPIDITY_MAX) -> Lorentz:
+    return sample("lorentz", rng, d_plus_1, rapidity_max)
+
+
+def sample_translation(rng, d: int) -> Translation:
+    return sample("translation", rng, d)
+
+
+def sample_permutation(rng, n: int) -> Permutation:
+    return sample("perm", rng, n)
+
+
+def sample_euclidean(rng, d: int) -> Euclidean:
+    return sample("e", rng, d)
+
+
+def sample_poincare(rng, d_plus_1: int, rapidity_max: float = DEFAULT_RAPIDITY_MAX) -> Poincare:
+    return sample("poincare", rng, d_plus_1, rapidity_max)
 
 
 # -- actions ---------------------------------------------------------------
@@ -246,34 +331,44 @@ def _affine(family, q, w) -> GroupElement:
 
 
 def apply(g: GroupElement, x: VectorTuple) -> VectorTuple:
-    """Group action on role-tagged tuples; translations touch positions only."""
+    """Group action on role-tagged tuples; translations touch positions only.
+    A stack of T elements moves T consecutive blocks of x.n / T vectors."""
     v = x.vectors
+    stack = (g.sigma if isinstance(g, Permutation) else g.w).shape[:-1]
+    count = stack[0] if stack else 1
+    n = x.n // count
+    if n * count != x.n:
+        raise ShapeError(f"a stack of {count} elements cannot act on {x.n} vectors")
     if isinstance(g, Permutation):
-        if len(g.sigma) != x.n:
-            raise ShapeError(f"permutation on {len(g.sigma)} slots applied to {x.n} vectors")
-        idx = list(g.sigma)
+        slots = g.sigma.shape[-1]
+        if slots != n:
+            raise ShapeError(f"permutation on {slots} slots applied to {n} vectors")
+        idx = (g.sigma + n * np.arange(count)[:, None]).ravel() if stack else g.sigma
         return VectorTuple(v[idx], tuple(x.roles[i] for i in idx))
-    if g.q.shape[0] != x.d:
-        raise DimensionMismatchError(g.q.shape[0], x.d)
-    out = v @ g.q.T
+    d = g.q.shape[-1]
+    if d != x.d:
+        raise DimensionMismatchError(d, x.d)
+    out = (v.reshape(count, n, d) @ g.q.mT).reshape(x.n, d)
     if g._translates and POSITION in x.roles:
-        out[x.position_indices()] += g.w
+        rows = x.position_indices()
+        out[rows] += g.w.reshape(count, d)[rows // n]
     return x.with_vectors(out)
 
 
 def compose(g1: GroupElement, g2: GroupElement) -> GroupElement:
-    """Composition: apply(compose(g1, g2), x) == apply(g1, apply(g2, x))."""
+    """Composition of single elements: apply(compose(g1, g2), x) == apply(g1, apply(g2, x))."""
     if type(g1) is not type(g2):
         raise TypeError(f"cannot compose {type(g1).__name__} with {type(g2).__name__}")
     if isinstance(g1, Permutation):
         # apply(g2) then apply(g1) selects x[sigma2[sigma1[i]]].
-        return Permutation(tuple(g2.sigma[i] for i in g1.sigma))
+        return Permutation(g2.sigma[g1.sigma])
     return _affine(type(g1), g1.q @ g2.q, g1.w + g1.q @ g2.w)
 
 
 def inverse(g: GroupElement) -> GroupElement:
+    """Inverse of a single element."""
     if isinstance(g, Permutation):
-        return Permutation(tuple(np.argsort(g.sigma)))
+        return Permutation(np.argsort(g.sigma))
     eta = Metric(g._metric, g.q.shape[0]).signature
     qinv = eta[:, None] * g.q.T * eta  # eta q^T eta, eta diagonal
     return _affine(type(g), qinv, -(qinv @ g.w))

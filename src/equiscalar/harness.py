@@ -4,6 +4,15 @@ Samples group elements and random inputs, applies the group actions, and
 reports relative residuals between f(g * x) and the expected transform of
 f(x). Statistical evidence at fixed tolerance, never a proof; trial
 failures are recorded in the report rather than aborting the run.
+
+RNG order: each trial draws its input (and its scalars), then one element
+per spec, in spec order, before the next trial draws anything. Trials run
+in stacks of ``CHUNK_TRIALS``: the draws of a stack are taken in that
+order first, then its elements are built, applied to all inputs and
+compared as array operations. Stacking moves no draw, so a seeded report is
+the same whatever the chunk size. The target is still called per trial,
+on a validated ``VectorTuple``: on the input, then on its image, in trial
+order.
 """
 from __future__ import annotations
 
@@ -63,6 +72,11 @@ class SymmetrySpec:
         object.__setattr__(self, "roles", tuple(roles))
 
 
+# Trials drawn, moved and compared as one stack. Bounds a run's memory to
+# one chunk of inputs, elements and outputs, whatever its trial count.
+CHUNK_TRIALS = 256
+
+
 @dataclass
 class CertReport:
     trials: int = 0
@@ -83,48 +97,8 @@ class CertReport:
         }
 
 
-def _sample_element(spec: SymmetrySpec, rng):
-    dim = (spec.blocks or spec.n_vectors) if spec.group == "perm" else spec.dim
-    return groups.sample(spec.group, rng, dim, spec.rapidity_max)
-
-
-def _lift_block_permutation(g: groups.Permutation, spec: SymmetrySpec) -> groups.Permutation:
-    if spec.blocks is None or len(g.sigma) == spec.n_vectors:
-        return g
-    per_block = spec.n_vectors // spec.blocks
-    sigma = np.add.outer(np.multiply(g.sigma, per_block), np.arange(per_block))
-    return groups.Permutation(tuple(sigma.ravel()))
-
-
-def _apply_input(g, spec: SymmetrySpec, x: VectorTuple, scalars):
-    if isinstance(g, groups.Permutation):
-        lifted = _lift_block_permutation(g, spec)
-        x2 = groups.apply(lifted, x)
-        scalars2 = scalars[list(g.sigma)] if scalars is not None else None
-        return x2, scalars2
-    return groups.apply(g, x), scalars
-
-
-def _transform_output(g, spec: SymmetrySpec, out):
-    out = np.asarray(out, dtype=np.float64)
-    kind = spec.output_kind
-    if kind == SCALAR_INVARIANT:
-        return out
-    if isinstance(g, groups.Permutation):
-        return out[list(g.sigma)] if out.ndim == 2 else out
-    out = out @ g.q.T
-    if kind == VECTOR_EQUIVARIANT and g._translates:
-        return out + g.w
-    if kind == PSEUDO_VECTOR:
-        return out * np.linalg.det(g.q)
-    return out
-
-
-def _component_key(g) -> str | None:
-    linear = (groups.Orthogonal, groups.Rotation, groups.Lorentz, groups.Euclidean, groups.Poincare)
-    if isinstance(g, linear):
-        return f"det={'+1' if np.linalg.det(g.q) > 0 else '-1'}"
-    return None
+def _element_dim(spec: SymmetrySpec) -> int:
+    return (spec.blocks or spec.n_vectors) if spec.group == "perm" else spec.dim
 
 
 def _sample_input(specs, rng, trial: int):
@@ -150,14 +124,125 @@ def _sample_input(specs, rng, trial: int):
 
 
 def _serialize_input(x: VectorTuple, scalars) -> str:
-    obj = json.loads(x.to_json())
-    if scalars is not None:
-        obj["scalars"] = np.asarray(scalars).tolist()
-    return json.dumps(obj)
+    text = x.to_json()
+    if scalars is None:
+        return text
+    return f'{text[:-1]}, "scalars": {json.dumps(np.asarray(scalars).tolist())}}}'
 
 
 def _call(fn, x, scalars):
     return fn(x) if scalars is None else fn(x, scalars)
+
+
+def _apply_stack(g, spec: SymmetrySpec, x: VectorTuple, scalars):
+    """Move the input stack (T*n rows, (T, blocks, k) scalars) by the element stack g."""
+    if not isinstance(g, groups.Permutation):
+        return groups.apply(g, x), scalars
+    sigma = g.sigma
+    if spec.blocks is not None and sigma.shape[-1] != spec.n_vectors:
+        per_block = spec.n_vectors // spec.blocks
+        lifted = np.add.outer(np.multiply(sigma, per_block), np.arange(per_block))
+        g = groups.Permutation(lifted.reshape(len(sigma), -1))
+    if scalars is not None:
+        scalars = scalars[np.arange(len(sigma))[:, None], sigma]
+    return groups.apply(g, x), scalars
+
+
+def _per_trial(a, ndim):
+    """View the (k, ...) per-trial array a with singleton axes up to ndim."""
+    return a.reshape(a.shape[:1] + (1,) * (ndim - a.ndim) + a.shape[1:])
+
+
+def _transform(g, det, spec: SymmetrySpec, out, idx):
+    """Expected outputs: ``out`` stacks the outputs of trials ``idx``, and
+    row i moves by element idx[i] of the stack g (det: its determinants)."""
+    kind = spec.output_kind
+    if kind == SCALAR_INVARIANT:
+        return out
+    if isinstance(g, groups.Permutation):
+        if out.ndim != 3:
+            return out
+        if out.shape[1] != g.sigma.shape[-1]:
+            raise ShapeError(f"output has {out.shape[1]} rows; the permutation moves {g.sigma.shape[-1]}")
+        return out[np.arange(len(idx))[:, None], g.sigma[idx]]
+    q = g.q[idx]
+    if out.ndim == 1:
+        out[0] @ q[0].T  # 0-d outputs fail here, as one trial's ``out @ q.T`` does
+    out = (out.reshape(len(idx), -1, out.shape[-1]) @ q.mT).reshape(out.shape)
+    if kind == VECTOR_EQUIVARIANT and g._translates:
+        return out + _per_trial(g.w[idx], out.ndim)
+    if kind == PSEUDO_VECTOR:
+        return out * _per_trial(det[idx], out.ndim)
+    return out
+
+
+def _chunk_results(fn, specs, chunk, rng):
+    """Yield (trial, (input, scalars), error, residual, component keys) for
+    each trial of ``chunk``, in order; error is None or residual is."""
+    # Draw: each trial's input, then one element per spec, in spec order.
+    inputs, draws = [], [[] for _ in specs]
+    for trial in chunk:
+        inputs.append(_sample_input(specs, rng, trial))
+        for spec, drawn in zip(specs, draws):
+            drawn.append(groups.draw(spec.group, rng, _element_dim(spec), spec.rapidity_max))
+    elements = [groups.sample_stack(spec.group, drawn) for spec, drawn in zip(specs, draws)]
+    dets = [None if isinstance(g, groups.Permutation) else np.linalg.det(g.q) for g in elements]
+    keys = [["det=+1" if v > 0 else "det=-1" for v in det] for g, det in zip(elements, dets)
+            if not isinstance(g, (groups.Permutation, groups.Translation))]
+
+    # Apply: move the stacked inputs by each spec in turn. Failing there fails
+    # every trial whose output reaches that spec.
+    n = specs[0].n_vectors
+    x = VectorTuple(np.concatenate([x_t.vectors for x_t, _ in inputs]), specs[0].roles * len(chunk))
+    scalars = None if inputs[0][1] is None else np.array([s_t for _, s_t in inputs])
+    applied, apply_error = len(specs), None
+    for j, (g, spec) in enumerate(zip(elements, specs)):
+        try:
+            x, scalars = _apply_stack(g, spec, x, scalars)
+        except Exception as exc:  # noqa: BLE001 - failures are data here
+            applied, apply_error = j, exc
+            break
+
+    # Call fn once on each input and once on its image, in trial order.
+    errors, late, outs, outs2 = {}, {}, {}, {}
+    for t, (x_t, scalars_t) in enumerate(inputs):
+        try:
+            outs[t] = np.asarray(_call(fn, x_t, scalars_t), dtype=np.float64)
+        except Exception as exc:  # noqa: BLE001
+            errors[t] = exc
+            continue
+        if apply_error is None:
+            rows = slice(t * n, (t + 1) * n)
+            try:
+                outs2[t] = np.asarray(_call(fn, VectorTuple(x.vectors[rows], x.roles[rows]),
+                                            None if scalars is None else scalars[t]), dtype=np.float64)
+            except Exception as exc:  # noqa: BLE001
+                late[t] = exc
+
+    # Transform the outputs of each shape as one stack, spec by spec.
+    expected, by_shape = {}, {}
+    for t, out in outs.items():
+        by_shape.setdefault(out.shape, []).append(t)
+    for idx in by_shape.values():
+        stack = np.array([outs[t] for t in idx])
+        try:
+            for j, (g, det, spec) in enumerate(zip(elements, dets, specs)):
+                if j == applied:
+                    raise apply_error
+                stack = _transform(g, det, spec, stack, idx)
+        except Exception as exc:  # noqa: BLE001
+            errors.update(dict.fromkeys(idx, exc))
+            continue
+        expected.update(zip(idx, stack))
+    for t, exc in late.items():
+        errors.setdefault(t, exc)
+
+    for t, trial in enumerate(chunk):
+        if t in errors:
+            yield trial, inputs[t], errors[t], None, ()
+            continue
+        residual = float(np.linalg.norm(outs2[t] - expected[t]) / (1.0 + np.linalg.norm(outs[t])))
+        yield trial, inputs[t], None, residual, [k[t] for k in keys]
 
 
 def certify(fn, spec: SymmetrySpec, trials: int, rng) -> CertReport:
@@ -167,42 +252,32 @@ def certify(fn, spec: SymmetrySpec, trials: int, rng) -> CertReport:
 def certify_joint(fn, specs, trials: int, rng) -> CertReport:
     """Certify against several actions jointly: each trial composes one
     sampled element per spec (applied in the given order) and compares
-    against the composed expected output transform."""
+    against the composed expected output transform. Trials run in stacks
+    of ``CHUNK_TRIALS`` (see the module docstring for the RNG order)."""
     if trials < 1:
         raise ShapeError("trials must be >= 1")
     specs = list(specs)
-    report = CertReport()
-    total = 0.0
-    for trial in range(trials):
-        x, scalars = _sample_input(specs, rng, trial)
-        elements = [_sample_element(spec, rng) for spec in specs]
-        try:
-            out = np.asarray(_call(fn, x, scalars), dtype=np.float64)
-            x2, scalars2 = x, scalars
-            expected = out
-            for g, spec in zip(elements, specs):
-                x2, scalars2 = _apply_input(g, spec, x2, scalars2)
-                expected = _transform_output(g, spec, expected)
-            out2 = np.asarray(_call(fn, x2, scalars2), dtype=np.float64)
-        except Exception as exc:  # noqa: BLE001 - failures are data here
-            report.failures.append(
-                {"trial": trial, "error": f"{type(exc).__name__}: {exc}",
-                 "input": _serialize_input(x, scalars)}
-            )
-            continue
-        residual = float(np.linalg.norm(out2 - expected) / (1.0 + np.linalg.norm(out)))
-        total += residual
-        if residual >= report.max_residual:
-            report.max_residual = residual
-            report.worst_input = _serialize_input(x, scalars)
-        for g in elements:
-            key = _component_key(g)
-            if key is None:
+    report = CertReport(trials=trials)
+    total, worst = 0.0, None
+    for start in range(0, trials, CHUNK_TRIALS):
+        chunk = range(start, min(trials, start + CHUNK_TRIALS))
+        for trial, (x, scalars), error, residual, keys in _chunk_results(fn, specs, chunk, rng):
+            if error is not None:
+                report.failures.append(
+                    {"trial": trial, "error": f"{type(error).__name__}: {error}",
+                     "input": _serialize_input(x, scalars)}
+                )
                 continue
-            comp = report.components.setdefault(key, {"trials": 0, "max_residual": 0.0})
-            comp["trials"] += 1
-            comp["max_residual"] = max(comp["max_residual"], residual)
-    report.trials = trials
+            total += residual
+            if residual >= report.max_residual:
+                report.max_residual = residual
+                worst = (x, scalars)
+            for key in keys:
+                comp = report.components.setdefault(key, {"trials": 0, "max_residual": 0.0})
+                comp["trials"] += 1
+                comp["max_residual"] = max(comp["max_residual"], residual)
+    if worst is not None:
+        report.worst_input = _serialize_input(*worst)
     done = trials - len(report.failures)
     report.mean_residual = total / done if done else float("nan")
     return report

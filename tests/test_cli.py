@@ -403,3 +403,24 @@ def test_certify_unknown_target_exits_2(runner, tmp_path):
         main, ["certify", "--target", "hamiltonian", "--spec", specfile, "--seed", "1"]
     )
     assert result.exit_code == 2
+
+
+@pytest.mark.parametrize("constant", ["G", "k", "c"])
+@pytest.mark.parametrize("value", ["x", float("nan"), float("inf"), [1.0]])
+@pytest.mark.parametrize("which", ["energy", "emforce"])
+def test_demo_rejects_bad_physical_constants(runner, tmp_path, constant, value, which):
+    particles = [{"r": [0.0, 0, 0], "v": [0.0, 0, 0], "charge": 1.0},
+                 {"r": [1.0, 0, 0], "v": [0.0, 1, 0], "charge": -1.0}]
+    infile = _write(tmp_path / "p.json", json.dumps({"particles": particles, constant: value}))
+    result = runner.invoke(main, ["demo", which, "--in", infile])
+    assert result.exit_code == 2
+    assert f"demo: {constant} " in result.output
+
+
+def test_demo_accepts_integer_constants(runner, tmp_path):
+    particles = [{"r": [0.0, 0, 0], "v": [0.0, 0, 0], "mass": 2.0},
+                 {"r": [1.0, 0, 0], "v": [0.0, 0, 0], "mass": 1.0}]
+    infile = _write(tmp_path / "p.json", json.dumps({"particles": particles, "G": 2}))
+    result = runner.invoke(main, ["demo", "energy", "--in", infile])
+    assert result.exit_code == 0
+    assert json.loads(result.output)["energy"] == -8.0

@@ -181,7 +181,7 @@ def test_golden_cases_cover_failures_and_components(golden):
     assert len(reports["dims-disagree"]["failures"]) == 6
     assert len(reports["perm-slots-disagree"]["failures"]) == 6
     assert reports["pseudo-as-vector"]["components"]["det=-1"]["max_residual"] > 1e-2
-    assert reports["longer-than-a-chunk"]["trials"] == 1100
+    assert reports["longer-than-a-chunk"]["trials"] > harness.CHUNK_TRIALS
 
 
 if __name__ == "__main__":

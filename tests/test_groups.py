@@ -209,18 +209,104 @@ def test_sample_draws_what_the_family_sampler_draws(family, sampler):
     assert groups.element_to_dict(a) == groups.element_to_dict(b)
 
 
-def test_sample_calls_samplers_through_module_globals(monkeypatch):
+def _stack_and_singles(family, dim, trials, seed, rapidity_max=groups.DEFAULT_RAPIDITY_MAX):
+    """A stack of ``trials`` elements and the elements a fresh generator
+    samples one by one at the same points of the stream; both streams also
+    draw a 3 x dim input before each element, as the harness does."""
+    rng = groups.make_rng(seed)
+    draws = []
+    for _ in range(trials):
+        rng.standard_normal((3, dim))
+        draws.append(groups.draw(family, rng, dim, rapidity_max))
+    fresh = groups.make_rng(seed)
+    singles = []
+    for _ in range(trials):
+        fresh.standard_normal((3, dim))
+        singles.append(groups.sample(family, fresh, dim, rapidity_max))
+    assert rng.standard_normal() == fresh.standard_normal()
+    return groups.sample_stack(family, draws), singles
+
+
+@pytest.mark.parametrize(
+    "family, dims",
+    [("o", (1, 2, 3, 4)), ("so", (1, 2, 3, 4)), ("lorentz", (2, 3, 4, 5)),
+     ("poincare", (2, 3, 4, 5)), ("e", (1, 3)), ("translation", (1, 3)), ("perm", (1, 4))],
+)
+def test_stacked_element_equals_the_single_draw_bit_for_bit(family, dims):
+    for dim in dims:
+        for seed in range(5):
+            stack, singles = _stack_and_singles(family, dim, 40, seed, rapidity_max=2.5)
+            assert type(stack) is type(singles[0])
+            for name in ("q", "w", "sigma"):
+                if hasattr(stack, name):
+                    want = np.stack([getattr(g, name) for g in singles])
+                    assert np.array_equal(getattr(stack, name), want), (dim, seed, name)
+
+
+def test_harness_builds_each_spec_with_one_sample_stack_per_chunk(monkeypatch):
     calls = []
-    original = groups.sample_rotation
+    original = groups.sample_stack
 
-    def counted(rng, d):
-        calls.append(d)
-        return original(rng, d)
+    def counted(family, draws):
+        calls.append((family, len(draws)))
+        return original(family, draws)
 
-    monkeypatch.setattr(groups, "sample_rotation", counted)
-    groups.sample("so", groups.make_rng(0), 3)
-    groups.sample("lorentz", groups.make_rng(0), 4)  # rotates its spatial block
-    assert calls == [3, 3]
+    monkeypatch.setattr(groups, "sample_stack", counted)
+    rng = groups.make_rng(0)
+    specs = [harness.SymmetrySpec("so", 3, 2), harness.SymmetrySpec("perm", 3, 2)]
+    harness.certify_joint(lambda x: x.vectors, specs, harness.CHUNK_TRIALS + 5, rng)
+    assert calls == [("so", harness.CHUNK_TRIALS), ("perm", harness.CHUNK_TRIALS),
+                     ("so", 5), ("perm", 5)]
+
+
+@pytest.mark.parametrize("cls, sampler", [
+    (groups.Orthogonal, groups.sample_orthogonal),
+    (groups.Rotation, groups.sample_rotation),
+    (groups.Lorentz, groups.sample_lorentz),
+])
+def test_stack_with_one_bad_matrix_raises_shape_error(cls, sampler):
+    rng = groups.make_rng(14)
+    q = np.stack([sampler(rng, 3).q for _ in range(6)])
+    cls(q)
+    broken = q.copy()
+    broken[2] *= 1.001
+    with pytest.raises(ShapeError):
+        cls(broken)
+
+
+def test_rotation_stack_with_one_reflection_raises_shape_error():
+    q = np.stack([groups.sample_rotation(groups.make_rng(s), 3).q for s in range(4)])
+    q[3, :, 0] *= -1.0
+    with pytest.raises(ShapeError):
+        groups.Rotation(q)
+
+
+def test_stack_with_one_non_bijection_raises_shape_error():
+    sigma = np.array([[1, 0, 2], [2, 1, 0], [0, 0, 1]])
+    with pytest.raises(ShapeError):
+        groups.Permutation(sigma)
+    groups.Permutation(sigma[:2])
+
+
+@pytest.mark.parametrize("family", FAMILIES)
+def test_stacked_apply_equals_per_element_apply(family):
+    rng = groups.make_rng(15)
+    d, n, trials = (4 if family in ("lorentz", "poincare") else 3), 4, 7
+    roles = (POSITION, FREE, POSITION, FREE)
+    xs = [VectorTuple(rng.standard_normal((n, d)), roles) for _ in range(trials)]
+    draws = [groups.draw(family, rng, n if family == "perm" else d) for _ in range(trials)]
+    stack = groups.sample_stack(family, draws)
+    moved = groups.apply(stack, VectorTuple(np.concatenate([x.vectors for x in xs]), roles * trials))
+    singles = [groups.apply(groups.sample_stack(family, [dr]), x) for dr, x in zip(draws, xs)]
+    assert np.array_equal(moved.vectors, np.concatenate([y.vectors for y in singles]))
+    assert moved.roles == sum((y.roles for y in singles), ())
+
+
+def test_stacked_apply_rejects_rows_that_do_not_split_into_the_stack():
+    rng = groups.make_rng(16)
+    stack = groups.sample_stack("o", [groups.draw("o", rng, 3) for _ in range(4)])
+    with pytest.raises(ShapeError):
+        groups.apply(stack, VectorTuple(rng.standard_normal((10, 3))))
 
 
 @pytest.mark.parametrize("family", [f for f in FAMILIES if f != "perm"])

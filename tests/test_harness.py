@@ -254,3 +254,163 @@ def test_report_round_trips_json():
     blob = json.loads(json.dumps(report.to_dict()))
     assert blob["trials"] == 10
     assert blob["max_residual"] <= 1e-12
+
+
+# -- the stacked loop against the per-trial loop it replaced ----------------------
+
+
+def _oracle_certify_joint(fn, specs, trials, rng):
+    """The per-trial certification loop: sample, apply, transform and compare
+    one trial at a time, serializing each new worst input."""
+
+    def serialize(x, scalars):
+        obj = json.loads(x.to_json())
+        if scalars is not None:
+            obj["scalars"] = np.asarray(scalars).tolist()
+        return json.dumps(obj)
+
+    def apply_input(g, spec, x, scalars):
+        if isinstance(g, groups.Permutation):
+            sigma = g.sigma
+            if spec.blocks is not None and len(sigma) != spec.n_vectors:
+                per = spec.n_vectors // spec.blocks
+                sigma = np.add.outer(sigma * per, np.arange(per)).ravel()
+            return (groups.apply(groups.Permutation(sigma), x),
+                    scalars[list(g.sigma)] if scalars is not None else None)
+        return groups.apply(g, x), scalars
+
+    def transform(g, spec, out):
+        if spec.output_kind == harness.SCALAR_INVARIANT:
+            return out
+        if isinstance(g, groups.Permutation):
+            return out[list(g.sigma)] if out.ndim == 2 else out
+        out = out @ g.q.T
+        if spec.output_kind == harness.VECTOR_EQUIVARIANT and g._translates:
+            return out + g.w
+        if spec.output_kind == harness.PSEUDO_VECTOR:
+            return out * np.linalg.det(g.q)
+        return out
+
+    report = harness.CertReport(trials=trials)
+    total = 0.0
+    for trial in range(trials):
+        x, scalars = harness._sample_input(specs, rng, trial)
+        elements = [groups.sample(s.group, rng, (s.blocks or s.n_vectors) if s.group == "perm"
+                                  else s.dim, s.rapidity_max) for s in specs]
+        try:
+            out = np.asarray(harness._call(fn, x, scalars), dtype=np.float64)
+            x2, scalars2, expected = x, scalars, out
+            for g, spec in zip(elements, specs):
+                x2, scalars2 = apply_input(g, spec, x2, scalars2)
+                expected = transform(g, spec, expected)
+            out2 = np.asarray(harness._call(fn, x2, scalars2), dtype=np.float64)
+        except Exception as exc:  # noqa: BLE001
+            report.failures.append({"trial": trial, "error": f"{type(exc).__name__}: {exc}",
+                                    "input": serialize(x, scalars)})
+            continue
+        residual = float(np.linalg.norm(out2 - expected) / (1.0 + np.linalg.norm(out)))
+        total += residual
+        if residual >= report.max_residual:
+            report.max_residual = residual
+            report.worst_input = serialize(x, scalars)
+        for g in elements:
+            if isinstance(g, (groups.Permutation, groups.Translation)):
+                continue
+            key = f"det={'+1' if np.linalg.det(g.q) > 0 else '-1'}"
+            comp = report.components.setdefault(key, {"trials": 0, "max_residual": 0.0})
+            comp["trials"] += 1
+            comp["max_residual"] = max(comp["max_residual"], residual)
+    done = trials - len(report.failures)
+    report.mean_residual = total / done if done else float("nan")
+    return report
+
+
+def _ragged(x, *scalars):
+    # Output rows and failures vary with the input, so one stack holds
+    # outputs of several shapes and trials that fail at different stages.
+    v = x.vectors
+    if v[0, 0] > 1.2:
+        raise ArithmeticError("first coordinate too large")
+    out = v * (1.0 + 0.01 * np.tanh(v[0, 0])) + (0.0 if v[1, 0] < 0.5 else 1e-3)
+    return out if v[0, 1] > 0 else out[0]
+
+
+@pytest.mark.parametrize("kind", [
+    harness.VECTOR_EQUIVARIANT, harness.PSEUDO_VECTOR, harness.SCALAR_INVARIANT,
+    harness.VECTOR_TRANSLATION_INVARIANT,
+])
+@pytest.mark.parametrize("groups_", [
+    ("o",), ("so",), ("e",), ("lorentz",), ("poincare",), ("translation",), ("perm",),
+    ("perm", "translation", "o"), ("lorentz", "poincare"), ("e", "perm"),
+])
+def test_stacked_loop_matches_the_per_trial_loop(groups_, kind):
+    d = 4 if {"lorentz", "poincare"} & set(groups_) else 3
+    roles = (POSITION, "free", POSITION)
+    specs = [harness.SymmetrySpec(g, d, 3, roles=roles, output_kind=kind) for g in groups_]
+    fns = (_ragged, _mean_vector, lambda x: x.vectors[0, 0] * x.vectors[1, 1])
+    runs = [(fn, seed, trials) for fn in fns for seed, trials in ((0, 1), (1, 30))]
+    runs.append((_ragged, 2, harness.CHUNK_TRIALS + 3))
+    for fn, seed, trials in runs:
+        got = harness.certify_joint(fn, specs, trials, groups.make_rng(seed))
+        want = _oracle_certify_joint(fn, specs, trials, groups.make_rng(seed))
+        assert json.dumps(got.to_dict()) == json.dumps(want.to_dict())
+
+
+def test_block_permutation_with_scalars_matches_the_per_trial_loop():
+    specs = [harness.SymmetrySpec(g, 3, 6, roles=(POSITION, "free") * 3,
+                                  output_kind=harness.VECTOR_TRANSLATION_INVARIANT,
+                                  blocks=3, scalars_per_block=2)
+             for g in ("perm", "translation", "o")]
+
+    def fn(x, scalars):
+        return scalars[:, :1] * (x.vectors[0::2] - x.vectors[0::2].mean(axis=0)) + x.vectors[1::2]
+
+    for seed in range(3):
+        got = harness.certify_joint(fn, specs, 40, groups.make_rng(seed))
+        want = _oracle_certify_joint(fn, specs, 40, groups.make_rng(seed))
+        assert json.dumps(got.to_dict()) == json.dumps(want.to_dict())
+
+
+def test_target_is_called_twice_per_trial_in_trial_order():
+    seen = []
+
+    def fn(x):
+        seen.append(x.vectors.copy())
+        return x.vectors[0]
+
+    trials = harness.CHUNK_TRIALS + 2
+    harness.certify(fn, harness.SymmetrySpec("o", 3, 2), trials, groups.make_rng(17))
+    assert len(seen) == 2 * trials
+    rng = groups.make_rng(17)
+    for trial in range(trials):
+        x, _ = harness._sample_input([harness.SymmetrySpec("o", 3, 2)], rng, trial)
+        g = groups.sample("o", rng, 3)
+        assert np.array_equal(seen[2 * trial], x.vectors)
+        assert np.array_equal(seen[2 * trial + 1], groups.apply(g, x).vectors)
+
+
+def test_serialized_input_appends_scalars_to_the_tuple_json():
+    x = VectorTuple(np.array([[0.1, -2.0, 3e-17], [1.0, 0.0, -0.0]]), (POSITION, "free"))
+    scalars = np.array([[0.5], [-1.25]])
+    obj = json.loads(x.to_json())
+    obj["scalars"] = scalars.tolist()
+    assert harness._serialize_input(x, scalars) == json.dumps(obj)
+    assert harness._serialize_input(x, None) == x.to_json()
+
+
+@pytest.mark.parametrize("rows", [2, 4])
+def test_permutation_of_output_rows_that_do_not_match_the_slots_fails_the_trial(rows):
+    report = harness.certify(lambda x: np.ones((rows, 3)), harness.SymmetrySpec("perm", 3, 3),
+                             5, groups.make_rng(18))
+    assert [f["trial"] for f in report.failures] == list(range(5))
+    assert all(f["error"] == f"ShapeError: output has {rows} rows; the permutation moves 3"
+               for f in report.failures)
+
+
+@pytest.mark.parametrize("chunk", [1, 7])
+def test_report_does_not_depend_on_the_chunk_size(monkeypatch, chunk):
+    specs = [harness.SymmetrySpec(g, 4, 3, roles=(POSITION, "free", POSITION))
+             for g in ("lorentz", "perm", "poincare")]
+    want = json.dumps(harness.certify_joint(_ragged, specs, 23, groups.make_rng(19)).to_dict())
+    monkeypatch.setattr(harness, "CHUNK_TRIALS", chunk)
+    assert json.dumps(harness.certify_joint(_ragged, specs, 23, groups.make_rng(19)).to_dict()) == want
