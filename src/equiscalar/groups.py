@@ -201,25 +201,25 @@ def _draw_lorentz(rng, d_plus_1, rapidity_max):
     return a, phi, axis / norm
 
 
-def _haar(a):
-    """Sign-corrected QR of Gaussian matrices: Haar measure on O(d)."""
+def _qr_signs(a):
+    """Q of the QR of Gaussian matrices and the signs of R's diagonal: Q
+    times those signs is Haar-distributed on O(d)."""
     q, r = np.linalg.qr(a)
-    signs = np.sign(np.diagonal(r, axis1=-2, axis2=-1))
-    signs[signs == 0] = 1.0
-    return q * signs[:, None, :]
+    return q, np.where(np.diagonal(r, axis1=-2, axis2=-1) < 0, -1.0, 1.0)
 
 
 def _build_orthogonal(a, col, sign):
-    q = _haar(a)
+    q, signs = _qr_signs(a)
     # Explicit sign flip of a random column so both components of O(d) are
     # covered regardless of the QR convention.
-    q[np.arange(len(q)), :, col] *= sign[:, None]
-    return (q,)
+    signs[np.arange(len(a)), col] *= sign
+    return (q * signs[:, None, :],)
 
 
 def _build_rotation(a):
-    q = _haar(a)
-    q[np.linalg.det(q) < 0, :, 0] *= -1.0
+    q, signs = _qr_signs(a)
+    q = q * signs[:, None, :]
+    q[:, :, 0] *= np.where(np.linalg.det(q) < 0, -1.0, 1.0)[:, None]
     return (q,)
 
 

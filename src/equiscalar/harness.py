@@ -154,8 +154,9 @@ def _per_trial(a, ndim):
 
 
 def _transform(g, det, spec: SymmetrySpec, out, idx):
-    """Expected outputs: ``out`` stacks the outputs of trials ``idx``, and
-    row i moves by element idx[i] of the stack g (det: its determinants)."""
+    """Expected outputs: ``out`` stacks the outputs of the trials that ``idx``
+    selects, and each moves by its element of the stack g (det: their
+    determinants)."""
     kind = spec.output_kind
     if kind == SCALAR_INVARIANT:
         return out
@@ -164,11 +165,11 @@ def _transform(g, det, spec: SymmetrySpec, out, idx):
             return out
         if out.shape[1] != g.sigma.shape[-1]:
             raise ShapeError(f"output has {out.shape[1]} rows; the permutation moves {g.sigma.shape[-1]}")
-        return out[np.arange(len(idx))[:, None], g.sigma[idx]]
+        return out[np.arange(len(out))[:, None], g.sigma[idx]]
     q = g.q[idx]
     if out.ndim == 1:
         out[0] @ q[0].T  # 0-d outputs fail here, as one trial's ``out @ q.T`` does
-    out = (out.reshape(len(idx), -1, out.shape[-1]) @ q.mT).reshape(out.shape)
+    out = (out.reshape(len(out), -1, out.shape[-1]) @ q.mT).reshape(out.shape)
     if kind == VECTOR_EQUIVARIANT and g._translates:
         return out + _per_trial(g.w[idx], out.ndim)
     if kind == PSEUDO_VECTOR:
@@ -203,7 +204,9 @@ def _chunk_results(fn, specs, chunk, rng):
             applied, apply_error = j, exc
             break
 
-    # Call fn once on each input and once on its image, in trial order.
+    # Call fn once on each input and once on its image, in trial order. A
+    # trial's error is the first of: its input's call, then spec by spec the
+    # apply and the transform, then its image's call (``late``).
     errors, late, outs, outs2 = {}, {}, {}, {}
     for t, (x_t, scalars_t) in enumerate(inputs):
         try:
@@ -225,11 +228,12 @@ def _chunk_results(fn, specs, chunk, rng):
         by_shape.setdefault(out.shape, []).append(t)
     for idx in by_shape.values():
         stack = np.array([outs[t] for t in idx])
+        sel = slice(None) if len(idx) == len(chunk) else idx  # all trials: index by a view
         try:
             for j, (g, det, spec) in enumerate(zip(elements, dets, specs)):
                 if j == applied:
                     raise apply_error
-                stack = _transform(g, det, spec, stack, idx)
+                stack = _transform(g, det, spec, stack, sel)
         except Exception as exc:  # noqa: BLE001
             errors.update(dict.fromkeys(idx, exc))
             continue

@@ -24,7 +24,6 @@ from equiscalar.core import FREE, POSITION, euclidean, minkowski
 DATA = Path(__file__).parent / "data"
 GOLDEN = DATA / "golden_certify.json"
 
-VEC = harness.VECTOR_EQUIVARIANT
 VTI = harness.VECTOR_TRANSLATION_INVARIANT
 SCALAR = harness.SCALAR_INVARIANT
 

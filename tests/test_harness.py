@@ -4,7 +4,7 @@ import numpy as np
 import pytest
 
 from equiscalar import basis, groups, harness
-from equiscalar.core import POSITION, VectorTuple
+from equiscalar.core import FREE, POSITION, VectorTuple
 from equiscalar.errors import ShapeError
 
 
@@ -345,7 +345,7 @@ def _ragged(x, *scalars):
 ])
 def test_stacked_loop_matches_the_per_trial_loop(groups_, kind):
     d = 4 if {"lorentz", "poincare"} & set(groups_) else 3
-    roles = (POSITION, "free", POSITION)
+    roles = (POSITION, FREE, POSITION)
     specs = [harness.SymmetrySpec(g, d, 3, roles=roles, output_kind=kind) for g in groups_]
     fns = (_ragged, _mean_vector, lambda x: x.vectors[0, 0] * x.vectors[1, 1])
     runs = [(fn, seed, trials) for fn in fns for seed, trials in ((0, 1), (1, 30))]
@@ -357,7 +357,7 @@ def test_stacked_loop_matches_the_per_trial_loop(groups_, kind):
 
 
 def test_block_permutation_with_scalars_matches_the_per_trial_loop():
-    specs = [harness.SymmetrySpec(g, 3, 6, roles=(POSITION, "free") * 3,
+    specs = [harness.SymmetrySpec(g, 3, 6, roles=(POSITION, FREE) * 3,
                                   output_kind=harness.VECTOR_TRANSLATION_INVARIANT,
                                   blocks=3, scalars_per_block=2)
              for g in ("perm", "translation", "o")]
@@ -390,7 +390,7 @@ def test_target_is_called_twice_per_trial_in_trial_order():
 
 
 def test_serialized_input_appends_scalars_to_the_tuple_json():
-    x = VectorTuple(np.array([[0.1, -2.0, 3e-17], [1.0, 0.0, -0.0]]), (POSITION, "free"))
+    x = VectorTuple(np.array([[0.1, -2.0, 3e-17], [1.0, 0.0, -0.0]]), (POSITION, FREE))
     scalars = np.array([[0.5], [-1.25]])
     obj = json.loads(x.to_json())
     obj["scalars"] = scalars.tolist()
@@ -409,7 +409,7 @@ def test_permutation_of_output_rows_that_do_not_match_the_slots_fails_the_trial(
 
 @pytest.mark.parametrize("chunk", [1, 7])
 def test_report_does_not_depend_on_the_chunk_size(monkeypatch, chunk):
-    specs = [harness.SymmetrySpec(g, 4, 3, roles=(POSITION, "free", POSITION))
+    specs = [harness.SymmetrySpec(g, 4, 3, roles=(POSITION, FREE, POSITION))
              for g in ("lorentz", "perm", "poincare")]
     want = json.dumps(harness.certify_joint(_ragged, specs, 23, groups.make_rng(19)).to_dict())
     monkeypatch.setattr(harness, "CHUNK_TRIALS", chunk)
