@@ -177,9 +177,12 @@ def _transform(g, det, spec: SymmetrySpec, out, idx):
     return out
 
 
+_DET_KEYS = {False: "det=-1", True: "det=+1"}
+
+
 def _chunk_results(fn, specs, chunk, rng):
-    """Yield (trial, (input, scalars), error, residual, component keys) for
-    each trial of ``chunk``, in order; error is None or residual is."""
+    """(trial, (input, scalars), error, residual, component keys) for each
+    trial of ``chunk``, in order; error is None or residual is."""
     # Draw: each trial's input, then one element per spec, in spec order.
     inputs, draws = [], [[] for _ in specs]
     for trial in chunk:
@@ -188,13 +191,13 @@ def _chunk_results(fn, specs, chunk, rng):
             drawn.append(groups.draw(spec.group, rng, _element_dim(spec), spec.rapidity_max))
     elements = [groups.sample_stack(spec.group, drawn) for spec, drawn in zip(specs, draws)]
     dets = [None if isinstance(g, groups.Permutation) else np.linalg.det(g.q) for g in elements]
-    keys = [["det=+1" if v > 0 else "det=-1" for v in det] for g, det in zip(elements, dets)
-            if not isinstance(g, (groups.Permutation, groups.Translation))]
+    positive = [det > 0 for g, det in zip(elements, dets)
+                if not isinstance(g, (groups.Permutation, groups.Translation))]
 
     # Apply: move the stacked inputs by each spec in turn. Failing there fails
     # every trial whose output reaches that spec.
-    n = specs[0].n_vectors
-    x = VectorTuple(np.concatenate([x_t.vectors for x_t, _ in inputs]), specs[0].roles * len(chunk))
+    count, n = len(chunk), specs[0].n_vectors
+    x = VectorTuple(np.concatenate([x_t.vectors for x_t, _ in inputs]), specs[0].roles * count)
     scalars = None if inputs[0][1] is None else np.array([s_t for _, s_t in inputs])
     applied, apply_error = len(specs), None
     for j, (g, spec) in enumerate(zip(elements, specs)):
@@ -207,7 +210,7 @@ def _chunk_results(fn, specs, chunk, rng):
     # Call fn once on each input and once on its image, in trial order. A
     # trial's error is the first of: its input's call, then spec by spec the
     # apply and the transform, then its image's call (``late``).
-    errors, late, outs, outs2 = {}, {}, {}, {}
+    errors, late, outs, outs2 = [None] * count, [None] * count, [None] * count, [None] * count
     for t, (x_t, scalars_t) in enumerate(inputs):
         try:
             outs[t] = np.asarray(_call(fn, x_t, scalars_t), dtype=np.float64)
@@ -223,30 +226,34 @@ def _chunk_results(fn, specs, chunk, rng):
                 late[t] = exc
 
     # Transform the outputs of each shape as one stack, spec by spec.
-    expected, by_shape = {}, {}
-    for t, out in outs.items():
-        by_shape.setdefault(out.shape, []).append(t)
+    expected, by_shape = [None] * count, {}
+    for t, out in enumerate(outs):
+        if out is not None:
+            by_shape.setdefault(out.shape, []).append(t)
     for idx in by_shape.values():
         stack = np.array([outs[t] for t in idx])
-        sel = slice(None) if len(idx) == len(chunk) else idx  # all trials: index by a view
+        sel = slice(None) if len(idx) == count else idx  # all trials: index by a view
         try:
             for j, (g, det, spec) in enumerate(zip(elements, dets, specs)):
                 if j == applied:
                     raise apply_error
                 stack = _transform(g, det, spec, stack, sel)
         except Exception as exc:  # noqa: BLE001
-            errors.update(dict.fromkeys(idx, exc))
+            for t in idx:
+                errors[t] = exc
             continue
-        expected.update(zip(idx, stack))
-    for t, exc in late.items():
-        errors.setdefault(t, exc)
+        for t, row in zip(idx, stack):
+            expected[t] = row
 
+    results = []
     for t, trial in enumerate(chunk):
-        if t in errors:
-            yield trial, inputs[t], errors[t], None, ()
+        error = errors[t] if errors[t] is not None else late[t]
+        if error is not None:
+            results.append((trial, inputs[t], error, None, ()))
             continue
         residual = float(np.linalg.norm(outs2[t] - expected[t]) / (1.0 + np.linalg.norm(outs[t])))
-        yield trial, inputs[t], None, residual, [k[t] for k in keys]
+        results.append((trial, inputs[t], None, residual, [_DET_KEYS[p[t]] for p in positive]))
+    return results
 
 
 def certify(fn, spec: SymmetrySpec, trials: int, rng) -> CertReport:
