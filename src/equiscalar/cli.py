@@ -66,7 +66,7 @@ def features_cmd(metric_kind, subdets, omega_d, infile, outfile):
         x = VectorTuple.from_csv(text) if infile.endswith(".csv") else VectorTuple.from_json(text)
         metric = Metric(EUCLIDEAN if metric_kind == "euclid" else MINKOWSKI, x.d)
         g = features.gram(metric, x)
-        out = {"n": x.n, "d": x.d, "metric": metric.kind, "gram": g.tolist()}
+        out = {"n": x.n, "d": x.d, "metric": metric.kind, "gram": g}
         if subdets:
             out["subdets"] = [
                 {"indices": list(k), "value": v} for k, v in features.subdeterminants(x).items()
@@ -76,14 +76,33 @@ def features_cmd(metric_kind, subdets, omega_d, infile, outfile):
             out["omega"] = [
                 {"i": i, "j": j, "value": v} for (i, j), v in sorted(sample.entries.items())
             ]
+        if outfile:
+            with open(outfile, "w") as fh:
+                _write_features(out, fh.write)
     except (EquiscalarError, OSError, ValueError, KeyError) as exc:
         _fail_usage(f"features: {exc}")
     if outfile:
-        with open(outfile, "w") as fh:
-            json.dump(out, fh, indent=2)
         click.echo(f"wrote {outfile}", err=True)
     else:
-        _emit(out)
+        _write_features(out, lambda text: click.echo(text, nl=False))
+        click.echo()
+
+
+def _write_features(out, write):
+    """Write ``json.dumps(out, indent=2)`` through ``write``, with ``out["gram"]``
+    an ndarray: the other keys go through json, the Gram one row at a time.
+    json's pure-Python encoder (the one ``indent`` selects) spells a float as
+    ``float.__repr__`` does, except ``Infinity``, ``-Infinity`` and ``NaN``."""
+    head, _, tail = json.dumps({**out, "gram": None}, indent=2).partition('"gram": null')
+    write(head + '"gram": [')
+    sep = "\n    [\n      "
+    for row in out["gram"]:
+        text = ",\n      ".join(map(float.__repr__, row.tolist()))
+        if not np.isfinite(row).all():
+            text = text.replace("inf", "Infinity").replace("nan", "NaN")
+        write(sep + text + "\n    ]")
+        sep = ",\n    [\n      "
+    write("\n  ]" + tail)
 
 
 # -- demo -------------------------------------------------------------------
@@ -391,14 +410,14 @@ def certify_cmd(target, spec_path, trials, seed, tolerance, outfile):
         fn, specs = _certify_target(target, spec_dicts)
         rng = groups.make_rng(seed)
         report = harness.certify_joint(fn, specs, trials, rng)
+        payload = report.to_dict()
+        payload["tolerance"] = tolerance
+        payload["passed"] = report.max_residual <= tolerance and not report.failures
+        if outfile:
+            with open(outfile, "w") as fh:
+                json.dump(payload, fh, indent=2)
     except (EquiscalarError, OSError, ValueError, KeyError, TypeError) as exc:
         _fail_usage(f"certify: {exc}")
-    payload = report.to_dict()
-    payload["tolerance"] = tolerance
-    payload["passed"] = report.max_residual <= tolerance and not report.failures
-    if outfile:
-        with open(outfile, "w") as fh:
-            json.dump(payload, fh, indent=2)
     _emit(payload)
     sys.exit(0 if payload["passed"] else 1)
 

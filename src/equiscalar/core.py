@@ -158,7 +158,13 @@ class VectorTuple:
     @classmethod
     def from_json(cls, text: str) -> "VectorTuple":
         obj = json.loads(text)
-        vecs = np.asarray(obj["vectors"], dtype=np.float64)
+        if not (isinstance(obj, dict) and {"d", "vectors"} <= obj.keys()
+                and isinstance(obj.get("roles"), list)):
+            raise ShapeError("a JSON vector tuple must be an object with 'd', 'vectors' and a 'roles' list")
+        try:
+            vecs = np.asarray(obj["vectors"], dtype=np.float64)
+        except (TypeError, ValueError) as exc:
+            raise ShapeError(f"JSON vectors are not a numeric array: {exc}") from None
         if vecs.ndim != 2 or vecs.shape[1] != obj["d"]:
             raise ShapeError("JSON vectors inconsistent with declared dimension d")
         return cls(vecs, tuple(obj["roles"]))

@@ -71,10 +71,14 @@ def _orthogonal(m) -> np.ndarray:
 
 
 def _lorentz(m) -> np.ndarray:
+    """Each element must give |q^T eta q - eta| <= LORENTZ_TOL * max(1, max|q|)^2:
+    the rounding error of q^T eta q grows with the square of q's entries,
+    which reach cosh(rapidity)."""
     q = _square(m)
     lam = minkowski(q.shape[-1]).matrix
-    if np.abs(q.mT @ lam @ q - lam).max() > LORENTZ_TOL:
-        raise ShapeError("matrix does not preserve the Minkowski metric within 1e-9")
+    defect = np.abs(q.mT @ lam @ q - lam).max(axis=(-2, -1))
+    if np.any(defect > LORENTZ_TOL * np.maximum(1.0, np.abs(q).max(axis=(-2, -1))) ** 2):
+        raise ShapeError("matrix does not preserve the Minkowski metric within 1e-9 * max(1, max|q|)^2")
     return q
 
 

@@ -61,6 +61,14 @@ def test_sample_group_requires_seed(runner):
     assert result.exit_code == 2
 
 
+@pytest.mark.parametrize("rapidity_max", ["9", "12"])
+def test_sample_group_lorentz_large_rapidity(runner, rapidity_max):
+    for seed in range(1, 11):
+        result = runner.invoke(main, ["sample-group", "--group", "lorentz", "--dim", "4",
+                                      "--rapidity-max", rapidity_max, "--seed", str(seed)])
+        assert result.exit_code == 0, (seed, result.output)
+
+
 # -- features --------------------------------------------------------------------
 
 
@@ -109,6 +117,28 @@ def test_features_too_many_subdets_exits_2(runner, tmp_path):
     result = runner.invoke(main, ["features", "--in", infile, "--subdets"])
     assert result.exit_code == 2
     assert "subdeterminants" in result.output
+
+
+@pytest.mark.parametrize("text", [
+    "[1, 2]", '"x"', "3", '{"d": 2, "roles": ["free"]}', '{"vectors": [[1, 2]], "roles": ["free"]}',
+    '{"d": 2, "vectors": [[1, 2]]}', '{"d": 2, "vectors": [[1, 2]], "roles": 5}',
+    '{"d": 2, "vectors": [[1, 2]], "roles": null}',
+    '{"d": 2, "vectors": {"a": 1}, "roles": ["free"]}',
+])
+def test_features_malformed_json_tuple_exits_2(runner, tmp_path, text):
+    infile = _write(tmp_path / "x.json", text)
+    result = runner.invoke(main, ["features", "--in", infile])
+    assert result.exit_code == 2, result.output
+    assert result.stderr.startswith("features: ")
+
+
+def test_features_unwritable_out_exits_2(runner, tmp_path):
+    infile = _write(tmp_path / "x.json", VectorTuple([[1.0, 2.0]]).to_json())
+    outfile = tmp_path / "missing" / "x.json"
+    result = runner.invoke(main, ["features", "--in", infile, "--out", str(outfile)])
+    assert result.exit_code == 2
+    assert result.stderr.startswith("features: ") and str(outfile) in result.stderr
+    assert result.stdout == ""
 
 
 # -- demo ------------------------------------------------------------------------
@@ -404,6 +434,21 @@ def test_certify_unknown_target_exits_2(runner, tmp_path):
     )
     assert result.exit_code == 2
 
+
+def test_certify_out_writes_the_report_and_keeps_stdout(runner, tmp_path):
+    spec = {"group": "o", "dim": 3, "n_vectors": 3, "output_kind": "scalar-invariant"}
+    specfile = _write(tmp_path / "spec.json", json.dumps(spec))
+    args = ["certify", "--target", "gram", "--spec", specfile, "--trials", "20", "--seed", "2"]
+    plain = runner.invoke(main, args)
+    outfile = tmp_path / "report.json"
+    written = runner.invoke(main, args + ["--out", str(outfile)])
+    assert plain.exit_code == written.exit_code == 0
+    assert written.stdout == plain.stdout == outfile.read_text() + "\n"
+    missing = tmp_path / "missing" / "report.json"
+    result = runner.invoke(main, args + ["--out", str(missing)])
+    assert result.exit_code == 2
+    assert result.stderr.startswith("certify: ") and str(missing) in result.stderr
+    assert result.stdout == ""
 
 @pytest.mark.parametrize("constant", ["G", "k", "c"])
 @pytest.mark.parametrize("value", ["x", float("nan"), float("inf"), [1.0]])

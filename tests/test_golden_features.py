@@ -6,6 +6,9 @@ exit code, stdout and written file text of the command with ``--out``, as
 written by ``json.dump(out, fh, indent=2)`` of the whole payload. Any change
 to how ``features`` writes its JSON must reproduce them exactly.
 
+The command writes the Gram row by row; the tests below also check that
+writer against ``json.dumps(out, indent=2)`` directly.
+
 Regenerate (only when a change is meant to move the output) with
 
     PYTHONPATH=src python tests/test_golden_features.py
@@ -18,8 +21,9 @@ import numpy as np
 import pytest
 from click.testing import CliRunner
 
-from equiscalar.cli import main
-from equiscalar.core import VectorTuple
+from equiscalar import features
+from equiscalar.cli import _write_features, main
+from equiscalar.core import VectorTuple, euclidean, minkowski
 
 DATA = Path(__file__).parent / "data"
 GOLDEN = DATA / "golden_features.json"
@@ -80,6 +84,42 @@ def test_golden_cases_cover_non_finite_grams(golden):
     for metric in METRICS:
         text = golden[f"overflow-{metric}-plain"]["out"]["file"]
         assert "Infinity" in text and "-Infinity" in text
+
+
+def _written(out):
+    chunks = []
+    _write_features(out, chunks.append)
+    return "".join(chunks)
+
+
+def _json_text(out):
+    return json.dumps({**out, "gram": out["gram"].tolist()}, indent=2)
+
+
+@pytest.mark.parametrize("n, metric", [(100, euclidean(4)), (100, minkowski(4)),
+                                       (1000, minkowski(4))])
+def test_writer_equals_json_dumps(n, metric):
+    x = VectorTuple(np.random.default_rng(n).standard_normal((n, 4)))
+    g = features.gram(metric, x)
+    omega = [{"i": i, "j": j, "value": v}
+             for (i, j), v in sorted(features.omega_sample(g, 3).entries.items())]
+    out = {"n": n, "d": 4, "metric": metric.kind, "gram": g, "omega": omega}
+    assert _written(out) == _json_text(out)
+
+
+def test_writer_spells_non_finite_and_signed_zero_entries_as_json_does():
+    g = np.array([[np.inf, -np.inf, -0.0], [np.nan, 0.0, 1e-320], [-np.nan, 1e300, -2.5e-8]])
+    out = {"n": 3, "d": 2, "metric": "minkowski", "gram": g,
+           "subdets": [{"indices": [0, 1], "value": -np.inf}]}
+    text = _written(out)
+    assert text == _json_text(out)
+    assert "-Infinity" in text and "NaN" in text and "-0.0" in text
+
+
+def test_stdout_is_the_out_file_plus_a_newline(golden):
+    for name in CASES:
+        if golden[name]["stdout"]["exit"] == 0:
+            assert golden[name]["stdout"]["stdout"] == golden[name]["out"]["file"] + "\n"
 
 
 if __name__ == "__main__":

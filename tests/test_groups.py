@@ -274,6 +274,39 @@ def test_stack_with_one_bad_matrix_raises_shape_error(cls, sampler):
         cls(broken)
 
 
+@pytest.mark.parametrize("rapidity_max", [9.0, 12.0])
+def test_lorentz_accepts_its_own_large_boosts(rapidity_max):
+    for seed in range(1, 11):
+        groups.sample_lorentz(groups.make_rng(seed), 4, rapidity_max)
+        groups.sample("poincare", groups.make_rng(seed), 4, rapidity_max)
+
+
+def _lorentz_at(phi):
+    rotation = np.eye(4)
+    rotation[1:, 1:] = groups.sample_rotation(groups.make_rng(5), 3).q
+    return groups.boost(phi, [1.0, 1.0, 1.0], 4) @ rotation
+
+
+@pytest.mark.parametrize("phi", [0.0, 9.0])
+def test_lorentz_rejects_an_entry_off_by_a_relative_1e_6(phi):
+    q = _lorentz_at(phi)
+    groups.Lorentz(q)
+    for i in range(4):
+        for j in range(4):
+            broken = q.copy()
+            broken[i, j] += 1e-6 * np.abs(q).max()
+            with pytest.raises(ShapeError):
+                groups.Lorentz(broken)
+
+
+def test_lorentz_bound_is_scaled_per_stacked_element():
+    small = _lorentz_at(0.0)
+    small[1, 2] += 1e-6
+    groups.Lorentz(np.stack([_lorentz_at(12.0), _lorentz_at(0.0)]))
+    with pytest.raises(ShapeError):
+        groups.Lorentz(np.stack([_lorentz_at(12.0), small]))
+
+
 def test_rotation_stack_with_one_reflection_raises_shape_error():
     q = np.stack([groups.sample_rotation(groups.make_rng(s), 3).q for s in range(4)])
     q[3, :, 0] *= -1.0
