@@ -88,21 +88,51 @@ def features_cmd(metric_kind, subdets, omega_d, infile, outfile):
         click.echo()
 
 
+_OMEGA_ENTRY = '{\n      "i": %d,\n      "j": %d,\n      "value": %r\n    }'
+
+
+def _json_floats(text):
+    """json's spelling of the non-finite floats in a text of float reprs."""
+    return text.replace("inf", "Infinity").replace("nan", "NaN")
+
+
 def _write_features(out, write):
     """Write ``json.dumps(out, indent=2)`` through ``write``, with ``out["gram"]``
-    an ndarray: the other keys go through json, the Gram one row at a time.
+    a square float64 ndarray and ``out["omega"]``, if present, a list of
+    ``{"i", "j", "value"}`` dicts.
+
     json's pure-Python encoder (the one ``indent`` selects) spells a float as
-    ``float.__repr__`` does, except ``Infinity``, ``-Infinity`` and ``NaN``."""
-    head, _, tail = json.dumps({**out, "gram": None}, indent=2).partition('"gram": null')
+    ``float.__repr__`` does, except ``Infinity``, ``-Infinity`` and ``NaN``.
+    The Gram goes out one row at a time, and each entry on or above the
+    diagonal is formatted once: row k's entries left of the diagonal reuse
+    the texts of column k of the earlier rows, kept in a bytes array
+    (``S24`` holds the longest float64 repr) that is filled column by column,
+    so that row k's prefix is the contiguous ``mirror[k, :k]``. An entry
+    whose bits differ from its mirror's is formatted on its own. The Ω band
+    goes through a template, the other keys through json."""
+    g, omega = out["gram"], out.get("omega")
+    rest = json.dumps({k: None if k in ("gram", "omega") else v for k, v in out.items()}, indent=2)
+    head, _, tail = rest.partition('"gram": null')
+    if omega is not None:
+        entries = ",\n    ".join(_OMEGA_ENTRY % (e["i"], e["j"], e["value"]) for e in omega)
+        tail = tail.replace('"omega": null', '"omega": ' + (
+            "[\n    " + _json_floats(entries) + "\n  ]" if omega else "[]"))
+    bits = g.view(np.uint64)
+    mirror = np.zeros(g.shape, "S24")
+    finite = np.isfinite(g).all()
     write(head + '"gram": [')
     sep = "\n    [\n      "
-    for row in out["gram"]:
-        text = ",\n      ".join(map(float.__repr__, row.tolist()))
-        if not np.isfinite(row).all():
-            text = text.replace("inf", "Infinity").replace("nan", "NaN")
-        write(sep + text + "\n    ]")
+    for k, row in enumerate(g):
+        texts = list(map(float.__repr__, row[k:].tolist()))
+        mirror[k + 1:, k] = texts[1:]
+        prefix = mirror[k, :k]
+        odd = np.flatnonzero(bits[k, :k] != bits[:k, k])
+        if odd.size:
+            prefix[odd] = list(map(float.__repr__, row[odd].tolist()))
+        text = b",\n      ".join([*prefix.tolist(), b""]).decode() + ",\n      ".join(texts)
+        write(sep + (text if finite else _json_floats(text)) + "\n    ]")
         sep = ",\n    [\n      "
-    write("\n  ]" + tail)
+    write(("\n  ]" if len(g) else "]") + tail)
 
 
 # -- demo -------------------------------------------------------------------
