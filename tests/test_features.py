@@ -47,6 +47,28 @@ def test_gram_exact_symmetry():
     assert np.array_equal(g, g.T)
 
 
+def _bit_symmetric(g):
+    """Mirror entries hold the same bits; np.array_equal takes -0.0 == 0.0
+    and NaN != NaN. The features writer relies on this to reuse the texts of
+    the upper triangle for the lower one."""
+    return np.array_equal(g.view(np.uint64), g.T.view(np.uint64))
+
+
+@pytest.mark.parametrize("metric", [euclidean(4), minkowski(4)], ids=["euclid", "minkowski"])
+@pytest.mark.parametrize("n", [1, 2, 10, 1000])
+def test_gram_is_bit_symmetric(metric, n):
+    x = VectorTuple(np.random.default_rng(n).standard_normal((n, 4)))
+    assert _bit_symmetric(features.gram(metric, x))
+
+
+def test_gram_is_bit_symmetric_with_zero_vectors():
+    v = np.random.default_rng(9).standard_normal((8, 4))
+    v[2] = 0.0
+    v[5] = -0.0
+    v[6] = [-0.0, 0.0, -0.0, 1.0]
+    assert _bit_symmetric(features.gram(minkowski(4), VectorTuple(v)))
+
+
 def test_gram_orthogonal_invariance():
     rng = groups.make_rng(1)
     for _ in range(200):
