@@ -16,7 +16,7 @@ import numpy as np
 
 from . import einsum, features, groups, harness, mpnn, physics
 from .core import EUCLIDEAN, MINKOWSKI, Metric, VectorTuple, as_scalar
-from .errors import EquiscalarError, ShapeError
+from .errors import EquiscalarError, NonFiniteError, ShapeError
 
 
 def _emit(obj):
@@ -65,12 +65,17 @@ def features_cmd(metric_kind, subdets, omega_d, infile, outfile):
             text = fh.read()
         x = VectorTuple.from_csv(text) if infile.endswith(".csv") else VectorTuple.from_json(text)
         metric = Metric(EUCLIDEAN if metric_kind == "euclid" else MINKOWSKI, x.d)
-        g = features.gram(metric, x)
+        # A finite input can overflow; that is reported below, not warned about.
+        with np.errstate(over="ignore", invalid="ignore"):
+            g = features.gram(metric, x)
+            dets = features.subdeterminants(x) if subdets else {}
+        if not np.isfinite(g).all():
+            raise NonFiniteError("gram matrix contains NaN or Inf")
+        if not np.isfinite(list(dets.values())).all():
+            raise NonFiniteError("subdeterminants contain NaN or Inf")
         out = {"n": x.n, "d": x.d, "metric": metric.kind, "gram": g}
         if subdets:
-            out["subdets"] = [
-                {"indices": list(k), "value": v} for k, v in features.subdeterminants(x).items()
-            ]
+            out["subdets"] = [{"indices": list(k), "value": v} for k, v in dets.items()]
         if omega_d is not None:
             sample = features.omega_sample(g, omega_d)
             out["omega"] = [

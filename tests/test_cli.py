@@ -1,5 +1,6 @@
 import csv
 import json
+import warnings
 from pathlib import Path
 
 import numpy as np
@@ -130,6 +131,25 @@ def test_features_malformed_json_tuple_exits_2(runner, tmp_path, text):
     result = runner.invoke(main, ["features", "--in", infile])
     assert result.exit_code == 2, result.output
     assert result.stderr.startswith("features: ")
+
+
+@pytest.mark.parametrize("vectors, args, message", [
+    ([[1e200, 0, 0], [1, 2, 3]], [], "gram matrix contains NaN or Inf"),
+    ([[1e200, 0, 0], [1, 2, 3]], ["--omega", "1"], "gram matrix contains NaN or Inf"),
+    ([[1e200, 0, 0], [1, 2, 3]], ["--metric", "minkowski"], "gram matrix contains NaN or Inf"),
+    ([[1e110, 0, 0], [0, 1e110, 0], [0, 0, 1e110]], ["--subdets"],
+     "subdeterminants contain NaN or Inf"),
+], ids=["gram", "gram-omega", "gram-minkowski", "subdets"])
+def test_features_non_finite_result_exits_2(runner, tmp_path, vectors, args, message):
+    text = json.dumps({"d": 3, "vectors": vectors, "roles": ["free"] * len(vectors)})
+    infile = _write(tmp_path / "x.json", text)
+    outfile = tmp_path / "x.out.json"
+    with warnings.catch_warnings(record=True) as caught:
+        warnings.simplefilter("always")
+        result = runner.invoke(main, ["features", *args, "--in", infile, "--out", str(outfile)])
+    assert result.exit_code == 2
+    assert result.stderr == f"features: {message}\n" and result.stdout == ""
+    assert not outfile.exists() and caught == []
 
 
 def test_features_unwritable_out_exits_2(runner, tmp_path):

@@ -6,8 +6,11 @@ exit code, stdout and written file text of the command with ``--out``, as
 written by ``json.dump(out, fh, indent=2)`` of the whole payload. Any change
 to how ``features`` writes its JSON must reproduce them exactly.
 
-The command writes the Gram row by row; the tests below also check that
-writer against ``json.dumps(out, indent=2)`` directly.
+The command writes the Gram row by row, formatting each entry on or above
+the diagonal once and reusing its text for the mirror entry, and the Omega
+band through a template; the tests below also check that writer against
+``json.dumps(out, indent=2)`` directly, on symmetric Grams and on matrices
+whose mirror entries differ.
 
 Regenerate (only when a change is meant to move the output) with
 
@@ -28,7 +31,7 @@ from equiscalar.core import VectorTuple, euclidean, minkowski
 DATA = Path(__file__).parent / "data"
 GOLDEN = DATA / "golden_features.json"
 
-# name -> vectors; the last overflows the Gram to +-Infinity.
+# name -> vectors; the last overflows the Gram, which the command rejects.
 INPUTS = {
     "n1": np.random.default_rng(1).standard_normal((1, 3)),
     "n3": np.random.default_rng(2).standard_normal((3, 3)),
@@ -46,10 +49,6 @@ VARIANTS = {
     "subdets-omega2": ["--subdets", "--omega", "2"],
 }
 CASES = [f"{i}-{m}-{v}" for i in INPUTS for m in METRICS for v in VARIANTS]
-
-# numpy warns on stderr about the overflow (in the Gram and in the
-# subdeterminants); the command runs on, as it does outside the test suite.
-pytestmark = pytest.mark.filterwarnings("ignore::RuntimeWarning")
 
 
 def _run(name, workdir, to_file):
@@ -81,9 +80,10 @@ def test_features_output_matches_golden(golden, name, tmp_path):
 
 def test_golden_cases_cover_non_finite_grams(golden):
     assert set(golden) == set(CASES)
-    for metric in METRICS:
-        text = golden[f"overflow-{metric}-plain"]["out"]["file"]
-        assert "Infinity" in text and "-Infinity" in text
+    for name in CASES:
+        if name.startswith("overflow-"):
+            assert golden[name]["stdout"] == {"exit": 2, "stdout": ""}
+            assert golden[name]["out"] == {"exit": 2, "stdout": "", "file": None}
 
 
 def _written(out):
@@ -97,7 +97,8 @@ def _json_text(out):
 
 
 @pytest.mark.parametrize("n, metric", [(100, euclidean(4)), (100, minkowski(4)),
-                                       (1000, minkowski(4))])
+                                       (1000, minkowski(4)), (4, euclidean(4)),
+                                       (4, minkowski(4))])
 def test_writer_equals_json_dumps(n, metric):
     x = VectorTuple(np.random.default_rng(n).standard_normal((n, 4)))
     g = features.gram(metric, x)
@@ -114,6 +115,53 @@ def test_writer_spells_non_finite_and_signed_zero_entries_as_json_does():
     text = _written(out)
     assert text == _json_text(out)
     assert "-Infinity" in text and "NaN" in text and "-0.0" in text
+
+
+def _nan(payload):
+    return np.array([payload], dtype=np.uint64).view(np.float64)[0]
+
+
+def _symmetric(n, seed):
+    a = np.random.default_rng(seed).standard_normal((n, n))
+    return np.triu(a) + np.triu(a, 1).T
+
+
+def _off_the_happy_path():
+    """name -> square matrix on which reusing a mirror entry's text is wrong
+    or would truncate."""
+    cases = {"non-symmetric": np.random.default_rng(7).standard_normal((9, 9))}
+    g = cases["signed-zero"] = _symmetric(6, 8)
+    g[1, 4], g[4, 1] = 0.0, -0.0
+    g[5, 0], g[0, 5] = 0.0, -0.0
+    g = cases["nan-payloads"] = _symmetric(5, 9)
+    g[0, 3], g[3, 0] = _nan(0x7FF8000000000001), _nan(0xFFF8000000000002)
+    g[2, 2] = np.nan
+    g = cases["longest-reprs"] = _symmetric(7, 10)
+    for i, j, v in [(0, 1, -2.2250738585072014e-308), (2, 5, -1.7976931348623157e+308),
+                    (3, 3, -2.2250738585072014e-308), (6, 4, -1.7976931348623157e+308)]:
+        g[i, j] = g[j, i] = v
+    cases["empty"] = np.zeros((0, 0))
+    return cases
+
+
+OFF_THE_HAPPY_PATH = _off_the_happy_path()
+
+
+@pytest.mark.parametrize("name", list(OFF_THE_HAPPY_PATH))
+def test_writer_equals_json_dumps_off_the_happy_path(name):
+    g = OFF_THE_HAPPY_PATH[name]
+    n = len(g)
+    band = [{"i": i, "j": (i + s) % n, "value": g[i, (i + s) % n].item()}
+            for i in range(n) for s in range(3)]
+    out = {"n": n, "d": 2, "metric": "euclidean", "gram": g, "omega": band}
+    assert _written(out) == _json_text(out)
+
+
+def test_longest_reprs_fill_the_mirror_store():
+    # 24 characters: the width of the writer's bytes store; a narrower one
+    # would cut these texts in the lower triangle.
+    g = OFF_THE_HAPPY_PATH["longest-reprs"]
+    assert max(len(repr(v)) for v in g.ravel().tolist()) == 24
 
 
 def test_stdout_is_the_out_file_plus_a_newline(golden):
