@@ -54,13 +54,6 @@ def _bit_symmetric(g):
     return np.array_equal(g.view(np.uint64), g.T.view(np.uint64))
 
 
-@pytest.mark.parametrize("metric", [euclidean(4), minkowski(4)], ids=["euclid", "minkowski"])
-@pytest.mark.parametrize("n", [1, 2, 10, 1000])
-def test_gram_is_bit_symmetric(metric, n):
-    x = VectorTuple(np.random.default_rng(n).standard_normal((n, 4)))
-    assert _bit_symmetric(features.gram(metric, x))
-
-
 def test_gram_is_bit_symmetric_with_zero_vectors():
     v = np.random.default_rng(9).standard_normal((8, 4))
     v[2] = 0.0
@@ -92,12 +85,12 @@ def _loop_gram(metric, x):
 
 
 @pytest.mark.parametrize("metric", [euclidean(4), minkowski(4)], ids=["euclid", "minkowski"])
-@pytest.mark.parametrize("n", [1, 3, 4, 10, 100, 1000])
+@pytest.mark.parametrize("n", [1, 2, 3, 4, 10, 100, 1000])
 def test_gram_matches_loop_oracle(metric, n):
     x = VectorTuple(np.random.default_rng(n).standard_normal((n, 4)))
     g = features.gram(metric, x)
     want = _loop_gram(metric, x)
-    assert np.array_equal(g, g.T)
+    assert _bit_symmetric(g)
     if n <= 100:
         assert np.array_equal(g, want)
     else:
