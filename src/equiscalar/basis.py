@@ -173,9 +173,10 @@ class _SymmetrizedCoefficients:
         total = np.zeros(n)
         cross_total = {}
         count = math.factorial(n)
-        for sigma in itertools.permutations(range(n)):
-            idx = list(sigma)
-            permuted_gram = features.gram[np.ix_(idx, idx)]
+        sigmas = list(itertools.permutations(range(n)))
+        perms = np.array(sigmas, dtype=np.intp)
+        permuted_grams = features.gram[perms[:, :, None], perms[:, None, :]]
+        for sigma, idx, permuted_gram in zip(sigmas, perms, permuted_grams):
             permuted_subdets = None
             if features.subdets is not None:
                 permuted_subdets = _permute_subdets(features.subdets, sigma)

@@ -318,7 +318,7 @@ def train_cmd(config_path, model_path, report_path):
         def certify_epoch(epoch, current):
             # The same 10 trials every epoch, so the column tracks the model alone.
             cert = harness.certify_joint(
-                _mpnn_certify_fn(current), spec_list, trials=10, rng=groups.make_rng(cfg["seed"] + 1)
+                _block_target(current.forward), spec_list, trials=10, rng=groups.make_rng(cfg["seed"] + 1)
             )
             residuals.append(cert.max_residual)
 
@@ -361,12 +361,14 @@ def _mpnn_specs(n):
     ]
 
 
-def _mpnn_certify_fn(model):
+def _block_target(f):
+    """Target on tuples of (position, velocity) blocks with one scalar per
+    block: ``f(scalars, positions, velocities)``, on one tuple's (n,) and
+    (n, 3) arrays or, as ``.batched``, on (T, n) and (T, n, 3) stacks."""
     def fn(x, scalars):
-        rs = x.vectors[0::2]
-        vs = x.vectors[1::2]
-        return model.forward(scalars[:, 0], rs, vs)
+        return f(scalars[:, 0], x.vectors[0::2], x.vectors[1::2])
 
+    fn.batched = lambda vectors, scalars: f(scalars[..., 0], vectors[:, 0::2], vectors[:, 1::2])
     return fn
 
 
@@ -377,39 +379,17 @@ def _certify_target(target, spec_dicts):
     """Build (fn, specs) for a named certification target."""
     specs = [harness.SymmetrySpec(**d) for d in spec_dicts]
     if target == "gram":
-        metric_kind = MINKOWSKI if specs[0].group in ("lorentz", "poincare") else EUCLIDEAN
-        fn = lambda x: features.gram(Metric(metric_kind, x.d), x)
+        metric = Metric(MINKOWSKI if specs[0].group in ("lorentz", "poincare") else EUCLIDEAN,
+                        specs[0].dim)
+        fn = lambda x: features.gram(metric, x)
+        fn.batched = lambda vectors, scalars: features.gram_stack(metric, vectors)
         return fn, specs
     if target == "energy":
-        def energy_fn(x, scalars):
-            n = x.n // 2
-            parts = [
-                physics.Particle(
-                    x.vectors[2 * i], x.vectors[2 * i + 1], mass=abs(scalars[i, 0]) + 0.1
-                )
-                for i in range(n)
-            ]
-            return physics.total_energy(parts, 1.0)
-
-        return energy_fn, specs
+        return _block_target(lambda q, r, v: physics.total_energies(r, v, np.abs(q) + 0.1, 1.0)), specs
     if target == "emforce":
-        def force_fn(x, scalars):
-            n = x.n // 2
-            parts = [
-                physics.Particle(x.vectors[2 * i], x.vectors[2 * i + 1], charge=scalars[i, 0])
-                for i in range(n)
-            ]
-            return np.array(
-                [
-                    physics.em_force_scalar(parts[i], parts[:i] + parts[i + 1 :], 1.0, 1.0)
-                    for i in range(n)
-                ]
-            )
-
-        return force_fn, specs
+        return _block_target(lambda q, r, v: physics.em_forces(r, v, q, 1.0, 1.0)), specs
     if target.startswith("model:"):
-        model = mpnn.MpnnModel.load(target[len("model:"):])
-        return _mpnn_certify_fn(model), specs
+        return _block_target(mpnn.MpnnModel.load(target[len("model:"):]).forward), specs
     if target.startswith("einsum:"):
         parsed = einsum.parse(target[len("einsum:"):])
         names = []

@@ -9,6 +9,7 @@ from __future__ import annotations
 import json
 import math
 from dataclasses import dataclass, field
+from functools import cached_property
 from numbers import Real
 
 import numpy as np
@@ -81,12 +82,14 @@ class Metric:
         lam[0, 0] = 1.0
         return lam
 
-    @property
+    @cached_property
     def signature(self) -> np.ndarray:
-        """Diagonal of the metric matrix (both metrics here are diagonal)."""
+        """Diagonal of the metric matrix (both metrics here are diagonal),
+        built once per metric and read-only, since every Gram reuses it."""
         s = np.ones(self.dim) if self.kind == EUCLIDEAN else -np.ones(self.dim)
         if self.kind == MINKOWSKI:
             s[0] = 1.0
+        s.setflags(write=False)
         return s
 
 
@@ -143,6 +146,14 @@ class VectorTuple:
 
     def with_vectors(self, vectors) -> "VectorTuple":
         return VectorTuple(vectors, self.roles)
+
+    def rows(self, start: int, stop: int) -> "VectorTuple":
+        """Vectors start:stop and their roles as a tuple that shares this
+        one's array; rows of a valid tuple need no validation again."""
+        view = object.__new__(VectorTuple)
+        object.__setattr__(view, "vectors", self.vectors[start:stop])
+        object.__setattr__(view, "roles", self.roles[start:stop])
+        return view
 
     # -- serialization ----------------------------------------------------
 

@@ -43,14 +43,29 @@ class ScalarFeatureSet:
         return self.n_out if self.n_out is not None else self.gram.shape[0]
 
 
+# Strict lower-triangle masks for small n, where building one costs more
+# than the Gram itself; larger masks are built per call, not kept.
+_LOWER = [np.tri(n, k=-1, dtype=bool) for n in range(33)]
+
+
 def gram(metric: Metric, x: VectorTuple) -> np.ndarray:
     """Pairwise invariant scalar products; exactly symmetric, the lower
     triangle being a copy of the upper one."""
-    if x.d != metric.dim:
-        raise ShapeError(f"tuple dimension {x.d} does not match metric dimension {metric.dim}")
-    m = (x.vectors * metric.signature) @ x.vectors.T
-    lower = np.tri(x.n, k=-1, dtype=bool)
-    m[lower] = m.T[lower]
+    return gram_stack(metric, x.vectors)
+
+
+def gram_stack(metric: Metric, vectors: np.ndarray) -> np.ndarray:
+    """``gram`` of the (n, d) float64 array ``vectors``, or of each tuple in
+    a (T, n, d) stack of them, bit for bit as on one tuple."""
+    n, d = vectors.shape[-2:]
+    if d != metric.dim:
+        raise ShapeError(f"tuple dimension {d} does not match metric dimension {metric.dim}")
+    m = (vectors * metric.signature) @ vectors.mT
+    lower = _LOWER[n] if n < len(_LOWER) else np.tri(n, k=-1, dtype=bool)
+    if m.ndim == 2:  # the 2-d mask index is ~5x faster at n = 1000
+        m[lower] = m.T[lower]
+    else:
+        m[:, lower] = m.mT[:, lower]
     return m
 
 

@@ -10,9 +10,17 @@ per spec, in spec order, before the next trial draws anything. Trials run
 in stacks of ``CHUNK_TRIALS``: the draws of a stack are taken in that
 order first, then its elements are built, applied to all inputs and
 compared as array operations. Stacking moves no draw, so a seeded report is
-the same whatever the chunk size. The target is still called per trial,
-on a validated ``VectorTuple``: on the input, then on its image, in trial
-order.
+the same whatever the chunk size.
+
+The stacked inputs are validated once, as one ``VectorTuple`` of T*n rows. A
+target that declares a batched form, ``fn.batched(vectors, scalars)`` on a
+(T, n, d) stack and its (T, blocks, k) scalars (or None), returning outputs
+with a leading axis of length T, is called once on a stack's inputs and once
+on their images, provided every image keeps the spec's roles. Otherwise,
+and whenever the batched call raises or returns the wrong leading length,
+the target is called per trial on row views of the validated stack: on the
+input, then on its image, in trial order, so a failure names its trial.
+Residuals of the outputs of one shape are computed as one stack.
 """
 from __future__ import annotations
 
@@ -102,6 +110,7 @@ def _element_dim(spec: SymmetrySpec) -> int:
 
 
 def _sample_input(specs, rng, trial: int):
+    """One trial's (n, d) input vectors and its (blocks, k) scalars or None."""
     spec = specs[0]
     n, d = spec.n_vectors, spec.dim
     vecs = rng.standard_normal((n, d))
@@ -114,13 +123,12 @@ def _sample_input(specs, rng, trial: int):
         u = u / np.sqrt(u[:, None, :] @ u[:, :, None])[:, 0]
         vecs[:, 0] = scale
         vecs[:, 1:] = (0.999 * scale)[:, None] * u
-    x = VectorTuple(vecs, spec.roles)
     scalars = (
         rng.standard_normal((spec.blocks, spec.scalars_per_block))
         if spec.scalars_per_block
         else None
     )
-    return x, scalars
+    return vecs, scalars
 
 
 def _serialize_input(x: VectorTuple, scalars) -> str:
@@ -180,6 +188,74 @@ def _transform(g, det, spec: SymmetrySpec, out, idx):
 _DET_KEYS = {False: "det=-1", True: "det=+1"}
 
 
+def _batched_outputs(fn, x, scalars, images, image_scalars, count):
+    """``_per_trial_outputs``' result from fn's batched form, called on the
+    stacked inputs and on their images, or None when the per-trial loop has
+    to run instead."""
+    batched = getattr(fn, "batched", None)
+    if batched is None or images.roles != x.roles:
+        return None
+    try:
+        outs = np.asarray(batched(x.vectors.reshape(count, -1, x.d), scalars), dtype=np.float64)
+        outs2 = np.asarray(batched(images.vectors.reshape(count, -1, x.d), image_scalars),
+                           dtype=np.float64)
+    except Exception:  # noqa: BLE001 - the per-trial loop names the failing trial
+        return None
+    if outs.shape[:1] != (count,) or outs2.shape != outs.shape:
+        return None
+    trials = list(range(count))
+    return [(trials, outs, trials, outs2)]
+
+
+def _per_trial_outputs(fn, x, scalars, images, image_scalars, count, errors, late):
+    """Call fn on each input and then on its image (unless ``images`` is
+    None), in trial order, on row views of the stacks; record each trial's
+    error in ``errors`` (its input's call) or ``late`` (its image's call, or
+    an image output whose shape is not the input's). Returns, per output
+    shape, (trials, their outputs, positions among them of the trials with an
+    image output, those image outputs)."""
+    n = x.n // count
+    outs, outs2 = [None] * count, [None] * count
+    for t in range(count):
+        try:
+            outs[t] = np.asarray(_call(fn, x.rows(t * n, (t + 1) * n),
+                                       None if scalars is None else scalars[t]), dtype=np.float64)
+        except Exception as exc:  # noqa: BLE001 - failures are data here
+            errors[t] = exc
+            continue
+        if images is None:
+            continue
+        try:
+            out2 = np.asarray(_call(fn, images.rows(t * n, (t + 1) * n),
+                                    None if image_scalars is None else image_scalars[t]),
+                              dtype=np.float64)
+        except Exception as exc:  # noqa: BLE001
+            late[t] = exc
+            continue
+        if out2.shape != outs[t].shape:
+            late[t] = ShapeError(f"output of shape {out2.shape} on the image, "
+                                 f"{outs[t].shape} on the input")
+        else:
+            outs2[t] = out2
+    by_shape = {}
+    for t, out in enumerate(outs):
+        if out is not None:
+            by_shape.setdefault(out.shape, []).append(t)
+    shapes = []
+    for idx in by_shape.values():
+        done = [k for k, t in enumerate(idx) if outs2[t] is not None]
+        shapes.append((idx, np.array([outs[t] for t in idx]),
+                       done, np.array([outs2[idx[k]] for k in done])))
+    return shapes
+
+
+def _norms(a):
+    """``np.linalg.norm`` of each a[k], bit for bit: the root of the dot
+    product of a[k] with itself."""
+    f = a.reshape(len(a), -1)
+    return np.sqrt(f[:, None, :] @ f[:, :, None]).ravel()
+
+
 def _chunk_results(fn, specs, chunk, rng):
     """(trial, (input, scalars), error, residual, component keys) for each
     trial of ``chunk``, in order; error is None or residual is."""
@@ -194,65 +270,60 @@ def _chunk_results(fn, specs, chunk, rng):
     positive = [det > 0 for g, det in zip(elements, dets)
                 if not isinstance(g, (groups.Permutation, groups.Translation))]
 
-    # Apply: move the stacked inputs by each spec in turn. Failing there fails
-    # every trial whose output reaches that spec.
+    # Apply: validate the stacked inputs once, then move them by each spec in
+    # turn. Failing there fails every trial whose output reaches that spec.
     count, n = len(chunk), specs[0].n_vectors
-    x = VectorTuple(np.concatenate([x_t.vectors for x_t, _ in inputs]), specs[0].roles * count)
-    scalars = None if inputs[0][1] is None else np.array([s_t for _, s_t in inputs])
+    x = VectorTuple(np.concatenate([v for v, _ in inputs]), specs[0].roles * count)
+    scalars = None if inputs[0][1] is None else np.array([s for _, s in inputs])
+    images, image_scalars = x, scalars
     applied, apply_error = len(specs), None
     for j, (g, spec) in enumerate(zip(elements, specs)):
         try:
-            x, scalars = _apply_stack(g, spec, x, scalars)
+            images, image_scalars = _apply_stack(g, spec, images, image_scalars)
         except Exception as exc:  # noqa: BLE001 - failures are data here
             applied, apply_error = j, exc
             break
 
-    # Call fn once on each input and once on its image, in trial order. A
-    # trial's error is the first of: its input's call, then spec by spec the
-    # apply and the transform, then its image's call (``late``).
-    errors, late, outs, outs2 = [None] * count, [None] * count, [None] * count, [None] * count
-    for t, (x_t, scalars_t) in enumerate(inputs):
-        try:
-            outs[t] = np.asarray(_call(fn, x_t, scalars_t), dtype=np.float64)
-        except Exception as exc:  # noqa: BLE001
-            errors[t] = exc
-            continue
-        if apply_error is None:
-            rows = slice(t * n, (t + 1) * n)
-            try:
-                outs2[t] = np.asarray(_call(fn, VectorTuple(x.vectors[rows], x.roles[rows]),
-                                            None if scalars is None else scalars[t]), dtype=np.float64)
-            except Exception as exc:  # noqa: BLE001
-                late[t] = exc
+    # Call fn on the inputs and on their images. A trial's error is the first
+    # of: its input's call, then spec by spec the apply and the transform,
+    # then its image's call (``late``).
+    errors, late = [None] * count, [None] * count
+    shapes = None if apply_error else _batched_outputs(fn, x, scalars, images, image_scalars, count)
+    if shapes is None:
+        shapes = _per_trial_outputs(fn, x, scalars, None if apply_error else images,
+                                    image_scalars, count, errors, late)
 
-    # Transform the outputs of each shape as one stack, spec by spec.
-    expected, by_shape = [None] * count, {}
-    for t, out in enumerate(outs):
-        if out is not None:
-            by_shape.setdefault(out.shape, []).append(t)
-    for idx in by_shape.values():
-        stack = np.array([outs[t] for t in idx])
-        sel = slice(None) if len(idx) == count else idx  # all trials: index by a view
+    # Transform the outputs of each shape as one stack, spec by spec, and
+    # compare those of the trials whose image output came back.
+    residuals = [None] * count
+    for idx, stack, done, outs2 in shapes:
+        expected = stack
         try:
             for j, (g, det, spec) in enumerate(zip(elements, dets, specs)):
                 if j == applied:
                     raise apply_error
-                stack = _transform(g, det, spec, stack, sel)
+                expected = _transform(g, det, spec, expected,
+                                      slice(None) if len(idx) == count else idx)
         except Exception as exc:  # noqa: BLE001
             for t in idx:
                 errors[t] = exc
             continue
-        for t, row in zip(idx, stack):
-            expected[t] = row
+        if not done:
+            continue
+        if len(done) < len(idx):
+            stack, expected = stack[done], expected[done]
+        stacked = _norms(outs2 - expected) / (1.0 + _norms(stack))
+        for k, residual in zip(done, stacked.tolist()):
+            residuals[idx[k]] = residual
 
     results = []
     for t, trial in enumerate(chunk):
+        given = x.rows(t * n, (t + 1) * n), None if scalars is None else scalars[t]
         error = errors[t] if errors[t] is not None else late[t]
         if error is not None:
-            results.append((trial, inputs[t], error, None, ()))
+            results.append((trial, given, error, None, ()))
             continue
-        residual = float(np.linalg.norm(outs2[t] - expected[t]) / (1.0 + np.linalg.norm(outs[t])))
-        results.append((trial, inputs[t], None, residual, [_DET_KEYS[p[t]] for p in positive]))
+        results.append((trial, given, None, residuals[t], [_DET_KEYS[p[t]] for p in positive]))
     return results
 
 

@@ -48,12 +48,21 @@ def total_energy(particles, G: float) -> float:
     r = np.array([p.r for p in particles])
     v = np.array([p.v for p in particles])
     m = np.array([p.mass for p in particles], dtype=np.float64)
-    sep = np.linalg.norm(r[:, None] - r[None, :], axis=-1)
-    np.fill_diagonal(sep, np.inf)
+    return float(total_energies(r, v, m, G))
+
+
+def total_energies(r, v, m, G: float) -> np.ndarray:
+    """``total_energy`` of the particles at positions r (n, d), velocities v
+    (n, d) and masses m (n,), or of each set in stacks (T, n, d), (T, n, d),
+    (T, n) of them, bit for bit as on one set."""
+    sep = np.linalg.norm(r[..., :, None, :] - r[..., None, :, :], axis=-1)
+    sep.reshape(*sep.shape[:-2], -1)[..., :: sep.shape[-1] + 1] = np.inf  # the diagonals
     hit = np.argwhere(sep == 0.0)
     if hit.size:
-        raise DegenerateInputError("particles %d and %d have coincident positions" % tuple(hit[0]))
-    return 0.5 * float(m @ (v * v).sum(axis=1)) - G * float(np.sum(np.outer(m, m) / sep))
+        raise DegenerateInputError("particles %d and %d have coincident positions" % tuple(hit[0][-2:]))
+    kinetic = (m[..., None, :] @ (v * v).sum(axis=-1)[..., None])[..., 0, 0]
+    pairs = m[..., :, None] * m[..., None, :] / sep
+    return 0.5 * kinetic - G * pairs.reshape(*pairs.shape[:-2], -1).sum(axis=-1)
 
 
 def _check_em_inputs(test, sources):
@@ -93,6 +102,25 @@ def em_force_scalar(test: Particle, sources, k: float, c: float) -> np.ndarray:
     coef = k * test.charge * q / np.linalg.norm(delta, axis=1) ** 3
     vv, vd = v @ test.v, delta @ test.v
     return coef @ ((1.0 - vv / c**2)[:, None] * delta + (vd / c**2)[:, None] * v)
+
+
+def em_forces(r, v, q, k: float, c: float) -> np.ndarray:
+    """``em_force_scalar`` on each of n particles from the other n - 1, for
+    positions r (n, 3), velocities v (n, 3) and charges q (n,), or for each
+    set in stacks (T, n, 3), (T, n, 3), (T, n) of them, bit for bit."""
+    n, d = r.shape[-2:]
+    if d != 3:
+        raise ShapeError("electromagnetic force is defined for d=3")
+    others = np.nonzero(~np.eye(n, dtype=bool))[1].reshape(n, n - 1)
+    rs, vs = r[..., others, :], v[..., others, :]  # (..., n, n - 1, 3): particle i's sources
+    hit = np.argwhere((rs == r[..., None, :]).all(axis=-1))
+    if hit.size:
+        raise DegenerateInputError(f"source {hit[0][-1]} coincides with the test particle position")
+    delta = r[..., None, :] - rs
+    coef = (k * q)[..., None] * q[..., others] / np.linalg.norm(delta, axis=-1) ** 3
+    test_v = v[..., None]
+    vv, vd = vs @ test_v, delta @ test_v
+    return ((coef[..., None, :] @ ((1.0 - vv / c**2) * delta + (vd / c**2) * vs)))[..., 0, :]
 
 
 def triple_product_check(a, b, c) -> float:

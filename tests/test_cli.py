@@ -7,8 +7,8 @@ import numpy as np
 import pytest
 from click.testing import CliRunner
 
-from equiscalar import groups
-from equiscalar.cli import main
+from equiscalar import groups, harness, mpnn, physics
+from equiscalar.cli import _block_target, _certify_target, main
 from equiscalar.core import VectorTuple
 
 DATA = Path(__file__).parent / "data"
@@ -489,3 +489,78 @@ def test_demo_accepts_integer_constants(runner, tmp_path):
     result = runner.invoke(main, ["demo", "energy", "--in", infile])
     assert result.exit_code == 0
     assert json.loads(result.output)["energy"] == -8.0
+
+
+# -- batched certify targets -------------------------------------------------------
+
+BLOCK_SPECS = [dict(group=g, dim=3, n_vectors=8, roles=("position", "free") * 4,
+                    output_kind="vector-translation-invariant", blocks=4, scalars_per_block=1)
+               for g in ("perm", "translation", "o")]
+
+
+def _particle_energy(x, scalars):
+    """The energy target as it was written, on Particle lists."""
+    parts = [physics.Particle(x.vectors[2 * i], x.vectors[2 * i + 1], mass=abs(scalars[i, 0]) + 0.1)
+             for i in range(x.n // 2)]
+    return physics.total_energy(parts, 1.0)
+
+
+def _particle_forces(x, scalars):
+    """The emforce target as it was written, on Particle lists."""
+    parts = [physics.Particle(x.vectors[2 * i], x.vectors[2 * i + 1], charge=scalars[i, 0])
+             for i in range(x.n // 2)]
+    return np.array([physics.em_force_scalar(parts[i], parts[:i] + parts[i + 1:], 1.0, 1.0)
+                     for i in range(len(parts))])
+
+
+def _bits(a):
+    a = np.asarray(a, dtype=np.float64)
+    return a.shape, a.tobytes()
+
+
+@pytest.mark.parametrize("target, spec, reference", [
+    ("gram", dict(group="o", dim=3, n_vectors=5, output_kind="scalar-invariant"), None),
+    ("gram", dict(group="lorentz", dim=4, n_vectors=3, output_kind="scalar-invariant"), None),
+    ("energy", BLOCK_SPECS[0], _particle_energy),
+    ("emforce", BLOCK_SPECS[0], _particle_forces),
+    (mpnn.CONCAT, BLOCK_SPECS[0], None),
+    (mpnn.POOLED, BLOCK_SPECS[0], None),
+])
+def test_batched_target_matches_the_per_trial_target_bit_for_bit(target, spec, reference):
+    if target in (mpnn.CONCAT, mpnn.POOLED):
+        model = mpnn.MpnnModel(4, layers=2, hidden=(16, 16), mode=target,
+                               edge_config=mpnn.EdgeConfig(include_inv_sqrt=True), seed=3)
+        fn, specs = _block_target(model.forward), [harness.SymmetrySpec(**spec)]
+    else:
+        fn, specs = _certify_target(target, [spec])
+    rng = np.random.default_rng(7)
+    trials, n, d = harness.CHUNK_TRIALS, spec["n_vectors"], spec["dim"]
+    vectors = rng.standard_normal((trials, n, d))
+    scalars = rng.standard_normal((trials, n // 2, 1)) if spec.get("scalars_per_block") else None
+    got = fn.batched(vectors, scalars)
+    assert got.shape[0] == trials
+    for t in range(trials):
+        x = VectorTuple(vectors[t], specs[0].roles)
+        args = (x,) if scalars is None else (x, scalars[t])
+        assert _bits(got[t]) == _bits(fn(*args))
+        if reference is not None:
+            assert _bits(got[t]) == _bits(reference(*args))
+
+
+def test_emforce_stack_with_a_coincident_trial_reports_like_the_per_trial_target(monkeypatch):
+    fn, specs = _certify_target("emforce", BLOCK_SPECS)
+    sample = harness._sample_input
+
+    def coincident_at_trial_5(specs, rng, trial):
+        vectors, scalars = sample(specs, rng, trial)
+        if trial == 5:
+            vectors[2] = vectors[0]  # particle 1 sits on particle 0
+        return vectors, scalars
+
+    monkeypatch.setattr(harness, "_sample_input", coincident_at_trial_5)
+    report = harness.certify_joint(fn, specs, 20, groups.make_rng(3)).to_dict()
+    per_trial = harness.certify_joint(lambda x, s: fn(x, s), specs, 20, groups.make_rng(3))
+    assert json.dumps(report) == json.dumps(per_trial.to_dict())
+    assert [(f["trial"], f["error"]) for f in report["failures"]] == [
+        (5, "DegenerateInputError: source 0 coincides with the test particle position")]
+    assert report["max_residual"] <= 1e-12

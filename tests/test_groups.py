@@ -288,6 +288,14 @@ def _lorentz_at(phi):
 
 
 @pytest.mark.parametrize("phi", [0.0, 9.0])
+def test_lorentz_rejects_a_boost_scaled_by_1_plus_1e_6(phi):
+    q = groups.boost(phi, [1.0, 1.0, 1.0], 4)
+    groups.Lorentz(q)
+    with pytest.raises(ShapeError, match="within 1e-13"):
+        groups.Lorentz(q * (1 + 1e-6))
+
+
+@pytest.mark.parametrize("phi", [0.0, 9.0])
 def test_lorentz_rejects_an_entry_off_by_a_relative_1e_6(phi):
     q = _lorentz_at(phi)
     groups.Lorentz(q)

@@ -1,3 +1,4 @@
+import itertools
 import json
 
 import numpy as np
@@ -94,8 +95,8 @@ def test_lightlike_stress_input_matches_the_loop_bit_for_bit(family):
             d = 2 + seed % 7
             spec = harness.SymmetrySpec(family, d, n)
             rng_a, rng_b = groups.make_rng(seed), groups.make_rng(seed)
-            x, _ = harness._sample_input([spec], rng_a, trial=3)
-            assert np.array_equal(x.vectors, _lightlike_loop(rng_b, n, d))
+            vecs, _ = harness._sample_input([spec], rng_a, trial=3)
+            assert np.array_equal(vecs, _lightlike_loop(rng_b, n, d))
             assert rng_a.standard_normal() == rng_b.standard_normal()
 
 
@@ -294,7 +295,8 @@ def _oracle_certify_joint(fn, specs, trials, rng):
     report = harness.CertReport(trials=trials)
     total = 0.0
     for trial in range(trials):
-        x, scalars = harness._sample_input(specs, rng, trial)
+        vecs, scalars = harness._sample_input(specs, rng, trial)
+        x = VectorTuple(vecs, specs[0].roles)
         elements = [groups.sample(s.group, rng, (s.blocks or s.n_vectors) if s.group == "perm"
                                   else s.dim, s.rapidity_max) for s in specs]
         try:
@@ -304,6 +306,8 @@ def _oracle_certify_joint(fn, specs, trials, rng):
                 x2, scalars2 = apply_input(g, spec, x2, scalars2)
                 expected = transform(g, spec, expected)
             out2 = np.asarray(harness._call(fn, x2, scalars2), dtype=np.float64)
+            if out2.shape != out.shape:
+                raise ShapeError(f"output of shape {out2.shape} on the image, {out.shape} on the input")
         except Exception as exc:  # noqa: BLE001
             report.failures.append({"trial": trial, "error": f"{type(exc).__name__}: {exc}",
                                     "input": serialize(x, scalars)})
@@ -383,10 +387,10 @@ def test_target_is_called_twice_per_trial_in_trial_order():
     assert len(seen) == 2 * trials
     rng = groups.make_rng(17)
     for trial in range(trials):
-        x, _ = harness._sample_input([harness.SymmetrySpec("o", 3, 2)], rng, trial)
+        vecs, _ = harness._sample_input([harness.SymmetrySpec("o", 3, 2)], rng, trial)
         g = groups.sample("o", rng, 3)
-        assert np.array_equal(seen[2 * trial], x.vectors)
-        assert np.array_equal(seen[2 * trial + 1], groups.apply(g, x).vectors)
+        assert np.array_equal(seen[2 * trial], vecs)
+        assert np.array_equal(seen[2 * trial + 1], groups.apply(g, VectorTuple(vecs)).vectors)
 
 
 def test_serialized_input_appends_scalars_to_the_tuple_json():
@@ -414,3 +418,83 @@ def test_report_does_not_depend_on_the_chunk_size(monkeypatch, chunk):
     want = json.dumps(harness.certify_joint(_ragged, specs, 23, groups.make_rng(19)).to_dict())
     monkeypatch.setattr(harness, "CHUNK_TRIALS", chunk)
     assert json.dumps(harness.certify_joint(_ragged, specs, 23, groups.make_rng(19)).to_dict()) == want
+
+
+# -- output shapes, batched targets, validation cost ------------------------------
+
+
+@pytest.mark.parametrize("other", [lambda v: np.append(v[0], 1.0), lambda v: v])
+def test_an_output_shape_that_changes_on_the_image_fails_the_trial(other):
+    def fn(x):
+        v = x.vectors
+        return v[0] if v[0, 1] > 0 else other(v)
+
+    # An output of shape (4,) fails its transform first; one of (2, 3) moves.
+    report = harness.certify(fn, harness.SymmetrySpec("o", 3, 2), 50, groups.make_rng(20))
+    shape = np.shape(other(np.ones((2, 3))))
+    changes = {f"ShapeError: output of shape {shape} on the image, (3,) on the input"}
+    if shape == (2, 3):
+        changes.add(f"ShapeError: output of shape (3,) on the image, {shape} on the input")
+    assert {f["error"] for f in report.failures if f["error"].startswith("ShapeError")} == changes
+    assert report.trials == 50
+
+
+def _first_row(vectors, scalars):
+    return vectors[:, 0]
+
+
+def test_batched_target_is_called_twice_per_chunk():
+    calls = []
+
+    def fn(x):
+        raise AssertionError("called per trial")
+
+    def batched(vectors, scalars):
+        calls.append(vectors.shape)
+        return _first_row(vectors, scalars)
+
+    fn.batched = batched
+    trials = harness.CHUNK_TRIALS + 3
+    spec = harness.SymmetrySpec("o", 3, 2)
+    report = harness.certify(fn, spec, trials, groups.make_rng(21))
+    assert calls == [(harness.CHUNK_TRIALS, 2, 3)] * 2 + [(3, 2, 3)] * 2
+    plain = harness.certify(lambda x: x.vectors[0], spec, trials, groups.make_rng(21))
+    assert json.dumps(report.to_dict()) == json.dumps(plain.to_dict())
+
+
+@pytest.mark.parametrize("batched, roles", [
+    (lambda v, s: 1 / 0, (FREE, FREE, FREE)),  # the batched call raises
+    (lambda v, s: v[1:, 0], (FREE, FREE, FREE)),  # one output short
+    (lambda v, s, calls=itertools.count(): v[:, :1 + next(calls) % 2],  # shapes differ on the image
+     (FREE, FREE, FREE)),
+    (_first_row, (POSITION, FREE, POSITION)),  # a permutation moves the roles
+])
+def test_batched_target_falls_back_to_the_per_trial_loop(batched, roles):
+    seen = []
+
+    def fn(x):
+        seen.append(x.roles)
+        return x.vectors[0]
+
+    fn.batched = batched
+    specs = [harness.SymmetrySpec(g, 3, 3, roles=roles) for g in ("perm", "o")]
+    report = harness.certify_joint(fn, specs, 30, groups.make_rng(22))
+    assert len(seen) == 60
+    plain = harness.certify_joint(lambda x: x.vectors[0], specs, 30, groups.make_rng(22))
+    assert json.dumps(report.to_dict()) == json.dumps(plain.to_dict())
+
+
+def test_inputs_and_images_are_validated_once_per_stack(monkeypatch):
+    # One VectorTuple validation for the stacked inputs and one per spec's
+    # image stack, whatever the trial count: targets get row views.
+    validations = []
+    validate = VectorTuple.__post_init__
+
+    def counted(self):
+        validations.append(self.n)
+        validate(self)
+
+    monkeypatch.setattr(VectorTuple, "__post_init__", counted)
+    specs = [harness.SymmetrySpec(g, 3, 4) for g in ("perm", "o")]
+    harness.certify_joint(lambda x: x.vectors[0], specs, harness.CHUNK_TRIALS, groups.make_rng(23))
+    assert validations == [4 * harness.CHUNK_TRIALS] * (1 + len(specs))
