@@ -120,7 +120,7 @@ def em_forces(r, v, q, k: float, c: float) -> np.ndarray:
     coef = (k * q)[..., None] * q[..., others] / np.linalg.norm(delta, axis=-1) ** 3
     test_v = v[..., None]
     vv, vd = vs @ test_v, delta @ test_v
-    return ((coef[..., None, :] @ ((1.0 - vv / c**2) * delta + (vd / c**2) * vs)))[..., 0, :]
+    return (coef[..., None, :] @ ((1.0 - vv / c**2) * delta + (vd / c**2) * vs))[..., 0, :]
 
 
 def triple_product_check(a, b, c) -> float:
