@@ -22,7 +22,7 @@ non-compact, so no Haar measure exists there).
 """
 from __future__ import annotations
 
-from dataclasses import dataclass, fields
+from dataclasses import InitVar, dataclass, fields
 
 import numpy as np
 
@@ -70,17 +70,25 @@ def _orthogonal(m) -> np.ndarray:
     return q
 
 
-def _lorentz(m) -> np.ndarray:
-    """Each element must give |q^T eta q - eta| <= LORENTZ_TOL * max(1, max|q|)^2:
-    the rounding error of q^T eta q grows with the square of q's entries,
-    which reach cosh(rapidity). Sampled elements stay below 1e-15 of that
-    scale at rapidity 12, and products of two at the default rapidity
-    below 3e-14; a boost scaled by 1 + 1e-6 at rapidity 9 is 1.2e-13."""
+def _lorentz(g, m, scale=None) -> np.ndarray:
+    """Each element must give |q^T eta q - eta| <= LORENTZ_TOL * scale^2 and
+    keeps its scale as ``g._scale``. The rounding error of q^T eta q grows
+    with the square of the entries that q was computed from, which reach
+    cosh(rapidity): scale is max(1, max|q|) for a matrix given directly,
+    and ``compose`` passes the product of its factors' scales, since q1 q2
+    can cancel to entries near 1 while its rounding stays that of q1 and
+    q2. Sampled elements stay below 1e-15 of their scale squared at
+    rapidity 12, and so do g composed with inverse(g); a boost scaled by
+    1 + 1e-6 at rapidity 9 is at 1.2e-13."""
     q = _square(m)
     lam = minkowski(q.shape[-1]).matrix
     defect = np.abs(q.mT @ lam @ q - lam).max(axis=(-2, -1))
-    if np.any(defect > LORENTZ_TOL * np.maximum(1.0, np.abs(q).max(axis=(-2, -1))) ** 2):
-        raise ShapeError("matrix does not preserve the Minkowski metric within 1e-13 * max(1, max|q|)^2")
+    if scale is None:
+        scale = np.maximum(1.0, np.abs(q).max(axis=(-2, -1)))
+    if np.any(defect > LORENTZ_TOL * scale**2):
+        raise ShapeError("matrix does not preserve the Minkowski metric within 1e-13 * scale^2, "
+                         "scale = max(1, max|q|), or for a product the product of its factors' scales")
+    object.__setattr__(g, "_scale", scale)
     return q
 
 
@@ -118,9 +126,10 @@ class Rotation:
 @dataclass(frozen=True)
 class Lorentz:
     q: np.ndarray
+    scale: InitVar[np.ndarray | None] = None  # see _lorentz
 
-    def __post_init__(self):
-        _set_affine(self, _lorentz(self.q), metric=MINKOWSKI)
+    def __post_init__(self, scale):
+        _set_affine(self, _lorentz(self, self.q, scale), metric=MINKOWSKI)
 
 
 @dataclass(frozen=True)
@@ -158,9 +167,10 @@ class Euclidean:
 class Poincare:
     w: np.ndarray
     q: np.ndarray
+    scale: InitVar[np.ndarray | None] = None  # see _lorentz
 
-    def __post_init__(self):
-        _set_affine(self, _lorentz(self.q), _shift(self.w), MINKOWSKI)
+    def __post_init__(self, scale):
+        _set_affine(self, _lorentz(self, self.q, scale), _shift(self.w), MINKOWSKI)
 
 
 GroupElement = Orthogonal | Rotation | Lorentz | Translation | Permutation | Euclidean | Poincare
@@ -330,10 +340,12 @@ def sample_poincare(rng, d_plus_1: int, rapidity_max: float = DEFAULT_RAPIDITY_M
 # -- actions ---------------------------------------------------------------
 
 
-def _affine(family, q, w) -> GroupElement:
-    """The element of ``family`` whose action is x -> q x (+ w on positions)."""
+def _affine(family, q, w, scale=None) -> GroupElement:
+    """The element of ``family`` whose action is x -> q x (+ w on positions);
+    ``scale`` is passed on to the Lorentz families only."""
     parts = {"q": q, "w": w}
-    return family(*(parts[f.name] for f in fields(family)))
+    extra = {} if scale is None else {"scale": scale}
+    return family(*(parts[f.name] for f in fields(family)), **extra)
 
 
 def apply(g: GroupElement, x: VectorTuple) -> VectorTuple:
@@ -368,7 +380,8 @@ def compose(g1: GroupElement, g2: GroupElement) -> GroupElement:
     if isinstance(g1, Permutation):
         # apply(g2) then apply(g1) selects x[sigma2[sigma1[i]]].
         return Permutation(g2.sigma[g1.sigma])
-    return _affine(type(g1), g1.q @ g2.q, g1.w + g1.q @ g2.w)
+    scale = g1._scale * g2._scale if g1._metric == MINKOWSKI else None
+    return _affine(type(g1), g1.q @ g2.q, g1.w + g1.q @ g2.w, scale)
 
 
 def inverse(g: GroupElement) -> GroupElement:
@@ -377,7 +390,7 @@ def inverse(g: GroupElement) -> GroupElement:
         return Permutation(np.argsort(g.sigma))
     eta = Metric(g._metric, g.q.shape[0]).signature
     qinv = eta[:, None] * g.q.T * eta  # eta q^T eta, eta diagonal
-    return _affine(type(g), qinv, -(qinv @ g.w))
+    return _affine(type(g), qinv, -(qinv @ g.w), g._scale if g._metric == MINKOWSKI else None)
 
 
 def element_to_dict(g: GroupElement) -> dict:

@@ -281,6 +281,27 @@ def test_lorentz_accepts_its_own_large_boosts(rapidity_max):
         groups.sample("poincare", groups.make_rng(seed), 4, rapidity_max)
 
 
+@pytest.mark.parametrize("rapidity_max", [3.0, 6.0, 9.0, 12.0])
+@pytest.mark.parametrize("family", ["lorentz", "poincare"])
+def test_products_of_large_boosts_with_their_inverses_validate(family, rapidity_max):
+    # g inverse(g) cancels to entries near 1 while its rounding is that of
+    # entries near cosh(rapidity)^2; chaining on it must validate too.
+    for seed in range(1, 101):
+        g = groups.sample(family, groups.make_rng(seed), 4, rapidity_max)
+        identity = groups.compose(g, groups.inverse(g))
+        groups.inverse(identity)
+        groups.compose(identity, g)
+
+
+def test_a_product_keeps_the_scale_of_its_factors():
+    g = groups.Lorentz(_lorentz_at(9.0))
+    product = groups.compose(g, groups.inverse(g))
+    assert product._scale == g._scale**2
+    assert groups.inverse(product)._scale == product._scale
+    with pytest.raises(ShapeError, match="within 1e-13"):
+        groups.Lorentz(product.q)  # given directly, its scale is max(1, max|q|)
+
+
 def _lorentz_at(phi):
     rotation = np.eye(4)
     rotation[1:, 1:] = groups.sample_rotation(groups.make_rng(5), 3).q
