@@ -95,13 +95,20 @@ def em_force_cross(test: Particle, sources, k: float, c: float) -> np.ndarray:
     return f
 
 
+def _em_force(r, v, q, rs, vs, qs, k: float, c: float) -> np.ndarray:
+    """The expanded-scalar force on test particles at r (..., 3) with
+    velocities v (..., 3) and charges q (...) from sources at rs (..., m, 3)
+    with velocities vs (..., m, 3) and charges qs (..., m); any leading axes."""
+    delta = r[..., None, :] - rs
+    coef = k * np.expand_dims(q, -1) * qs / np.linalg.norm(delta, axis=-1) ** 3
+    test_v = v[..., None]
+    vv, vd = vs @ test_v, delta @ test_v
+    return (coef[..., None, :] @ ((1.0 - vv / c**2) * delta + (vd / c**2) * vs))[..., 0, :]
+
+
 def em_force_scalar(test: Particle, sources, k: float, c: float) -> np.ndarray:
     """Same force with the triple product expanded: no cross products anywhere."""
-    r, v, q = _check_em_inputs(test, sources)
-    delta = test.r - r
-    coef = k * test.charge * q / np.linalg.norm(delta, axis=1) ** 3
-    vv, vd = v @ test.v, delta @ test.v
-    return coef @ ((1.0 - vv / c**2)[:, None] * delta + (vd / c**2)[:, None] * v)
+    return _em_force(test.r, test.v, test.charge, *_check_em_inputs(test, sources), k, c)
 
 
 def em_forces(r, v, q, k: float, c: float) -> np.ndarray:
@@ -116,11 +123,7 @@ def em_forces(r, v, q, k: float, c: float) -> np.ndarray:
     hit = np.argwhere((rs == r[..., None, :]).all(axis=-1))
     if hit.size:
         raise DegenerateInputError(f"source {hit[0][-1]} coincides with the test particle position")
-    delta = r[..., None, :] - rs
-    coef = (k * q)[..., None] * q[..., others] / np.linalg.norm(delta, axis=-1) ** 3
-    test_v = v[..., None]
-    vv, vd = vs @ test_v, delta @ test_v
-    return (coef[..., None, :] @ ((1.0 - vv / c**2) * delta + (vd / c**2) * vs))[..., 0, :]
+    return _em_force(r, v, q, rs, vs, q[..., others], k, c)
 
 
 def triple_product_check(a, b, c) -> float:
