@@ -173,10 +173,7 @@ class _SymmetrizedCoefficients:
         total = np.zeros(n)
         cross_total = {}
         count = math.factorial(n)
-        sigmas = list(itertools.permutations(range(n)))
-        perms = np.array(sigmas, dtype=np.intp)
-        permuted_grams = features.gram[perms[:, :, None], perms[:, None, :]]
-        for sigma, idx, permuted_gram in zip(sigmas, perms, permuted_grams):
+        for sigma, idx, permuted_gram in _permuted_grams(features.gram, n):
             permuted_subdets = None
             if features.subdets is not None:
                 permuted_subdets = _permute_subdets(features.subdets, sigma)
@@ -193,6 +190,16 @@ class _SymmetrizedCoefficients:
         total /= count
         cross_out = {k: v / count for k, v in cross_total.items()} if cross_total else None
         return total, cross_out
+
+
+def _permuted_grams(gram, n: int, chunk: int = 720):
+    """Each sigma of S_n, as a tuple and an index array, with the
+    sigma-permuted gram; one fancy index gathers ``chunk`` of them at a
+    time, so memory stays bounded up to n = MAX_EXPLICIT_SYMMETRIZE."""
+    perms = itertools.permutations(range(n))
+    while sigmas := list(itertools.islice(perms, chunk)):
+        idx = np.array(sigmas, dtype=np.intp)
+        yield from zip(sigmas, idx, gram[idx[:, :, None], idx[:, None, :]])
 
 
 def _perm_sign(order) -> float:
