@@ -4,7 +4,8 @@ Newtonian total mechanical energy (verbatim ordered double sum), the
 electromagnetic force on a test particle in both the double-cross-product
 form (a per-source loop, kept as the reference) and the expanded scalar
 form, and the vector triple-product identity connecting them. The energy
-and the scalar-form force are each one array expression over the particles.
+and the scalar-form force are each one array expression over the
+particles, written once for one set and for stacks of sets.
 """
 from __future__ import annotations
 
