@@ -99,9 +99,10 @@ def em_force_cross(test: Particle, sources, k: float, c: float) -> np.ndarray:
 def _em_force(r, v, q, rs, vs, qs, k: float, c: float) -> np.ndarray:
     """The expanded-scalar force on test particles at r (..., 3) with
     velocities v (..., 3) and charges q (...) from sources at rs (..., m, 3)
-    with velocities vs (..., m, 3) and charges qs (..., m); any leading axes."""
+    with velocities vs (..., m, 3) and charges qs (..., m); any leading axes.
+    q is an array, also for one test particle."""
     delta = r[..., None, :] - rs
-    coef = k * np.expand_dims(q, -1) * qs / np.linalg.norm(delta, axis=-1) ** 3
+    coef = (k * q)[..., None] * qs / np.linalg.norm(delta, axis=-1) ** 3
     test_v = v[..., None]
     vv, vd = vs @ test_v, delta @ test_v
     return (coef[..., None, :] @ ((1.0 - vv / c**2) * delta + (vd / c**2) * vs))[..., 0, :]
@@ -109,7 +110,7 @@ def _em_force(r, v, q, rs, vs, qs, k: float, c: float) -> np.ndarray:
 
 def em_force_scalar(test: Particle, sources, k: float, c: float) -> np.ndarray:
     """Same force with the triple product expanded: no cross products anywhere."""
-    return _em_force(test.r, test.v, test.charge, *_check_em_inputs(test, sources), k, c)
+    return _em_force(test.r, test.v, np.float64(test.charge), *_check_em_inputs(test, sources), k, c)
 
 
 def em_forces(r, v, q, k: float, c: float) -> np.ndarray:
