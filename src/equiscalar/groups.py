@@ -78,8 +78,8 @@ def _lorentz(g, m, scale=None) -> np.ndarray:
     and ``compose`` passes the product of its factors' scales, since q1 q2
     can cancel to entries near 1 while its rounding stays that of q1 and
     q2. Sampled elements stay below 1e-15 of their scale squared at
-    rapidity 12, and so do g composed with inverse(g); a boost scaled by
-    1 + 1e-6 at rapidity 9 is at 1.2e-13."""
+    rapidity 12, and g composed with inverse(g) below 2e-15; a boost
+    scaled by 1 + 1e-6 at rapidity 9 is at 1.2e-13."""
     q = _square(m)
     lam = minkowski(q.shape[-1]).matrix
     defect = np.abs(q.mT @ lam @ q - lam).max(axis=(-2, -1))
