@@ -13,7 +13,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .core import Metric, VectorTuple, as_vector
+from .core import Metric, VectorTuple, as_vector, sort_sign
 from .errors import RoleError, ShapeError
 from .features import (
     CENTER_OF_POSITIONS,
@@ -33,6 +33,8 @@ MODE_INVARIANT = "invariant"
 MODE_EQUIVARIANT = "equivariant"
 
 MAX_EXPLICIT_SYMMETRIZE = 8
+# Permutations gathered and sign-mapped as one array at a time.
+SYMMETRIZE_CHUNK = 720
 
 
 def generalized_cross(vs) -> np.ndarray:
@@ -135,25 +137,26 @@ def evaluate(model: EquivariantModel, x: VectorTuple) -> np.ndarray:
         coeffs = _renormalize_translation(coeffs, x, mode)
     h = coeffs @ x.vectors
     if model.family == SO_FAMILY and cross_coeffs:
-        d = x.d
         for subset, c in cross_coeffs.items():
-            subset = tuple(subset)
-            if len(subset) != d - 1:
-                raise ShapeError(
-                    f"cross-term subset {subset} has {len(subset)} vectors, expected d-1={d - 1}"
-                )
+            _check_cross_subset(subset, x.n, x.d)
             h = h + c * generalized_cross([x.vectors[i] for i in subset])
     elif cross_coeffs:
         raise ShapeError("cross-term coefficients are only valid for the SO family")
     return h
 
 
+def _check_cross_subset(subset, n: int, d: int) -> None:
+    """A cross-term key must name d-1 vectors by indices in 0..n-1."""
+    if len(subset) != d - 1 or not all(i in range(n) for i in subset):
+        raise ShapeError(f"cross-term subset {tuple(subset)} is not {d - 1} indices in 0..{n - 1}")
+
+
 class _SymmetrizedCoefficients:
     """Explicit S_n orbit average of a coefficient function.
 
     The slot coefficient becomes (1/n!) sum_sigma f_{sigma^{-1}(t)} evaluated
-    on sigma-permuted features; cross-term coefficients pick up the sign of
-    sorting the permuted subset.
+    on sigma-permuted features. The sign rule: a subdeterminant or cross term
+    on index subset S moves to sorted(sigma(S)), times the sign of that sort.
     """
 
     def __init__(self, base, n: int):
@@ -173,65 +176,55 @@ class _SymmetrizedCoefficients:
         total = np.zeros(n)
         cross_total = {}
         count = math.factorial(n)
-        for sigma, idx, permuted_gram in _permuted_grams(features.gram, n):
-            permuted_subdets = None
-            if features.subdets is not None:
-                permuted_subdets = _permute_subdets(features.subdets, sigma)
-            pf = ScalarFeatureSet(permuted_gram, features.metric, subdets=permuted_subdets)
-            coeffs, cross = self.base.coefficients(pf)
-            total[idx] += coeffs
-            if cross:
-                for subset, c in cross.items():
-                    mapped = [sigma[i] for i in subset]
-                    order = np.argsort(mapped)
-                    sign = _perm_sign(order)
-                    key = tuple(sorted(mapped))
+        for idx, grams in _permuted_grams(features.gram, n):
+            subdets = _permuted_subdets(features.subdets, idx)
+            mapped, values = [], []
+            for sigma, g, sd in zip(idx, grams, subdets):
+                coeffs, cross = self.base.coefficients(ScalarFeatureSet(g, features.metric, sd))
+                total[sigma] += coeffs
+                if cross:
+                    for subset in cross:
+                        _check_cross_subset(subset, n, features.metric.dim)
+                    mapped.append(sigma[np.array(list(cross), dtype=np.intp)])
+                    values += cross.values()
+            if values:
+                images, signs = sort_sign(np.concatenate(mapped))
+                for key, sign, c in zip(map(tuple, images.tolist()), signs.tolist(), values):
                     cross_total[key] = cross_total.get(key, 0.0) + sign * c
         total /= count
         cross_out = {k: v / count for k, v in cross_total.items()} if cross_total else None
         return total, cross_out
 
 
-def _permuted_grams(gram, n: int, chunk: int = 720):
-    """Each sigma of S_n, as a tuple and an index array, with the
-    sigma-permuted gram; one fancy index gathers ``chunk`` of them at a
-    time, so memory stays bounded up to n = MAX_EXPLICIT_SYMMETRIZE."""
+def _permuted_grams(gram, n: int):
+    """S_n in (P, n) index arrays of at most SYMMETRIZE_CHUNK permutations,
+    each with its P permuted grams, so memory stays bounded."""
     perms = itertools.permutations(range(n))
-    while sigmas := list(itertools.islice(perms, chunk)):
+    while sigmas := list(itertools.islice(perms, SYMMETRIZE_CHUNK)):
         idx = np.array(sigmas, dtype=np.intp)
-        yield from zip(sigmas, idx, gram[idx[:, :, None], idx[:, None, :]])
+        yield idx, gram[idx[:, :, None], idx[:, None, :]]
 
 
-def _perm_sign(order) -> float:
-    seen = [False] * len(order)
-    sign = 1.0
-    for i in range(len(order)):
-        if seen[i]:
-            continue
-        length = 0
-        j = i
-        while not seen[j]:
-            seen[j] = True
-            j = int(order[j])
-            length += 1
-        if length % 2 == 0:
-            sign = -sign
-    return sign
-
-
-def _permute_subdets(subdets: dict, sigma) -> dict:
-    """Subdeterminants of the sigma-permuted tuple from those of the original.
-
-    det of columns (v_{sigma(s)})_{s in S ascending-by-S} equals the stored
-    det at sorted(sigma(S)) times the sign of the sort.
-    """
-    out = {}
-    for subset in subdets:
-        mapped = [sigma[i] for i in subset]
-        order = np.argsort(mapped)
-        sign = _perm_sign(order)
-        out[tuple(subset)] = sign * subdets[tuple(sorted(mapped))]
-    return out
+def _permuted_subdets(subdets: dict | None, idx: np.ndarray) -> list:
+    """Subdeterminants of each sigma-permuted tuple, sigma a row of idx, by
+    the sort-and-sign rule; KeyError for a sorted image that is not stored."""
+    if not subdets:
+        return [None if subdets is None else {} for _ in idx]
+    keys = list(subdets)
+    stored = np.array(keys, dtype=np.intp)
+    images, signs = sort_sign(idx[:, stored])
+    # Keys as base-n codes; a key with an entry outside 0..n-1 matches no image.
+    n = idx.shape[1]
+    place = n ** np.arange(stored.shape[1])[::-1]
+    codes = np.where(((stored >= 0) & (stored < n)).all(axis=1), stored @ place, -1)
+    wanted = images @ place
+    order = np.argsort(codes)
+    at = order[np.searchsorted(codes, wanted, sorter=order).clip(max=len(keys) - 1)]
+    missing = codes[at] != wanted
+    if missing.any():
+        raise KeyError(tuple(images[missing][0].tolist()))
+    values = np.array(list(subdets.values()))
+    return [dict(zip(keys, row)) for row in (signs * values[at]).tolist()]
 
 
 def symmetrize_permutation(coeffs, n: int):
@@ -241,7 +234,7 @@ def symmetrize_permutation(coeffs, n: int):
     return _SymmetrizedCoefficients(coeffs, n)
 
 
-def span_check(x: VectorTuple, h_out, metric: Metric | None = None) -> float:
+def span_check(x: VectorTuple, h_out) -> float:
     """Euclidean norm of h_out's residual off span(v_1..v_n)."""
     h = np.asarray(h_out, dtype=np.float64)
     if x.n == 0:

@@ -44,6 +44,16 @@ def as_vector(v, d=None) -> np.ndarray:
     return a
 
 
+def sort_sign(a) -> tuple[np.ndarray, np.ndarray]:
+    """Each row of the integer array ``a`` (..., k) sorted ascending, and
+    the sign (+1.0 or -1.0) of that sort: the parity of the row's inversions,
+    pairs i < j with a[i] > a[j]. Equal entries add no inversion."""
+    a = np.asarray(a)
+    i, j = np.triu_indices(a.shape[-1], 1)
+    inversions = np.count_nonzero(a[..., i] > a[..., j], axis=-1)
+    return np.sort(a, axis=-1), 1.0 - 2.0 * (inversions % 2)
+
+
 def as_matrix(m, rows=None, cols=None) -> np.ndarray:
     a = np.asarray(m, dtype=np.float64)
     if a.ndim != 2:

@@ -23,7 +23,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .core import Metric
+from .core import Metric, sort_sign
 from .errors import NonFiniteError, ParseError, PatternError, ShapeError
 
 LOWER = "lower"
@@ -260,7 +260,7 @@ def _levi_civita(d: int) -> np.ndarray:
     cached for the few d <= MAX_EVAL_DIM that evaluate accepts."""
     perms = np.array(list(itertools.permutations(range(d))))
     eps = np.zeros((d,) * d)
-    eps[tuple(perms.T)] = np.rint(np.linalg.det(np.eye(d)[perms]))
+    eps[tuple(perms.T)] = sort_sign(perms)[1]
     eps.flags.writeable = False
     return eps
 
@@ -356,14 +356,13 @@ def rewrite_epsilon_pair(expr: IndexExpr) -> IndexExpr:
     s = shared.pop()
 
     def pull_front(labels):
-        # Cyclic rotation of eps labels is sign-free; a swap flips the sign.
+        # A cyclic rotation of the eps labels keeps the sign.
         i = labels.index(s)
-        rotated = labels[i:] + labels[:i]
-        return rotated[1], rotated[2], 1
+        return labels[(i + 1) % 3], labels[(i + 2) % 3]
 
-    a, b, sign0 = pull_front(labels0)
-    c, e, sign1 = pull_front(labels1)
-    sign = term.sign * sign0 * sign1
+    a, b = pull_front(labels0)
+    c, e = pull_front(labels1)
+    sign = term.sign
     lower = lambda lbls: tuple((lbl, LOWER) for lbl in lbls)
     plus = Term(sign, tuple(rest) + (Factor("delta", lower((a, c))), Factor("delta", lower((b, e)))))
     minus = Term(-sign, tuple(rest) + (Factor("delta", lower((a, e))), Factor("delta", lower((b, c)))))

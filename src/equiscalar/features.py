@@ -27,6 +27,8 @@ CENTER_OF_POSITIONS = "center-of-positions"
 LIGHTLIKE_REL_TOL = 1e-10
 MAX_GS_RESTARTS = 50
 MAX_SUBDET_ENTRIES = 2**24  # float64 entries of stacked minors (128 MiB)
+OMEGA_TOL = 1e-12  # relative objective decrease below which an ALS start stops
+OMEGA_RESTARTS = 8  # random starts tried after the stitched one fails
 
 
 @dataclass(frozen=True)
@@ -191,13 +193,7 @@ def _fit_rows(fixed: np.ndarray, cols: np.ndarray, vals: np.ndarray) -> np.ndarr
     return np.linalg.solve(normal, bt @ vals[..., None])[..., 0]
 
 
-def omega_complete(
-    sample: OmegaSample,
-    seed: int = 0,
-    max_iter: int = 500,
-    tol: float = 1e-12,
-    restarts: int = 8,
-) -> CompletionResult:
+def omega_complete(sample: OmegaSample, seed: int = 0, max_iter: int = 500) -> CompletionResult:
     """Complete a rank-<=d symmetric matrix from its wrap-around band.
 
     The first start is the stitched factor of the (d+1)-windows (see
@@ -235,7 +231,7 @@ def omega_complete(
     start = _stitched_factor(band)
     rng = np.random.default_rng(seed)
     randoms = (
-        (rng.standard_normal((n, d)), rng.standard_normal((n, d))) for _ in range(max(1, restarts))
+        (rng.standard_normal((n, d)), rng.standard_normal((n, d))) for _ in range(OMEGA_RESTARTS)
     )
     best = CompletionResult(np.full((n, n), np.nan), False, np.inf, 0)
     iterations = 0
@@ -251,7 +247,7 @@ def omega_complete(
                     break
                 # Relative decrease test: an absolute test would stall runs that
                 # are still converging geometrically toward a tiny objective.
-                if prev_obj - obj < tol * max(obj, 1e-30):
+                if prev_obj - obj < OMEGA_TOL * max(obj, 1e-30):
                     break
                 prev_obj = obj
         except np.linalg.LinAlgError:

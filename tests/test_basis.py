@@ -1,15 +1,21 @@
+import itertools
+import math
+import re
+
 import numpy as np
 import pytest
 
-from equiscalar import basis, groups
+from equiscalar import basis, groups, harness
 from equiscalar.core import (
     FREE,
     POSITION,
     VectorTuple,
     euclidean,
     minkowski,
+    sort_sign,
 )
 from equiscalar.errors import EquiscalarError, RoleError, ShapeError
+from equiscalar.features import ScalarFeatureSet, gram, subdeterminants
 
 
 # -- generalized_cross -------------------------------------------------------
@@ -209,8 +215,6 @@ def test_symmetrized_slot_constant_fixture_averages():
     fixture = basis.FixedClosure(lambda feats: np.arange(float(feats.n)))
     sym = basis.symmetrize_permutation(fixture, n)
     x = VectorTuple(np.random.default_rng(11).standard_normal((n, 3)))
-    from equiscalar.features import ScalarFeatureSet, gram
-
     feats = ScalarFeatureSet(gram(euclidean(3), x), euclidean(3))
     coeffs, cross = sym.coefficients(feats)
     assert cross is None
@@ -253,3 +257,197 @@ def test_span_check_cross_escape():
 def test_span_check_empty_tuple():
     x = VectorTuple(np.zeros((0, 3)))
     assert basis.span_check(x, np.zeros(3)) == 0.0
+
+
+# -- the sort-and-sign rule for pseudo-scalars and cross terms -----------------
+#
+# A per-subset oracle, one Python step per subset and sigma: a subset S moves
+# under sigma to sorted(sigma(S)), times the sign of the sort, found by walking
+# the cycles of the sorting permutation.
+
+
+def _perm_sign(order) -> float:
+    seen = [False] * len(order)
+    sign = 1.0
+    for i in range(len(order)):
+        if seen[i]:
+            continue
+        length = 0
+        j = i
+        while not seen[j]:
+            seen[j] = True
+            j = int(order[j])
+            length += 1
+        if length % 2 == 0:
+            sign = -sign
+    return sign
+
+
+def _permute_subdets(subdets: dict, sigma) -> dict:
+    out = {}
+    for subset in subdets:
+        mapped = [sigma[i] for i in subset]
+        order = np.argsort(mapped)
+        sign = _perm_sign(order)
+        out[tuple(subset)] = sign * subdets[tuple(sorted(mapped))]
+    return out
+
+
+def _oracle_symmetrized(base, features, permuted_subdets):
+    """The per-sigma orbit average, given the permuted subdets of each sigma."""
+    n = features.n
+    total = np.zeros(n)
+    cross_total = {}
+    for sigma, subdets in zip(itertools.permutations(range(n)), permuted_subdets):
+        idx = np.array(sigma)
+        pf = ScalarFeatureSet(features.gram[np.ix_(idx, idx)], features.metric, subdets=subdets)
+        coeffs, cross = base.coefficients(pf)
+        total[idx] += coeffs
+        for subset, c in (cross or {}).items():
+            mapped = [sigma[i] for i in subset]
+            key = tuple(sorted(mapped))
+            cross_total[key] = cross_total.get(key, 0.0) + _perm_sign(np.argsort(mapped)) * c
+    count = math.factorial(n)
+    total /= count
+    return total, ({k: v / count for k, v in cross_total.items()} if cross_total else None)
+
+
+def _bits(obj):
+    """obj with every float replaced by its type and exact bit pattern."""
+    if isinstance(obj, np.ndarray):
+        return (obj.dtype.str, obj.shape, obj.tobytes())
+    if isinstance(obj, dict):
+        return [(k, _bits(v)) for k, v in obj.items()]
+    if isinstance(obj, (list, tuple)):
+        return [_bits(v) for v in obj]
+    if isinstance(obj, (float, np.floating)):
+        return (type(obj).__name__, float(obj).hex())
+    return (type(obj).__name__, obj)
+
+
+def _pseudo_fixture(d):
+    """Slot coefficients that read every subdeterminant, weighted by its
+    key, and cross terms keyed both sorted and unsorted, with float, numpy
+    and int values."""
+
+    def fn(f):
+        out = np.tanh(f.gram[0]).copy()
+        for key, det in f.subdets.items():
+            out[list(key)] += det * (key[0] + 1.0)
+        return out
+
+    def cross_fn(f):
+        return {
+            tuple(range(d - 1)): next(iter(f.subdets.values())),
+            tuple(range(d - 1, 0, -1)): np.tanh(f.gram[0, -1]),
+            (f.n - 1,) + tuple(range(d - 2)): 1,
+        }
+
+    return basis.FixedClosure(fn, cross_fn=cross_fn, name=f"pseudo-d{d}")
+
+
+def _so_features(x):
+    return ScalarFeatureSet(gram(euclidean(x.d), x), euclidean(x.d), subdets=subdeterminants(x))
+
+
+@pytest.mark.parametrize("n, d", [(n, d) for d in (2, 3, 4) for n in range(max(3, d), 8)])
+def test_symmetrized_so_matches_the_per_subset_oracle_bit_for_bit(n, d):
+    feats = _so_features(VectorTuple(np.random.default_rng(100 * n + d).standard_normal((n, d))))
+    want_subdets = [_permute_subdets(feats.subdets, s) for s in itertools.permutations(range(n))]
+    got_subdets = [sd for idx, _ in basis._permuted_grams(feats.gram, n)
+                   for sd in basis._permuted_subdets(feats.subdets, idx)]
+    assert _bits(got_subdets) == _bits(want_subdets)
+    fixture = _pseudo_fixture(d)
+    got = basis.symmetrize_permutation(fixture, n).coefficients(feats)
+    assert got[1]  # the cross terms survive the average
+    assert _bits(got) == _bits(_oracle_symmetrized(fixture, feats, want_subdets))
+
+
+def test_permuted_subdets_follow_the_keys_of_a_hand_built_dict():
+    feats = _so_features(VectorTuple(np.random.default_rng(31).standard_normal((5, 3))))
+    shuffled = dict(reversed(list(feats.subdets.items())))
+    shuffled[(2, 0, 1)] = 7.0  # unsorted: never a sorted image, so never read
+    idx = next(basis._permuted_grams(feats.gram, 5))[0]
+    got = basis._permuted_subdets(shuffled, idx)
+    want = [_permute_subdets(shuffled, tuple(sigma.tolist())) for sigma in idx]
+    assert _bits(got) == _bits(want)
+    assert list(got[0]) == list(shuffled)
+
+
+def test_a_missing_subdeterminant_raises_the_oracles_key_error():
+    feats = _so_features(VectorTuple(np.random.default_rng(32).standard_normal((4, 3))))
+    subdets = dict(feats.subdets)
+    del subdets[(1, 2, 3)]
+    with pytest.raises(KeyError) as want:
+        for sigma in itertools.permutations(range(4)):
+            _permute_subdets(subdets, sigma)
+    sym = basis.symmetrize_permutation(_pseudo_fixture(3), 4)
+    with pytest.raises(KeyError) as got:
+        sym.coefficients(ScalarFeatureSet(feats.gram, feats.metric, subdets=subdets))
+    assert got.value.args == want.value.args
+
+
+@pytest.mark.parametrize("subdets", [None, {}])
+def test_absent_and_empty_subdets_reach_the_base_as_they_are(subdets):
+    seen = []
+
+    def fn(f):
+        seen.append(f.subdets)
+        return np.zeros(f.n)
+
+    feats = _so_features(VectorTuple(np.random.default_rng(33).standard_normal((4, 3))))
+    basis.symmetrize_permutation(basis.FixedClosure(fn), 4).coefficients(
+        ScalarFeatureSet(feats.gram, feats.metric, subdets=subdets))
+    assert len(seen) == 24 and all(s == subdets and type(s) is type(subdets) for s in seen)
+
+
+def test_sort_sign_ties_add_no_inversion_like_the_oracle():
+    # A stable argsort keeps equal entries in their order; numpy's default
+    # need not (numpy 2.4 gives [2, 3, 4, 1, 0] for the third row below).
+    rng = np.random.default_rng(34)
+    rows = rng.integers(0, 3, size=(500, 5))
+    rows[:3] = [[1, 1, 1, 1, 1], [1, 0, 1, 0, 0], [2, 2, 0, 1, 1]]
+    images, signs = sort_sign(rows)
+    assert np.array_equal(images, np.sort(rows, axis=1))
+    assert signs.tolist() == [_perm_sign(np.argsort(row, kind="stable")) for row in rows]
+    assert signs[:3].tolist() == [1.0, -1.0, 1.0]
+
+
+def _pseudo_model(n):
+    """A symmetrized SO(3) model: slot coefficients scaled by a subdeterminant
+    (a pseudo-scalar) and true-scalar cross-term coefficients, so its output
+    is a pseudo-vector, S_n-invariant once averaged."""
+    fixture = basis.FixedClosure(
+        lambda f: f.subdets[(0, 1, 2)] * np.tanh(f.gram[0]),
+        cross_fn=lambda f: {(1, 0): np.tanh(f.gram[0, 2]), (2, n - 1): 0.5},
+    )
+    model = basis.EquivariantModel("so", euclidean(3), fixture, permutation_symmetric=True)
+    return lambda x: basis.evaluate(model, x)
+
+
+@pytest.mark.parametrize("n", [4, 5, 6])
+def test_symmetrized_pseudo_model_certifies_under_permutations_and_rotations(n):
+    specs = [harness.SymmetrySpec(g, 3, n) for g in ("perm", "so")]
+    report = harness.certify_joint(_pseudo_model(n), specs, 12, groups.make_rng(40 + n))
+    assert report.max_residual <= 1e-9
+    assert not report.failures
+
+
+def test_symmetrized_pseudo_model_is_flagged_under_reflections():
+    report = harness.certify(_pseudo_model(4), harness.SymmetrySpec("o", 3, 4), 40,
+                             groups.make_rng(44))
+    assert report.components["det=-1"]["max_residual"] >= 0.1
+    assert report.components["det=+1"]["max_residual"] <= 1e-9
+
+
+# -- cross-term subsets must index the tuple -----------------------------------
+
+
+@pytest.mark.parametrize("subset", [(0, 7), (0, -1)])
+@pytest.mark.parametrize("symmetric", [False, True], ids=["plain", "symmetrized"])
+def test_cross_subset_outside_the_tuple_is_rejected(subset, symmetric):
+    fixture = basis.FixedClosure(lambda f: np.zeros(f.n), cross_fn=lambda f: {subset: 1.0})
+    model = basis.EquivariantModel("so", euclidean(3), fixture, permutation_symmetric=symmetric)
+    x = VectorTuple(np.random.default_rng(45).standard_normal((3, 3)))
+    with pytest.raises(ShapeError, match=re.escape(f"cross-term subset {subset}")):
+        basis.evaluate(model, x)

@@ -1,3 +1,4 @@
+import itertools
 import json
 
 import numpy as np
@@ -60,6 +61,21 @@ def test_inner_invariant_under_orthogonal():
         before = core.inner(m, a, b)
         after = core.inner(m, q @ a, q @ b)
         assert abs(after - before) <= 1e-9 * (1.0 + abs(before))
+
+
+@pytest.mark.parametrize("k", range(1, 7))
+def test_sort_sign_is_the_parity_of_each_permutation(k):
+    perms = np.array(list(itertools.permutations(range(k))), dtype=np.intp)
+    parity = np.rint(np.linalg.det(np.eye(k)[perms]))
+    images, signs = core.sort_sign(perms)
+    assert np.array_equal(images, np.broadcast_to(np.arange(k), perms.shape))
+    assert np.array_equal(signs, parity)
+    # Any distinct values in the same relative order sort with the same sign,
+    # and a stack of rows is the same as its rows one at a time.
+    spread = np.stack([perms * 3 + 5, perms * 3 + 5])
+    images, stacked = core.sort_sign(spread)
+    assert np.array_equal(images, np.sort(spread, axis=-1))
+    assert np.array_equal(stacked, np.stack([parity, parity]))
 
 
 def test_vector_rejects_nan():

@@ -80,6 +80,13 @@ def oracle_eval(src, bindings, d, signature=None):
     return total
 
 
+@pytest.mark.parametrize("d", [1, 2, 3, 4])
+def test_levi_civita_matches_the_oracles_determinant_rule(d):
+    eps = einsum._levi_civita(d)
+    for ix in itertools.product(range(d), repeat=d):
+        assert eps[ix] == round(float(np.linalg.det(np.eye(d)[list(ix)])))
+
+
 # -- parsing -------------------------------------------------------------------
 
 
