@@ -5,10 +5,11 @@ quotients, the wrap-around band sampling of a low-rank Gram matrix and its
 completion, Gram reconstruction, and Minkowski Gram-Schmidt with lightlike
 restarts.
 
-Completion stitches the eigh factors of all (d+1)-windows of the band with
-orthogonal Procrustes fits, polished by vectorised alternating least squares;
-it flags failure instead of raising, and malformed samples are rejected when
-built.
+Completion factors all (d+1)-windows of the band in one batched eigh, fits
+every pair of adjacent windows in one batched orthogonal Procrustes SVD,
+composes the fits by log-depth prefix products and polishes the stitched
+factor by vectorised alternating least squares; it flags failure instead of
+raising, and malformed samples are rejected when built.
 """
 from __future__ import annotations
 
@@ -163,10 +164,14 @@ def _stitched_factor(band: np.ndarray) -> np.ndarray | None:
     """Rank-d factor (n, d) of a PSD band, or None when a window is not PSD.
 
     Each (d+1)-window k..k+d (mod n) has its whole Gram sampled; one batched
-    eigh factors them all. Window k is turned onto the d vectors already placed
-    by an orthogonal Procrustes fit and places its last one: only a rotation is
-    carried, so errors add along the chain instead of multiplying. The
-    wrap-around windows place nothing; the completion residual checks them.
+    eigh factors them all. Adjacent windows k and k+1 share d vectors, so one
+    batched SVD gives every orthogonal Procrustes fit R_k of window k+1 onto
+    window k (reflections allowed), and ceil(log2(n-d)) batched matmuls
+    compose them into the prefix products Q_k = R_{k-1}...R_0 that carry each
+    window into window 0's frame; one matmul then places every window's last
+    vector. Only orthogonal maps are composed, so errors add along the chain
+    instead of multiplying. The wrap-around windows place nothing; the
+    completion residual checks them.
     """
     n, d = band.shape[0], band.shape[1] - 1
     p = np.arange(d + 1)
@@ -175,12 +180,17 @@ def _stitched_factor(band: np.ndarray) -> np.ndarray | None:
     if eigvals.min() < -1e-8 * max(1.0, float(np.abs(eigvals).max())):
         return None
     top = eigvals[:, 1:]  # ascending order: drop the smallest of d+1
-    factors = eigvecs[:, :, 1:] * np.sqrt(np.clip(top, 0.0, None))[:, None, :]  # (n, d+1, d)
+    m = n - d  # windows that place a vector
+    factors = eigvecs[:m, :, 1:] * np.sqrt(np.clip(top[:m], 0.0, None))[:, None, :]  # (m, d+1, d)
+    u, _, vt = np.linalg.svd(factors[1:, :d].mT @ factors[:-1, 1:])
+    q = np.concatenate([np.eye(d)[None], u @ vt])  # q[k] = R_{k-1}, q[0] = I
+    s = 1
+    while s < m:  # Hillis-Steele doubling: q[k] becomes R_{k-1}...R_0
+        q[s:] = q[s:] @ q[:-s]
+        s *= 2
     x = np.empty((n, d))
     x[: d + 1] = factors[0]
-    for k in range(1, n - d):
-        u, _, vt = np.linalg.svd(factors[k, :d].T @ x[k : k + d])
-        x[k + d] = factors[k, d] @ (u @ vt)
+    x[d + 1 :] = (factors[1:, d, None] @ q[1:])[:, 0]
     return x
 
 
@@ -193,6 +203,13 @@ def _fit_rows(fixed: np.ndarray, cols: np.ndarray, vals: np.ndarray) -> np.ndarr
     return np.linalg.solve(normal, bt @ vals[..., None])[..., 0]
 
 
+def _random_starts(n: int, d: int, seed: int):
+    """OMEGA_RESTARTS random (W, H) pairs; the generator is seeded on first use."""
+    rng = np.random.default_rng(seed)
+    for _ in range(OMEGA_RESTARTS):
+        yield rng.standard_normal((n, d)), rng.standard_normal((n, d))
+
+
 def omega_complete(sample: OmegaSample, seed: int = 0, max_iter: int = 500) -> CompletionResult:
     """Complete a rank-<=d symmetric matrix from its wrap-around band.
 
@@ -202,7 +219,8 @@ def omega_complete(sample: OmegaSample, seed: int = 0, max_iter: int = 500) -> C
     (n, d), then polishes it against the sampled entries and their transposes
     (the band comes from a symmetric matrix); each sweep fits all rows of W,
     then all rows of H, in one batched solve each. Random restarts follow
-    only when a start does not converge (indefinite or full-rank input).
+    only when a start does not converge (indefinite or full-rank input); their
+    generator is seeded from ``seed`` only then.
     ``iterations`` counts ALS sweeps summed over the starts tried, at least
     one per start. The output is symmetrized. Non-convergence, including a
     LinAlgError in a solve, is reported through ``converged``, never raised:
@@ -229,10 +247,7 @@ def omega_complete(sample: OmegaSample, seed: int = 0, max_iter: int = 500) -> C
     vals_t = vals[cols, mirror]
 
     start = _stitched_factor(band)
-    rng = np.random.default_rng(seed)
-    randoms = (
-        (rng.standard_normal((n, d)), rng.standard_normal((n, d))) for _ in range(OMEGA_RESTARTS)
-    )
+    randoms = _random_starts(n, d, seed)
     best = CompletionResult(np.full((n, n), np.nan), False, np.inf, 0)
     iterations = 0
     for w, h in itertools.chain([] if start is None else [(start, start)], randoms):

@@ -302,6 +302,70 @@ def test_omega_complete_stitched_recovery(n, d, seed):
     assert _held_out_rel(m, sample, result) <= 1e-6
 
 
+def _sequential_stitch(band):
+    """Reference for ``features._stitched_factor``: the per-window loop.
+
+    Window k is turned onto the d vectors already placed by an orthogonal
+    Procrustes fit (one d x d SVD, reflections allowed) and places its last.
+    """
+    n, d = band.shape[0], band.shape[1] - 1
+    p = np.arange(d + 1)
+    grams = band[(np.arange(n)[:, None, None] + np.minimum.outer(p, p)) % n, np.abs(p[:, None] - p)]
+    eigvals, eigvecs = np.linalg.eigh(grams)
+    if eigvals.min() < -1e-8 * max(1.0, float(np.abs(eigvals).max())):
+        return None
+    factors = eigvecs[:, :, 1:] * np.sqrt(np.clip(eigvals[:, 1:], 0.0, None))[:, None, :]
+    x = np.empty((n, d))
+    x[: d + 1] = factors[0]
+    for k in range(1, n - d):
+        u, _, vt = np.linalg.svd(factors[k, :d].T @ x[k : k + d])
+        x[k + d] = factors[k, d] @ (u @ vt)
+    return x
+
+
+def _band(m, d):
+    rows = np.arange(m.shape[0])[:, None]
+    return m[rows, (rows + np.arange(d + 1)) % m.shape[0]]
+
+
+@pytest.mark.parametrize("d", [1, 2, 3, 4])
+@pytest.mark.parametrize("size", ["d+1", "d+2", 10, 50, 200, 1000])
+def test_stitched_factor_matches_the_sequential_stitch(d, size):
+    n = {"d+1": d + 1, "d+2": d + 2}.get(size, size)
+    for seed in range(3):
+        band = _band(_low_rank_band(n, d, seed)[0], d)
+        x, ref = features._stitched_factor(band), _sequential_stitch(band)
+        g, g_ref = x @ x.T, ref @ ref.T
+        assert np.max(np.abs(g - g_ref)) <= 1e-12 * np.max(np.abs(g_ref))
+        a = np.random.default_rng(seed).standard_normal((n, d))
+        assert features._stitched_factor(_band(-a @ a.T, d)) is None
+        assert _sequential_stitch(_band(-a @ a.T, d)) is None
+
+
+def _noisy_band(n, d, seed):
+    """Criterion 4's rank-d Gram, and its band with 1e-9 Gaussian noise."""
+    rng = np.random.default_rng(seed)
+    v = rng.standard_normal((d, n))
+    m = v.T @ v
+    noise = 1e-9 * rng.standard_normal((n, d + 1))
+    keys = features._band_keys(n, d)
+    return m, features.OmegaSample(n, d, dict(zip(keys, (_band(m, d) + noise).ravel().tolist())))
+
+
+@pytest.mark.parametrize("n", [20, 200, 1000])
+def test_omega_complete_noise_is_no_worse_than_the_sequential_stitch(monkeypatch, n):
+    # Factors set from a measurement against the sequential stitch (median
+    # ratios 0.97-1.02, worst 1.11e-6 against 1.05e-6 at n = 1000); never
+    # relax them. Fewer seeds do not settle the ratios: on seeds 100-109
+    # alone, n = 1000 read 1.28x on the median and 1.93x on the worst.
+    cases = [_noisy_band(n, 3, seed) for seed in range(1000, 1030)]
+    errors = [_held_out_rel(m, s, features.omega_complete(s)) for m, s in cases]
+    monkeypatch.setattr(features, "_stitched_factor", _sequential_stitch)
+    oracle = [_held_out_rel(m, s, features.omega_complete(s)) for m, s in cases]
+    assert np.median(errors) <= 1.25 * np.median(oracle)
+    assert max(errors) <= 2.0 * max(oracle)
+
+
 @settings(max_examples=25)
 @given(d=st.integers(1, 4), data=st.data())
 def test_omega_complete_never_raises_on_finite_band(d, data):

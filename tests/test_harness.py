@@ -5,7 +5,7 @@ import numpy as np
 import pytest
 
 from equiscalar import basis, groups, harness
-from equiscalar.core import FREE, POSITION, VectorTuple
+from equiscalar.core import FREE, POSITION, VectorTuple, euclidean, minkowski
 from equiscalar.errors import ShapeError
 
 
@@ -61,6 +61,21 @@ def test_invariant_scalar_certifies_clean():
     spec = harness.SymmetrySpec("o", 3, 2, output_kind=harness.SCALAR_INVARIANT)
     report = harness.certify(_first_norm, spec, 100, groups.make_rng(1))
     assert report.max_residual <= 1e-12
+
+
+@pytest.mark.parametrize("family", ["o", "e", "lorentz", "poincare"])
+def test_gram_model_certifies_at_n_1000(family):
+    # The translation families see every vector as a position.
+    n = 1000
+    metric = minkowski(4) if family in ("lorentz", "poincare") else euclidean(3)
+    roles = (POSITION,) * n if family in ("e", "poincare") else None
+    model = basis.EquivariantModel(
+        family, metric, basis.FixedClosure(lambda f: np.tanh(f.gram.sum(axis=1) / f.n))
+    )
+    spec = harness.SymmetrySpec(family, metric.dim, n, roles=roles)
+    report = harness.certify(lambda x: basis.evaluate(model, x), spec, 40, groups.make_rng(1))
+    assert not report.failures
+    assert report.max_residual <= 1e-8
 
 
 def test_lorentz_certification_with_lightlike_stress():
