@@ -106,7 +106,7 @@ def _features_for(model: EquivariantModel, x: VectorTuple) -> ScalarFeatureSet:
         # Center-of-positions reduction keeps slot count aligned with the
         # original tuple, so coefficient vectors stay length n.
         reduced = translation_reduce(x, CENTER_OF_POSITIONS)
-        return ScalarFeatureSet(gram(model.metric, reduced), model.metric, n_out=x.n)
+        return ScalarFeatureSet(gram(model.metric, reduced), model.metric)
     raise ValueError(f"unknown family {model.family!r}")
 
 
@@ -133,8 +133,7 @@ def evaluate(model: EquivariantModel, x: VectorTuple) -> np.ndarray:
     features = _features_for(model, x)
     coeffs, cross_coeffs = coeff_fn.coefficients(features)
     if model.family in (E_FAMILY, POINCARE_FAMILY):
-        mode = MODE_EQUIVARIANT if model.family == POINCARE_FAMILY else model.mode
-        coeffs = _renormalize_translation(coeffs, x, mode)
+        coeffs = _renormalize_translation(coeffs, x, model.mode)
     h = coeffs @ x.vectors
     if model.family == SO_FAMILY and cross_coeffs:
         for subset, c in cross_coeffs.items():

@@ -2,12 +2,14 @@
 
 Conventions: structured output is JSON on stdout, diagnostics go to stderr.
 Exit codes: 0 success, 1 validation/certification failure, 2 usage or input
-error. Every randomized subcommand requires an explicit --seed; there is no
+error, which ``_input_errors`` reports as ``<command>: <message>`` on stderr.
+Every randomized subcommand requires an explicit --seed; there is no
 wall-clock default, so identical invocations are byte-identical.
 """
 from __future__ import annotations
 
 import csv
+import functools
 import json
 import sys
 
@@ -23,9 +25,24 @@ def _emit(obj):
     click.echo(json.dumps(obj, indent=2))
 
 
-def _fail_usage(message):
-    click.echo(message, err=True)
-    sys.exit(2)
+def _input_errors(callback):
+    """Exit 2 with ``<command>: <message>`` (``einsum check: ...``) on an input
+    error in a command callback; the callback's own ``sys.exit`` passes."""
+    @functools.wraps(callback)
+    def run(*args, **kwargs):
+        try:
+            return callback(*args, **kwargs)
+        except (EquiscalarError, OSError, ValueError, KeyError, IndexError, TypeError) as exc:
+            ctx = click.get_current_context()
+            click.echo(f"{ctx.command_path[len(ctx.find_root().info_name) + 1:]}: {exc}", err=True)
+            sys.exit(2)
+    return run
+
+
+_METRICS = {"euclid": EUCLIDEAN, "minkowski": MINKOWSKI}
+_metric_option = click.option(
+    "--metric", "metric_kind", type=click.Choice(list(_METRICS)), default="euclid",
+    show_default=True, callback=lambda ctx, param, value: _METRICS[value])
 
 
 @click.group()
@@ -41,52 +58,47 @@ def main():
 @click.option("--dim", type=int, required=True, help="Ambient dimension (slot count for perm).")
 @click.option("--seed", type=int, required=True)
 @click.option("--rapidity-max", type=float, default=groups.DEFAULT_RAPIDITY_MAX, show_default=True)
+@_input_errors
 def sample_group(group, dim, seed, rapidity_max):
     """Sample one group element and print it as JSON."""
-    try:
-        _emit(groups.element_to_dict(groups.sample(group, groups.make_rng(seed), dim, rapidity_max)))
-    except EquiscalarError as exc:
-        _fail_usage(str(exc))
+    _emit(groups.element_to_dict(groups.sample(group, groups.make_rng(seed), dim, rapidity_max)))
 
 
 # -- features ---------------------------------------------------------------
 
 
 @main.command("features")
-@click.option("--metric", "metric_kind", type=click.Choice(["euclid", "minkowski"]), default="euclid", show_default=True)
+@_metric_option
 @click.option("--subdets", is_flag=True, help="Include SO(d) subdeterminant features.")
 @click.option("--omega", "omega_d", type=int, default=None, help="Also emit the wrap-around band for rank d.")
 @click.option("--in", "infile", type=click.Path(exists=True), required=True)
 @click.option("--out", "outfile", type=click.Path(), default=None, help="Write JSON here instead of stdout.")
+@_input_errors
 def features_cmd(metric_kind, subdets, omega_d, infile, outfile):
     """Compute invariant scalar features of a vector tuple."""
-    try:
-        with open(infile) as fh:
-            text = fh.read()
-        x = VectorTuple.from_csv(text) if infile.endswith(".csv") else VectorTuple.from_json(text)
-        metric = Metric(EUCLIDEAN if metric_kind == "euclid" else MINKOWSKI, x.d)
-        # A finite input can overflow; that is reported below, not warned about.
-        with np.errstate(over="ignore", invalid="ignore"):
-            g = features.gram(metric, x)
-            dets = features.subdeterminants(x) if subdets else {}
-        if not np.isfinite(g).all():
-            raise NonFiniteError("gram matrix contains NaN or Inf")
-        if not np.isfinite(list(dets.values())).all():
-            raise NonFiniteError("subdeterminants contain NaN or Inf")
-        out = {"n": x.n, "d": x.d, "metric": metric.kind, "gram": g}
-        if subdets:
-            out["subdets"] = [{"indices": list(k), "value": v} for k, v in dets.items()]
-        if omega_d is not None:
-            sample = features.omega_sample(g, omega_d)
-            out["omega"] = [
-                {"i": i, "j": j, "value": v} for (i, j), v in sorted(sample.entries.items())
-            ]
-        if outfile:
-            with open(outfile, "w") as fh:
-                _write_features(out, fh.write)
-    except (EquiscalarError, OSError, ValueError, KeyError) as exc:
-        _fail_usage(f"features: {exc}")
+    with open(infile) as fh:
+        text = fh.read()
+    x = VectorTuple.from_csv(text) if infile.endswith(".csv") else VectorTuple.from_json(text)
+    metric = Metric(metric_kind, x.d)
+    # A finite input can overflow; that is reported below, not warned about.
+    with np.errstate(over="ignore", invalid="ignore"):
+        g = features.gram(metric, x)
+        dets = features.subdeterminants(x) if subdets else {}
+    if not np.isfinite(g).all():
+        raise NonFiniteError("gram matrix contains NaN or Inf")
+    if not np.isfinite(list(dets.values())).all():
+        raise NonFiniteError("subdeterminants contain NaN or Inf")
+    out = {"n": x.n, "d": x.d, "metric": metric.kind, "gram": g}
+    if subdets:
+        out["subdets"] = [{"indices": list(k), "value": v} for k, v in dets.items()]
+    if omega_d is not None:
+        sample = features.omega_sample(g, omega_d)
+        out["omega"] = [
+            {"i": i, "j": j, "value": v} for (i, j), v in sorted(sample.entries.items())
+        ]
     if outfile:
+        with open(outfile, "w") as fh:
+            _write_features(out, fh.write)
         click.echo(f"wrote {outfile}", err=True)
     else:
         _write_features(out, lambda text: click.echo(text, nl=False))
@@ -163,43 +175,41 @@ def _load_particles(path):
 @click.option("--in", "infile", type=click.Path(exists=True), required=True)
 @click.option("--check-equivariance", "trials", type=int, default=0)
 @click.option("--seed", type=int, default=None)
+@_input_errors
 def demo(which, infile, trials, seed):
     """Evaluate the reference physics examples on a particle file."""
     if trials > 0 and seed is None:
-        _fail_usage("--check-equivariance requires an explicit --seed")
-    try:
-        obj, particles = _load_particles(infile)
-        G, k, c = (as_scalar(obj.get(name, 1.0), name) for name in ("G", "k", "c"))
-        out = {}
-        if which == "energy":
-            a = out["energy"] = physics.total_energy(particles, G)
-        else:
-            test, sources = particles[0], particles[1:]
-            a = physics.em_force_scalar(test, sources, k, c)
-            out["force_cross"] = physics.em_force_cross(test, sources, k, c).tolist()
-            out["force_scalar"] = a.tolist()
-        if trials > 0:
-            rng = groups.make_rng(seed)
-            residuals = []
-            for _ in range(trials):
-                q = groups.sample_rotation(rng, particles[0].r.size).q
-                w = rng.standard_normal(particles[0].r.size)
-                moved = [
-                    physics.Particle(q @ p.r + w, q @ p.v, mass=p.mass, charge=p.charge)
-                    for p in particles
-                ]
-                if which == "energy":
-                    b = physics.total_energy(moved, G)
-                    residuals.append(abs(a - b) / (1.0 + abs(a)))
-                else:
-                    b = physics.em_force_scalar(moved[0], moved[1:], k, c)
-                    residuals.append(
-                        float(np.linalg.norm(b - q @ a) / (1.0 + np.linalg.norm(a)))
-                    )
-            out["equivariance"] = {"trials": trials, "max_residual": max(residuals)}
-        _emit(out)
-    except (EquiscalarError, OSError, ValueError, KeyError, IndexError) as exc:
-        _fail_usage(f"demo: {exc}")
+        raise ValueError("--check-equivariance requires an explicit --seed")
+    obj, particles = _load_particles(infile)
+    G, k, c = (as_scalar(obj.get(name, 1.0), name) for name in ("G", "k", "c"))
+    out = {}
+    if which == "energy":
+        a = out["energy"] = physics.total_energy(particles, G)
+    else:
+        test, sources = particles[0], particles[1:]
+        a = physics.em_force_scalar(test, sources, k, c)
+        out["force_cross"] = physics.em_force_cross(test, sources, k, c).tolist()
+        out["force_scalar"] = a.tolist()
+    if trials > 0:
+        rng = groups.make_rng(seed)
+        residuals = []
+        for _ in range(trials):
+            q = groups.sample_rotation(rng, particles[0].r.size).q
+            w = rng.standard_normal(particles[0].r.size)
+            moved = [
+                physics.Particle(q @ p.r + w, q @ p.v, mass=p.mass, charge=p.charge)
+                for p in particles
+            ]
+            if which == "energy":
+                b = physics.total_energy(moved, G)
+                residuals.append(abs(a - b) / (1.0 + abs(a)))
+            else:
+                b = physics.em_force_scalar(moved[0], moved[1:], k, c)
+                residuals.append(
+                    float(np.linalg.norm(b - q @ a) / (1.0 + np.linalg.norm(a)))
+                )
+        out["equivariance"] = {"trials": trials, "max_residual": max(residuals)}
+    _emit(out)
 
 
 # -- einsum -----------------------------------------------------------------
@@ -212,17 +222,13 @@ def einsum_group():
 
 @einsum_group.command("check")
 @click.argument("expr")
-@click.option("--metric", "metric_kind", type=click.Choice(["euclid", "minkowski"]), default="euclid", show_default=True)
+@_metric_option
 @click.option("--dim", type=int, default=3, show_default=True)
 @click.option("--mode", type=click.Choice([einsum.MODE_PLAIN, einsum.MODE_METRIC_AWARE]), default=einsum.MODE_PLAIN, show_default=True)
+@_input_errors
 def einsum_check(expr, metric_kind, dim, mode):
     """Validate EXPR; exit 0 if valid, 1 with a violation report otherwise."""
-    try:
-        parsed = einsum.parse(expr)
-    except EquiscalarError as exc:
-        _fail_usage(f"einsum: {exc}")
-    metric = Metric(EUCLIDEAN if metric_kind == "euclid" else MINKOWSKI, dim)
-    report = einsum.validate(parsed, metric, mode)
+    report = einsum.validate(einsum.parse(expr), Metric(metric_kind, dim), mode)
     _emit(report.to_dict())
     sys.exit(0 if report.valid else 1)
 
@@ -231,17 +237,14 @@ def einsum_check(expr, metric_kind, dim, mode):
 @click.argument("expr")
 @click.option("--bind", "bindfile", type=click.Path(exists=True), required=True, help="JSON map of tensor name to nested array.")
 @click.option("--dim", type=int, required=True)
-@click.option("--metric", "metric_kind", type=click.Choice(["euclid", "minkowski"]), default="euclid", show_default=True)
+@_metric_option
+@_input_errors
 def einsum_eval(expr, bindfile, dim, metric_kind):
     """Evaluate EXPR on the given bindings, one np.einsum contraction per term."""
-    try:
-        parsed = einsum.parse(expr)
-        with open(bindfile) as fh:
-            bindings = json.load(fh)
-        metric = Metric(EUCLIDEAN if metric_kind == "euclid" else MINKOWSKI, dim)
-        value = einsum.evaluate(parsed, bindings, dim, metric)
-    except (EquiscalarError, OSError, ValueError) as exc:
-        _fail_usage(f"einsum: {exc}")
+    parsed = einsum.parse(expr)
+    with open(bindfile) as fh:
+        bindings = json.load(fh)
+    value = einsum.evaluate(parsed, bindings, dim, Metric(metric_kind, dim))
     _emit({"value": value if np.isscalar(value) else np.asarray(value).tolist()})
 
 
@@ -279,70 +282,72 @@ def _parse_value(value):
         return value
 
 
+# Config key -> (constructor, its keyword, conversion of the parsed value);
+# a key left out takes the constructor's default.
+_TRAIN_KEYS = {
+    "edge_inv_sqrt": (mpnn.EdgeConfig, "include_inv_sqrt", bool),
+    "edge_rbf_centers": (mpnn.EdgeConfig, "rbf_centers", tuple),
+    "edge_rbf_width": (mpnn.EdgeConfig, "rbf_width", None),
+    "layers": (mpnn.MpnnModel, "layers", None),
+    "widths": (mpnn.MpnnModel, "hidden", None),
+    "activation": (mpnn.MpnnModel, "activation", None),
+    "mode": (mpnn.MpnnModel, "mode", None),
+    "readout": (mpnn.MpnnModel, "readout", None),
+    "epochs": (mpnn.TrainConfig, "epochs", None),
+    "lr": (mpnn.TrainConfig, "lr", None),
+    "batch": (mpnn.TrainConfig, "batch_size", None),
+}
+
+
 @main.command("train")
 @click.option("--config", "config_path", type=click.Path(exists=True), required=True)
 @click.option("--out", "model_path", type=click.Path(), required=True)
 @click.option("--report", "report_path", type=click.Path(), required=True)
+@_input_errors
 def train_cmd(config_path, model_path, report_path):
     """Train the scalar message-passing network on generated force data."""
-    try:
-        cfg = _parse_kv_config(config_path)
-        if "seed" not in cfg:
-            _fail_usage("train: config must set an explicit seed")
-        edge = mpnn.EdgeConfig(
-            include_inv_sqrt=bool(cfg.get("edge_inv_sqrt", 0)),
-            rbf_centers=tuple(cfg.get("edge_rbf_centers", [])),
-            rbf_width=cfg.get("edge_rbf_width", 0.5),
-        )
-        model = mpnn.MpnnModel(
-            cfg["n_particles"],
-            layers=cfg.get("layers", 2),
-            hidden=tuple(cfg.get("widths", [16, 16])),
-            activation=cfg.get("activation", "tanh"),
-            mode=cfg.get("mode", mpnn.CONCAT),
-            edge_config=edge,
-            readout=cfg.get("readout", mpnn.READOUT_POSITION),
-            seed=cfg["seed"],
-        )
-        rng = groups.make_rng(cfg["seed"])
-        dataset = mpnn.generate_dataset(rng, cfg["n_particles"], cfg["n_samples"])
-        tcfg = mpnn.TrainConfig(
-            epochs=cfg.get("epochs", 200),
-            lr=cfg.get("lr", 1e-3),
-            batch_size=cfg.get("batch", 32),
-            seed=cfg["seed"],
-        )
-        spec_list = _mpnn_specs(cfg["n_particles"])
-        residuals = []
+    cfg = _parse_kv_config(config_path)
+    if "seed" not in cfg:
+        raise ValueError("config must set an explicit seed")
+    kwargs = {mpnn.EdgeConfig: {}, mpnn.MpnnModel: {}, mpnn.TrainConfig: {}}
+    for key in [k for k in cfg if k not in ("n_particles", "n_samples", "seed")]:
+        if key not in _TRAIN_KEYS:
+            raise ValueError(f"unknown config key {key!r}")
+        cls, name, convert = _TRAIN_KEYS[key]
+        kwargs[cls][name] = convert(cfg[key]) if convert else cfg[key]
+    model = mpnn.MpnnModel(cfg["n_particles"], edge_config=mpnn.EdgeConfig(**kwargs[mpnn.EdgeConfig]),
+                           seed=cfg["seed"], **kwargs[mpnn.MpnnModel])
+    dataset = mpnn.generate_dataset(groups.make_rng(cfg["seed"]), cfg["n_particles"], cfg["n_samples"])
+    tcfg = mpnn.TrainConfig(seed=cfg["seed"], **kwargs[mpnn.TrainConfig])
+    spec_list = _mpnn_specs(cfg["n_particles"])
+    residuals = []
 
-        def certify_epoch(epoch, current):
-            # The same 10 trials every epoch, so the column tracks the model alone.
-            cert = harness.certify_joint(
-                _block_target(current.forward), spec_list, trials=10, rng=groups.make_rng(cfg["seed"] + 1)
-            )
-            residuals.append(cert.max_residual)
-
-        report = mpnn.train(model, dataset, tcfg, on_epoch=certify_epoch)
-        model.save(model_path)
-        with open(report_path, "w", newline="") as fh:
-            writer = csv.writer(fh)
-            writer.writerow(["epoch", "train_mse", "val_mse", "equivariance_residual"])
-            for (epoch, train_mse, val_mse), residual in zip(report.epochs, residuals):
-                writer.writerow([epoch, train_mse, val_mse, residual])
-        _emit(
-            {
-                "initial_val_mse": report.initial_val,
-                "final_val_mse": report.final_val,
-                "epochs": len(report.epochs) - 1,
-                "aborted": report.aborted,
-                "equivariance_residual": residuals[-1],
-                "model": model_path,
-                "report": report_path,
-            }
+    def certify_epoch(epoch, current):
+        # The same 10 trials every epoch, so the column tracks the model alone.
+        cert = harness.certify_joint(
+            _block_target(current.forward), spec_list, trials=10, rng=groups.make_rng(cfg["seed"] + 1)
         )
-        sys.exit(1 if report.aborted else 0)
-    except (EquiscalarError, OSError, ValueError, KeyError) as exc:
-        _fail_usage(f"train: {exc}")
+        residuals.append(cert.max_residual)
+
+    report = mpnn.train(model, dataset, tcfg, on_epoch=certify_epoch)
+    model.save(model_path)
+    with open(report_path, "w", newline="") as fh:
+        writer = csv.writer(fh)
+        writer.writerow(["epoch", "train_mse", "val_mse", "equivariance_residual"])
+        for (epoch, train_mse, val_mse), residual in zip(report.epochs, residuals):
+            writer.writerow([epoch, train_mse, val_mse, residual])
+    _emit(
+        {
+            "initial_val_mse": report.initial_val,
+            "final_val_mse": report.final_val,
+            "epochs": len(report.epochs) - 1,
+            "aborted": report.aborted,
+            "equivariance_residual": residuals[-1],
+            "model": model_path,
+            "report": report_path,
+        }
+    )
+    sys.exit(1 if report.aborted else 0)
 
 
 def _mpnn_specs(n):
@@ -413,26 +418,21 @@ def _certify_target(target, spec_dicts):
 @click.option("--seed", type=int, required=True)
 @click.option("--tolerance", type=float, default=1e-8, show_default=True)
 @click.option("--out", "outfile", type=click.Path(), default=None)
+@_input_errors
 def certify_cmd(target, spec_path, trials, seed, tolerance, outfile):
     """Run randomized equivariance certification on a named target."""
-    try:
-        with open(spec_path) as fh:
-            spec_obj = json.load(fh)
-        spec_dicts = spec_obj if isinstance(spec_obj, list) else [spec_obj]
-        for d in spec_dicts:
-            if "roles" in d and d["roles"] is not None:
-                d["roles"] = tuple(d["roles"])
-        fn, specs = _certify_target(target, spec_dicts)
-        rng = groups.make_rng(seed)
-        report = harness.certify_joint(fn, specs, trials, rng)
-        payload = report.to_dict()
-        payload["tolerance"] = tolerance
-        payload["passed"] = report.max_residual <= tolerance and not report.failures
-        if outfile:
-            with open(outfile, "w") as fh:
-                json.dump(payload, fh, indent=2)
-    except (EquiscalarError, OSError, ValueError, KeyError, TypeError) as exc:
-        _fail_usage(f"certify: {exc}")
+    if as_scalar(tolerance, "tolerance") < 0:
+        raise ShapeError(f"tolerance must be >= 0, got {tolerance}")
+    with open(spec_path) as fh:
+        spec_obj = json.load(fh)
+    fn, specs = _certify_target(target, spec_obj if isinstance(spec_obj, list) else [spec_obj])
+    report = harness.certify_joint(fn, specs, trials, groups.make_rng(seed))
+    payload = report.to_dict()
+    payload["tolerance"] = tolerance
+    payload["passed"] = report.max_residual <= tolerance and not report.failures
+    if outfile:
+        with open(outfile, "w") as fh:
+            json.dump(payload, fh, indent=2)
     _emit(payload)
     sys.exit(0 if payload["passed"] else 1)
 

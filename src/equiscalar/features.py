@@ -39,11 +39,10 @@ class ScalarFeatureSet:
     gram: np.ndarray
     metric: Metric
     subdets: dict | None = None
-    n_out: int | None = None  # coefficient count expected by models; defaults to gram size
 
     @property
     def n(self) -> int:
-        return self.n_out if self.n_out is not None else self.gram.shape[0]
+        return self.gram.shape[0]
 
 
 # Strict lower-triangle masks for small n, where building one costs more

@@ -32,6 +32,7 @@ from .errors import DimensionMismatchError, NonFiniteError, ShapeError
 ORTHO_TOL = 1e-12
 LORENTZ_TOL = 1e-13
 DEFAULT_RAPIDITY_MAX = 2.0
+_MAX_RAPIDITY = np.finfo(np.float64).max / 2
 
 
 def make_rng(seed) -> np.random.Generator:
@@ -82,10 +83,13 @@ def _lorentz(g, m, scale=None) -> np.ndarray:
     scaled by 1 + 1e-6 at rapidity 9 is at 1.2e-13."""
     q = _square(m)
     lam = minkowski(q.shape[-1]).matrix
-    defect = np.abs(q.mT @ lam @ q - lam).max(axis=(-2, -1))
     if scale is None:
         scale = np.maximum(1.0, np.abs(q).max(axis=(-2, -1)))
-    if np.any(defect > LORENTZ_TOL * scale**2):
+    # Past max|q| ~ 1e154 both overflow: an infinite bound rejects, as does a NaN defect.
+    with np.errstate(over="ignore", invalid="ignore"):
+        defect = np.abs(q.mT @ lam @ q - lam).max(axis=(-2, -1))
+        bound = LORENTZ_TOL * scale**2
+    if not np.all((defect <= bound) & (bound < np.inf)):
         raise ShapeError("matrix does not preserve the Minkowski metric within 1e-13 * scale^2, "
                          "scale = max(1, max|q|), or for a product the product of its factors' scales")
     object.__setattr__(g, "_scale", scale)
@@ -182,30 +186,20 @@ GroupElement = Orthogonal | Rotation | Lorentz | Translation | Permutation | Euc
 # draws, into the element's fields.
 
 
-def _draw_haar(rng, d):
-    if d < 1:
-        raise ShapeError("d must be >= 1")
-    return rng.standard_normal((d, d))
-
-
 def _draw_orthogonal(rng, d, rapidity_max):
-    a = _draw_haar(rng, d)
+    a = rng.standard_normal((d, d))
     col = int(rng.integers(d))
     sign = 1.0 if rng.integers(2) == 0 else -1.0
     return a, col, sign
 
 
 def _draw_rotation(rng, d, rapidity_max):
-    return (_draw_haar(rng, d),)
+    return (rng.standard_normal((d, d)),)
 
 
 def _draw_lorentz(rng, d_plus_1, rapidity_max):
-    if d_plus_1 < 2:
-        raise ShapeError("d+1 must be >= 2")
-    if rapidity_max <= 0:
-        raise ShapeError("rapidity_max must be > 0")
     d = d_plus_1 - 1
-    a = _draw_haar(rng, d) if d >= 2 else np.empty((0, 0))
+    a = rng.standard_normal((d, d)) if d >= 2 else np.empty((0, 0))
     phi = rng.uniform(-rapidity_max, rapidity_max)
     axis = rng.standard_normal(d)
     norm = np.linalg.norm(axis)
@@ -262,7 +256,8 @@ def _build_lorentz(a, phi, u):
     r = np.zeros((t, d + 1, d + 1))
     r[:, 0, 0] = 1.0
     r[:, 1:, 1:] = _build_rotation(a)[0] if d >= 2 else 1.0
-    return (_boosts(phi, u) @ r,)
+    with np.errstate(over="ignore", invalid="ignore"):  # |phi| > ~710: the check rejects inf
+        return (_boosts(phi, u) @ r,)
 
 
 def _translated(draw, build):
@@ -292,8 +287,15 @@ def _family(family: str):
 
 
 def draw(family: str, rng, dim: int, rapidity_max: float = DEFAULT_RAPIDITY_MAX) -> tuple:
-    """The raw numbers of one element of ``family``, taken from ``rng``."""
-    return _family(family)[0](rng, dim, rapidity_max)
+    """The raw numbers of one element of ``family``, from ``rng``, after the one check of every
+    sampling path (past finfo.max / 2, rng.uniform(-rapidity_max, rapidity_max) overflows)."""
+    draw_one = _family(family)[0]
+    least = 2 if family in ("lorentz", "poincare") else 1
+    if dim < least:
+        raise ShapeError(f"dim must be >= {least} for group {family!r}, got {dim}")
+    if not 0 < rapidity_max <= _MAX_RAPIDITY:
+        raise ShapeError(f"rapidity_max must be finite and in (0, {_MAX_RAPIDITY:.6g}], got {rapidity_max}")
+    return draw_one(rng, dim, rapidity_max)
 
 
 def sample_stack(family: str, draws) -> GroupElement:
@@ -304,8 +306,8 @@ def sample_stack(family: str, draws) -> GroupElement:
 
 def sample(family: str, rng, dim: int, rapidity_max: float = DEFAULT_RAPIDITY_MAX) -> GroupElement:
     """One element of ``family``: the stacked build of a single draw."""
-    draw_one, build, cls = _family(family)
-    stacked = build(*(np.array([r]) for r in draw_one(rng, dim, rapidity_max)))
+    _, build, cls = _family(family)
+    stacked = build(*(np.array([r]) for r in draw(family, rng, dim, rapidity_max)))
     return cls(*(f[0] for f in stacked))
 
 

@@ -156,6 +156,18 @@ def test_poincare_centroid_is_translation_equivariant():
     assert np.linalg.norm(lhs - rhs) <= 1e-8 * (1.0 + np.linalg.norm(rhs))
 
 
+@pytest.mark.parametrize("family, metric", [("e", euclidean(4)), ("poincare", minkowski(4))])
+def test_invariant_mode_certifies_translation_invariant_in_both_affine_families(family, metric):
+    model = basis.EquivariantModel(
+        family, metric, basis.FixedClosure(lambda f: np.tanh(f.gram.sum(axis=1))),
+        mode=basis.MODE_INVARIANT,
+    )
+    spec = harness.SymmetrySpec(family, 4, 3, roles=(POSITION,) * 3,
+                                output_kind=harness.VECTOR_TRANSLATION_INVARIANT)
+    report = harness.certify(lambda x: basis.evaluate(model, x), spec, 50, groups.make_rng(1))
+    assert report.max_residual <= 1e-8 and not report.failures
+
+
 def test_translation_family_requires_roles():
     model = basis.EquivariantModel("e", euclidean(2), basis.uniform_mixture())
     with pytest.raises(RoleError):

@@ -564,3 +564,62 @@ def test_emforce_stack_with_a_coincident_trial_reports_like_the_per_trial_target
     assert [(f["trial"], f["error"]) for f in report["failures"]] == [
         (5, "DegenerateInputError: source 0 coincides with the test particle position")]
     assert report["max_residual"] <= 1e-12
+
+
+# -- one input boundary ----------------------------------------------------------
+
+_CERTIFY_O3 = json.dumps({"group": "o", "dim": 3, "n_vectors": 3, "output_kind": "scalar-invariant"})
+_CERTIFY_LORENTZ_1E400 = ('{"group": "lorentz", "dim": 4, "n_vectors": 3, '
+                          '"output_kind": "scalar-invariant", "rapidity_max": 1e400}')
+
+
+def _train_args(tmp_path, old, new):
+    cfg = _write(tmp_path / "train.cfg", TRAIN_CONFIG.replace(old, new))
+    return ["train", "--config", cfg, "--out", str(tmp_path / "m.json"), "--report", str(tmp_path / "r.csv")]
+
+
+def _certify_args(tmp_path, spec, *extra):
+    return ["certify", "--target", "gram", "--spec", _write(tmp_path / "spec.json", spec),
+            "--trials", "5", "--seed", "1", *extra]
+
+
+# case -> (the command's name, its arguments given tmp_path)
+BAD_INPUT = {
+    "einsum-dim-0": ("einsum check", lambda p: ["einsum", "check", "u_i v_i", "--dim", "0"]),
+    "train-n-particles-x": ("train", lambda p: _train_args(p, "n_particles = 3", "n_particles = x")),
+    "train-epochs-x": ("train", lambda p: _train_args(p, "epochs = 1", "epochs = x")),
+    "train-seed-x": ("train", lambda p: _train_args(p, "seed = 0", "seed = x")),
+    "train-unknown-key": ("train", lambda p: _train_args(p, "epochs = 1", "epochs = 1\nepoch = 5")),
+    "lorentz-rapidity-nan": ("sample-group", lambda p: [
+        "sample-group", "--group", "lorentz", "--dim", "4", "--seed", "1", "--rapidity-max", "nan"]),
+    "lorentz-rapidity-inf": ("sample-group", lambda p: [
+        "sample-group", "--group", "lorentz", "--dim", "4", "--seed", "1", "--rapidity-max", "inf"]),
+    "perm-dim-minus-1": ("sample-group", lambda p: ["sample-group", "--group", "perm", "--dim", "-1", "--seed", "1"]),
+    "perm-dim-0": ("sample-group", lambda p: ["sample-group", "--group", "perm", "--dim", "0", "--seed", "1"]),
+    "certify-rapidity-1e400": ("certify", lambda p: _certify_args(p, _CERTIFY_LORENTZ_1E400)),
+    "certify-tolerance-nan": ("certify", lambda p: _certify_args(p, _CERTIFY_O3, "--tolerance", "nan")),
+    "certify-tolerance-minus-1": ("certify", lambda p: _certify_args(p, _CERTIFY_O3, "--tolerance", "-1")),
+}
+
+
+@pytest.mark.parametrize("case", BAD_INPUT)
+def test_bad_input_exits_2_with_the_command_name_and_no_traceback(runner, tmp_path, case):
+    command, args = BAD_INPUT[case]
+    result = runner.invoke(main, args(tmp_path))
+    assert result.exit_code == 2, result.output
+    assert isinstance(result.exception, SystemExit)
+    assert result.stderr.startswith(f"{command}: ") and "Traceback" not in result.output
+    assert result.stdout == ""
+
+
+def test_train_without_optional_keys_takes_the_library_defaults(runner, tmp_path):
+    cfg = _write(tmp_path / "train.cfg", "n_particles = 3\nn_samples = 10\nepochs = 1\nseed = 1\n")
+    model_path, default_path = tmp_path / "m.json", tmp_path / "default.json"
+    result = runner.invoke(
+        main, ["train", "--config", cfg, "--out", str(model_path), "--report", str(tmp_path / "r.csv")]
+    )
+    assert result.exit_code == 0, result.output
+    mpnn.MpnnModel(3, seed=1).save(default_path)
+    trained, default = (json.loads(p.read_text()) for p in (model_path, default_path))
+    assert trained.pop("nets") != default.pop("nets")
+    assert trained == default

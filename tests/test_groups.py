@@ -3,7 +3,7 @@ import pytest
 
 from equiscalar import groups, harness
 from equiscalar.core import FREE, POSITION, VectorTuple, minkowski
-from equiscalar.errors import DimensionMismatchError, ShapeError
+from equiscalar.errors import DimensionMismatchError, NonFiniteError, ShapeError
 
 FAMILIES = ["o", "so", "lorentz", "e", "poincare", "perm", "translation"]
 
@@ -274,6 +274,51 @@ def test_stack_with_one_bad_matrix_raises_shape_error(cls, sampler):
         cls(broken)
 
 
+@pytest.mark.parametrize("family", FAMILIES)
+@pytest.mark.parametrize("dim, rapidity_max", [
+    (0, 2.0), (-1, 2.0), (3, np.nan), (3, np.inf), (3, 0.0), (3, -1.0), (3, np.finfo(float).max),
+])
+def test_every_family_checks_dim_and_rapidity_before_drawing(family, dim, rapidity_max):
+    rng = groups.make_rng(0)
+    state = rng.bit_generator.state
+    with pytest.raises(ShapeError):
+        groups.draw(family, rng, dim, rapidity_max)
+    with pytest.raises(ShapeError):
+        groups.sample(family, rng, dim, rapidity_max)
+    assert rng.bit_generator.state == state
+    if dim > 0:
+        spec = harness.SymmetrySpec(family, dim, 2, roles=(POSITION, FREE), rapidity_max=rapidity_max)
+        with pytest.raises(ShapeError, match="rapidity_max"):
+            harness.certify(lambda x: x.vectors, spec, 3, rng)
+
+
+@pytest.mark.parametrize("sampler, dim", [
+    ("orthogonal", 0), ("rotation", 0), ("translation", 0), ("permutation", 0), ("euclidean", 0),
+    ("lorentz", 1), ("poincare", 1),
+])
+def test_every_sampler_rejects_a_dimension_below_its_floor(sampler, dim):
+    with pytest.raises(ShapeError, match=f">= {dim + 1}"):
+        getattr(groups, f"sample_{sampler}")(groups.make_rng(0), dim)
+
+
+def test_a_sampled_boost_whose_bound_overflows_is_rejected():
+    rejected = 0
+    for seed in range(20):
+        try:
+            g = groups.sample("lorentz", groups.make_rng(seed), 4, 500.0)
+        except ShapeError:
+            rejected += 1
+        else:
+            assert g._scale < 1e154
+    assert rejected > 0
+
+
+@pytest.mark.parametrize("family", ["lorentz", "poincare"])
+def test_a_boost_that_overflows_float64_is_a_non_finite_error(family):
+    with pytest.raises(NonFiniteError):
+        groups.sample(family, groups.make_rng(3), 4, 1e300)
+
+
 @pytest.mark.parametrize("rapidity_max", [9.0, 12.0])
 def test_lorentz_accepts_its_own_large_boosts(rapidity_max):
     for seed in range(1, 11):
@@ -308,12 +353,18 @@ def _lorentz_at(phi):
     return groups.boost(phi, [1.0, 1.0, 1.0], 4) @ rotation
 
 
-@pytest.mark.parametrize("phi", [0.0, 9.0])
-def test_lorentz_rejects_a_boost_scaled_by_1_plus_1e_6(phi):
-    q = groups.boost(phi, [1.0, 1.0, 1.0], 4)
-    groups.Lorentz(q)
+@pytest.mark.parametrize("phi, axis, factor", [
+    (0.0, [1.0, 1.0, 1.0], 1 + 1e-6),
+    (9.0, [1.0, 1.0, 1.0], 1 + 1e-6),
+    # cosh(400) ~ 2.6e173: the defect and its bound both overflow to inf.
+    (400.0, [1.0, 0.0, 0.0], 1 + 1e-3),
+], ids=["0.0", "9.0", "400.0-overflowing"])
+def test_lorentz_rejects_a_boost_scaled_by_1_plus_1e_6(phi, axis, factor):
+    q = groups.boost(phi, axis, 4)
     with pytest.raises(ShapeError, match="within 1e-13"):
-        groups.Lorentz(q * (1 + 1e-6))
+        groups.Lorentz(q * factor)
+    if phi < 400:  # at 400 the unscaled boost's bound overflows as well
+        groups.Lorentz(q)
 
 
 @pytest.mark.parametrize("phi", [0.0, 9.0])
