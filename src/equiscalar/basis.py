@@ -4,6 +4,9 @@ Every model here evaluates h = sum_t f_t(features) v_t, optionally plus
 generalized cross-product terms for SO(d), where the coefficient functions
 see only invariant scalar features, never raw vectors. Equivariance is
 therefore structural, not audited.
+
+A model family's record in ``groups.FAMILIES`` gives the Gram's metric and
+``_SCALARS`` the rest of its scalars; a model is checked against both when built.
 """
 from __future__ import annotations
 
@@ -13,8 +16,9 @@ from dataclasses import dataclass
 
 import numpy as np
 
+from . import groups
 from .core import Metric, VectorTuple, as_vector, sort_sign
-from .errors import RoleError, ShapeError
+from .errors import ShapeError
 from .features import (
     CENTER_OF_POSITIONS,
     ScalarFeatureSet,
@@ -23,14 +27,22 @@ from .features import (
     translation_reduce,
 )
 
-O_FAMILY = "o"
-SO_FAMILY = "so"
-E_FAMILY = "e"
-LORENTZ_FAMILY = "lorentz"
-POINCARE_FAMILY = "poincare"
-
 MODE_INVARIANT = "invariant"
 MODE_EQUIVARIANT = "equivariant"
+# What the position coefficients of a translation family sum to in each
+# mode: 0 gives a translation-invariant output, 1 one that moves with them.
+# The 0 is -0.0 so that shifting by (-0.0 - sum) / n leaves a -0.0
+# coefficient as subtracting the mean does when the sum is +0.0.
+_POSITION_SUMS = {MODE_INVARIANT: -0.0, MODE_EQUIVARIANT: 1.0}
+
+# Model family -> (positions centred before the Gram, SO(d) subdeterminants added).
+_SCALARS = {
+    "o": (False, False),
+    "so": (False, True),
+    "e": (True, False),
+    "lorentz": (False, False),
+    "poincare": (True, False),
+}
 
 MAX_EXPLICIT_SYMMETRIZE = 8
 # Permutations gathered and sign-mapped as one array at a time.
@@ -86,7 +98,7 @@ def uniform_mixture(name="uniform"):
     return FixedClosure(lambda feats: np.full(feats.n, 1.0 / feats.n), name=name)
 
 
-@dataclass
+@dataclass(frozen=True)
 class EquivariantModel:
     family: str
     metric: Metric
@@ -94,34 +106,14 @@ class EquivariantModel:
     mode: str = MODE_EQUIVARIANT  # E(d)/Poincare translation behaviour
     permutation_symmetric: bool = False
 
-
-def _features_for(model: EquivariantModel, x: VectorTuple) -> ScalarFeatureSet:
-    if model.family in (O_FAMILY, LORENTZ_FAMILY):
-        return ScalarFeatureSet(gram(model.metric, x), model.metric)
-    if model.family == SO_FAMILY:
-        return ScalarFeatureSet(gram(model.metric, x), model.metric, subdets=subdeterminants(x))
-    if model.family in (E_FAMILY, POINCARE_FAMILY):
-        if not any(r == "position" for r in x.roles):
-            raise RoleError(f"{model.family} family requires position role tags")
-        # Center-of-positions reduction keeps slot count aligned with the
-        # original tuple, so coefficient vectors stay length n.
-        reduced = translation_reduce(x, CENTER_OF_POSITIONS)
-        return ScalarFeatureSet(gram(model.metric, reduced), model.metric)
-    raise ValueError(f"unknown family {model.family!r}")
-
-
-def _renormalize_translation(coeffs, x: VectorTuple, mode: str) -> np.ndarray:
-    """Affine constraint on the position coefficients: sum 0 (invariant
-    output) or sum 1 (equivariant output); free coefficients untouched."""
-    pos = x.position_indices()
-    out = coeffs.copy()
-    if mode == MODE_INVARIANT:
-        out[pos] -= out[pos].mean()
-    elif mode == MODE_EQUIVARIANT:
-        out[pos] += (1.0 - out[pos].sum()) / pos.size
-    else:
-        raise ValueError(f"unknown translation mode {mode!r}")
-    return out
+    def __post_init__(self):
+        if self.family not in _SCALARS:
+            raise ShapeError(f"unknown model family {self.family!r}, expected one of {', '.join(_SCALARS)}")
+        kind = groups.FAMILIES[self.family].metric
+        if getattr(self.metric, "kind", None) != kind:
+            raise ShapeError(f"family {self.family!r} needs a {kind} metric, got {self.metric!r}")
+        if self.mode not in _POSITION_SUMS:
+            raise ShapeError(f"unknown mode {self.mode!r}, expected one of {', '.join(_POSITION_SUMS)}")
 
 
 def evaluate(model: EquivariantModel, x: VectorTuple) -> np.ndarray:
@@ -130,17 +122,22 @@ def evaluate(model: EquivariantModel, x: VectorTuple) -> np.ndarray:
     coeff_fn = model.coeffs
     if model.permutation_symmetric:
         coeff_fn = symmetrize_permutation(coeff_fn, x.n)
-    features = _features_for(model, x)
+    centred, pseudo = _SCALARS[model.family]
+    # Centring keeps every slot, so coefficient vectors stay length n.
+    reduced = translation_reduce(x, CENTER_OF_POSITIONS) if centred else x
+    features = ScalarFeatureSet(gram(model.metric, reduced), model.metric,
+                                subdets=subdeterminants(x) if pseudo else None)
     coeffs, cross_coeffs = coeff_fn.coefficients(features)
-    if model.family in (E_FAMILY, POINCARE_FAMILY):
-        coeffs = _renormalize_translation(coeffs, x, model.mode)
+    if centred:
+        pos = x.position_indices()
+        coeffs = coeffs.copy()
+        coeffs[pos] += (_POSITION_SUMS[model.mode] - coeffs[pos].sum()) / pos.size
     h = coeffs @ x.vectors
-    if model.family == SO_FAMILY and cross_coeffs:
-        for subset, c in cross_coeffs.items():
-            _check_cross_subset(subset, x.n, x.d)
-            h = h + c * generalized_cross([x.vectors[i] for i in subset])
-    elif cross_coeffs:
+    if cross_coeffs and not pseudo:
         raise ShapeError("cross-term coefficients are only valid for the SO family")
+    for subset, c in (cross_coeffs or {}).items():
+        _check_cross_subset(subset, x.n, x.d)
+        h = h + c * generalized_cross([x.vectors[i] for i in subset])
     return h
 
 

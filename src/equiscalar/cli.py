@@ -282,21 +282,57 @@ def _parse_value(value):
         return value
 
 
-# Config key -> (constructor, its keyword, conversion of the parsed value);
-# a key left out takes the constructor's default.
+def _finite(value):
+    return isinstance(value, int) or isinstance(value, float) and np.isfinite(value)
+
+
+# Kinds of config value: (what a message calls it, test of the parsed
+# value, conversion of a value that passes it or None).
+_INTEGER = ("an integer", lambda v: isinstance(v, int), None)
+_NUMBER = ("a finite number", _finite, None)
+_WORD = ("a word", lambda v: isinstance(v, str), None)
+_BOOLS = {"true": True, "false": False, 1: True, 0: False}
+_BOOL = ("true, false, 1 or 0", lambda v: isinstance(v, (str, int)) and v in _BOOLS, _BOOLS.get)
+_INTEGERS = ("a list of integers", lambda v: isinstance(v, list) and all(isinstance(i, int) for i in v),
+             None)
+_NUMBERS = ("a list of finite numbers", lambda v: isinstance(v, list) and all(map(_finite, v)), tuple)
+
+# Config key -> (constructor, its keyword, kind of value); the keys of
+# constructor None are required, any other key left out takes the
+# constructor's default.
 _TRAIN_KEYS = {
-    "edge_inv_sqrt": (mpnn.EdgeConfig, "include_inv_sqrt", bool),
-    "edge_rbf_centers": (mpnn.EdgeConfig, "rbf_centers", tuple),
-    "edge_rbf_width": (mpnn.EdgeConfig, "rbf_width", None),
-    "layers": (mpnn.MpnnModel, "layers", None),
-    "widths": (mpnn.MpnnModel, "hidden", None),
-    "activation": (mpnn.MpnnModel, "activation", None),
-    "mode": (mpnn.MpnnModel, "mode", None),
-    "readout": (mpnn.MpnnModel, "readout", None),
-    "epochs": (mpnn.TrainConfig, "epochs", None),
-    "lr": (mpnn.TrainConfig, "lr", None),
-    "batch": (mpnn.TrainConfig, "batch_size", None),
+    "n_particles": (None, "n_particles", _INTEGER),
+    "n_samples": (None, "n_samples", _INTEGER),
+    "seed": (None, "seed", _INTEGER),
+    "edge_inv_sqrt": (mpnn.EdgeConfig, "include_inv_sqrt", _BOOL),
+    "edge_rbf_centers": (mpnn.EdgeConfig, "rbf_centers", _NUMBERS),
+    "edge_rbf_width": (mpnn.EdgeConfig, "rbf_width", _NUMBER),
+    "layers": (mpnn.MpnnModel, "layers", _INTEGER),
+    "widths": (mpnn.MpnnModel, "hidden", _INTEGERS),
+    "activation": (mpnn.MpnnModel, "activation", _WORD),
+    "mode": (mpnn.MpnnModel, "mode", _WORD),
+    "readout": (mpnn.MpnnModel, "readout", _WORD),
+    "epochs": (mpnn.TrainConfig, "epochs", _INTEGER),
+    "lr": (mpnn.TrainConfig, "lr", _NUMBER),
+    "batch": (mpnn.TrainConfig, "batch_size", _INTEGER),
 }
+
+
+def _train_kwargs(cfg):
+    """Constructor -> its keyword arguments from the parsed config, every
+    value checked against its key's kind."""
+    kwargs = {None: {}, mpnn.EdgeConfig: {}, mpnn.MpnnModel: {}, mpnn.TrainConfig: {}}
+    for key, value in cfg.items():
+        if key not in _TRAIN_KEYS:
+            raise ValueError(f"unknown config key {key!r}")
+        cls, name, (what, ok, convert) = _TRAIN_KEYS[key]
+        if not ok(value):
+            raise ShapeError(f"config key {key} must be {what}, got {value!r}")
+        kwargs[cls][name] = convert(value) if convert else value
+    for key, (cls, _, (what, _, _)) in _TRAIN_KEYS.items():
+        if cls is None and key not in cfg:
+            raise ShapeError(f"config must set {key}, {what}")
+    return kwargs
 
 
 @main.command("train")
@@ -306,26 +342,19 @@ _TRAIN_KEYS = {
 @_input_errors
 def train_cmd(config_path, model_path, report_path):
     """Train the scalar message-passing network on generated force data."""
-    cfg = _parse_kv_config(config_path)
-    if "seed" not in cfg:
-        raise ValueError("config must set an explicit seed")
-    kwargs = {mpnn.EdgeConfig: {}, mpnn.MpnnModel: {}, mpnn.TrainConfig: {}}
-    for key in [k for k in cfg if k not in ("n_particles", "n_samples", "seed")]:
-        if key not in _TRAIN_KEYS:
-            raise ValueError(f"unknown config key {key!r}")
-        cls, name, convert = _TRAIN_KEYS[key]
-        kwargs[cls][name] = convert(cfg[key]) if convert else cfg[key]
-    model = mpnn.MpnnModel(cfg["n_particles"], edge_config=mpnn.EdgeConfig(**kwargs[mpnn.EdgeConfig]),
-                           seed=cfg["seed"], **kwargs[mpnn.MpnnModel])
-    dataset = mpnn.generate_dataset(groups.make_rng(cfg["seed"]), cfg["n_particles"], cfg["n_samples"])
-    tcfg = mpnn.TrainConfig(seed=cfg["seed"], **kwargs[mpnn.TrainConfig])
-    spec_list = _mpnn_specs(cfg["n_particles"])
+    kwargs = _train_kwargs(_parse_kv_config(config_path))
+    n, n_samples, seed = (kwargs[None][k] for k in ("n_particles", "n_samples", "seed"))
+    model = mpnn.MpnnModel(n, edge_config=mpnn.EdgeConfig(**kwargs[mpnn.EdgeConfig]), seed=seed,
+                           **kwargs[mpnn.MpnnModel])
+    dataset = mpnn.generate_dataset(groups.make_rng(seed), n, n_samples)
+    tcfg = mpnn.TrainConfig(seed=seed, **kwargs[mpnn.TrainConfig])
+    spec_list = _mpnn_specs(n)
     residuals = []
 
     def certify_epoch(epoch, current):
         # The same 10 trials every epoch, so the column tracks the model alone.
         cert = harness.certify_joint(
-            _block_target(current.forward), spec_list, trials=10, rng=groups.make_rng(cfg["seed"] + 1)
+            _block_target(current.forward), spec_list, trials=10, rng=groups.make_rng(seed + 1)
         )
         residuals.append(cert.max_residual)
 
@@ -384,8 +413,8 @@ def _certify_target(target, spec_dicts):
     """Build (fn, specs) for a named certification target."""
     specs = [harness.SymmetrySpec(**d) for d in spec_dicts]
     if target == "gram":
-        metric = Metric(MINKOWSKI if specs[0].group in ("lorentz", "poincare") else EUCLIDEAN,
-                        specs[0].dim)
+        # The first spec's family sets the metric (certify_joint rejects an empty list).
+        metric = next((Metric(groups.FAMILIES[s.group].metric or EUCLIDEAN, s.dim) for s in specs), None)
         fn = lambda x: features.gram(metric, x)
         fn.batched = lambda vectors, scalars: features.gram_stack(metric, vectors)
         return fn, specs

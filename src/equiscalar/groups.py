@@ -15,7 +15,8 @@ the generator; ``sample_stack`` builds T draws at once, with one batched
 QR, determinant and boost. ``sample`` and every ``sample_*`` are that build
 at T = 1, so an element has the same bits whether it is sampled alone or
 as element t of a stack drawn at the same point of the stream.
-``FAMILIES`` maps each ``SymmetrySpec.group`` name to its draw and build.
+``FAMILIES`` maps each ``SymmetrySpec.group`` name to its record: its draw,
+its build, its element class and the metric kind its matrices preserve.
 Sampling is uniform (Haar) for the compact groups; Lorentz elements come
 from a boost-times-rotation family with bounded rapidity (the group is
 non-compact, so no Haar measure exists there).
@@ -23,6 +24,7 @@ non-compact, so no Haar measure exists there).
 from __future__ import annotations
 
 from dataclasses import InitVar, dataclass, fields
+from typing import Callable, NamedTuple
 
 import numpy as np
 
@@ -266,21 +268,31 @@ def _translated(draw, build):
             lambda w, *linear: (w, *build(*linear)))
 
 
-# name -> (draw(rng, dim, rapidity_max) -> raw numbers of one element,
-#          build(*raw numbers stacked over T draws) -> the class's fields, class).
-# ``dim`` is the slot count for "perm".
+class _Family(NamedTuple):
+    draw: Callable  # (rng, dim, rapidity_max) -> raw numbers of one element; dim is n for "perm"
+    build: Callable  # (*raw numbers stacked over T draws) -> the fields of cls
+    cls: type
+    metric: str | None  # the kind its matrices preserve; None: acts under either
+
+    @property
+    def least_dim(self) -> int:
+        return 2 if self.metric == MINKOWSKI else 1  # Minkowski needs time and one space axis
+
+
 FAMILIES = {
-    "o": (_draw_orthogonal, _build_orthogonal, Orthogonal),
-    "so": (_draw_rotation, _build_rotation, Rotation),
-    "lorentz": (_draw_lorentz, _build_lorentz, Lorentz),
-    "e": (*_translated(_draw_orthogonal, _build_orthogonal), Euclidean),
-    "poincare": (*_translated(_draw_lorentz, _build_lorentz), Poincare),
-    "perm": (lambda rng, n, rapidity_max: (rng.permutation(n),), lambda sigma: (sigma,), Permutation),
-    "translation": (lambda rng, d, rapidity_max: (rng.standard_normal(d),), lambda w: (w,), Translation),
+    "o": _Family(_draw_orthogonal, _build_orthogonal, Orthogonal, EUCLIDEAN),
+    "so": _Family(_draw_rotation, _build_rotation, Rotation, EUCLIDEAN),
+    "lorentz": _Family(_draw_lorentz, _build_lorentz, Lorentz, MINKOWSKI),
+    "e": _Family(*_translated(_draw_orthogonal, _build_orthogonal), Euclidean, EUCLIDEAN),
+    "poincare": _Family(*_translated(_draw_lorentz, _build_lorentz), Poincare, MINKOWSKI),
+    "perm": _Family(lambda rng, n, rapidity_max: (rng.permutation(n),), lambda sigma: (sigma,),
+                    Permutation, None),
+    "translation": _Family(lambda rng, d, rapidity_max: (rng.standard_normal(d),), lambda w: (w,),
+                           Translation, None),
 }
 
 
-def _family(family: str):
+def _family(family: str) -> _Family:
     if family not in FAMILIES:
         raise ShapeError(f"unknown group {family!r}")
     return FAMILIES[family]
@@ -289,26 +301,25 @@ def _family(family: str):
 def draw(family: str, rng, dim: int, rapidity_max: float = DEFAULT_RAPIDITY_MAX) -> tuple:
     """The raw numbers of one element of ``family``, from ``rng``, after the one check of every
     sampling path (past finfo.max / 2, rng.uniform(-rapidity_max, rapidity_max) overflows)."""
-    draw_one = _family(family)[0]
-    least = 2 if family in ("lorentz", "poincare") else 1
-    if dim < least:
-        raise ShapeError(f"dim must be >= {least} for group {family!r}, got {dim}")
+    record = _family(family)
+    if dim < record.least_dim:
+        raise ShapeError(f"dim must be >= {record.least_dim} for group {family!r}, got {dim}")
     if not 0 < rapidity_max <= _MAX_RAPIDITY:
         raise ShapeError(f"rapidity_max must be finite and in (0, {_MAX_RAPIDITY:.6g}], got {rapidity_max}")
-    return draw_one(rng, dim, rapidity_max)
+    return record.draw(rng, dim, rapidity_max)
 
 
 def sample_stack(family: str, draws) -> GroupElement:
     """The elements of ``draws`` (a list of ``draw`` results) as one stack."""
-    _, build, cls = _family(family)
-    return cls(*build(*(np.array(column) for column in zip(*draws))))
+    record = _family(family)
+    return record.cls(*record.build(*(np.array(column) for column in zip(*draws))))
 
 
 def sample(family: str, rng, dim: int, rapidity_max: float = DEFAULT_RAPIDITY_MAX) -> GroupElement:
     """One element of ``family``: the stacked build of a single draw."""
-    _, build, cls = _family(family)
-    stacked = build(*(np.array([r]) for r in draw(family, rng, dim, rapidity_max)))
-    return cls(*(f[0] for f in stacked))
+    record = _family(family)
+    stacked = record.build(*(np.array([r]) for r in draw(family, rng, dim, rapidity_max)))
+    return record.cls(*(f[0] for f in stacked))
 
 
 def sample_orthogonal(rng, d: int) -> Orthogonal:

@@ -26,10 +26,11 @@ from __future__ import annotations
 
 import json
 from dataclasses import dataclass, field
+from numbers import Integral
 
 import numpy as np
 
-from .core import FREE, VectorTuple
+from .core import FREE, MINKOWSKI, VectorTuple
 from .errors import ShapeError
 from . import groups
 
@@ -70,14 +71,32 @@ class SymmetrySpec:
             raise ShapeError(f"unknown group {self.group!r}")
         if self.output_kind not in _OUTPUT_KINDS:
             raise ShapeError(f"unknown output kind {self.output_kind!r}")
+        for name in ("dim", "n_vectors", "blocks", "scalars_per_block"):
+            value = getattr(self, name)
+            if not _is_count(value) and not (name == "blocks" and value is None):
+                raise ShapeError(f"{name} must be an integer, got {value!r}")
+        least = groups.FAMILIES[self.group].least_dim
+        if self.dim < least:
+            raise ShapeError(f"dim must be >= {least} for group {self.group!r}, got {self.dim}")
+        if self.n_vectors < 1:
+            raise ShapeError(f"n_vectors must be >= 1, got {self.n_vectors}")
         if self.blocks is not None and (self.blocks < 1 or self.n_vectors % self.blocks):
             raise ShapeError(f"{self.n_vectors} vectors do not split into {self.blocks} blocks")
+        if self.scalars_per_block < 0:
+            raise ShapeError(f"scalars_per_block must be >= 0, got {self.scalars_per_block}")
+        if self.scalars_per_block and self.blocks is None:
+            raise ShapeError("scalars_per_block needs blocks")
         roles = self.roles
         if roles is None:
             roles = (FREE,) * self.n_vectors
         if len(roles) != self.n_vectors:
             raise ShapeError("roles length must equal n_vectors")
         object.__setattr__(self, "roles", tuple(roles))
+
+
+def _is_count(value) -> bool:
+    """An int or numpy integer, not a bool."""
+    return isinstance(value, Integral) and not isinstance(value, bool)
 
 
 # Trials drawn, moved and compared as one stack. Bounds a run's memory to
@@ -114,8 +133,7 @@ def _sample_input(specs, rng, trial: int):
     spec = specs[0]
     n, d = spec.n_vectors, spec.dim
     vecs = rng.standard_normal((n, d))
-    lorentzian = any(s.group in ("lorentz", "poincare") for s in specs)
-    if lorentzian and trial % 4 == 3:
+    if trial % 4 == 3 and any(groups.FAMILIES[s.group].metric == MINKOWSKI for s in specs):
         # Near-lightlike stress inputs: timelike plus 0.999 spacelike. Row i
         # draws its spatial direction, then its scale.
         draw = rng.standard_normal((n, d))
@@ -336,10 +354,12 @@ def certify_joint(fn, specs, trials: int, rng) -> CertReport:
     sampled element per spec (applied in the given order) and compares
     against the composed expected output transform. Trials run in stacks
     of ``CHUNK_TRIALS`` (see the module docstring for the RNG order)."""
-    if trials < 1:
-        raise ShapeError("trials must be >= 1")
     specs = list(specs)
-    report = CertReport(trials=trials)
+    if not specs:
+        raise ShapeError("certify_joint needs at least one spec")
+    if not _is_count(trials) or trials < 1:
+        raise ShapeError(f"trials must be an integer >= 1, got {trials!r}")
+    report = CertReport(trials=int(trials))
     total, worst = 0.0, None
     for start in range(0, trials, CHUNK_TRIALS):
         chunk = range(start, min(trials, start + CHUNK_TRIALS))

@@ -153,6 +153,8 @@ class ScalarNet:
     def __init__(self, widths, activation="tanh", rng=None):
         if widths[-1] != 1:
             raise ShapeError("scalar net output width must be 1")
+        if activation not in ("tanh", "softplus"):
+            raise ValueError(f"unknown activation {activation!r}")
         self.widths = list(widths)
         self.activation = activation
         rng = rng if rng is not None else np.random.default_rng(0)

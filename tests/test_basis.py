@@ -1,3 +1,4 @@
+import dataclasses
 import itertools
 import math
 import re
@@ -15,7 +16,13 @@ from equiscalar.core import (
     sort_sign,
 )
 from equiscalar.errors import EquiscalarError, RoleError, ShapeError
-from equiscalar.features import ScalarFeatureSet, gram, subdeterminants
+from equiscalar.features import (
+    CENTER_OF_POSITIONS,
+    ScalarFeatureSet,
+    gram,
+    subdeterminants,
+    translation_reduce,
+)
 
 
 # -- generalized_cross -------------------------------------------------------
@@ -463,3 +470,99 @@ def test_cross_subset_outside_the_tuple_is_rejected(subset, symmetric):
     x = VectorTuple(np.random.default_rng(45).standard_normal((3, 3)))
     with pytest.raises(ShapeError, match=re.escape(f"cross-term subset {subset}")):
         basis.evaluate(model, x)
+
+
+# -- one table of scalars, checked when a model is built -----------------------
+
+
+def _ladder_evaluate(model, x):
+    """``basis.evaluate`` as written before the family tables: an if-ladder
+    for the features and one branch per mode for the position coefficients."""
+    coeff_fn = model.coeffs
+    if model.permutation_symmetric:
+        coeff_fn = basis.symmetrize_permutation(coeff_fn, x.n)
+    if model.family in ("o", "lorentz"):
+        features = ScalarFeatureSet(gram(model.metric, x), model.metric)
+    elif model.family == "so":
+        features = ScalarFeatureSet(gram(model.metric, x), model.metric, subdets=subdeterminants(x))
+    else:
+        reduced = translation_reduce(x, CENTER_OF_POSITIONS)
+        features = ScalarFeatureSet(gram(model.metric, reduced), model.metric)
+    coeffs, cross = coeff_fn.coefficients(features)
+    if model.family in ("e", "poincare"):
+        pos = x.position_indices()
+        coeffs = coeffs.copy()
+        if model.mode == basis.MODE_INVARIANT:
+            coeffs[pos] -= coeffs[pos].mean()
+        else:
+            coeffs[pos] += (1.0 - coeffs[pos].sum()) / pos.size
+    h = coeffs @ x.vectors
+    if model.family == "so" and cross:
+        for subset, c in cross.items():
+            h = h + c * basis.generalized_cross([x.vectors[i] for i in subset])
+    return h
+
+
+_ORACLE_FIXTURES = [
+    basis.FixedClosure(_gram_closure, name="tanh-rowsum"),
+    basis.FixedClosure(lambda f: np.tanh(f.gram[0]) - np.cos(f.gram[:, -1]), name="mixed"),
+    basis.uniform_mixture(),
+    basis.FixedClosure(lambda f: -np.zeros(f.n), name="negative-zeros"),
+]
+
+
+@pytest.mark.parametrize("symmetric", [False, True], ids=["plain", "symmetrized"])
+@pytest.mark.parametrize("mode", [basis.MODE_EQUIVARIANT, basis.MODE_INVARIANT])
+@pytest.mark.parametrize("family, metric", [
+    ("o", euclidean(3)), ("so", euclidean(3)), ("e", euclidean(3)),
+    ("lorentz", minkowski(4)), ("poincare", minkowski(4)),
+])
+def test_evaluate_matches_the_family_ladder_bit_for_bit(family, metric, mode, symmetric):
+    rng = np.random.default_rng(len(family) * 10 + len(mode) + symmetric)
+    fixtures = list(_ORACLE_FIXTURES)
+    if family == "so":
+        fixtures.append(basis.FixedClosure(
+            lambda f: f.subdets[(0, 1, 2)] * np.tanh(f.gram[1]),
+            cross_fn=lambda f: {(0, 1): np.tanh(f.gram[0, 2]), (3, 1): f.subdets[(1, 2, 3)]},
+            name="pseudo"))
+    roles = (POSITION, FREE, POSITION, POSITION)
+    for fixture in fixtures:
+        model = basis.EquivariantModel(family, metric, fixture, mode=mode,
+                                       permutation_symmetric=symmetric)
+        for _ in range(5 if symmetric else 20):
+            x = VectorTuple(rng.standard_normal((4, metric.dim)), roles)
+            got, want = basis.evaluate(model, x), _ladder_evaluate(model, x)
+            assert np.array_equal(got.view(np.uint64), want.view(np.uint64)), fixture.name
+
+
+_FIXTURE = basis.uniform_mixture()
+BAD_MODELS = {
+    "unknown-family": (("u2", euclidean(3), _FIXTURE), {}, "model family"),
+    "perm-is-no-model-family": (("perm", euclidean(3), _FIXTURE), {}, "model family"),
+    "translation-is-no-model-family": (("translation", euclidean(3), _FIXTURE), {}, "model family"),
+    "o-on-minkowski": (("o", minkowski(4), _FIXTURE), {}, "metric"),
+    "so-on-minkowski": (("so", minkowski(3), _FIXTURE), {}, "metric"),
+    "e-on-minkowski": (("e", minkowski(3), _FIXTURE), {}, "metric"),
+    "lorentz-on-euclidean": (("lorentz", euclidean(4), _FIXTURE), {}, "metric"),
+    "poincare-on-euclidean": (("poincare", euclidean(4), _FIXTURE), {}, "metric"),
+    "metric-not-a-metric": (("o", "euclidean", _FIXTURE), {}, "metric"),
+    "unknown-mode-e": (("e", euclidean(3), _FIXTURE), {"mode": "both"}, "mode"),
+    "unknown-mode-o": (("o", euclidean(3), _FIXTURE), {"mode": "Invariant"}, "mode"),
+}
+
+
+@pytest.mark.parametrize("case", BAD_MODELS)
+def test_a_model_that_is_not_in_the_family_tables_is_rejected_when_built(case):
+    args, kwargs, field = BAD_MODELS[case]
+    with pytest.raises(ShapeError, match=field):
+        basis.EquivariantModel(*args, **kwargs)
+
+
+def test_a_model_is_frozen():
+    model = basis.EquivariantModel("e", euclidean(3), _FIXTURE)
+    with pytest.raises(dataclasses.FrozenInstanceError):
+        model.mode = "both"
+
+
+def test_model_families_are_the_families_with_a_metric():
+    assert set(basis._SCALARS) == {f for f, record in groups.FAMILIES.items() if record.metric}

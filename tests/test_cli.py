@@ -8,7 +8,7 @@ import pytest
 from click.testing import CliRunner
 
 from equiscalar import groups, harness, mpnn, physics
-from equiscalar.cli import _block_target, _certify_target, main
+from equiscalar.cli import _TRAIN_KEYS, _block_target, _certify_target, main
 from equiscalar.core import VectorTuple
 
 DATA = Path(__file__).parent / "data"
@@ -583,32 +583,88 @@ def _certify_args(tmp_path, spec, *extra):
             "--trials", "5", "--seed", "1", *extra]
 
 
-# case -> (the command's name, its arguments given tmp_path)
+def _spec_args(tmp_path, **spec):
+    spec = {"group": "o", "dim": 3, "n_vectors": 3, "output_kind": "scalar-invariant", **spec}
+    return _certify_args(tmp_path, json.dumps(spec))
+
+
+def _without_line(tmp_path, line):
+    return _train_args(tmp_path, line + "\n", "")
+
+
+# case -> (the command's name, its arguments given tmp_path, words its message holds)
 BAD_INPUT = {
-    "einsum-dim-0": ("einsum check", lambda p: ["einsum", "check", "u_i v_i", "--dim", "0"]),
-    "train-n-particles-x": ("train", lambda p: _train_args(p, "n_particles = 3", "n_particles = x")),
-    "train-epochs-x": ("train", lambda p: _train_args(p, "epochs = 1", "epochs = x")),
-    "train-seed-x": ("train", lambda p: _train_args(p, "seed = 0", "seed = x")),
-    "train-unknown-key": ("train", lambda p: _train_args(p, "epochs = 1", "epochs = 1\nepoch = 5")),
+    "einsum-dim-0": ("einsum check", lambda p: ["einsum", "check", "u_i v_i", "--dim", "0"], ["dimension"]),
+    "train-n-particles-x": ("train", lambda p: _train_args(p, "n_particles = 3", "n_particles = x"),
+                            ["n_particles", "an integer"]),
+    "train-epochs-x": ("train", lambda p: _train_args(p, "epochs = 1", "epochs = x"), ["epochs", "an integer"]),
+    "train-seed-x": ("train", lambda p: _train_args(p, "seed = 0", "seed = x"), ["seed", "an integer"]),
+    "train-unknown-key": ("train", lambda p: _train_args(p, "epochs = 1", "epochs = 1\nepoch = 5"), ["'epoch'"]),
     "lorentz-rapidity-nan": ("sample-group", lambda p: [
-        "sample-group", "--group", "lorentz", "--dim", "4", "--seed", "1", "--rapidity-max", "nan"]),
+        "sample-group", "--group", "lorentz", "--dim", "4", "--seed", "1", "--rapidity-max", "nan"],
+        ["rapidity_max"]),
     "lorentz-rapidity-inf": ("sample-group", lambda p: [
-        "sample-group", "--group", "lorentz", "--dim", "4", "--seed", "1", "--rapidity-max", "inf"]),
-    "perm-dim-minus-1": ("sample-group", lambda p: ["sample-group", "--group", "perm", "--dim", "-1", "--seed", "1"]),
-    "perm-dim-0": ("sample-group", lambda p: ["sample-group", "--group", "perm", "--dim", "0", "--seed", "1"]),
-    "certify-rapidity-1e400": ("certify", lambda p: _certify_args(p, _CERTIFY_LORENTZ_1E400)),
-    "certify-tolerance-nan": ("certify", lambda p: _certify_args(p, _CERTIFY_O3, "--tolerance", "nan")),
-    "certify-tolerance-minus-1": ("certify", lambda p: _certify_args(p, _CERTIFY_O3, "--tolerance", "-1")),
+        "sample-group", "--group", "lorentz", "--dim", "4", "--seed", "1", "--rapidity-max", "inf"],
+        ["rapidity_max"]),
+    "perm-dim-minus-1": ("sample-group", lambda p: [
+        "sample-group", "--group", "perm", "--dim", "-1", "--seed", "1"], ["dim"]),
+    "perm-dim-0": ("sample-group", lambda p: [
+        "sample-group", "--group", "perm", "--dim", "0", "--seed", "1"], ["dim"]),
+    "certify-rapidity-1e400": ("certify", lambda p: _certify_args(p, _CERTIFY_LORENTZ_1E400), ["rapidity_max"]),
+    "certify-tolerance-nan": ("certify", lambda p: _certify_args(p, _CERTIFY_O3, "--tolerance", "nan"),
+                              ["tolerance"]),
+    "certify-tolerance-minus-1": ("certify", lambda p: _certify_args(p, _CERTIFY_O3, "--tolerance", "-1"),
+                                  ["tolerance"]),
+    "spec-o-dim-minus-1": ("certify", lambda p: _spec_args(p, dim=-1), ["dim must be >= 1"]),
+    "spec-dim-2.5": ("certify", lambda p: _spec_args(p, dim=2.5), ["dim must be an integer"]),
+    "spec-n-vectors-0": ("certify", lambda p: _spec_args(p, n_vectors=0), ["n_vectors must be >= 1"]),
+    "spec-n-vectors-2.0": ("certify", lambda p: _spec_args(p, n_vectors=2.0),
+                           ["n_vectors must be an integer"]),
+    "spec-blocks-2.0": ("certify", lambda p: _spec_args(p, group="perm", n_vectors=4, blocks=2.0),
+                        ["blocks must be an integer"]),
+    "spec-scalars-per-block-minus-1": ("certify", lambda p: _spec_args(
+        p, group="perm", n_vectors=4, blocks=2, scalars_per_block=-1), ["scalars_per_block must be"]),
+    "spec-scalars-per-block-without-blocks": ("certify", lambda p: _spec_args(
+        p, group="perm", n_vectors=4, scalars_per_block=1), ["scalars_per_block needs blocks"]),
+    "spec-list-empty": ("certify", lambda p: _certify_args(p, "[]"), ["at least one spec"]),
+    "train-seed-1.5": ("train", lambda p: _train_args(p, "seed = 0", "seed = 1.5"), ["seed", "an integer"]),
+    "train-layers-1.5": ("train", lambda p: _train_args(p, "layers = 1", "layers = 1.5"),
+                         ["layers", "an integer"]),
+    "train-batch-x": ("train", lambda p: _train_args(p, "batch = 4", "batch = x"), ["batch", "an integer"]),
+    "train-widths-8": ("train", lambda p: _train_args(p, "widths = [4]", "widths = 8"),
+                       ["widths", "a list of integers"]),
+    "train-edge-rbf-centers-0.5": ("train", lambda p: _train_args(
+        p, "lr = 0.001", "lr = 0.001\nedge_rbf_centers = 0.5"), ["edge_rbf_centers", "a list of"]),
+    "train-edge-rbf-width-wide": ("train", lambda p: _train_args(
+        p, "lr = 0.001", "lr = 0.001\nedge_rbf_width = wide"), ["edge_rbf_width", "a finite number"]),
+    "train-lr-fast": ("train", lambda p: _train_args(p, "lr = 0.001", "lr = fast"), ["lr", "a finite number"]),
+    "train-lr-nan": ("train", lambda p: _train_args(p, "lr = 0.001", "lr = nan"), ["lr", "a finite number"]),
+    "train-no-n-samples": ("train", lambda p: _without_line(p, "n_samples = 12"), ["n_samples", "an integer"]),
+    "train-no-seed": ("train", lambda p: _without_line(p, "seed = 0"), ["seed", "an integer"]),
+    "train-edge-inv-sqrt-False": ("train", lambda p: _train_args(
+        p, "edge_inv_sqrt = 1", "edge_inv_sqrt = False"), ["edge_inv_sqrt", "true, false, 1 or 0"]),
+    "train-edge-inv-sqrt-no": ("train", lambda p: _train_args(
+        p, "edge_inv_sqrt = 1", "edge_inv_sqrt = no"), ["edge_inv_sqrt", "true, false, 1 or 0"]),
+    "train-edge-inv-sqrt-2": ("train", lambda p: _train_args(
+        p, "edge_inv_sqrt = 1", "edge_inv_sqrt = 2"), ["edge_inv_sqrt", "true, false, 1 or 0"]),
+    "train-activation-relu": ("train", lambda p: _train_args(
+        p, 'activation = "tanh"', "activation = relu"), ["activation", "'relu'"]),
 }
 
 
 @pytest.mark.parametrize("case", BAD_INPUT)
-def test_bad_input_exits_2_with_the_command_name_and_no_traceback(runner, tmp_path, case):
-    command, args = BAD_INPUT[case]
+def test_bad_input_exits_2_with_the_command_name_and_no_traceback(runner, tmp_path, monkeypatch, case):
+    command, args, words = BAD_INPUT[case]
+
+    def drawn(*args, **kwargs):
+        raise AssertionError("train drew its dataset before checking its config")
+
+    monkeypatch.setattr(mpnn, "generate_dataset", drawn)
     result = runner.invoke(main, args(tmp_path))
     assert result.exit_code == 2, result.output
     assert isinstance(result.exception, SystemExit)
     assert result.stderr.startswith(f"{command}: ") and "Traceback" not in result.output
+    assert all(word in result.stderr for word in words), result.stderr
     assert result.stdout == ""
 
 
@@ -623,3 +679,50 @@ def test_train_without_optional_keys_takes_the_library_defaults(runner, tmp_path
     trained, default = (json.loads(p.read_text()) for p in (model_path, default_path))
     assert trained.pop("nets") != default.pop("nets")
     assert trained == default
+
+
+# -- every value checked against its type ---------------------------------------
+
+
+@pytest.mark.parametrize("value, enabled", [
+    ("false", False), ("0", False), ("true", True), ("1", True),
+])
+def test_edge_inv_sqrt_means_what_it_says(runner, tmp_path, value, enabled):
+    result = runner.invoke(main, _train_args(tmp_path, "edge_inv_sqrt = 1", f"edge_inv_sqrt = {value}"))
+    assert result.exit_code == 0, result.output
+    assert json.loads((tmp_path / "m.json").read_text())["edge_config"]["include_inv_sqrt"] is enabled
+
+
+ALL_TRAIN_KEYS = """
+n_particles = 3
+n_samples = 10
+seed = 4
+edge_inv_sqrt = true
+edge_rbf_centers = [0.5, 1]
+edge_rbf_width = 0.25
+layers = 2
+widths = [3, 2]
+activation = softplus
+mode = concat
+readout = velocity
+epochs = 2
+lr = 0.002
+batch = 3
+"""
+
+
+def test_a_config_may_set_all_fourteen_keys(runner, tmp_path):
+    assert sorted(_TRAIN_KEYS) == sorted(line.split(" = ")[0] for line in ALL_TRAIN_KEYS.split("\n") if line)
+    cfg = _write(tmp_path / "train.cfg", ALL_TRAIN_KEYS)
+    result = runner.invoke(
+        main, ["train", "--config", cfg, "--out", str(tmp_path / "m.json"), "--report", str(tmp_path / "r.csv")]
+    )
+    assert result.exit_code == 0, result.output
+    assert json.loads(result.output)["epochs"] == 2
+    model = json.loads((tmp_path / "m.json").read_text())
+    model.pop("nets")
+    assert model == {
+        "n_particles": 3, "layers": 2, "hidden": [3, 2], "activation": "softplus", "mode": "concat",
+        "readout": "velocity",
+        "edge_config": {"include_inv_sqrt": True, "rbf_centers": [0.5, 1], "rbf_width": 0.25},
+    }

@@ -2,7 +2,7 @@ import numpy as np
 import pytest
 
 from equiscalar import groups, harness
-from equiscalar.core import FREE, POSITION, VectorTuple, minkowski
+from equiscalar.core import FREE, MINKOWSKI, POSITION, VectorTuple, minkowski
 from equiscalar.errors import DimensionMismatchError, NonFiniteError, ShapeError
 
 FAMILIES = ["o", "so", "lorentz", "e", "poincare", "perm", "translation"]
@@ -189,6 +189,23 @@ def test_family_table_is_the_spec_groups():
             harness.SymmetrySpec(family, 4, 4)
         with pytest.raises(ShapeError):
             groups.sample(family, groups.make_rng(0), 4)
+
+
+@pytest.mark.parametrize("family", FAMILIES)
+def test_each_family_record_states_its_metric_and_least_dim(family):
+    record = groups.FAMILIES[family]
+    assert record.least_dim == (2 if record.metric == MINKOWSKI else 1)
+    g = groups.sample(family, groups.make_rng(0), record.least_dim + 1)
+    assert type(g) is record.cls
+    if record.metric is None:
+        assert family in ("perm", "translation")
+    else:
+        assert g._metric == record.metric
+    with pytest.raises(ShapeError, match=f">= {record.least_dim}"):
+        groups.draw(family, groups.make_rng(0), record.least_dim - 1)
+    harness.SymmetrySpec(family, record.least_dim, 2)
+    with pytest.raises(ShapeError, match="dim"):
+        harness.SymmetrySpec(family, record.least_dim - 1, 2)
 
 
 @pytest.mark.parametrize(

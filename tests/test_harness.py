@@ -41,6 +41,59 @@ def test_spec_rejects_non_positive_blocks(blocks):
         harness.SymmetrySpec("perm", 3, 4, blocks=blocks)
 
 
+# group, dim, n_vectors, keywords, the field the message names
+BAD_SPECS = {
+    "lorentz-dim-1": ("lorentz", 1, 3, {}, "dim must be >= 2"),
+    "poincare-dim-1": ("poincare", 1, 3, {}, "dim must be >= 2"),
+    "o-dim-0": ("o", 0, 2, {}, "dim must be >= 1"),
+    "o-dim-minus-1": ("o", -1, 2, {}, "dim must be >= 1"),
+    "o-dim-2.5": ("o", 2.5, 2, {}, "dim must be an integer"),
+    "o-dim-3.0": ("o", 3.0, 2, {}, "dim must be an integer"),
+    "o-dim-true": ("o", True, 2, {}, "dim must be an integer"),
+    "n-vectors-0": ("o", 3, 0, {}, "n_vectors must be >= 1"),
+    "n-vectors-minus-1": ("so", 3, -1, {}, "n_vectors must be >= 1"),
+    "n-vectors-2.0": ("e", 3, 2.0, {}, "n_vectors must be an integer"),
+    "blocks-1.5": ("perm", 3, 4, {"blocks": 1.5}, "blocks must be an integer"),
+    "blocks-2.0": ("perm", 3, 4, {"blocks": 2.0}, "blocks must be an integer"),
+    "scalars-per-block-minus-1": ("perm", 3, 4, {"blocks": 2, "scalars_per_block": -1},
+                                  "scalars_per_block must be >= 0"),
+    "scalars-per-block-0.5": ("perm", 3, 4, {"blocks": 2, "scalars_per_block": 0.5},
+                              "scalars_per_block must be an integer"),
+    "scalars-per-block-without-blocks": ("perm", 3, 4, {"scalars_per_block": 1},
+                                         "scalars_per_block needs blocks"),
+}
+
+
+@pytest.mark.parametrize("case", BAD_SPECS)
+def test_a_spec_outside_its_family_record_is_rejected_when_built(case):
+    group, dim, n, kwargs, field = BAD_SPECS[case]
+    with pytest.raises(ShapeError, match=field):
+        harness.SymmetrySpec(group, dim, n, **kwargs)
+
+
+def test_a_spec_takes_numpy_integers():
+    spec = harness.SymmetrySpec("perm", np.int64(3), np.int32(4), blocks=np.int64(2),
+                                scalars_per_block=np.int8(1))
+    report = harness.certify(lambda x, s: x.vectors[0::2], spec, np.int64(3), groups.make_rng(0))
+    assert json.loads(json.dumps(report.to_dict()))["trials"] == 3
+    assert not report.failures and report.max_residual == 0.0
+
+
+# specs, trials, the word the message names
+BAD_RUNS = {
+    "no-spec": ([], 3, "needs at least one spec"),
+    "trials-2.5": ([harness.SymmetrySpec("o", 3, 2)], 2.5, "trials must be an integer >= 1"),
+    "trials-string": ([harness.SymmetrySpec("o", 3, 2)], "3", "trials must be an integer >= 1"),
+}
+
+
+@pytest.mark.parametrize("case", BAD_RUNS)
+def test_certify_joint_checks_its_own_arguments(case):
+    specs, trials, word = BAD_RUNS[case]
+    with pytest.raises(ShapeError, match=word):
+        harness.certify_joint(_mean_vector, specs, trials, groups.make_rng(0))
+
+
 def test_spec_defaults_free_roles():
     spec = harness.SymmetrySpec("o", 3, 2)
     assert spec.roles == ("free", "free")

@@ -411,3 +411,13 @@ def test_model_rejects_unknown_mode_and_readout():
         mpnn.MpnnModel(3, mode="dense")
     with pytest.raises(ValueError):
         mpnn.MpnnModel(3, readout="charge")
+
+
+@pytest.mark.parametrize("build", [
+    lambda: mpnn.ScalarNet([3, 4, 1], "relu"),
+    lambda: mpnn.MpnnModel(3, activation="relu"),
+    lambda: mpnn.MpnnModel(3, activation="Tanh"),
+], ids=["scalar-net", "mpnn-relu", "mpnn-Tanh"])
+def test_an_unknown_activation_is_rejected_when_the_net_is_built(build):
+    with pytest.raises(ValueError, match="activation"):
+        build()
