@@ -346,8 +346,8 @@ def train_cmd(config_path, model_path, report_path):
     n, n_samples, seed = (kwargs[None][k] for k in ("n_particles", "n_samples", "seed"))
     model = mpnn.MpnnModel(n, edge_config=mpnn.EdgeConfig(**kwargs[mpnn.EdgeConfig]), seed=seed,
                            **kwargs[mpnn.MpnnModel])
-    dataset = mpnn.generate_dataset(groups.make_rng(seed), n, n_samples)
     tcfg = mpnn.TrainConfig(seed=seed, **kwargs[mpnn.TrainConfig])
+    dataset = mpnn.generate_dataset(groups.make_rng(seed), n, n_samples)
     spec_list = _mpnn_specs(n)
     residuals = []
 

@@ -18,6 +18,7 @@ from .errors import DimensionMismatchError, NonFiniteError, RoleError, ShapeErro
 
 POSITION = "position"
 FREE = "free"
+ROLES = (POSITION, FREE)
 
 EUCLIDEAN = "euclidean"
 MINKOWSKI = "minkowski"
@@ -139,7 +140,7 @@ class VectorTuple:
         if len(roles) != a.shape[0]:
             raise RoleError(f"{len(roles)} roles for {a.shape[0]} vectors")
         for r in roles:
-            if r not in (POSITION, FREE):
+            if r not in ROLES:
                 raise RoleError(f"unknown role {r!r}")
         object.__setattr__(self, "roles", roles)
 

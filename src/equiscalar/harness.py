@@ -30,8 +30,8 @@ from numbers import Integral
 
 import numpy as np
 
-from .core import FREE, MINKOWSKI, VectorTuple
-from .errors import ShapeError
+from .core import FREE, MINKOWSKI, ROLES, VectorTuple
+from .errors import RoleError, ShapeError
 from . import groups
 
 SCALAR_INVARIANT = "scalar-invariant"
@@ -91,6 +91,9 @@ class SymmetrySpec:
             roles = (FREE,) * self.n_vectors
         if len(roles) != self.n_vectors:
             raise ShapeError("roles length must equal n_vectors")
+        for role in roles:
+            if role not in ROLES:
+                raise RoleError(f"roles must each be one of {ROLES}, got {role!r}")
         object.__setattr__(self, "roles", tuple(roles))
 
 

@@ -21,11 +21,12 @@ and dh += rowsum(G) dm - G^T dm. The four matrices of a layer are stacked as
 of these is one array expression per layer. `MpnnModel.forward` takes one
 sample, (n,) charges with (n, 3) positions and velocities, or stacks (B, n)
 and (B, n, 3). Its cache keeps only the net input rows z, the G matrices and
-each layer's input h: `backward` recomputes each net's activations from z
-and drops them before the next net, because keeping them all would hold
-every hidden layer for every pair of the minibatch at once (about four times
-the peak memory of a training step at n = 12). Everything is float64 numpy
-with hand-rolled reverse-mode gradients.
+each layer's input h: keeping the nets' activations would hold every hidden
+layer for every pair of the minibatch at once (about four times the peak
+memory of a training step at n = 12). `ScalarNet.backward` recomputes them
+from z one row block at a time and drops each block's before the next
+(gradient checkpointing per block). Everything is float64 numpy with
+hand-rolled reverse-mode gradients.
 """
 from __future__ import annotations
 
@@ -147,10 +148,22 @@ def _act_grad(name, a):
     raise ValueError(f"unknown activation {name!r}")
 
 
+# Bytes of one float64 temporary of a net's hidden layer (512 rows at width
+# 16). A temporary this small stays in L2 and below glibc's 128 KiB mmap
+# threshold, so it is reused from the heap instead of page-faulted in afresh
+# on every call; sized in bytes, a wider net takes fewer rows per block.
+BLOCK_BYTES = 64 * 1024
+
+
 class ScalarNet:
-    """Fully connected net with scalar output and cached-forward backprop."""
+    """Fully connected net with scalar output, run on its input rows in
+    blocks of BLOCK_BYTES per hidden-layer temporary. `backward` stores
+    nothing from `forward`: it recomputes each block's activations from the
+    input rows and adds the block's gradients to the totals."""
 
     def __init__(self, widths, activation="tanh", rng=None):
+        if any(w < 1 for w in widths):
+            raise ShapeError(f"widths must be at least 1, got {list(widths)}")
         if widths[-1] != 1:
             raise ShapeError("scalar net output width must be 1")
         if activation not in ("tanh", "softplus"):
@@ -164,47 +177,54 @@ class ScalarNet:
             self.weights.append(rng.standard_normal((fan_out, fan_in)) / np.sqrt(fan_in))
             self.biases.append(np.zeros(fan_out))
 
-    def forward(self, x):
-        """Evaluate on one input vector or a stack of them.
-
-        Returns (value, cache): a float for a 1-d input, an (m,) array for an
-        (m, in_width) input. The cache is the list of layer outputs, input
-        first.
-        """
-        a = np.asarray(x, dtype=np.float64)
-        single = a.ndim == 1
-        a = np.atleast_2d(a)
+    def _blocks(self, x):
+        """(m, in_width) float64 rows of x and the slices of its row blocks,
+        at least one (empty when m = 0)."""
+        a = np.atleast_2d(np.asarray(x, dtype=np.float64))
         if a.shape[1] != self.widths[0]:
             raise ShapeError(f"net expects input width {self.widths[0]}, got {a.shape[1]}")
+        step = max(1, BLOCK_BYTES // (8 * max(self.widths[1:])))
+        return a, [slice(start, start + step) for start in range(0, max(len(a), 1), step)]
+
+    def _activations(self, a):
+        """Layer outputs of the rows a, input first."""
         activations = [a]
         last = len(self.weights) - 1
         for layer, (w, b) in enumerate(zip(self.weights, self.biases)):
-            # In-place updates: at training batch sizes a fresh temporary
-            # costs more in page faults than the arithmetic on it.
             a = a @ w.T
             a += b
             if layer != last:
                 _act(self.activation, a)
             activations.append(a)
-        out = a[:, 0]
-        return (float(out[0]) if single else out), activations
+        return activations
 
-    def backward(self, cache, dscalar):
+    def forward(self, x):
+        """Value on one input vector (a float) or on each row of an
+        (m, in_width) stack (an (m,) array)."""
+        a, blocks = self._blocks(x)
+        out = [self._activations(a[rows])[-1][:, 0] for rows in blocks]
+        out = out[0] if len(out) == 1 else np.concatenate(out)
+        return float(out[0]) if np.ndim(x) == 1 else out
+
+    def backward(self, x, dscalar):
         """Parameter gradients (weights, biases) for d(loss)/d(output) =
-        dscalar, summed over the rows the cached forward was run on."""
-        activations = cache
+        dscalar on the input rows x, summed over the rows."""
+        a, blocks = self._blocks(x)
+        dscalar = np.atleast_1d(np.asarray(dscalar, dtype=np.float64))
         last = len(self.weights) - 1
-        grads_w, grads_b = [None] * (last + 1), [None] * (last + 1)
-        delta = np.atleast_1d(np.asarray(dscalar, dtype=np.float64))[:, None]
-        for layer in reversed(range(last + 1)):
-            if layer != last:
-                g = _act_grad(self.activation, activations[layer + 1])
-                g *= delta
-                delta = g
-            grads_w[layer] = delta.T @ activations[layer]
-            grads_b[layer] = delta.sum(axis=0)
-            if layer:
-                delta = delta @ self.weights[layer]
+        grads_w, grads_b = [0.0] * (last + 1), [0.0] * (last + 1)
+        for rows in blocks:
+            activations = self._activations(a[rows])
+            delta = dscalar[rows, None]
+            for layer in reversed(range(last + 1)):
+                if layer != last:
+                    g = _act_grad(self.activation, activations[layer + 1])
+                    g *= delta
+                    delta = g
+                grads_w[layer] = grads_w[layer] + delta.T @ activations[layer]
+                grads_b[layer] = grads_b[layer] + delta.sum(axis=0)
+                if layer:
+                    delta = delta @ self.weights[layer]
         return grads_w, grads_b
 
 
@@ -228,6 +248,8 @@ class MpnnModel:
         readout=READOUT_POSITION,
         seed=0,
     ):
+        if layers < 1:
+            raise ShapeError(f"layers must be at least 1, got {layers}")
         if mode not in (CONCAT, POOLED):
             raise ValueError(f"unknown mode {mode!r}")
         if readout not in (READOUT_POSITION, READOUT_VELOCITY):
@@ -289,7 +311,7 @@ class MpnnModel:
         h = np.stack([rs - rs.mean(axis=1, keepdims=True), vs])  # (2, B, n, 3)
         cache = {"n": n, "z": z, "h": [], "G": []}
         for nets in self.nets:
-            vals = np.stack([nets[name].forward(rows)[0] for name in NET_NAMES])
+            vals = np.stack([nets[name].forward(rows) for name in NET_NAMES])
             g = _pair_matrix(vals.reshape(2, 2, -1), z.shape, off)  # (2, 2, B, n, n)
             if want_cache:
                 cache["h"].append(h)
@@ -307,12 +329,8 @@ class MpnnModel:
 
     def backward(self, cache, dout):
         """Reverse-mode parameter gradients for upstream d(loss)/d(output),
-        summed over the samples of the cached forward.
-
-        Each net's activations are recomputed from the cached input rows and
-        released before the next net runs; keeping them all from the forward
-        pass would hold every hidden layer for every pair of the batch.
-        """
+        summed over the samples of the cached forward. Each net recomputes
+        its activations from the cached input rows, one block at a time."""
         z = cache["z"]
         rows = z.reshape(-1, z.shape[-1])
         off = ~np.eye(cache["n"], dtype=bool)
@@ -326,8 +344,7 @@ class MpnnModel:
             dg = (dm * h).sum(axis=-1)[..., None] - dm @ np.swapaxes(h, -1, -2)
             dh = dh + (g.sum(axis=-1)[..., None] * dm - np.swapaxes(g, -1, -2) @ dm).sum(axis=0)
             for name, dvals in zip(NET_NAMES, _row_grads(dg, z.shape, off).reshape(4, -1)):
-                net = nets[name]
-                grads[layer][name] = net.backward(net.forward(rows)[1], dvals)
+                grads[layer][name] = nets[name].backward(rows, dvals)
         return grads
 
     # -- parameter access --------------------------------------------------
@@ -485,6 +502,10 @@ class TrainConfig:
     # Stop once val MSE <= ratio * epoch-0 val MSE (None = run all epochs).
     stop_at_val_ratio: float | None = None
 
+    def __post_init__(self):
+        if self.batch_size < 1:
+            raise ShapeError(f"batch_size must be at least 1, got {self.batch_size}")
+
 
 @dataclass
 class TrainReport:
@@ -527,11 +548,8 @@ def train(model: MpnnModel, dataset: Dataset, config: TrainConfig, on_epoch=None
     ``on_epoch(epoch, model)``, when given, runs after each epoch's losses are
     recorded, epoch 0 (the untrained model) included.
 
-    Raises ShapeError when the batch size is below 1 or the validation split
-    leaves no training sample.
+    Raises ShapeError when the validation split leaves no training sample.
     """
-    if config.batch_size < 1:
-        raise ShapeError(f"batch size must be at least 1, got {config.batch_size}")
     n_val = max(1, int(round(dataset.size * config.val_fraction)))
     if n_val >= dataset.size:
         raise ShapeError(

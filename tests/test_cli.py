@@ -649,6 +649,12 @@ BAD_INPUT = {
         p, "edge_inv_sqrt = 1", "edge_inv_sqrt = 2"), ["edge_inv_sqrt", "true, false, 1 or 0"]),
     "train-activation-relu": ("train", lambda p: _train_args(
         p, 'activation = "tanh"', "activation = relu"), ["activation", "'relu'"]),
+    "train-batch-0": ("train", lambda p: _train_args(p, "batch = 4", "batch = 0"), ["batch", "at least 1"]),
+    "train-layers-0": ("train", lambda p: _train_args(p, "layers = 1", "layers = 0"), ["layers", "at least 1"]),
+    "train-widths-0": ("train", lambda p: _train_args(p, "widths = [4]", "widths = [0]"),
+                       ["widths", "at least 1"]),
+    "spec-roles-pos": ("certify", lambda p: _spec_args(p, n_vectors=2, roles=["pos", "free"]),
+                       ["roles", "'pos'"]),
 }
 
 

@@ -6,7 +6,7 @@ import pytest
 
 from equiscalar import basis, groups, harness
 from equiscalar.core import FREE, POSITION, VectorTuple, euclidean, minkowski
-from equiscalar.errors import ShapeError
+from equiscalar.errors import RoleError, ShapeError
 
 
 def _mean_vector(x: VectorTuple) -> np.ndarray:
@@ -69,6 +69,11 @@ def test_a_spec_outside_its_family_record_is_rejected_when_built(case):
     group, dim, n, kwargs, field = BAD_SPECS[case]
     with pytest.raises(ShapeError, match=field):
         harness.SymmetrySpec(group, dim, n, **kwargs)
+
+
+def test_a_spec_with_an_unknown_role_is_rejected_when_built():
+    with pytest.raises(RoleError, match="roles"):
+        harness.SymmetrySpec("o", 3, 2, roles=("pos", "free"))
 
 
 def test_a_spec_takes_numpy_integers():

@@ -110,9 +110,9 @@ def test_edge_features_shape_error():
 def test_scalar_net_single_vs_batch():
     net = mpnn.ScalarNet([4, 6, 1], rng=np.random.default_rng(4))
     x = np.random.default_rng(5).standard_normal((7, 4))
-    batch, _ = net.forward(x)
+    batch = net.forward(x)
     for i in range(7):
-        single, _ = net.forward(x[i])
+        single = net.forward(x[i])
         assert single == pytest.approx(batch[i], rel=1e-15, abs=1e-15)
 
 
@@ -120,7 +120,7 @@ def test_scalar_net_zero_weights_zero_output():
     net = mpnn.ScalarNet([3, 4, 1])
     for w in net.weights:
         w[:] = 0.0
-    out, _ = net.forward(np.ones(3))
+    out = net.forward(np.ones(3))
     assert out == 0.0
 
 
@@ -130,6 +130,28 @@ def test_scalar_net_rejects_bad_widths():
     net = mpnn.ScalarNet([3, 4, 1])
     with pytest.raises(ShapeError):
         net.forward(np.ones(5))
+
+
+def _patch_block_rows(monkeypatch, rows):
+    # Blocks of 8 rows of width-16 layers. Like the 512 rows of a real block
+    # they are a multiple of the 4 rows that the BLAS matrix-vector kernel of
+    # the output layer takes at a time, so every row meets the same
+    # arithmetic as in one whole-batch call (7-row blocks move some outputs
+    # by an ulp).
+    monkeypatch.setattr(mpnn, "BLOCK_BYTES", rows * 8 * 16)
+
+
+def test_blocked_scalar_net_matches_one_block(monkeypatch):
+    net = mpnn.ScalarNet([8, 16, 16, 1], rng=np.random.default_rng(6))
+    x = np.random.default_rng(7).standard_normal((100, 8))
+    dscalar = np.random.default_rng(8).standard_normal(100)
+    whole, whole_grads = net.forward(x), net.backward(x, dscalar)
+    # 12 blocks of 8 rows and a ragged block of 4
+    _patch_block_rows(monkeypatch, 8)
+    assert np.array_equal(net.forward(x), whole)
+    for got, want in zip(net.backward(x, dscalar), whole_grads):
+        assert _rel_err(np.concatenate([g.ravel() for g in got]),
+                        np.concatenate([g.ravel() for g in want])) <= 1e-12
 
 
 # -- forward symmetries ------------------------------------------------------------
@@ -255,24 +277,50 @@ def test_gradient_matches_central_differences(mode, activation):
 # -- batched kernel -----------------------------------------------------------------
 
 
-@pytest.mark.parametrize("readout", [mpnn.READOUT_POSITION, mpnn.READOUT_VELOCITY])
-@pytest.mark.parametrize("n", [3, 12])
-@pytest.mark.parametrize("mode", [mpnn.CONCAT, mpnn.POOLED])
-def test_batched_forward_and_backward_match_per_sample(mode, n, readout):
+def _check_batched_matches_per_sample(mode, n, readout, b):
     rng = np.random.default_rng(24)
     model = _small_model(mode, n=n, readout=readout)
-    qs, rs, vs = _random_batch(rng, 5, n)
+    qs, rs, vs = _random_batch(rng, b, n)
     probe = rng.standard_normal(rs.shape)
     out, cache = model.forward(qs, rs, vs, want_cache=True)
     batched = _flat_grads(model, model.backward(cache, probe))
     singles, summed = [], 0.0
-    for s in range(5):
+    for s in range(b):
         single, single_cache = model.forward(qs[s], rs[s], vs[s], want_cache=True)
         singles.append(single)
         summed = summed + _flat_grads(model, model.backward(single_cache, probe[s]))
-    assert out.shape == (5, n, 3)
+    assert out.shape == (b, n, 3)
     assert _rel_err(out, np.stack(singles)) <= 1e-12
     assert _rel_err(batched, summed) <= 1e-12
+
+
+@pytest.mark.parametrize("readout", [mpnn.READOUT_POSITION, mpnn.READOUT_VELOCITY])
+@pytest.mark.parametrize("n", [3, 12])
+@pytest.mark.parametrize("mode", [mpnn.CONCAT, mpnn.POOLED])
+def test_batched_forward_and_backward_match_per_sample(mode, n, readout):
+    _check_batched_matches_per_sample(mode, n, readout, 5)
+
+
+def test_batched_rows_across_the_block_size_match_per_sample():
+    # 32 * 132 pair rows, past the 1638 rows of one block of width-5 layers
+    assert 32 * 12 * 11 > mpnn.BLOCK_BYTES // (8 * 5)
+    _check_batched_matches_per_sample(mpnn.POOLED, 12, mpnn.READOUT_POSITION, 32)
+
+
+@pytest.mark.parametrize("mode", [mpnn.CONCAT, mpnn.POOLED])
+def test_blocked_model_matches_one_block(monkeypatch, mode):
+    rng = np.random.default_rng(27)
+    model = mpnn.MpnnModel(4, hidden=(16, 16), mode=mode,
+                           edge_config=mpnn.EdgeConfig(include_inv_sqrt=True), seed=3)
+    qs, rs, vs = _random_batch(rng, 5, 4)
+    probe = rng.standard_normal(rs.shape)
+    out, cache = model.forward(qs, rs, vs, want_cache=True)
+    grads = _flat_grads(model, model.backward(cache, probe))
+    # pooled: 60 pair rows, 7 blocks of 8 and one of 4; concat: 20 node rows
+    _patch_block_rows(monkeypatch, 8)
+    blocked, blocked_cache = model.forward(qs, rs, vs, want_cache=True)
+    assert np.array_equal(blocked, out)
+    assert _rel_err(_flat_grads(model, model.backward(blocked_cache, probe)), grads) <= 1e-12
 
 
 @pytest.mark.parametrize("tag", ["concat", "pooled"])
@@ -290,15 +338,20 @@ def test_golden_model_reproduces_saved_outputs_and_gradients(tag):
     assert _rel_err(grads, np.array(case["grad_sum"])) <= 1e-12
 
 
-def test_training_memory_stays_near_one_sgd_step():
-    # Keeping every net's activations for all 32 * 132 pairs of a batch from
-    # forward to backward peaks near 16 MB here; recomputing them per net in
-    # backward peaks near 4 MB.
-    ds = mpnn.generate_dataset(np.random.default_rng(42), 12, 64)
-    model = mpnn.MpnnModel(
+def _pooled_n12_model():
+    return mpnn.MpnnModel(
         12, layers=2, hidden=(16, 16), mode=mpnn.POOLED,
         edge_config=mpnn.EdgeConfig(include_inv_sqrt=True), seed=808,
     )
+
+
+def test_training_memory_stays_near_one_sgd_step():
+    # Keeping every net's activations for all 32 * 132 pairs of a batch from
+    # forward to backward peaks near 16 MB here; recomputing them per net in
+    # backward over the whole batch peaked near 4.0 MB, and over row blocks
+    # near 1.7 MB.
+    ds = mpnn.generate_dataset(np.random.default_rng(42), 12, 64)
+    model = _pooled_n12_model()
     tracemalloc.start()
     try:
         mpnn.train(model, ds, mpnn.TrainConfig(epochs=2, lr=1e-5, batch_size=32, seed=1))
@@ -306,6 +359,22 @@ def test_training_memory_stays_near_one_sgd_step():
     finally:
         tracemalloc.stop()
     assert peak <= 8e6
+
+
+def test_backward_memory_stays_within_row_blocks():
+    # One backward over a 32-sample batch: the nets' (32 * 132, 16)
+    # temporaries over the whole batch peaked at 3.37 MB here, in row
+    # blocks at 1.03 MB.
+    ds = mpnn.generate_dataset(np.random.default_rng(42), 12, 32)
+    model = _pooled_n12_model()
+    out, cache = model.forward(ds.qs, ds.rs, ds.vs, want_cache=True)
+    tracemalloc.start()
+    try:
+        model.backward(cache, out - ds.targets)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak <= 1.5e6
 
 
 # -- dataset ------------------------------------------------------------------------
@@ -378,9 +447,8 @@ def test_train_early_stop_on_val_ratio():
 @pytest.mark.parametrize("n_samples, batch_size", [(1, 32), (10, 0)])
 def test_train_rejects_no_training_samples_or_empty_batches(n_samples, batch_size):
     ds = mpnn.generate_dataset(np.random.default_rng(25), 3, n_samples)
-    cfg = mpnn.TrainConfig(epochs=1, batch_size=batch_size)
     with pytest.raises(ShapeError):
-        mpnn.train(_small_model(mpnn.POOLED), ds, cfg)
+        mpnn.train(_small_model(mpnn.POOLED), ds, mpnn.TrainConfig(epochs=1, batch_size=batch_size))
 
 
 def test_evaluate_mse_is_independent_of_slice_size():
@@ -411,6 +479,17 @@ def test_model_rejects_unknown_mode_and_readout():
         mpnn.MpnnModel(3, mode="dense")
     with pytest.raises(ValueError):
         mpnn.MpnnModel(3, readout="charge")
+
+
+@pytest.mark.parametrize("build, field", [
+    (lambda: mpnn.ScalarNet([3, 0, 1]), "widths"),
+    (lambda: mpnn.MpnnModel(3, hidden=(4, 0)), "widths"),
+    (lambda: mpnn.MpnnModel(3, layers=0), "layers"),
+    (lambda: mpnn.TrainConfig(batch_size=0), "batch_size"),
+], ids=["scalar-net-width-0", "mpnn-width-0", "mpnn-layers-0", "train-batch-0"])
+def test_a_size_below_1_is_rejected_when_built(build, field):
+    with pytest.raises(ShapeError, match=field):
+        build()
 
 
 @pytest.mark.parametrize("build", [
