@@ -6,10 +6,10 @@ completion, Gram reconstruction, and Minkowski Gram-Schmidt with lightlike
 restarts.
 
 Completion factors all (d+1)-windows of the band in one batched eigh, fits
-every pair of adjacent windows in one batched orthogonal Procrustes SVD,
-composes the fits by log-depth prefix products and polishes the stitched
-factor by vectorised alternating least squares; it flags failure instead of
-raising, and malformed samples are rejected when built.
+every pair of adjacent windows in one batched step (orthogonal Procrustes
+for PSD windows, least squares for indefinite ones), composes the fits by
+log-depth prefix products and polishes this one start by vectorised ALS;
+it flags failure instead of raising; malformed samples fail when built.
 """
 from __future__ import annotations
 
@@ -28,8 +28,7 @@ CENTER_OF_POSITIONS = "center-of-positions"
 LIGHTLIKE_REL_TOL = 1e-10
 MAX_GS_RESTARTS = 50
 MAX_SUBDET_ENTRIES = 2**24  # float64 entries of stacked minors (128 MiB)
-OMEGA_TOL = 1e-12  # relative objective decrease below which an ALS start stops
-OMEGA_RESTARTS = 8  # random starts tried after the stitched one fails
+OMEGA_TOL = 1e-12  # relative objective decrease below which ALS stops
 
 
 @dataclass(frozen=True)
@@ -159,30 +158,41 @@ class CompletionResult:
     iterations: int
 
 
-def _stitched_factor(band: np.ndarray) -> np.ndarray | None:
-    """Rank-d factor (n, d) of a PSD band, or None when a window is not PSD.
+def _stitched_factor(band: np.ndarray) -> np.ndarray:
+    """Rank-d factor X (n, d) of the band's source M = X diag(s) X^T, s = +-1.
 
     Each (d+1)-window k..k+d (mod n) has its whole Gram sampled; one batched
     eigh factors them all. Adjacent windows k and k+1 share d vectors, so one
-    batched SVD gives every orthogonal Procrustes fit R_k of window k+1 onto
-    window k (reflections allowed), and ceil(log2(n-d)) batched matmuls
-    compose them into the prefix products Q_k = R_{k-1}...R_0 that carry each
-    window into window 0's frame; one matmul then places every window's last
-    vector. Only orthogonal maps are composed, so errors add along the chain
-    instead of multiplying. The wrap-around windows place nothing; the
-    completion residual checks them.
+    batched fit gives every map R_k of window k+1 onto window k, and
+    ceil(log2(n-d)) batched matmuls compose them into the prefix products
+    Q_k = R_{k-1}...R_0 that carry each window into window 0's frame; one
+    matmul then places every window's last vector. The wrap-around windows
+    place nothing; the completion residual checks them. PSD windows keep
+    their top d eigenpairs and R_k is the orthogonal Procrustes fit (one
+    batched SVD, reflections allowed), so errors add along the chain.
+    Otherwise each window keeps its d eigenpairs of largest |lambda| as
+    vecs sqrt(|lambda|) and R_k is the least-squares fit (one batched pinv):
+    exact for a rank-d source of either signature, but not constrained to
+    O(p, q), so errors can multiply along the chain.
     """
     n, d = band.shape[0], band.shape[1] - 1
     p = np.arange(d + 1)
     grams = band[(np.arange(n)[:, None, None] + np.minimum.outer(p, p)) % n, np.abs(p[:, None] - p)]
     eigvals, eigvecs = np.linalg.eigh(grams)
-    if eigvals.min() < -1e-8 * max(1.0, float(np.abs(eigvals).max())):
-        return None
-    top = eigvals[:, 1:]  # ascending order: drop the smallest of d+1
     m = n - d  # windows that place a vector
-    factors = eigvecs[:m, :, 1:] * np.sqrt(np.clip(top[:m], 0.0, None))[:, None, :]  # (m, d+1, d)
-    u, _, vt = np.linalg.svd(factors[1:, :d].mT @ factors[:-1, 1:])
-    q = np.concatenate([np.eye(d)[None], u @ vt])  # q[k] = R_{k-1}, q[0] = I
+    if eigvals.min() >= -1e-8 * max(1.0, float(np.abs(eigvals).max())):
+        top = eigvals[:m, 1:]  # ascending order: drop the smallest of d+1
+        factors = eigvecs[:m, :, 1:] * np.sqrt(np.clip(top, 0.0, None))[:, None, :]  # (m, d+1, d)
+        u, _, vt = np.linalg.svd(factors[1:, :d].mT @ factors[:-1, 1:])
+        fits = u @ vt
+    else:
+        keep = np.sort(np.argsort(np.abs(eigvals[:m]), axis=1)[:, 1:], axis=1)
+        top = np.take_along_axis(eigvals[:m], keep, axis=1)
+        factors = np.take_along_axis(eigvecs[:m], keep[:, None, :], axis=2) * np.sqrt(np.abs(top))[:, None, :]
+        # rtol drops the roundoff-level pairs of a rank-deficient window (their
+        # factors are ~1e-8), whose inverses would multiply along the chain.
+        fits = np.linalg.pinv(factors[1:, :d], rtol=1e-6) @ factors[:-1, 1:]
+    q = np.concatenate([np.eye(d)[None], fits])  # q[k] = R_{k-1}, q[0] = I
     s = 1
     while s < m:  # Hillis-Steele doubling: q[k] becomes R_{k-1}...R_0
         q[s:] = q[s:] @ q[:-s]
@@ -202,38 +212,31 @@ def _fit_rows(fixed: np.ndarray, cols: np.ndarray, vals: np.ndarray) -> np.ndarr
     return np.linalg.solve(normal, bt @ vals[..., None])[..., 0]
 
 
-def _random_starts(n: int, d: int, seed: int):
-    """OMEGA_RESTARTS random (W, H) pairs; the generator is seeded on first use."""
-    rng = np.random.default_rng(seed)
-    for _ in range(OMEGA_RESTARTS):
-        yield rng.standard_normal((n, d)), rng.standard_normal((n, d))
-
-
 def omega_complete(sample: OmegaSample, seed: int = 0, max_iter: int = 500) -> CompletionResult:
     """Complete a rank-<=d symmetric matrix from its wrap-around band.
 
-    The first start is the stitched factor of the (d+1)-windows (see
-    ``_stitched_factor``), exact for a PSD rank-d source whose windows have
-    full rank. Alternating least squares on M = W H^T, with W, H of shape
-    (n, d), then polishes it against the sampled entries and their transposes
-    (the band comes from a symmetric matrix); each sweep fits all rows of W,
-    then all rows of H, in one batched solve each. Random restarts follow
-    only when a start does not converge (indefinite or full-rank input); their
-    generator is seeded from ``seed`` only then.
-    ``iterations`` counts ALS sweeps summed over the starts tried, at least
-    one per start. The output is symmetrized. Non-convergence, including a
-    LinAlgError in a solve, is reported through ``converged``, never raised:
-    the result is finite unless ``converged`` is False.
+    The one start is the stitched factor X of the (d+1)-windows (see
+    ``_stitched_factor``), exact for a rank-d source of either signature
+    whose windows have full rank. Alternating least squares on M = W H^T,
+    with W, H of shape (n, d), then polishes it from H = X against the
+    sampled entries and their transposes (the band comes from a symmetric
+    matrix); each sweep fits all rows of W (the first gives W = X diag(s)),
+    then all rows of H, in one batched solve each. ``iterations`` counts
+    the sweeps, at least one. ``seed`` is unread: the result does not
+    depend on it. The output is symmetrized.
+    Non-convergence, including a LinAlgError in a solve, is reported through
+    ``converged``, never raised: the result is finite unless ``converged``
+    is False.
 
     ``converged`` certifies the fit on the band only (RMS misfit at most
-    1e-8 x max(1, max |entry|)), not the unsampled entries. The completion is then the source
-    for a PSD rank-d source whose windows have full rank; for an indefinite
-    or full-rank source a rank-d W H^T can fit the band and still be wrong
-    off it.
+    1e-8 x max |entry|), not the unsampled entries. The completion is then
+    the source for a rank-d source whose windows have full rank; for a
+    source of rank above d a rank-d W H^T can fit the band and still be
+    wrong off it.
     """
     n, d = sample.n, sample.d
     band = np.array([sample.entries[k] for k in _band_keys(n, d)]).reshape(n, d + 1)
-    scale = max(1.0, float(np.abs(band).max()))
+    scale = float(np.abs(band).max()) or 1.0
     band = band / scale  # the ridge and the convergence tests act at unit scale
     # Known entries of row i: columns i+o (mod n) for o = 0..d and -1..-d,
     # dropping -s when it wraps onto n-s <= d, which the band already holds.
@@ -245,15 +248,13 @@ def omega_complete(sample: OmegaSample, seed: int = 0, max_iter: int = 500) -> C
     mirror = np.argmax((offsets[:, None] + offsets) % n == 0, axis=1)
     vals_t = vals[cols, mirror]
 
-    start = _stitched_factor(band)
-    randoms = _random_starts(n, d, seed)
-    best = CompletionResult(np.full((n, n), np.nan), False, np.inf, 0)
-    iterations = 0
-    for w, h in itertools.chain([] if start is None else [(start, start)], randoms):
+    # Off the model (an indefinite band of rank above d) the unconstrained
+    # stitch can overflow along the chain; that ends unconverged, not raised.
+    with np.errstate(over="ignore"):
+        h = _stitched_factor(band)
         prev_obj = np.inf
         try:
-            for _ in range(max(1, max_iter)):
-                iterations += 1
+            for iterations in range(1, max(1, max_iter) + 1):
                 w = _fit_rows(h, cols, vals)
                 h = _fit_rows(w, cols, vals_t)
                 obj = float(np.sum((np.einsum("ikd,id->ik", h[cols], w) - vals) ** 2))
@@ -264,18 +265,14 @@ def omega_complete(sample: OmegaSample, seed: int = 0, max_iter: int = 500) -> C
                 if prev_obj - obj < OMEGA_TOL * max(obj, 1e-30):
                     break
                 prev_obj = obj
-        except np.linalg.LinAlgError:
-            continue  # a singular solve ends this start unconverged
+        except np.linalg.LinAlgError:  # a singular solve ends the fit unconverged
+            return CompletionResult(np.full((n, n), np.nan), False, np.inf, iterations)
         m_hat = w @ h.T
-        m_hat = 0.5 * (m_hat + m_hat.T)
-        residual = float(np.sqrt(np.mean((m_hat[rows, cols] - vals) ** 2)))
-        if residual < best.residual:
-            matrix = m_hat * scale
-            converged = residual <= 1e-8 and bool(np.all(np.isfinite(matrix)))
-            best = CompletionResult(matrix, converged, residual * scale, iterations)
-        if best.converged:
-            break
-    return CompletionResult(best.matrix, best.converged, best.residual, iterations)
+        matrix = 0.5 * (m_hat + m_hat.T)
+        residual = float(np.sqrt(np.mean((matrix[rows, cols] - vals) ** 2)))
+    matrix *= scale
+    converged = residual <= 1e-8 and bool(np.all(np.isfinite(matrix)))
+    return CompletionResult(matrix, converged, residual * scale, iterations)
 
 
 def cholesky_reconstruct(m) -> VectorTuple:

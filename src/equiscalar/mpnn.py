@@ -503,6 +503,8 @@ class TrainConfig:
     stop_at_val_ratio: float | None = None
 
     def __post_init__(self):
+        if self.epochs < 0:
+            raise ShapeError(f"epochs must be at least 0, got {self.epochs}")
         if self.batch_size < 1:
             raise ShapeError(f"batch_size must be at least 1, got {self.batch_size}")
 

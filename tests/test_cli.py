@@ -650,6 +650,8 @@ BAD_INPUT = {
     "train-activation-relu": ("train", lambda p: _train_args(
         p, 'activation = "tanh"', "activation = relu"), ["activation", "'relu'"]),
     "train-batch-0": ("train", lambda p: _train_args(p, "batch = 4", "batch = 0"), ["batch", "at least 1"]),
+    "train-epochs-negative": ("train", lambda p: _train_args(p, "epochs = 1", "epochs = -1"),
+                              ["epochs", "at least 0"]),
     "train-layers-0": ("train", lambda p: _train_args(p, "layers = 1", "layers = 0"), ["layers", "at least 1"]),
     "train-widths-0": ("train", lambda p: _train_args(p, "widths = [4]", "widths = [0]"),
                        ["widths", "at least 1"]),

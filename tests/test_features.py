@@ -276,13 +276,19 @@ def _low_rank_band(n, d, seed):
     return m, features.omega_sample(m, d)
 
 
-def _held_out_rel(m, sample, result):
-    """Relative error off the band, or on the whole matrix when the band is all of it."""
+def _held_out(m, sample):
+    """Mask of the entries off the band, or of all of them when the band is all of m."""
     held = np.ones(m.shape, dtype=bool)
     for i, j in sample.entries:
         held[i, j] = held[j, i] = False
     if not held.any():
         held[:] = True
+    return held
+
+
+def _held_out_rel(m, sample, result):
+    """Relative error off the band, or on the whole matrix when the band is all of it."""
+    held = _held_out(m, sample)
     return np.linalg.norm((result.matrix - m)[held]) / np.linalg.norm(m[held])
 
 
@@ -338,7 +344,8 @@ def test_stitched_factor_matches_the_sequential_stitch(d, size):
         g, g_ref = x @ x.T, ref @ ref.T
         assert np.max(np.abs(g - g_ref)) <= 1e-12 * np.max(np.abs(g_ref))
         a = np.random.default_rng(seed).standard_normal((n, d))
-        assert features._stitched_factor(_band(-a @ a.T, d)) is None
+        x = features._stitched_factor(_band(-a @ a.T, d))
+        assert np.max(np.abs(-x @ x.T + a @ a.T)) <= 1e-8 * np.max(np.abs(a @ a.T))  # every sign -1
         assert _sequential_stitch(_band(-a @ a.T, d)) is None
 
 
@@ -378,10 +385,14 @@ def test_omega_complete_never_raises_on_finite_band(d, data):
     a = rng.standard_normal((n, rank))
     signs = rng.choice([-1.0, 1.0], rank) if indefinite else np.ones(rank)
     m = (a * signs) @ a.T * 10.0**exponent
-    result = features.omega_complete(features.omega_sample(m, d))
+    sample = features.omega_sample(m, d)
+    result = features.omega_complete(sample)
     assert result.matrix.shape == (n, n)
     assert result.iterations >= 1
     assert not result.converged or np.all(np.isfinite(result.matrix))
+    if rank <= d and result.converged:  # then the completion is the source
+        held = _held_out(m, sample)
+        assert np.linalg.norm((result.matrix - m)[held]) <= 1e-6 * np.linalg.norm(m[held])
 
 
 def test_omega_complete_linalg_error_is_unconverged(monkeypatch):
@@ -417,6 +428,16 @@ def test_omega_complete_full_rank_fails():
     result = features.omega_complete(features.omega_sample(np.eye(8), 2), max_iter=100)
     recovered = np.max(np.abs(result.matrix - np.eye(8))) <= 1e-6
     assert not recovered
+    assert result.iterations <= 100  # one start, so at most max_iter sweeps
+
+
+def test_omega_complete_overflow_is_unconverged():
+    # A full-rank indefinite band is off the model; its unconstrained stitch
+    # overflows along the chain, which must end unconverged, not raise.
+    rng = np.random.default_rng(0)
+    a = rng.standard_normal((1000, 1000))
+    result = features.omega_complete(features.omega_sample((a * rng.choice([-1.0, 1.0], 1000)) @ a.T, 3))
+    assert not result.converged
 
 
 def test_omega_complete_deterministic():
@@ -426,6 +447,68 @@ def test_omega_complete_deterministic():
     a = features.omega_complete(sample, seed=5)
     b = features.omega_complete(sample, seed=5)
     assert np.array_equal(a.matrix, b.matrix)
+
+
+@pytest.mark.parametrize("sign", [1.0, -1.0])
+def test_omega_complete_does_not_read_seed(sign):
+    v = np.random.default_rng(9).standard_normal((2, 7))
+    sample = features.omega_sample(v.T @ (v * [[sign], [1.0]]), 2)  # PSD, then signature (-, +)
+    a = features.omega_complete(sample, seed=0)
+    b = features.omega_complete(sample, seed=5)
+    assert np.array_equal(a.matrix, b.matrix)
+    assert (a.converged, a.residual, a.iterations) == (b.converged, b.residual, b.iterations)
+
+
+def _signed_band(n, d, signs, seed):
+    """A rank-d Gram a diag(signs) a^T of n standard normal vectors, and its band."""
+    a = np.random.default_rng(seed).standard_normal((n, d))
+    m = (a * signs) @ a.T
+    return m, features.omega_sample(m, d)
+
+
+@pytest.mark.parametrize("kind", ["+-", "-+", "negative"])
+@pytest.mark.parametrize("d", [2, 3, 4])
+@pytest.mark.parametrize("n", [12, 20, 200, 1000])
+def test_omega_complete_recovers_indefinite_rank_d(n, d, kind):
+    # Lorentz-style Grams V eta V^T in either sign convention, and -a a^T.
+    signs = {"+-": [1.0] + [-1.0] * (d - 1), "-+": [-1.0] + [1.0] * (d - 1), "negative": [-1.0] * d}[kind]
+    for seed in range(2):
+        m, sample = _signed_band(n, d, np.array(signs), seed)
+        result = features.omega_complete(sample)
+        assert result.converged
+        assert _held_out_rel(m, sample, result) <= 1e-9
+
+
+@pytest.mark.parametrize("n", [200, 1000])
+def test_omega_complete_recovers_indefinite_rank_below_d(n):
+    # Windows of rank below d keep roundoff-level eigenpairs; the fit must not
+    # invert them, or their errors multiply along the chain until it overflows.
+    for signs in ([-1.0], [1.0, -1.0], [-1.0, 1.0, -1.0]):
+        m, _ = _signed_band(n, len(signs), np.array(signs), 0)
+        sample = features.omega_sample(m, 4)
+        result = features.omega_complete(sample)
+        assert result.converged
+        assert _held_out_rel(m, sample, result) <= 1e-9
+
+
+def test_omega_complete_negative_gram_regression():
+    # A negative definite rank-d Gram that random-start ALS never completed.
+    m, sample = _signed_band(48, 2, -1.0, 0)
+    result = features.omega_complete(sample)
+    assert result.converged
+    assert np.max(np.abs(result.matrix - m)) <= 1e-9
+
+
+@pytest.mark.parametrize("factor", [1e-9, 1e-12])
+def test_omega_complete_converged_means_recovered_at_small_scale(factor):
+    # The ridge and the residual test act at unit scale, so a tiny band must
+    # be normalised too, or a near-zero completion passes as converged.
+    m, _ = _low_rank_band(20, 3, 0)
+    m = m * factor
+    sample = features.omega_sample(m, 3)
+    result = features.omega_complete(sample)
+    assert result.converged
+    assert _held_out_rel(m, sample, result) <= 1e-9
 
 
 # -- cholesky_reconstruct ----------------------------------------------------
