@@ -10,6 +10,12 @@ every pair of adjacent windows in one batched step (orthogonal Procrustes
 for PSD windows, least squares for indefinite ones), composes the fits by
 log-depth prefix products and polishes this one start by vectorised ALS;
 it flags failure instead of raising; malformed samples fail when built.
+
+Cached, read-only: the strict lower-triangle masks of ``gram`` for n <= 32
+(33 masks, 11 KB), and for ``subdeterminants`` the key tuple and (C, d)
+index array of each (n, d) with n <= 32 and C = C(n, d) <= 1024: at most
+229 pairs, 6.0 MB if every one is used. Larger subset lists are built per
+call.
 """
 from __future__ import annotations
 
@@ -19,7 +25,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .core import MINKOWSKI, Metric, VectorTuple, as_matrix
+from .core import FREE, MINKOWSKI, Metric, VectorTuple, _read_only, as_matrix
 from .errors import DegenerateInputError, IndefiniteMatrixError, NonFiniteError, RoleError, ShapeError
 
 FIRST_POSITION = "first-position"
@@ -46,7 +52,7 @@ class ScalarFeatureSet:
 
 # Strict lower-triangle masks for small n, where building one costs more
 # than the Gram itself; larger masks are built per call, not kept.
-_LOWER = [np.tri(n, k=-1, dtype=bool) for n in range(33)]
+_LOWER = [_read_only(np.tri(n, k=-1, dtype=bool)) for n in range(33)]
 
 
 def gram(metric: Metric, x: VectorTuple) -> np.ndarray:
@@ -85,9 +91,23 @@ def subdeterminants(x: VectorTuple) -> dict:
             f"C({n}, {d}) = {math.comb(n, d)} subdeterminants exceed the limit of "
             f"{MAX_SUBDET_ENTRIES} stacked minor entries"
         )
-    subsets = list(itertools.combinations(range(n), d))
-    minors = x.vectors[np.array(subsets, dtype=np.intp)].transpose(0, 2, 1)  # (C, d, d)
+    subsets, index = _SUBSETS.get((n, d)) or _subsets(n, d)
+    minors = x.vectors[index].transpose(0, 2, 1)  # (C, d, d)
     return dict(zip(subsets, np.linalg.det(minors).tolist()))
+
+
+# (n, d) -> the d-subsets of range(n) in combinations order and their (C, d)
+# index array, kept for n <= 32 and C <= 1024 (see the module docstring).
+_SUBSETS = {}
+
+
+def _subsets(n: int, d: int) -> tuple:
+    subsets = tuple(itertools.combinations(range(n), d))
+    index = np.fromiter(itertools.chain.from_iterable(subsets), np.intp, len(subsets) * d)
+    index = _read_only(index.reshape(len(subsets), d))
+    if n <= 32 and len(subsets) <= 1024:
+        _SUBSETS[n, d] = subsets, index
+    return subsets, index
 
 
 def translation_reduce(x: VectorTuple, pivot: str = FIRST_POSITION) -> VectorTuple:
@@ -100,15 +120,22 @@ def translation_reduce(x: VectorTuple, pivot: str = FIRST_POSITION) -> VectorTup
     pos = x.position_indices()
     if pos.size == 0:
         raise RoleError("translation_reduce requires at least one position vector")
+    positions = x.vectors[pos]
+    # Differencing huge positions can overflow; the finite check reports it.
+    with np.errstate(over="ignore"):
+        if pivot == FIRST_POSITION:
+            positions -= x.vectors[pos[0]]
+        elif pivot == CENTER_OF_POSITIONS:
+            positions -= positions.sum(axis=0) / pos.size  # numpy's mean, bit for bit
+        else:
+            raise ValueError(f"unknown pivot rule {pivot!r}")
+    if not np.isfinite(positions).all():  # the free vectors are finite already
+        raise NonFiniteError("translation-reduced positions overflow to Inf")
+    out = x.vectors.copy()
+    out[pos] = positions
     if pivot == FIRST_POSITION:
-        out = x.vectors.copy()
-        out[pos] -= x.vectors[pos[0]]
-        return VectorTuple(np.delete(out, pos[0], axis=0))
-    if pivot == CENTER_OF_POSITIONS:
-        out = x.vectors.copy()
-        out[pos] -= x.vectors[pos].mean(axis=0)
-        return VectorTuple(out)
-    raise ValueError(f"unknown pivot rule {pivot!r}")
+        out = np.delete(out, pos[0], axis=0)
+    return VectorTuple._trusted(out, (FREE,) * len(out))
 
 
 def _band_keys(n: int, d: int) -> list:

@@ -20,7 +20,9 @@ on their images, provided every image keeps the spec's roles. Otherwise,
 and whenever the batched call raises or returns the wrong leading length,
 the target is called per trial on row views of the validated stack: on the
 input, then on its image, in trial order, so a failure names its trial.
-Residuals of the outputs of one shape are computed as one stack.
+Residuals of the outputs of one shape are computed as one stack. A trial is
+otherwise carried as its index in the stack; row views are built for the
+report only for the failures and the worst trial, the inputs it serializes.
 """
 from __future__ import annotations
 
@@ -159,6 +161,12 @@ def _serialize_input(x: VectorTuple, scalars) -> str:
     return f'{text[:-1]}, "scalars": {json.dumps(np.asarray(scalars).tolist())}}}'
 
 
+def _trial_input(x: VectorTuple, scalars, t: int, n: int) -> str:
+    """``_serialize_input`` of trial t, rows t*n:(t+1)*n of the input stack
+    x. Only the inputs reported are built as rows: failures and the worst."""
+    return _serialize_input(x.rows(t * n, (t + 1) * n), None if scalars is None else scalars[t])
+
+
 def _call(fn, x, scalars):
     return fn(x) if scalars is None else fn(x, scalars)
 
@@ -278,22 +286,25 @@ def _norms(a):
 
 
 def _chunk_results(fn, specs, chunk, rng):
-    """(trial, (input, scalars), error, residual, component keys) for each
-    trial of ``chunk``, in order; error is None or residual is."""
+    """The chunk's validated input stack, its (T, blocks, k) scalars or None,
+    and (error, residual, component keys) for each trial of ``chunk``, in
+    order; error is None or residual is."""
     # Draw: each trial's input, then one element per spec, in spec order.
     inputs, draws = [], [[] for _ in specs]
+    per_spec = [(spec.group, _element_dim(spec), spec.rapidity_max, drawn)
+                for spec, drawn in zip(specs, draws)]
     for trial in chunk:
         inputs.append(_sample_input(specs, rng, trial))
-        for spec, drawn in zip(specs, draws):
-            drawn.append(groups.draw(spec.group, rng, _element_dim(spec), spec.rapidity_max))
+        for group, dim, rapidity_max, drawn in per_spec:
+            drawn.append(groups.draw(group, rng, dim, rapidity_max))
     elements = [groups.sample_stack(spec.group, drawn) for spec, drawn in zip(specs, draws)]
     dets = [None if isinstance(g, groups.Permutation) else np.linalg.det(g.q) for g in elements]
-    positive = [det > 0 for g, det in zip(elements, dets)
+    positive = [(det > 0).tolist() for g, det in zip(elements, dets)
                 if not isinstance(g, (groups.Permutation, groups.Translation))]
 
     # Apply: validate the stacked inputs once, then move them by each spec in
     # turn. Failing there fails every trial whose output reaches that spec.
-    count, n = len(chunk), specs[0].n_vectors
+    count = len(chunk)
     x = VectorTuple(np.concatenate([v for v, _ in inputs]), specs[0].roles * count)
     scalars = None if inputs[0][1] is None else np.array([s for _, s in inputs])
     images, image_scalars = x, scalars
@@ -338,14 +349,13 @@ def _chunk_results(fn, specs, chunk, rng):
             residuals[idx[k]] = residual
 
     results = []
-    for t, trial in enumerate(chunk):
-        given = x.rows(t * n, (t + 1) * n), None if scalars is None else scalars[t]
+    for t in range(count):
         error = errors[t] if errors[t] is not None else late[t]
         if error is not None:
-            results.append((trial, given, error, None, ()))
+            results.append((error, None, ()))
             continue
-        results.append((trial, given, None, residuals[t], [_DET_KEYS[p[t]] for p in positive]))
-    return results
+        results.append((None, residuals[t], [_DET_KEYS[p[t]] for p in positive]))
+    return x, scalars, results
 
 
 def certify(fn, spec: SymmetrySpec, trials: int, rng) -> CertReport:
@@ -363,26 +373,28 @@ def certify_joint(fn, specs, trials: int, rng) -> CertReport:
     if not _is_count(trials) or trials < 1:
         raise ShapeError(f"trials must be an integer >= 1, got {trials!r}")
     report = CertReport(trials=int(trials))
+    n = specs[0].n_vectors
     total, worst = 0.0, None
     for start in range(0, trials, CHUNK_TRIALS):
         chunk = range(start, min(trials, start + CHUNK_TRIALS))
-        for trial, (x, scalars), error, residual, keys in _chunk_results(fn, specs, chunk, rng):
+        x, scalars, results = _chunk_results(fn, specs, chunk, rng)
+        for t, (error, residual, keys) in enumerate(results):
             if error is not None:
                 report.failures.append(
-                    {"trial": trial, "error": f"{type(error).__name__}: {error}",
-                     "input": _serialize_input(x, scalars)}
+                    {"trial": start + t, "error": f"{type(error).__name__}: {error}",
+                     "input": _trial_input(x, scalars, t, n)}
                 )
                 continue
             total += residual
             if residual >= report.max_residual:
                 report.max_residual = residual
-                worst = (x, scalars)
+                worst = (x, scalars, t, n)
             for key in keys:
                 comp = report.components.setdefault(key, {"trials": 0, "max_residual": 0.0})
                 comp["trials"] += 1
                 comp["max_residual"] = max(comp["max_residual"], residual)
     if worst is not None:
-        report.worst_input = _serialize_input(*worst)
+        report.worst_input = _trial_input(*worst)
     done = trials - len(report.failures)
     report.mean_residual = total / done if done else float("nan")
     return report

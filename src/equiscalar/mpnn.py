@@ -35,6 +35,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
+from .core import _read_only
 from .errors import DegenerateInputError, ShapeError
 from .physics import Particle, em_force_scalar
 
@@ -79,7 +80,7 @@ def edge_features(qs, rs, vs, config: EdgeConfig = EdgeConfig()) -> np.ndarray:
         dist_sq,
     ]
     if config.include_inv_sqrt:
-        off_diag = ~np.eye(qs.shape[-1], dtype=bool)
+        off_diag = _off_diagonal(qs.shape[-1])
         if np.any(dist_sq[..., off_diag] == 0.0):
             raise DegenerateInputError(
                 "coincident positions with the inverse-sqrt channel enabled"
@@ -92,6 +93,14 @@ def edge_features(qs, rs, vs, config: EdgeConfig = EdgeConfig()) -> np.ndarray:
         for c in config.rbf_centers:
             channels.append(np.exp(-((dist - c) ** 2) / (2.0 * config.rbf_width**2)))
     return np.stack(channels, axis=-1)
+
+
+def _off_diagonal(n):
+    """The (n, n) mask ~eye(n): kept read-only for n <= 32, else built."""
+    return _OFF_DIAGONAL[n] if n < len(_OFF_DIAGONAL) else ~np.eye(n, dtype=bool)
+
+
+_OFF_DIAGONAL = [_read_only(~np.eye(n, dtype=bool)) for n in range(33)]
 
 
 def _sorted_blocks(e: np.ndarray) -> np.ndarray:
@@ -177,20 +186,23 @@ class ScalarNet:
             self.weights.append(rng.standard_normal((fan_out, fan_in)) / np.sqrt(fan_in))
             self.biases.append(np.zeros(fan_out))
 
-    def _blocks(self, x):
-        """(m, in_width) float64 rows of x and the slices of its row blocks,
-        at least one (empty when m = 0)."""
-        a = np.atleast_2d(np.asarray(x, dtype=np.float64))
+    def _rows(self, x):
+        """(m, in_width) float64 rows of x (one row for a 1-d x), whether x
+        is 1-d, and the row step of a block, read from BLOCK_BYTES."""
+        a = np.asarray(x, dtype=np.float64)
+        single = a.ndim == 1
+        if a.ndim < 2:
+            a = a.reshape(1, -1)
         if a.shape[1] != self.widths[0]:
             raise ShapeError(f"net expects input width {self.widths[0]}, got {a.shape[1]}")
-        step = max(1, BLOCK_BYTES // (8 * max(self.widths[1:])))
-        return a, [slice(start, start + step) for start in range(0, max(len(a), 1), step)]
+        return a, single, max(1, BLOCK_BYTES // (8 * max(self.widths[1:])))
 
-    def _activations(self, a):
-        """Layer outputs of the rows a, input first."""
+    def _activations(self, a, layers=None):
+        """Outputs of the rows a through the first ``layers`` layers (all of
+        them by default), input first."""
         activations = [a]
         last = len(self.weights) - 1
-        for layer, (w, b) in enumerate(zip(self.weights, self.biases)):
+        for layer, (w, b) in enumerate(zip(self.weights[:layers], self.biases[:layers])):
             a = a @ w.T
             a += b
             if layer != last:
@@ -201,20 +213,24 @@ class ScalarNet:
     def forward(self, x):
         """Value on one input vector (a float) or on each row of an
         (m, in_width) stack (an (m,) array)."""
-        a, blocks = self._blocks(x)
-        out = [self._activations(a[rows])[-1][:, 0] for rows in blocks]
-        out = out[0] if len(out) == 1 else np.concatenate(out)
-        return float(out[0]) if np.ndim(x) == 1 else out
+        a, single, step = self._rows(x)
+        out = self._activations(a[:step])[-1][:, 0]
+        if len(a) > step:
+            out = np.concatenate([out] + [self._activations(a[start:start + step])[-1][:, 0]
+                                          for start in range(step, len(a), step)])
+        return float(out[0]) if single else out
 
     def backward(self, x, dscalar):
         """Parameter gradients (weights, biases) for d(loss)/d(output) =
         dscalar on the input rows x, summed over the rows."""
-        a, blocks = self._blocks(x)
+        a, _, step = self._rows(x)
         dscalar = np.atleast_1d(np.asarray(dscalar, dtype=np.float64))
         last = len(self.weights) - 1
         grads_w, grads_b = [0.0] * (last + 1), [0.0] * (last + 1)
-        for rows in blocks:
-            activations = self._activations(a[rows])
+        for start in range(0, max(len(a), 1), step):
+            rows = slice(start, start + step)
+            # The output layer's value is never read: only its gradient.
+            activations = self._activations(a[rows], last)
             delta = dscalar[rows, None]
             for layer in reversed(range(last + 1)):
                 if layer != last:
@@ -305,7 +321,7 @@ class MpnnModel:
             raise ShapeError(
                 f"concat-mode model built for n={self.n_particles}, got n={n}"
             )
-        off = ~np.eye(n, dtype=bool)
+        off = _off_diagonal(n)
         z = self._net_input(edge_features(qs, rs, vs, self.edge_config), off)
         rows = z.reshape(-1, z.shape[-1])
         h = np.stack([rs - rs.mean(axis=1, keepdims=True), vs])  # (2, B, n, 3)
@@ -333,7 +349,7 @@ class MpnnModel:
         its activations from the cached input rows, one block at a time."""
         z = cache["z"]
         rows = z.reshape(-1, z.shape[-1])
-        off = ~np.eye(cache["n"], dtype=bool)
+        off = _off_diagonal(cache["n"])
         dh = np.zeros((2, *z.shape[:2], 3))
         dh[0 if self.readout == READOUT_POSITION else 1] = dout
         grads = [{} for _ in range(self.layers)]

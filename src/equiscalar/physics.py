@@ -14,7 +14,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .basis import generalized_cross
-from .core import as_scalar, as_vector
+from .core import _read_only, as_scalar, as_vector
 from .errors import DegenerateInputError, DimensionMismatchError, ShapeError
 
 
@@ -120,12 +120,21 @@ def em_forces(r, v, q, k: float, c: float) -> np.ndarray:
     n, d = r.shape[-2:]
     if d != 3:
         raise ShapeError("electromagnetic force is defined for d=3")
-    others = np.nonzero(~np.eye(n, dtype=bool))[1].reshape(n, n - 1)
+    others = _OTHERS[n] if n in _OTHERS else _others(n)
     rs, vs = r[..., others, :], v[..., others, :]  # (..., n, n - 1, 3): particle i's sources
     hit = np.argwhere((rs == r[..., None, :]).all(axis=-1))
     if hit.size:
         raise DegenerateInputError(f"source {hit[0][-1]} coincides with the test particle position")
     return _em_force(r, v, q, rs, vs, q[..., others], k, c)
+
+
+def _others(n):
+    """(n, n - 1) read-only indices of each particle's n - 1 others, ascending."""
+    return _read_only(np.nonzero(~np.eye(n, dtype=bool))[1].reshape(n, n - 1))
+
+
+# Kept for 1 <= n <= 32, about 90 KB; n = 0 goes through _others, which rejects it.
+_OTHERS = {n: _others(n) for n in range(1, 33)}
 
 
 def triple_product_check(a, b, c) -> float:

@@ -135,3 +135,28 @@ def test_csv_round_trip():
 def test_csv_unknown_role_tag():
     with pytest.raises(RoleError):
         core.VectorTuple.from_csv("#roles: p,x\n1,2\n3,4\n")
+
+
+@pytest.mark.parametrize("text,line", [("1,2\n3\n", "line 2"), ("1,x\n", "line 1"),
+                                       ("#roles: f,f\n\n1,2\n3,4,5\n", "line 4")])
+def test_csv_bad_row_names_its_line(text, line):
+    with pytest.raises(ShapeError, match=line):
+        core.VectorTuple.from_csv(text)
+
+
+def test_position_indices_are_kept_read_only():
+    roles = ("free", "position", "free", "position", "position")
+    for _ in range(2):  # a second tuple with the same roles reads the kept array
+        x = core.VectorTuple(np.zeros((5, 2)), roles)
+        idx = x.position_indices()
+        assert idx.tolist() == [1, 3, 4] and idx.dtype == int
+        with pytest.raises(ValueError):
+            idx[0] = 0
+    assert x.rows(1, 4).position_indices().tolist() == [0, 2]
+    assert core.VectorTuple(np.zeros((2, 2))).position_indices().size == 0
+    # Roles tuples longer than 32 are scanned per call, read-only too.
+    long = core.VectorTuple(np.zeros((40, 2)), ("position", "free") * 20)
+    idx = long.position_indices()
+    assert idx.tolist() == list(range(0, 40, 2))
+    with pytest.raises(ValueError):
+        idx[0] = 1

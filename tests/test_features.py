@@ -4,7 +4,7 @@ import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from equiscalar import features, groups
+from equiscalar import basis, features, groups
 from equiscalar.core import (
     FREE,
     POSITION,
@@ -157,6 +157,32 @@ def test_subdeterminants_match_per_subset_det(n, d):
         assert abs(got[subset] - want) <= 1e-12 * max(1.0, abs(want))
 
 
+@pytest.mark.parametrize("d", [1, 2, 3, 4])
+def test_subdeterminants_kept_subsets_match_a_fresh_det(d):
+    rng = np.random.default_rng(40 + d)
+    for n in range(d, 13):
+        x = VectorTuple(rng.standard_normal((n, d)))
+        subsets = list(itertools.combinations(range(n), d))
+        want = [np.linalg.det(x.vectors[list(subset)].T) for subset in subsets]
+        for _ in range(2):  # the first call of an (n, d) builds its index, the second reads it
+            got = features.subdeterminants(x)
+            assert list(got) == subsets
+            assert np.array(list(got.values())).tobytes() == np.array(want).tobytes()
+
+
+def test_subdeterminants_keep_read_only_indices_within_their_bound():
+    rng = np.random.default_rng(9)
+    for n, d, kept in [(12, 6, True), (13, 6, False), (33, 1, False), (32, 2, True)]:
+        features.subdeterminants(VectorTuple(rng.standard_normal((n, d))))
+        assert ((n, d) in features._SUBSETS) == kept
+    subsets, index = features._SUBSETS[12, 6]
+    assert index.shape == (924, 6) and list(subsets) == list(itertools.combinations(range(12), 6))
+    with pytest.raises(ValueError):
+        index[0, 0] = 1
+    with pytest.raises(ValueError):
+        features._LOWER[5][1, 0] = False
+
+
 def test_subdeterminants_count_limit():
     # C(200, 4) = 64,684,950 minors: refused before any subset is built.
     with pytest.raises(ShapeError, match="exceed"):
@@ -218,6 +244,19 @@ def test_reduce_interleaved_roles():
     assert np.array_equal(center.vectors, [[1.0, 2.0], [-2.0, -3.0], [-1.0, 4.0], [2.0, 3.0]])
     assert center.roles == (FREE,) * 4
     assert np.array_equal(x.vectors, v)  # the input is not modified
+
+
+@pytest.mark.filterwarnings("error")
+def test_reduce_overflow_raises_without_a_warning():
+    x = VectorTuple([[1.5e308, 0, 0], [1.5e308, 1, 0], [0, 0, 1]], (POSITION,) * 3)
+    with pytest.raises(NonFiniteError):
+        features.translation_reduce(x, features.CENTER_OF_POSITIONS)
+    model = basis.EquivariantModel("e", euclidean(3), basis.uniform_mixture())
+    with pytest.raises(NonFiniteError):
+        basis.evaluate(model, x)
+    apart = VectorTuple([[1.5e308, 0], [-1.5e308, 0]], (POSITION,) * 2)
+    with pytest.raises(NonFiniteError):
+        features.translation_reduce(apart, features.FIRST_POSITION)
 
 
 def test_reduce_requires_positions():

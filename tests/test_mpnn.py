@@ -124,6 +124,16 @@ def test_scalar_net_zero_weights_zero_output():
     assert out == 0.0
 
 
+def test_off_diagonal_masks_are_kept_read_only():
+    for n in range(2, 14):
+        mask = mpnn._off_diagonal(n)
+        assert mask is mpnn._off_diagonal(n)
+        assert np.array_equal(mask, ~np.eye(n, dtype=bool))
+        with pytest.raises(ValueError):
+            mask[0, 0] = True
+    assert np.array_equal(mpnn._off_diagonal(40), ~np.eye(40, dtype=bool))
+
+
 def test_scalar_net_rejects_bad_widths():
     with pytest.raises(ShapeError):
         mpnn.ScalarNet([3, 4, 2])

@@ -97,6 +97,14 @@ def test_energy_empty_and_single():
     assert physics.total_energy([p], G=3.0) == 9.0
 
 
+def test_em_forces_others_indices_are_kept_read_only():
+    for n in range(2, 14):
+        others = physics._OTHERS[n]
+        assert others.tolist() == [[j for j in range(n) if j != i] for i in range(n)]
+        with pytest.raises(ValueError):
+            others[0, 0] = 0
+
+
 def test_em_coincidence_names_the_loops_source():
     rng = np.random.default_rng(5)
     test, *sources = _mixed_particles(rng, 8)
