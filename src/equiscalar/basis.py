@@ -5,8 +5,10 @@ generalized cross-product terms for SO(d), where the coefficient functions
 see only invariant scalar features, never raw vectors. Equivariance is
 therefore structural, not audited.
 
-A model family's record in ``groups.FAMILIES`` gives the Gram's metric and
-``_SCALARS`` the rest of its scalars; a model is checked against both when built.
+A model family is a family of ``groups.FAMILIES`` with a metric; its record
+gives the Gram's metric, whether positions are centred first (the family
+translates) and whether SO(d) subdeterminants join the scalars (its matrices
+are proper). A model is checked against the record when built.
 """
 from __future__ import annotations
 
@@ -34,15 +36,6 @@ MODE_EQUIVARIANT = "equivariant"
 # The 0 is -0.0 so that shifting by (-0.0 - sum) / n leaves a -0.0
 # coefficient as subtracting the mean does when the sum is +0.0.
 _POSITION_SUMS = {MODE_INVARIANT: -0.0, MODE_EQUIVARIANT: 1.0}
-
-# Model family -> (positions centred before the Gram, SO(d) subdeterminants added).
-_SCALARS = {
-    "o": (False, False),
-    "so": (False, True),
-    "e": (True, False),
-    "lorentz": (False, False),
-    "poincare": (True, False),
-}
 
 MAX_EXPLICIT_SYMMETRIZE = 8
 # Permutations gathered and sign-mapped as one array at a time.
@@ -107,9 +100,11 @@ class EquivariantModel:
     permutation_symmetric: bool = False
 
     def __post_init__(self):
-        if self.family not in _SCALARS:
-            raise ShapeError(f"unknown model family {self.family!r}, expected one of {', '.join(_SCALARS)}")
-        kind = groups.FAMILIES[self.family].metric
+        record = groups.FAMILIES.get(self.family)
+        if record is None or record.metric is None:
+            names = (name for name, r in groups.FAMILIES.items() if r.metric)
+            raise ShapeError(f"unknown model family {self.family!r}, expected one of {', '.join(names)}")
+        kind = record.metric
         if getattr(self.metric, "kind", None) != kind:
             raise ShapeError(f"family {self.family!r} needs a {kind} metric, got {self.metric!r}")
         if self.mode not in _POSITION_SUMS:
@@ -122,11 +117,13 @@ def evaluate(model: EquivariantModel, x: VectorTuple) -> np.ndarray:
     coeff_fn = model.coeffs
     if model.permutation_symmetric:
         coeff_fn = symmetrize_permutation(coeff_fn, x.n)
-    centred, pseudo = _SCALARS[model.family]
-    # Centring keeps every slot, so coefficient vectors stay length n.
+    record = groups.FAMILIES[model.family]
+    centred, pseudo = record.translates, record.proper
+    # Centring keeps every slot, so coefficient vectors stay length n. With
+    # n < d vectors no d-subset exists, so an SO(d) model sees no subdeterminant.
     reduced = translation_reduce(x, CENTER_OF_POSITIONS) if centred else x
-    features = ScalarFeatureSet(gram(model.metric, reduced), model.metric,
-                                subdets=subdeterminants(x) if pseudo else None)
+    subdets = (subdeterminants(x) if x.n >= x.d else {}) if pseudo else None
+    features = ScalarFeatureSet(gram(model.metric, reduced), model.metric, subdets=subdets)
     coeffs, cross_coeffs = coeff_fn.coefficients(features)
     if centred:
         pos = x.position_indices()

@@ -4,7 +4,12 @@ Conventions: structured output is JSON on stdout, diagnostics go to stderr.
 Exit codes: 0 success, 1 validation/certification failure, 2 usage or input
 error, which ``_input_errors`` reports as ``<command>: <message>`` on stderr.
 Every randomized subcommand requires an explicit --seed; there is no
-wall-clock default, so identical invocations are byte-identical.
+wall-clock default, so identical invocations are byte-identical for the
+same numpy build, BLAS kernel and CPU SIMD features. Across those the last
+bits can differ: forcing OpenBLAS's AVX2 kernel (OPENBLAS_CORETYPE=Haswell)
+failed 45 of 895 tests on an AVX-512 host, and limiting numpy's dispatch to
+AVX2 failed 13, all golden-file or oracle comparisons. CI logs that
+configuration before the tests run.
 """
 from __future__ import annotations
 
@@ -194,7 +199,7 @@ def demo(which, infile, trials, seed):
         rng = groups.make_rng(seed)
         residuals = []
         for _ in range(trials):
-            q = groups.sample_rotation(rng, particles[0].r.size).q
+            q = groups.sample("so", rng, particles[0].r.size).q
             w = rng.standard_normal(particles[0].r.size)
             moved = [
                 physics.Particle(q @ p.r + w, q @ p.v, mass=p.mass, charge=p.charge)

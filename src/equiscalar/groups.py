@@ -10,16 +10,21 @@ An element may also be a stack of T elements of one family (``q`` of shape
 (T, d, d), ``w`` of shape (T, d), ``sigma`` of shape (T, n)); a stack acts
 blockwise on a tuple of T*n rows, element t on rows t*n ... t*n + n - 1.
 
-Sampling takes two steps. ``draw`` takes one element's raw numbers from
-the generator; ``sample_stack`` builds T draws at once, with one batched
-QR, determinant and boost. ``sample`` and every ``sample_*`` are that build
-at T = 1, so an element has the same bits whether it is sampled alone or
-as element t of a stack drawn at the same point of the stream.
-``FAMILIES`` maps each ``SymmetrySpec.group`` name to its record: its draw,
-its build, its element class and the metric kind its matrices preserve.
-Sampling is uniform (Haar) for the compact groups; Lorentz elements come
-from a boost-times-rotation family with bounded rapidity (the group is
-non-compact, so no Haar measure exists there).
+``FAMILIES`` is the one place that says what a family is. It maps each
+``SymmetrySpec.group`` name to its record: its draw, its build, its element
+class, the metric kind its matrices preserve, whether its elements shift
+positions and whether its matrices all have determinant +1; from these
+follow its least dim and whether it acts on slots. Code elsewhere reads the record and
+never tests a family's name.
+
+Sampling takes two steps, both by family name. ``draw`` takes one element's
+raw numbers from the generator; ``sample_stack`` builds T draws at once,
+with one batched QR, determinant and boost. ``sample``, the one sampler of
+single elements, is that build at T = 1, so an element has the same bits
+whether it is sampled alone or as element t of a stack drawn at the same
+point of the stream. Sampling is uniform (Haar) for the compact groups;
+Lorentz elements come from a boost-times-rotation family with bounded
+rapidity (the group is non-compact, so no Haar measure exists there).
 """
 from __future__ import annotations
 
@@ -269,26 +274,35 @@ def _translated(draw, build):
 
 
 class _Family(NamedTuple):
-    draw: Callable  # (rng, dim, rapidity_max) -> raw numbers of one element; dim is n for "perm"
+    draw: Callable  # (rng, dim, rapidity_max) -> raw numbers of one element; dim is n on slots
     build: Callable  # (*raw numbers stacked over T draws) -> the fields of cls
     cls: type
     metric: str | None  # the kind its matrices preserve; None: acts under either
+    translates: bool = False  # its elements shift positions, so a model centres them before the Gram
+    proper: bool = False  # every matrix has determinant +1, so SO(d) pseudo-scalars are invariant
 
     @property
     def least_dim(self) -> int:
         return 2 if self.metric == MINKOWSKI else 1  # Minkowski needs time and one space axis
 
+    @property
+    def on_slots(self) -> bool:
+        """Its elements reorder the tuple's slots, so its dim is a slot count."""
+        return self.cls is Permutation
+
 
 FAMILIES = {
     "o": _Family(_draw_orthogonal, _build_orthogonal, Orthogonal, EUCLIDEAN),
-    "so": _Family(_draw_rotation, _build_rotation, Rotation, EUCLIDEAN),
+    "so": _Family(_draw_rotation, _build_rotation, Rotation, EUCLIDEAN, proper=True),
+    "e": _Family(*_translated(_draw_orthogonal, _build_orthogonal), Euclidean, EUCLIDEAN,
+                 translates=True),
     "lorentz": _Family(_draw_lorentz, _build_lorentz, Lorentz, MINKOWSKI),
-    "e": _Family(*_translated(_draw_orthogonal, _build_orthogonal), Euclidean, EUCLIDEAN),
-    "poincare": _Family(*_translated(_draw_lorentz, _build_lorentz), Poincare, MINKOWSKI),
+    "poincare": _Family(*_translated(_draw_lorentz, _build_lorentz), Poincare, MINKOWSKI,
+                        translates=True),
     "perm": _Family(lambda rng, n, rapidity_max: (rng.permutation(n),), lambda sigma: (sigma,),
                     Permutation, None),
     "translation": _Family(lambda rng, d, rapidity_max: (rng.standard_normal(d),), lambda w: (w,),
-                           Translation, None),
+                           Translation, None, translates=True, proper=True),
 }
 
 
@@ -320,34 +334,6 @@ def sample(family: str, rng, dim: int, rapidity_max: float = DEFAULT_RAPIDITY_MA
     record = _family(family)
     stacked = record.build(*(np.array([r]) for r in draw(family, rng, dim, rapidity_max)))
     return record.cls(*(f[0] for f in stacked))
-
-
-def sample_orthogonal(rng, d: int) -> Orthogonal:
-    return sample("o", rng, d)
-
-
-def sample_rotation(rng, d: int) -> Rotation:
-    return sample("so", rng, d)
-
-
-def sample_lorentz(rng, d_plus_1: int, rapidity_max: float = DEFAULT_RAPIDITY_MAX) -> Lorentz:
-    return sample("lorentz", rng, d_plus_1, rapidity_max)
-
-
-def sample_translation(rng, d: int) -> Translation:
-    return sample("translation", rng, d)
-
-
-def sample_permutation(rng, n: int) -> Permutation:
-    return sample("perm", rng, n)
-
-
-def sample_euclidean(rng, d: int) -> Euclidean:
-    return sample("e", rng, d)
-
-
-def sample_poincare(rng, d_plus_1: int, rapidity_max: float = DEFAULT_RAPIDITY_MAX) -> Poincare:
-    return sample("poincare", rng, d_plus_1, rapidity_max)
 
 
 # -- actions ---------------------------------------------------------------

@@ -12,13 +12,14 @@ order first, then its elements are built, applied to all inputs and
 compared as array operations. Stacking moves no draw, so a seeded report is
 the same whatever the chunk size.
 
-The stacked inputs are validated once, as one ``VectorTuple`` of T*n rows. A
+The stacked inputs form one ``VectorTuple`` of T*n rows, built without a
+check: the generator draws finite floats, and the spec checked its roles. A
 target that declares a batched form, ``fn.batched(vectors, scalars)`` on a
 (T, n, d) stack and its (T, blocks, k) scalars (or None), returning outputs
 with a leading axis of length T, is called once on a stack's inputs and once
 on their images, provided every image keeps the spec's roles. Otherwise,
 and whenever the batched call raises or returns the wrong leading length,
-the target is called per trial on row views of the validated stack: on the
+the target is called per trial on row views of the input stack: on the
 input, then on its image, in trial order, so a failure names its trial.
 Residuals of the outputs of one shape are computed as one stack. A trial is
 otherwise carried as its index in the stack; row views are built for the
@@ -130,7 +131,7 @@ class CertReport:
 
 
 def _element_dim(spec: SymmetrySpec) -> int:
-    return (spec.blocks or spec.n_vectors) if spec.group == "perm" else spec.dim
+    return (spec.blocks or spec.n_vectors) if groups.FAMILIES[spec.group].on_slots else spec.dim
 
 
 def _sample_input(specs, rng, trial: int):
@@ -286,7 +287,7 @@ def _norms(a):
 
 
 def _chunk_results(fn, specs, chunk, rng):
-    """The chunk's validated input stack, its (T, blocks, k) scalars or None,
+    """The chunk's input stack, its (T, blocks, k) scalars or None,
     and (error, residual, component keys) for each trial of ``chunk``, in
     order; error is None or residual is."""
     # Draw: each trial's input, then one element per spec, in spec order.
@@ -302,10 +303,11 @@ def _chunk_results(fn, specs, chunk, rng):
     positive = [(det > 0).tolist() for g, det in zip(elements, dets)
                 if not isinstance(g, (groups.Permutation, groups.Translation))]
 
-    # Apply: validate the stacked inputs once, then move them by each spec in
-    # turn. Failing there fails every trial whose output reaches that spec.
+    # Apply: stack the inputs as one tuple, then move them by each spec in
+    # turn; ``groups.apply`` checks each image, as a boost can overflow.
+    # Failing there fails every trial whose output reaches that spec.
     count = len(chunk)
-    x = VectorTuple(np.concatenate([v for v, _ in inputs]), specs[0].roles * count)
+    x = VectorTuple._trusted(np.concatenate([v for v, _ in inputs]), specs[0].roles * count)
     scalars = None if inputs[0][1] is None else np.array([s for _, s in inputs])
     images, image_scalars = x, scalars
     applied, apply_error = len(specs), None

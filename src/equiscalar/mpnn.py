@@ -36,7 +36,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .core import _read_only
-from .errors import DegenerateInputError, ShapeError
+from .errors import DegenerateInputError, NonFiniteError, ShapeError
 from .physics import Particle, em_force_scalar
 
 CONCAT = "concat"
@@ -72,6 +72,8 @@ def edge_features(qs, rs, vs, config: EdgeConfig = EdgeConfig()) -> np.ndarray:
             f"expected positions and velocities of shape {(*qs.shape, 3)}, "
             f"got {rs.shape} and {vs.shape}"
         )
+    if not (np.isfinite(qs).all() and np.isfinite(rs).all() and np.isfinite(vs).all()):
+        raise NonFiniteError("charges, positions and velocities must be finite")
     delta = rs[..., :, None, :] - rs[..., None, :, :]
     dist_sq = np.einsum("...ijk,...ijk->...ij", delta, delta)
     channels = [

@@ -130,11 +130,11 @@ def em_forces(r, v, q, k: float, c: float) -> np.ndarray:
 
 def _others(n):
     """(n, n - 1) read-only indices of each particle's n - 1 others, ascending."""
-    return _read_only(np.nonzero(~np.eye(n, dtype=bool))[1].reshape(n, n - 1))
+    return _read_only(np.nonzero(~np.eye(n, dtype=bool))[1].reshape(n, max(n - 1, 0)))
 
 
-# Kept for 1 <= n <= 32, about 90 KB; n = 0 goes through _others, which rejects it.
-_OTHERS = {n: _others(n) for n in range(1, 33)}
+# Kept for 0 <= n <= 32, about 90 KB.
+_OTHERS = {n: _others(n) for n in range(33)}
 
 
 def triple_product_check(a, b, c) -> float:

@@ -27,7 +27,7 @@ def test_criterion_1_gram_invariance():
             for _ in range(1000):
                 x = VectorTuple(rng.standard_normal((n, d)))
                 g0 = features.gram(metric, x)
-                q = groups.sample_orthogonal(rng, d)
+                q = groups.sample("o", rng, d)
                 g1 = features.gram(metric, groups.apply(q, x))
                 rel = np.max(np.abs(g1 - g0)) / (1.0 + np.max(np.abs(g0)))
                 worst = max(worst, rel)
@@ -35,7 +35,7 @@ def test_criterion_1_gram_invariance():
     for _ in range(1000):
         x = VectorTuple(rng.standard_normal((3, 4)))
         g0 = features.gram(metric, x)
-        lam = groups.sample_lorentz(rng, 4, rapidity_max=2.0)
+        lam = groups.sample("lorentz", rng, 4, rapidity_max=2.0)
         g1 = features.gram(metric, groups.apply(lam, x))
         rel = np.max(np.abs(g1 - g0)) / (1.0 + np.max(np.abs(g0)))
         worst = max(worst, rel)

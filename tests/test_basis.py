@@ -1,4 +1,5 @@
 import dataclasses
+import functools
 import itertools
 import math
 import re
@@ -8,8 +9,10 @@ import pytest
 
 from equiscalar import basis, groups, harness
 from equiscalar.core import (
+    EUCLIDEAN,
     FREE,
     POSITION,
+    Metric,
     VectorTuple,
     euclidean,
     minkowski,
@@ -108,7 +111,7 @@ def test_o_family_equivariance():
     model = basis.EquivariantModel("o", euclidean(3), basis.FixedClosure(_gram_closure))
     for _ in range(100):
         x = VectorTuple(rng.standard_normal((4, 3)))
-        q = groups.sample_orthogonal(rng, 3)
+        q = groups.sample("o", rng, 3)
         lhs = basis.evaluate(model, groups.apply(q, x))
         rhs = q.q @ basis.evaluate(model, x)
         assert np.linalg.norm(lhs - rhs) <= 1e-9 * (1.0 + np.linalg.norm(rhs))
@@ -119,7 +122,7 @@ def test_lorentz_family_equivariance():
     model = basis.EquivariantModel("lorentz", minkowski(4), basis.FixedClosure(_gram_closure))
     for _ in range(100):
         x = VectorTuple(rng.standard_normal((3, 4)))
-        g = groups.sample_lorentz(rng, 4)
+        g = groups.sample("lorentz", rng, 4)
         lhs = basis.evaluate(model, groups.apply(g, x))
         rhs = g.q @ basis.evaluate(model, x)
         assert np.linalg.norm(lhs - rhs) <= 1e-8 * (1.0 + np.linalg.norm(rhs))
@@ -157,7 +160,7 @@ def test_poincare_centroid_is_translation_equivariant():
         "poincare", minkowski(4), basis.uniform_mixture()
     )
     x = VectorTuple(rng.standard_normal((3, 4)), (POSITION,) * 3)
-    g = groups.sample_poincare(rng, 4)
+    g = groups.sample("poincare", rng, 4)
     lhs = basis.evaluate(model, groups.apply(g, x))
     rhs = g.q @ basis.evaluate(model, x) + g.w
     assert np.linalg.norm(lhs - rhs) <= 1e-8 * (1.0 + np.linalg.norm(rhs))
@@ -190,7 +193,7 @@ def test_pure_cross_term_flips_under_reflection():
     x = VectorTuple(rng.standard_normal((3, 3)))
     out = basis.evaluate(model, x)
     assert np.allclose(out, np.cross(x.vectors[0], x.vectors[1]), atol=1e-12)
-    rot = groups.sample_rotation(rng, 3)
+    rot = groups.sample("so", rng, 3)
     assert np.allclose(
         basis.evaluate(model, groups.apply(rot, x)), rot.q @ out, atol=1e-9
     )
@@ -208,6 +211,25 @@ def test_cross_terms_rejected_outside_so():
     model = basis.EquivariantModel("o", euclidean(3), fixture)
     with pytest.raises(ShapeError):
         basis.evaluate(model, VectorTuple(np.random.default_rng(9).standard_normal((3, 3))))
+
+
+@pytest.mark.parametrize("d", [2, 3, 4])
+def test_an_so_model_of_d_minus_1_vectors_is_their_generalized_cross(d):
+    # No d-subset of n = d - 1 vectors exists: the model sees no subdeterminant.
+    seen = []
+    fixture = basis.FixedClosure(lambda feats: seen.append(feats.subdets) or np.zeros(feats.n),
+                                 cross_fn=lambda feats: {tuple(range(d - 1)): 1.0})
+    model = basis.EquivariantModel("so", euclidean(d), fixture)
+    x = VectorTuple(np.random.default_rng(d).standard_normal((d - 1, d)))
+    assert np.array_equal(basis.evaluate(model, x), basis.generalized_cross(x.vectors))
+    assert seen == [{}]
+    with pytest.raises(ShapeError, match="subdeterminants"):
+        subdeterminants(x)
+    fn = functools.partial(basis.evaluate, model)
+    report = harness.certify(fn, harness.SymmetrySpec("so", d, d - 1), 40, groups.make_rng(d))
+    assert not report.failures and report.max_residual <= 1e-12
+    report = harness.certify(fn, harness.SymmetrySpec("o", d, d - 1), 40, groups.make_rng(d))
+    assert not report.failures and report.components["det=-1"]["max_residual"] >= 0.1
 
 
 # -- permutation symmetrization ----------------------------------------------
@@ -249,7 +271,7 @@ def test_symmetrized_model_is_permutation_equivariant():
     x = VectorTuple(rng.standard_normal((5, 3)))
     out = basis.evaluate(model, x)
     for _ in range(25):
-        sigma = groups.sample_permutation(rng, 5)
+        sigma = groups.sample("perm", rng, 5)
         permuted = basis.evaluate(model, groups.apply(sigma, x))
         assert np.max(np.abs(permuted - out)) <= 1e-10
 
@@ -565,4 +587,10 @@ def test_a_model_is_frozen():
 
 
 def test_model_families_are_the_families_with_a_metric():
-    assert set(basis._SCALARS) == {f for f, record in groups.FAMILIES.items() if record.metric}
+    for family, record in groups.FAMILIES.items():
+        metric = Metric(record.metric or EUCLIDEAN, 3)
+        if record.metric:
+            basis.EquivariantModel(family, metric, _FIXTURE)
+        else:
+            with pytest.raises(ShapeError, match="expected one of o, so, e, lorentz, poincare$"):
+                basis.EquivariantModel(family, metric, _FIXTURE)

@@ -232,7 +232,7 @@ def test_eval_equivariance_order1():
     expr = einsum.parse("u_i v_i w_j")
     for _ in range(50):
         u, v, w = rng.standard_normal((3, 3))
-        q = groups.sample_orthogonal(rng, 3).q
+        q = groups.sample("o", rng, 3).q
         base = einsum.evaluate(expr, {"u": u, "v": v, "w": w}, 3)
         moved = einsum.evaluate(expr, {"u": q @ u, "v": q @ v, "w": q @ w}, 3)
         assert np.max(np.abs(moved - q @ base)) <= 1e-9 * (1.0 + np.max(np.abs(base)))
@@ -243,7 +243,7 @@ def test_eval_equivariance_order2():
     expr = einsum.parse("u_i v_j - v_j u_i + w_i z_j")
     for _ in range(50):
         u, v, w, z = rng.standard_normal((4, 3))
-        q = groups.sample_orthogonal(rng, 3).q
+        q = groups.sample("o", rng, 3).q
         base = einsum.evaluate(expr, {"u": u, "v": v, "w": w, "z": z}, 3)
         moved = einsum.evaluate(
             expr, {"u": q @ u, "v": q @ v, "w": q @ w, "z": q @ z}, 3

@@ -68,7 +68,7 @@ def test_gram_orthogonal_invariance():
         d = int(rng.integers(2, 7))
         n = int(rng.integers(2, 9))
         x = VectorTuple(rng.standard_normal((n, d)))
-        q = groups.sample_orthogonal(rng, d)
+        q = groups.sample("o", rng, d)
         g0 = features.gram(euclidean(d), x)
         g1 = features.gram(euclidean(d), groups.apply(q, x))
         assert np.max(np.abs(g1 - g0)) <= 1e-9 * (1.0 + np.max(np.abs(g0)))
@@ -135,7 +135,7 @@ def test_subdeterminants_rotation_invariance_and_reflection_sign():
     rng = groups.make_rng(3)
     x = VectorTuple(rng.standard_normal((5, 3)))
     base = features.subdeterminants(x)
-    rot = groups.sample_rotation(rng, 3)
+    rot = groups.sample("so", rng, 3)
     rotated = features.subdeterminants(groups.apply(rot, x))
     for key in base:
         assert rotated[key] == pytest.approx(base[key], abs=1e-10)

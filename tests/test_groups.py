@@ -10,7 +10,7 @@ FAMILIES = ["o", "so", "lorentz", "e", "poincare", "perm", "translation"]
 
 def test_sample_orthogonal_d1_is_sign():
     rng = groups.make_rng(3)
-    seen = {float(groups.sample_orthogonal(rng, 1).q[0, 0]) for _ in range(20)}
+    seen = {float(groups.sample("o", rng, 1).q[0, 0]) for _ in range(20)}
     assert seen <= {1.0, -1.0}
     assert len(seen) == 2
 
@@ -18,20 +18,20 @@ def test_sample_orthogonal_d1_is_sign():
 def test_sampled_orthogonal_is_orthogonal():
     rng = groups.make_rng(0)
     for d in range(2, 7):
-        q = groups.sample_orthogonal(rng, d).q
+        q = groups.sample("o", rng, d).q
         assert np.max(np.abs(q.T @ q - np.eye(d))) <= 1e-12
 
 
 def test_orthogonal_det_components_balanced():
     rng = groups.make_rng(1)
-    dets = [np.linalg.det(groups.sample_orthogonal(rng, 3).q) for _ in range(10000)]
+    dets = [np.linalg.det(groups.sample("o", rng, 3).q) for _ in range(10000)]
     assert -0.05 <= np.mean(dets) <= 0.05
 
 
 def test_rotation_d2_form():
     rng = groups.make_rng(2)
     for _ in range(20):
-        q = groups.sample_rotation(rng, 2).q
+        q = groups.sample("so", rng, 2).q
         c, s = q[0, 0], q[1, 0]
         assert np.max(np.abs(q - np.array([[c, -s], [s, c]]))) <= 1e-12
 
@@ -39,14 +39,14 @@ def test_rotation_d2_form():
 def test_rotation_determinant_one():
     rng = groups.make_rng(4)
     for d in range(2, 7):
-        q = groups.sample_rotation(rng, d).q
+        q = groups.sample("so", rng, d).q
         assert abs(np.linalg.det(q) - 1.0) <= 1e-9
 
 
 def test_rotation_closure_under_composition():
     rng = groups.make_rng(5)
-    g1 = groups.sample_rotation(rng, 4)
-    g2 = groups.sample_rotation(rng, 4)
+    g1 = groups.sample("so", rng, 4)
+    g2 = groups.sample("so", rng, 4)
     groups.Rotation(groups.compose(g1, g2).q)  # validates in the constructor
 
 
@@ -64,7 +64,7 @@ def test_lorentz_preserves_lightlike():
     lam = minkowski(4).matrix
     v = np.array([1.0, 1.0, 0.0, 0.0])
     for _ in range(50):
-        q = groups.sample_lorentz(rng, 4).q
+        q = groups.sample("lorentz", rng, 4).q
         qv = q @ v
         assert abs(qv @ lam @ qv) <= 1e-9
 
@@ -99,7 +99,7 @@ def test_permutation_reorders_roles():
 
 def test_euclidean_action_on_mixed_roles():
     rng = groups.make_rng(7)
-    g = groups.sample_euclidean(rng, 3)
+    g = groups.sample("e", rng, 3)
     r = rng.standard_normal(3)
     v = rng.standard_normal(3)
     x = VectorTuple(np.stack([r, v]), (POSITION, FREE))
@@ -136,7 +136,7 @@ def test_lorentz_preserves_minkowski_inner_products():
     rng = groups.make_rng(10)
     lam = minkowski(4).matrix
     for _ in range(100):
-        q = groups.sample_lorentz(rng, 4).q
+        q = groups.sample("lorentz", rng, 4).q
         a = rng.standard_normal(4)
         b = rng.standard_normal(4)
         before = a @ lam @ b
@@ -145,8 +145,8 @@ def test_lorentz_preserves_minkowski_inner_products():
 
 
 def test_sampling_determinism():
-    a = groups.sample_lorentz(groups.make_rng(123), 4).q
-    b = groups.sample_lorentz(groups.make_rng(123), 4).q
+    a = groups.sample("lorentz", groups.make_rng(123), 4).q
+    b = groups.sample("lorentz", groups.make_rng(123), 4).q
     assert np.array_equal(a, b)
 
 
@@ -201,6 +201,11 @@ def test_each_family_record_states_its_metric_and_least_dim(family):
         assert family in ("perm", "translation")
     else:
         assert g._metric == record.metric
+    assert record.translates == (family in ("e", "poincare", "translation")) == getattr(g, "_translates", False)
+    assert record.on_slots == (family == "perm")
+    assert record.proper == (family in ("so", "translation"))
+    if record.proper:
+        assert np.linalg.det(g.q) == pytest.approx(1.0)
     with pytest.raises(ShapeError, match=f">= {record.least_dim}"):
         groups.draw(family, groups.make_rng(0), record.least_dim - 1)
     harness.SymmetrySpec(family, record.least_dim, 2)
@@ -211,13 +216,13 @@ def test_each_family_record_states_its_metric_and_least_dim(family):
 @pytest.mark.parametrize(
     "family, sampler",
     [
-        ("o", lambda rng: groups.sample_orthogonal(rng, 3)),
-        ("so", lambda rng: groups.sample_rotation(rng, 3)),
-        ("lorentz", lambda rng: groups.sample_lorentz(rng, 3, 0.7)),
-        ("e", lambda rng: groups.sample_euclidean(rng, 3)),
-        ("poincare", lambda rng: groups.sample_poincare(rng, 3, 0.7)),
-        ("perm", lambda rng: groups.sample_permutation(rng, 3)),
-        ("translation", lambda rng: groups.sample_translation(rng, 3)),
+        ("o", lambda rng: groups.sample("o", rng, 3)),
+        ("so", lambda rng: groups.sample("so", rng, 3)),
+        ("lorentz", lambda rng: groups.sample("lorentz", rng, 3, 0.7)),
+        ("e", lambda rng: groups.sample("e", rng, 3)),
+        ("poincare", lambda rng: groups.sample("poincare", rng, 3, 0.7)),
+        ("perm", lambda rng: groups.sample("perm", rng, 3)),
+        ("translation", lambda rng: groups.sample("translation", rng, 3)),
     ],
 )
 def test_sample_draws_what_the_family_sampler_draws(family, sampler):
@@ -277,10 +282,10 @@ def test_harness_builds_each_spec_with_one_sample_stack_per_chunk(monkeypatch):
 
 
 @pytest.mark.parametrize("cls, sampler", [
-    (groups.Orthogonal, groups.sample_orthogonal),
-    (groups.Rotation, groups.sample_rotation),
-    (groups.Lorentz, groups.sample_lorentz),
-])
+    (groups.Orthogonal, lambda rng, d: groups.sample("o", rng, d)),
+    (groups.Rotation, lambda rng, d: groups.sample("so", rng, d)),
+    (groups.Lorentz, lambda rng, d: groups.sample("lorentz", rng, d)),
+], ids=["Orthogonal-sample_orthogonal", "Rotation-sample_rotation", "Lorentz-sample_lorentz"])
 def test_stack_with_one_bad_matrix_raises_shape_error(cls, sampler):
     rng = groups.make_rng(14)
     q = np.stack([sampler(rng, 3).q for _ in range(6)])
@@ -314,8 +319,9 @@ def test_every_family_checks_dim_and_rapidity_before_drawing(family, dim, rapidi
     ("lorentz", 1), ("poincare", 1),
 ])
 def test_every_sampler_rejects_a_dimension_below_its_floor(sampler, dim):
+    family = {"orthogonal": "o", "rotation": "so", "permutation": "perm", "euclidean": "e"}.get(sampler, sampler)
     with pytest.raises(ShapeError, match=f">= {dim + 1}"):
-        getattr(groups, f"sample_{sampler}")(groups.make_rng(0), dim)
+        groups.sample(family, groups.make_rng(0), dim)
 
 
 def test_a_sampled_boost_whose_bound_overflows_is_rejected():
@@ -339,7 +345,7 @@ def test_a_boost_that_overflows_float64_is_a_non_finite_error(family):
 @pytest.mark.parametrize("rapidity_max", [9.0, 12.0])
 def test_lorentz_accepts_its_own_large_boosts(rapidity_max):
     for seed in range(1, 11):
-        groups.sample_lorentz(groups.make_rng(seed), 4, rapidity_max)
+        groups.sample("lorentz", groups.make_rng(seed), 4, rapidity_max)
         groups.sample("poincare", groups.make_rng(seed), 4, rapidity_max)
 
 
@@ -366,7 +372,7 @@ def test_a_product_keeps_the_scale_of_its_factors():
 
 def _lorentz_at(phi):
     rotation = np.eye(4)
-    rotation[1:, 1:] = groups.sample_rotation(groups.make_rng(5), 3).q
+    rotation[1:, 1:] = groups.sample("so", groups.make_rng(5), 3).q
     return groups.boost(phi, [1.0, 1.0, 1.0], 4) @ rotation
 
 
@@ -405,7 +411,7 @@ def test_lorentz_bound_is_scaled_per_stacked_element():
 
 
 def test_rotation_stack_with_one_reflection_raises_shape_error():
-    q = np.stack([groups.sample_rotation(groups.make_rng(s), 3).q for s in range(4)])
+    q = np.stack([groups.sample("so", groups.make_rng(s), 3).q for s in range(4)])
     q[3, :, 0] *= -1.0
     with pytest.raises(ShapeError):
         groups.Rotation(q)

@@ -6,7 +6,7 @@ import numpy as np
 import pytest
 
 from equiscalar import groups, mpnn, physics
-from equiscalar.errors import DegenerateInputError, ShapeError
+from equiscalar.errors import DegenerateInputError, NonFiniteError, ShapeError
 
 
 def _random_system(rng, n=3):
@@ -93,10 +93,21 @@ def test_edge_features_euclidean_invariance():
     qs, rs, vs = _random_system(rng, 4)
     cfg = mpnn.EdgeConfig(include_inv_sqrt=True)
     e0 = mpnn.edge_features(qs, rs, vs, cfg)
-    q = groups.sample_orthogonal(rng, 3).q
+    q = groups.sample("o", rng, 3).q
     w = rng.standard_normal(3)
     e1 = mpnn.edge_features(qs, rs @ q.T + w, vs @ q.T, cfg)
     assert np.max(np.abs(e1 - e0)) <= 1e-12 * max(1.0, np.max(np.abs(e0)))
+
+
+@pytest.mark.parametrize("field, value", [("qs", np.inf), ("rs", np.nan), ("vs", -np.inf)])
+def test_non_finite_input_is_rejected_before_any_arithmetic(field, value):
+    rng = np.random.default_rng(4)
+    system = dict(zip(("qs", "rs", "vs"), _random_system(rng, 3)))
+    system[field][1] = value
+    model = _small_model(mpnn.POOLED)
+    for call in (mpnn.edge_features, model.forward):
+        with pytest.raises(NonFiniteError):
+            call(system["qs"], system["rs"], system["vs"])
 
 
 def test_edge_features_shape_error():
@@ -174,7 +185,7 @@ def test_forward_rotation_and_reflection_equivariance(mode):
     qs, rs, vs = _random_system(rng)
     out = model.forward(qs, rs, vs)
     for _ in range(10):
-        q = groups.sample_orthogonal(rng, 3).q  # both det components
+        q = groups.sample("o", rng, 3).q  # both det components
         moved = model.forward(qs, rs @ q.T, vs @ q.T)
         assert np.max(np.abs(moved - out @ q.T)) <= 1e-11 * (1.0 + np.max(np.abs(out)))
 

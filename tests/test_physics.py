@@ -105,6 +105,13 @@ def test_em_forces_others_indices_are_kept_read_only():
             others[0, 0] = 0
 
 
+@pytest.mark.parametrize("lead", [(), (4,)], ids=["one-set", "stack"])
+def test_em_forces_of_no_particles_is_empty(lead):
+    r = np.zeros((*lead, 0, 3))
+    f = physics.em_forces(r, r.copy(), np.zeros((*lead, 0)), 1.0, 1.0)
+    assert f.shape == (*lead, 0, 3) and f.dtype == np.float64
+
+
 def test_em_coincidence_names_the_loops_source():
     rng = np.random.default_rng(5)
     test, *sources = _mixed_particles(rng, 8)
@@ -185,7 +192,7 @@ def test_energy_euclidean_invariance():
     rng = groups.make_rng(0)
     parts = [_particle(rng) for _ in range(4)]
     e0 = physics.total_energy(parts, G=0.7)
-    q = groups.sample_orthogonal(rng, 3)
+    q = groups.sample("o", rng, 3)
     w = rng.standard_normal(3)
     moved = [
         physics.Particle(q.q @ p.r + w, q.q @ p.v, p.mass, p.charge) for p in parts
@@ -228,7 +235,7 @@ def test_em_force_rotation_equivariance():
     sources = [_particle(rng, charge=-1.0) for _ in range(2)]
     f = physics.em_force_scalar(test, sources, k=1.0, c=3.0)
     for _ in range(20):
-        q = groups.sample_orthogonal(rng, 3).q
+        q = groups.sample("o", rng, 3).q
         rot_test = physics.Particle(q @ test.r, q @ test.v, test.mass, test.charge)
         rot_sources = [
             physics.Particle(q @ s.r, q @ s.v, s.mass, s.charge) for s in sources
