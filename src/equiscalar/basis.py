@@ -19,7 +19,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from . import groups
-from .core import Metric, VectorTuple, as_vector, sort_sign
+from .core import Metric, VectorTuple, _identity, as_vector, sort_sign
 from .errors import ShapeError
 from .features import (
     CENTER_OF_POSITIONS,
@@ -45,16 +45,15 @@ SYMMETRIZE_CHUNK = 720
 def generalized_cross(vs) -> np.ndarray:
     """Cross product of d-1 vectors in R^d: the unique x with
     <x, y> = det(v_1, ..., v_{d-1}, y) for all y."""
-    vs = [np.asarray(v, dtype=np.float64) for v in vs]
+    vs = list(vs)
     if not vs:
         raise ShapeError("generalized cross product needs at least one vector")
     d = len(vs) + 1
-    for v in vs:
-        as_vector(v, d)
     # x_k = <x, e_k> = det(v_1, ..., v_{d-1}, e_k): one batched det over k.
     mats = np.empty((d, d, d))
-    mats[:, :, :-1] = np.column_stack(vs)
-    mats[:, :, -1] = np.eye(d)
+    for j, v in enumerate(vs):
+        mats[:, :, j] = as_vector(v, d)
+    mats[:, :, -1] = _identity(d)
     return np.linalg.det(mats)
 
 

@@ -197,23 +197,23 @@ def demo(which, infile, trials, seed):
         out["force_scalar"] = a.tolist()
     if trials > 0:
         rng = groups.make_rng(seed)
-        residuals = []
-        for _ in range(trials):
-            q = groups.sample("so", rng, particles[0].r.size).q
-            w = rng.standard_normal(particles[0].r.size)
-            moved = [
-                physics.Particle(q @ p.r + w, q @ p.v, mass=p.mass, charge=p.charge)
-                for p in particles
-            ]
-            if which == "energy":
-                b = physics.total_energy(moved, G)
-                residuals.append(abs(a - b) / (1.0 + abs(a)))
-            else:
-                b = physics.em_force_scalar(moved[0], moved[1:], k, c)
-                residuals.append(
-                    float(np.linalg.norm(b - q @ a) / (1.0 + np.linalg.norm(a)))
-                )
-        out["equivariance"] = {"trials": trials, "max_residual": max(residuals)}
+        d = particles[0].r.size
+        draws = [(groups.sample("so", rng, d).q, rng.standard_normal(d)) for _ in range(trials)]
+        q, w = (np.array(x) for x in zip(*draws))  # (T, d, d), (T, d)
+        # Every trial's moved particles as one (T, n, d) stack of mat-vecs.
+        r = (q[:, None] @ np.array([p.r for p in particles])[..., None])[..., 0] + w[:, None]
+        v = (q[:, None] @ np.array([p.v for p in particles])[..., None])[..., 0]
+        if not (np.isfinite(r).all() and np.isfinite(v).all()):
+            raise NonFiniteError("vector contains NaN or Inf")
+        if which == "energy":
+            b = physics.total_energies(r, v, np.array([p.mass for p in particles]), G)
+            residuals = abs(a - b) / (1.0 + abs(a))
+        else:
+            physics._check_sources(r[:, 0], r[:, 1:])
+            charges = np.array([p.charge for p in particles])
+            b = physics._em_force(r[:, 0], v[:, 0], charges[0], r[:, 1:], v[:, 1:], charges[1:], k, c)
+            residuals = np.linalg.norm(b - q @ a, axis=-1) / (1.0 + np.linalg.norm(a))
+        out["equivariance"] = {"trials": trials, "max_residual": float(residuals.max())}
     _emit(out)
 
 

@@ -16,14 +16,13 @@ summed pair is one lower and one upper occurrence.
 """
 from __future__ import annotations
 
-import functools
 import itertools
 import re
 from dataclasses import dataclass, field
 
 import numpy as np
 
-from .core import Metric, sort_sign
+from .core import Metric, _kept, sort_sign
 from .errors import NonFiniteError, ParseError, PatternError, ShapeError
 
 LOWER = "lower"
@@ -253,16 +252,16 @@ def validate(expr: IndexExpr, metric: Metric, mode: str = MODE_PLAIN) -> Validat
     return ValidationReport(not violations, free_indices, len(free_indices), tuple(violations))
 
 
-@functools.lru_cache(maxsize=None)
-def _levi_civita(d: int) -> np.ndarray:
+def _build_levi_civita(d: int) -> np.ndarray:
     """Dense Levi-Civita tensor of order d: the sign of each permutation of
-    range(d) at that index, 0 wherever an index repeats. Read-only, and
-    cached for the few d <= MAX_EVAL_DIM that evaluate accepts."""
+    range(d) at that index, 0 wherever an index repeats."""
     perms = np.array(list(itertools.permutations(range(d))))
     eps = np.zeros((d,) * d)
     eps[tuple(perms.T)] = sort_sign(perms)[1]
-    eps.flags.writeable = False
     return eps
+
+
+_levi_civita = _kept(_build_levi_civita, lambda d: d <= MAX_EVAL_DIM)
 
 
 def _bound_tensor(factor: Factor, bindings: dict, d: int, lam: np.ndarray) -> np.ndarray:

@@ -10,12 +10,6 @@ every pair of adjacent windows in one batched step (orthogonal Procrustes
 for PSD windows, least squares for indefinite ones), composes the fits by
 log-depth prefix products and polishes this one start by vectorised ALS;
 it flags failure instead of raising; malformed samples fail when built.
-
-Cached, read-only: the strict lower-triangle masks of ``gram`` for n <= 32
-(33 masks, 11 KB), and for ``subdeterminants`` the key tuple and (C, d)
-index array of each (n, d) with n <= 32 and C = C(n, d) <= 1024: at most
-229 pairs, 6.0 MB if every one is used. Larger subset lists are built per
-call.
 """
 from __future__ import annotations
 
@@ -25,7 +19,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .core import FREE, MINKOWSKI, Metric, VectorTuple, _read_only, as_matrix
+from .core import FREE, MINKOWSKI, Metric, VectorTuple, _kept, as_matrix
 from .errors import DegenerateInputError, IndefiniteMatrixError, NonFiniteError, RoleError, ShapeError
 
 FIRST_POSITION = "first-position"
@@ -50,9 +44,8 @@ class ScalarFeatureSet:
         return self.gram.shape[0]
 
 
-# Strict lower-triangle masks for small n, where building one costs more
-# than the Gram itself; larger masks are built per call, not kept.
-_LOWER = [_read_only(np.tri(n, k=-1, dtype=bool)) for n in range(33)]
+# Strict lower-triangle masks: at small n building one costs more than the Gram.
+_lower = _kept(lambda n: np.tri(n, k=-1, dtype=bool), lambda n: n <= 32)
 
 
 def gram(metric: Metric, x: VectorTuple) -> np.ndarray:
@@ -68,7 +61,7 @@ def gram_stack(metric: Metric, vectors: np.ndarray) -> np.ndarray:
     if d != metric.dim:
         raise ShapeError(f"tuple dimension {d} does not match metric dimension {metric.dim}")
     m = (vectors * metric.signature) @ vectors.mT
-    lower = _LOWER[n] if n < len(_LOWER) else np.tri(n, k=-1, dtype=bool)
+    lower = _lower(n)
     if m.ndim == 2:  # the 2-d mask index is ~5x faster at n = 1000
         m[lower] = m.T[lower]
     else:
@@ -91,23 +84,19 @@ def subdeterminants(x: VectorTuple) -> dict:
             f"C({n}, {d}) = {math.comb(n, d)} subdeterminants exceed the limit of "
             f"{MAX_SUBDET_ENTRIES} stacked minor entries"
         )
-    subsets, index = _SUBSETS.get((n, d)) or _subsets(n, d)
+    subsets, index = _subsets(n, d)
     minors = x.vectors[index].transpose(0, 2, 1)  # (C, d, d)
     return dict(zip(subsets, np.linalg.det(minors).tolist()))
 
 
-# (n, d) -> the d-subsets of range(n) in combinations order and their (C, d)
-# index array, kept for n <= 32 and C <= 1024 (see the module docstring).
-_SUBSETS = {}
-
-
-def _subsets(n: int, d: int) -> tuple:
+def _build_subsets(n: int, d: int) -> tuple:
+    """The d-subsets of range(n) in combinations order, and their (C, d) index array."""
     subsets = tuple(itertools.combinations(range(n), d))
     index = np.fromiter(itertools.chain.from_iterable(subsets), np.intp, len(subsets) * d)
-    index = _read_only(index.reshape(len(subsets), d))
-    if n <= 32 and len(subsets) <= 1024:
-        _SUBSETS[n, d] = subsets, index
-    return subsets, index
+    return subsets, index.reshape(len(subsets), d)
+
+
+_subsets = _kept(_build_subsets, lambda n, d: n <= 32 and math.comb(n, d) <= 1024)
 
 
 def translation_reduce(x: VectorTuple, pivot: str = FIRST_POSITION) -> VectorTuple:

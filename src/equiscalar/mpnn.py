@@ -35,7 +35,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .core import _read_only
+from .core import _kept
 from .errors import DegenerateInputError, NonFiniteError, ShapeError
 from .physics import Particle, em_force_scalar
 
@@ -72,37 +72,35 @@ def edge_features(qs, rs, vs, config: EdgeConfig = EdgeConfig()) -> np.ndarray:
             f"expected positions and velocities of shape {(*qs.shape, 3)}, "
             f"got {rs.shape} and {vs.shape}"
         )
-    if not (np.isfinite(qs).all() and np.isfinite(rs).all() and np.isfinite(vs).all()):
-        raise NonFiniteError("charges, positions and velocities must be finite")
-    delta = rs[..., :, None, :] - rs[..., None, :, :]
-    dist_sq = np.einsum("...ijk,...ijk->...ij", delta, delta)
-    channels = [
-        qs[..., :, None] * qs[..., None, :],
-        vs @ np.swapaxes(vs, -1, -2),
-        dist_sq,
-    ]
-    if config.include_inv_sqrt:
-        off_diag = _off_diagonal(qs.shape[-1])
-        if np.any(dist_sq[..., off_diag] == 0.0):
-            raise DegenerateInputError(
-                "coincident positions with the inverse-sqrt channel enabled"
-            )
-        inv = np.zeros_like(dist_sq)
-        inv[..., off_diag] = dist_sq[..., off_diag] ** -0.5
-        channels.append(inv)
-    if config.rbf_centers:
-        dist = np.sqrt(dist_sq)
-        for c in config.rbf_centers:
-            channels.append(np.exp(-((dist - c) ** 2) / (2.0 * config.rbf_width**2)))
-    return np.stack(channels, axis=-1)
+    # Non-finite or overflowing input reaches q_i^2, |v_i|^2 or dist_sq: one output check.
+    with np.errstate(over="ignore", invalid="ignore"):
+        delta = rs[..., :, None, :] - rs[..., None, :, :]
+        dist_sq = np.einsum("...ijk,...ijk->...ij", delta, delta)
+        channels = [
+            qs[..., :, None] * qs[..., None, :],
+            vs @ np.swapaxes(vs, -1, -2),
+            dist_sq,
+        ]
+        if config.include_inv_sqrt:
+            off_diag = _off_diagonal(qs.shape[-1])
+            if np.any(dist_sq[..., off_diag] == 0.0):
+                raise DegenerateInputError(
+                    "coincident positions with the inverse-sqrt channel enabled"
+                )
+            inv = np.zeros_like(dist_sq)
+            inv[..., off_diag] = dist_sq[..., off_diag] ** -0.5
+            channels.append(inv)
+        if config.rbf_centers:
+            dist = np.sqrt(dist_sq)
+            for c in config.rbf_centers:
+                channels.append(np.exp(-((dist - c) ** 2) / (2.0 * config.rbf_width**2)))
+        e = np.stack(channels, axis=-1)
+    if not np.isfinite(e).all():
+        raise NonFiniteError("charges, positions and velocities must be finite, with finite edge features")
+    return e
 
 
-def _off_diagonal(n):
-    """The (n, n) mask ~eye(n): kept read-only for n <= 32, else built."""
-    return _OFF_DIAGONAL[n] if n < len(_OFF_DIAGONAL) else ~np.eye(n, dtype=bool)
-
-
-_OFF_DIAGONAL = [_read_only(~np.eye(n, dtype=bool)) for n in range(33)]
+_off_diagonal = _kept(lambda n: ~np.eye(n, dtype=bool), lambda n: n <= 32)
 
 
 def _sorted_blocks(e: np.ndarray) -> np.ndarray:

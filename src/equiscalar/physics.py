@@ -14,7 +14,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .basis import generalized_cross
-from .core import _read_only, as_scalar, as_vector
+from .core import _kept, as_scalar, as_vector
 from .errors import DegenerateInputError, DimensionMismatchError, ShapeError
 
 
@@ -71,9 +71,7 @@ def _check_em_inputs(test, sources):
     if test.r.size != 3 or any(s.r.size != 3 for s in sources):
         raise ShapeError("electromagnetic force is defined for d=3")
     r = np.array([s.r for s in sources]).reshape(-1, 3)
-    hit = np.flatnonzero((r == test.r).all(axis=1))
-    if hit.size:
-        raise DegenerateInputError(f"source {hit[0]} coincides with the test particle position")
+    _check_sources(test.r, r)
     q = np.array([s.charge for s in sources], dtype=np.float64)
     return r, np.array([s.v for s in sources]).reshape(-1, 3), q
 
@@ -120,21 +118,21 @@ def em_forces(r, v, q, k: float, c: float) -> np.ndarray:
     n, d = r.shape[-2:]
     if d != 3:
         raise ShapeError("electromagnetic force is defined for d=3")
-    others = _OTHERS[n] if n in _OTHERS else _others(n)
+    others = _others(n)
     rs, vs = r[..., others, :], v[..., others, :]  # (..., n, n - 1, 3): particle i's sources
-    hit = np.argwhere((rs == r[..., None, :]).all(axis=-1))
-    if hit.size:
-        raise DegenerateInputError(f"source {hit[0][-1]} coincides with the test particle position")
+    _check_sources(r, rs)
     return _em_force(r, v, q, rs, vs, q[..., others], k, c)
 
 
-def _others(n):
-    """(n, n - 1) read-only indices of each particle's n - 1 others, ascending."""
-    return _read_only(np.nonzero(~np.eye(n, dtype=bool))[1].reshape(n, max(n - 1, 0)))
+def _check_sources(r, rs):
+    """Raise DegenerateInputError if a source at rs (..., m, 3) is at its test particle's r (..., 3)."""
+    hit = np.flatnonzero((rs == r[..., None, :]).all(axis=-1))
+    if hit.size:
+        raise DegenerateInputError(f"source {hit[0] % rs.shape[-2]} coincides with the test particle position")
 
 
-# Kept for 0 <= n <= 32, about 90 KB.
-_OTHERS = {n: _others(n) for n in range(33)}
+# (n, n - 1): the others of particle i, ascending: each j < i as j, each j >= i as j + 1.
+_others = _kept(lambda n: np.arange(n - 1) + (np.arange(n - 1) >= np.arange(n)[:, None]), lambda n: n <= 32)
 
 
 def triple_product_check(a, b, c) -> float:

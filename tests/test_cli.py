@@ -1,5 +1,10 @@
 import csv
+import importlib
 import json
+import os
+import re
+import subprocess
+import sys
 import warnings
 from pathlib import Path
 
@@ -49,6 +54,21 @@ def test_sample_group_matches_golden_output(runner, family):
     result = runner.invoke(main, case["args"])
     assert result.exit_code == 0
     assert result.output == case["output"]
+
+
+def test_console_script_is_cli_main():
+    root = Path(__file__).parents[1]
+    entry = re.search(r'^\[project\.scripts\]\nequiscalar = "([\w.]+):(\w+)"$',
+                      (root / "pyproject.toml").read_text(), re.M)
+    assert entry is not None
+    module, name = entry.groups()
+    assert getattr(importlib.import_module(module), name) is main
+    case = json.loads((DATA / "golden_sample_group.json").read_text())["lorentz"]
+    path = os.pathsep.join(filter(None, [str(root / "src"), os.environ.get("PYTHONPATH")]))
+    run = subprocess.run([sys.executable, "-m", module, *case["args"]], capture_output=True, text=True,
+                         env={**os.environ, "PYTHONPATH": path}, timeout=120)
+    assert run.returncode == 0, run.stderr
+    assert run.stdout == case["output"]
 
 
 def test_sample_group_choices_are_sampled_families():
@@ -224,6 +244,36 @@ def test_demo_rejects_malformed_particle_file(runner, tmp_path, text):
     result = runner.invoke(main, ["demo", "energy", "--in", infile])
     assert result.exit_code == 2
     assert "particle file must be an object" in result.output
+
+
+_DEMO_PARTICLES = {"G": 0.7, "k": 1.3, "c": 2.0, "particles": [
+    {"r": [0.1, -0.4, 0.9], "v": [0.3, 0.2, -0.5], "mass": 1.5, "charge": 1.0},
+    {"r": [1.2, 0.3, -0.2], "v": [-0.1, 0.4, 0.6], "mass": 0.5, "charge": -2.0},
+    {"r": [-0.7, 0.8, 0.4], "v": [0.2, -0.3, 0.1], "mass": 2.0, "charge": 0.5},
+    {"r": [0.5, -1.1, -0.6], "v": [0.0, 0.7, -0.2], "mass": 1.0, "charge": 1.5},
+]}
+# Written by the check that rebuilt the particles one trial at a time; the
+# floats are exact reprs, so the text is that check's stdout byte for byte.
+_DEMO_STDOUT = {which: json.dumps(out, indent=2) + "\n" for which, out in {
+    "energy": {"energy": -6.0308551853505,
+               "equivariance": {"trials": 20, "max_residual": 6.316290097616681e-16}},
+    "emforce": {"force_cross": [0.5960758060125095, 0.43371763071238256, 0.13052626702272602],
+                "force_scalar": [0.5960758060125096, 0.43371763071238245, 0.13052626702272588],
+                "equivariance": {"trials": 20, "max_residual": 4.863496632272003e-16}},
+}.items()}
+
+
+@pytest.mark.parametrize("which", ["energy", "emforce"])
+def test_demo_equivariance_check_prints_its_seeded_output(runner, tmp_path, which):
+    infile = _write(tmp_path / "p.json", json.dumps(_DEMO_PARTICLES))
+    args = ["demo", which, "--check-equivariance", "20", "--seed", "3", "--in"]
+    result = runner.invoke(main, [*args, infile])
+    assert result.exit_code == 0
+    assert result.stdout == _DEMO_STDOUT[which]
+    particles = [{"r": [0.0, 0, 0], "v": [0.0, 0, 0]}, {"r": [1.0, 0], "v": [0.0, 0]}]
+    for bad in ([], particles):
+        result = runner.invoke(main, [*args, _write(tmp_path / "bad.json", json.dumps({"particles": bad}))])
+        assert result.exit_code == 2 and result.stderr.startswith("demo: ")
 
 
 def test_demo_equivariance_requires_seed(runner, tmp_path):

@@ -146,17 +146,34 @@ def test_csv_bad_row_names_its_line(text, line):
 
 def test_position_indices_are_kept_read_only():
     roles = ("free", "position", "free", "position", "position")
+    kept = []
     for _ in range(2):  # a second tuple with the same roles reads the kept array
         x = core.VectorTuple(np.zeros((5, 2)), roles)
         idx = x.position_indices()
         assert idx.tolist() == [1, 3, 4] and idx.dtype == int
         with pytest.raises(ValueError):
             idx[0] = 0
+        kept.append(idx)
+    assert kept[0] is kept[1]
     assert x.rows(1, 4).position_indices().tolist() == [0, 2]
     assert core.VectorTuple(np.zeros((2, 2))).position_indices().size == 0
     # Roles tuples longer than 32 are scanned per call, read-only too.
     long = core.VectorTuple(np.zeros((40, 2)), ("position", "free") * 20)
     idx = long.position_indices()
     assert idx.tolist() == list(range(0, 40, 2))
+    assert long.position_indices() is not idx
     with pytest.raises(ValueError):
         idx[0] = 1
+
+
+def test_position_indices_keep_the_256_roles_tuples_last_used():
+    # 300 distinct roles tuples of 9 or 10 entries: the 256 used last are
+    # kept, the 44 used before them are built again.
+    tuples = [("free",) * (9 + i // 256) + tuple("position" if i >> b & 1 else "free" for b in range(8))
+              for i in range(300)]
+    first = [core.VectorTuple(np.zeros((len(r), 1)), r).position_indices() for r in tuples]
+    again = [core.VectorTuple(np.zeros((len(r), 1)), r).position_indices() for r in tuples[44:]]
+    assert all(a is b for a, b in zip(again, first[44:]))
+    for r, idx in zip(tuples[:44], first):
+        rebuilt = core.VectorTuple(np.zeros((len(r), 1)), r).position_indices()
+        assert rebuilt is not idx and rebuilt.tolist() == idx.tolist()

@@ -85,6 +85,10 @@ def test_levi_civita_matches_the_oracles_determinant_rule(d):
     eps = einsum._levi_civita(d)
     for ix in itertools.product(range(d), repeat=d):
         assert eps[ix] == round(float(np.linalg.det(np.eye(d)[list(ix)])))
+    assert eps is einsum._levi_civita(d)
+    with pytest.raises(ValueError):
+        eps[(0,) * d] = 1.0
+    assert einsum._levi_civita(einsum.MAX_EVAL_DIM + 1) is not einsum._levi_civita(einsum.MAX_EVAL_DIM + 1)
 
 
 # -- parsing -------------------------------------------------------------------

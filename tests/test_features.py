@@ -174,13 +174,16 @@ def test_subdeterminants_keep_read_only_indices_within_their_bound():
     rng = np.random.default_rng(9)
     for n, d, kept in [(12, 6, True), (13, 6, False), (33, 1, False), (32, 2, True)]:
         features.subdeterminants(VectorTuple(rng.standard_normal((n, d))))
-        assert ((n, d) in features._SUBSETS) == kept
-    subsets, index = features._SUBSETS[12, 6]
+        assert (features._subsets(n, d) is features._subsets(n, d)) == kept
+    subsets, index = features._subsets(12, 6)
     assert index.shape == (924, 6) and list(subsets) == list(itertools.combinations(range(12), 6))
     with pytest.raises(ValueError):
         index[0, 0] = 1
     with pytest.raises(ValueError):
-        features._LOWER[5][1, 0] = False
+        features._lower(5)[1, 0] = False
+    assert features._lower(5) is features._lower(5)
+    assert np.array_equal(features._lower(5), np.tri(5, k=-1, dtype=bool))
+    assert features._lower(33) is not features._lower(33)
 
 
 def test_subdeterminants_count_limit():

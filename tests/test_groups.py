@@ -225,10 +225,13 @@ def test_each_family_record_states_its_metric_and_least_dim(family):
         ("translation", lambda rng: groups.sample("translation", rng, 3)),
     ],
 )
-def test_sample_draws_what_the_family_sampler_draws(family, sampler):
+def test_rapidity_max_changes_only_lorentz_and_poincare_elements(family, sampler):
     a = groups.sample(family, groups.make_rng(11), 3, 0.7)
     b = sampler(groups.make_rng(11))
     assert groups.element_to_dict(a) == groups.element_to_dict(b)
+    default = groups.sample(family, groups.make_rng(11), 3)
+    changed = groups.element_to_dict(a) != groups.element_to_dict(default)
+    assert changed == (family in ("lorentz", "poincare"))
 
 
 def _stack_and_singles(family, dim, trials, seed, rapidity_max=groups.DEFAULT_RAPIDITY_MAX):

@@ -557,7 +557,7 @@ def test_batched_target_falls_back_to_the_per_trial_loop(batched, roles):
     assert json.dumps(report.to_dict()) == json.dumps(plain.to_dict())
 
 
-def test_inputs_and_images_are_validated_once_per_stack(monkeypatch):
+def test_images_are_validated_once_per_stack(monkeypatch):
     # One VectorTuple validation per spec's image stack, whatever the trial
     # count: the stacked inputs, drawn finite by the generator, are built
     # without one, and targets get row views.

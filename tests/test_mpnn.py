@@ -110,6 +110,17 @@ def test_non_finite_input_is_rejected_before_any_arithmetic(field, value):
             call(system["qs"], system["rs"], system["vs"])
 
 
+@pytest.mark.parametrize("field, value", [("qs", 1e200), ("rs", 1e160), ("vs", 1e160)])
+def test_finite_input_whose_edge_features_overflow_is_rejected(field, value):
+    rng = np.random.default_rng(4)
+    system = dict(zip(("qs", "rs", "vs"), _random_system(rng, 3)))
+    system[field][1] = value
+    model = _small_model(mpnn.POOLED)
+    for call in (mpnn.edge_features, model.forward):
+        with pytest.raises(NonFiniteError):
+            call(system["qs"], system["rs"], system["vs"])
+
+
 def test_edge_features_shape_error():
     with pytest.raises(ShapeError):
         mpnn.edge_features([1.0, -1.0], np.zeros((2, 2)), np.zeros((2, 2)))
@@ -143,6 +154,7 @@ def test_off_diagonal_masks_are_kept_read_only():
         with pytest.raises(ValueError):
             mask[0, 0] = True
     assert np.array_equal(mpnn._off_diagonal(40), ~np.eye(40, dtype=bool))
+    assert mpnn._off_diagonal(40) is not mpnn._off_diagonal(40)
 
 
 def test_scalar_net_rejects_bad_widths():

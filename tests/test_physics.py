@@ -99,10 +99,12 @@ def test_energy_empty_and_single():
 
 def test_em_forces_others_indices_are_kept_read_only():
     for n in range(2, 14):
-        others = physics._OTHERS[n]
+        others = physics._others(n)
+        assert others is physics._others(n)
         assert others.tolist() == [[j for j in range(n) if j != i] for i in range(n)]
         with pytest.raises(ValueError):
             others[0, 0] = 0
+    assert physics._others(40) is not physics._others(40)
 
 
 @pytest.mark.parametrize("lead", [(), (4,)], ids=["one-set", "stack"])
