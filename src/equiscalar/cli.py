@@ -188,32 +188,40 @@ def demo(which, infile, trials, seed):
     obj, particles = _load_particles(infile)
     G, k, c = (as_scalar(obj.get(name, 1.0), name) for name in ("G", "k", "c"))
     out = {}
-    if which == "energy":
-        a = out["energy"] = physics.total_energy(particles, G)
-    else:
-        test, sources = particles[0], particles[1:]
-        a = physics.em_force_scalar(test, sources, k, c)
-        out["force_cross"] = physics.em_force_cross(test, sources, k, c).tolist()
-        out["force_scalar"] = a.tolist()
-    if trials > 0:
-        rng = groups.make_rng(seed)
-        d = particles[0].r.size
-        draws = [(groups.sample("so", rng, d).q, rng.standard_normal(d)) for _ in range(trials)]
-        q, w = (np.array(x) for x in zip(*draws))  # (T, d, d), (T, d)
-        # Every trial's moved particles as one (T, n, d) stack of mat-vecs.
-        r = (q[:, None] @ np.array([p.r for p in particles])[..., None])[..., 0] + w[:, None]
-        v = (q[:, None] @ np.array([p.v for p in particles])[..., None])[..., 0]
-        if not (np.isfinite(r).all() and np.isfinite(v).all()):
-            raise NonFiniteError("vector contains NaN or Inf")
+    # Finite input can overflow or divide by a vanishing distance; a number
+    # that comes out NaN or Inf is reported below instead of printed.
+    with np.errstate(over="ignore", divide="ignore", invalid="ignore"):
         if which == "energy":
-            b = physics.total_energies(r, v, np.array([p.mass for p in particles]), G)
-            residuals = abs(a - b) / (1.0 + abs(a))
+            a = out["energy"] = physics.total_energy(particles, G)
         else:
-            physics._check_sources(r[:, 0], r[:, 1:])
-            charges = np.array([p.charge for p in particles])
-            b = physics._em_force(r[:, 0], v[:, 0], charges[0], r[:, 1:], v[:, 1:], charges[1:], k, c)
-            residuals = np.linalg.norm(b - q @ a, axis=-1) / (1.0 + np.linalg.norm(a))
-        out["equivariance"] = {"trials": trials, "max_residual": float(residuals.max())}
+            test, sources = particles[0], particles[1:]
+            a = physics.em_force_scalar(test, sources, k, c)
+            out["force_cross"] = physics.em_force_cross(test, sources, k, c).tolist()
+            out["force_scalar"] = a.tolist()
+        if trials > 0:
+            rng = groups.make_rng(seed)
+            d = particles[0].r.size
+            draws = [(groups.sample("so", rng, d).q, rng.standard_normal(d)) for _ in range(trials)]
+            q, w = (np.array(x) for x in zip(*draws))  # (T, d, d), (T, d)
+            # Every trial's moved particles as one (T, n, d) stack of mat-vecs.
+            r = (q[:, None] @ np.array([p.r for p in particles])[..., None])[..., 0] + w[:, None]
+            v = (q[:, None] @ np.array([p.v for p in particles])[..., None])[..., 0]
+            if not (np.isfinite(r).all() and np.isfinite(v).all()):
+                raise NonFiniteError("vector contains NaN or Inf")
+            if which == "energy":
+                b = physics.total_energies(r, v, np.array([p.mass for p in particles]), G)
+                residuals = abs(a - b) / (1.0 + abs(a))
+            else:
+                physics._check_sources(r[:, 0], r[:, 1:])
+                charges = np.array([p.charge for p in particles])
+                b = physics._em_force(r[:, 0], v[:, 0], charges[0], r[:, 1:], v[:, 1:], charges[1:], k, c)
+                residuals = np.linalg.norm(b - q @ a, axis=-1) / (1.0 + np.linalg.norm(a))
+            out["equivariance"] = {"trials": trials, "max_residual": float(residuals.max())}
+    numbers = {key: value for key, value in out.items() if key != "equivariance"}
+    numbers.update(out.get("equivariance", {}))
+    bad = [key for key, value in numbers.items() if not np.isfinite(value).all()]
+    if bad:
+        raise NonFiniteError(f"{' and '.join(bad)} not finite: NaN or Inf")
     _emit(out)
 
 

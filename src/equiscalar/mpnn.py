@@ -18,19 +18,27 @@ each net fills a (B, n, n) pair-coefficient matrix G with a zero diagonal,
 and m_i = rowsum(G)_i h_i - (G h)_i. Its reverse is dG_ij = dm_i . (h_i - h_j)
 and dh += rowsum(G) dm - G^T dm. The four matrices of a layer are stacked as
 (2, 2, B, n, n), indexed by message channel and hidden channel, so that each
-of these is one array expression per layer. `MpnnModel.forward` takes one
-sample, (n,) charges with (n, 3) positions and velocities, or stacks (B, n)
-and (B, n, 3). Its cache keeps only the net input rows z, the G matrices and
+of these is one array expression per layer. The four nets of a layer are
+likewise one `ScalarNet` stack of K = 4 nets, with (4, out, in) weights and
+(4, out) biases: one `forward` call per layer gives the (4, B * n * k)
+coefficients that reshape to those matrices, one `backward` call gives the
+stacked gradients, and one SGD update per array covers all four nets.
+`nets[layer][name]` is each net as views into its stack, for parameter
+access and the saved-model format. `MpnnModel.forward` takes one sample,
+(n,) charges with (n, 3) positions and velocities, or stacks (B, n) and
+(B, n, 3). Its cache keeps only the net input rows z, the G matrices and
 each layer's input h: keeping the nets' activations would hold every hidden
 layer for every pair of the minibatch at once (about four times the peak
 memory of a training step at n = 12). `ScalarNet.backward` recomputes them
 from z one row block at a time and drops each block's before the next
-(gradient checkpointing per block). Everything is float64 numpy with
-hand-rolled reverse-mode gradients.
+(gradient checkpointing per block); a block holds as many rows as keep a
+stacked hidden-layer temporary within BLOCK_BYTES. Everything is float64
+numpy with hand-rolled reverse-mode gradients.
 """
 from __future__ import annotations
 
 import json
+import math
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -83,13 +91,11 @@ def edge_features(qs, rs, vs, config: EdgeConfig = EdgeConfig()) -> np.ndarray:
         ]
         if config.include_inv_sqrt:
             off_diag = _off_diagonal(qs.shape[-1])
-            if np.any(dist_sq[..., off_diag] == 0.0):
+            if np.any(dist_sq == 0.0, where=off_diag):
                 raise DegenerateInputError(
                     "coincident positions with the inverse-sqrt channel enabled"
                 )
-            inv = np.zeros_like(dist_sq)
-            inv[..., off_diag] = dist_sq[..., off_diag] ** -0.5
-            channels.append(inv)
+            channels.append(np.power(dist_sq, -0.5, out=np.zeros_like(dist_sq), where=off_diag))
         if config.rbf_centers:
             dist = np.sqrt(dist_sq)
             for c in config.rbf_centers:
@@ -157,20 +163,30 @@ def _act_grad(name, a):
     raise ValueError(f"unknown activation {name!r}")
 
 
-# Bytes of one float64 temporary of a net's hidden layer (512 rows at width
-# 16). A temporary this small stays in L2 and below glibc's 128 KiB mmap
-# threshold, so it is reused from the heap instead of page-faulted in afresh
-# on every call; sized in bytes, a wider net takes fewer rows per block.
+# Bytes of one float64 hidden-layer temporary of a block: 128 rows of the
+# four width-16 nets of a layer (K = 4), 512 rows of one such net. A
+# temporary this small stays in L2 and below glibc's 128 KiB mmap threshold,
+# so it is reused from the heap instead of page-faulted in afresh on every
+# call; sized in bytes, a wider net or a larger stack takes fewer rows. Rows
+# go by multiples of 4, the rows that the BLAS matrix-vector kernel of the
+# output layer takes at a time, so every row meets the same arithmetic
+# whatever the block size (2-row blocks move some outputs by an ulp).
 BLOCK_BYTES = 64 * 1024
 
 
 class ScalarNet:
-    """Fully connected net with scalar output, run on its input rows in
-    blocks of BLOCK_BYTES per hidden-layer temporary. `backward` stores
-    nothing from `forward`: it recomputes each block's activations from the
-    input rows and adds the block's gradients to the totals."""
+    """Fully connected net with scalar output, or with ``stack=K`` a stack
+    of K nets of the same widths that read the same input rows: weights
+    (K, out, in), biases (K, out) and outputs (K, m), every layer one
+    batched matmul over the K nets. Indexing a stack gives one of its nets
+    as a ScalarNet whose arrays are views into the stack's.
 
-    def __init__(self, widths, activation="tanh", rng=None):
+    The input rows run in blocks of BLOCK_BYTES per hidden-layer temporary.
+    `backward` stores nothing from `forward`: it recomputes each block's
+    activations from the input rows and adds the block's gradients to the
+    totals."""
+
+    def __init__(self, widths, activation="tanh", rng=None, stack=None):
         if any(w < 1 for w in widths):
             raise ShapeError(f"widths must be at least 1, got {list(widths)}")
         if widths[-1] != 1:
@@ -179,12 +195,23 @@ class ScalarNet:
             raise ValueError(f"unknown activation {activation!r}")
         self.widths = list(widths)
         self.activation = activation
+        self.lead = () if stack is None else (stack,)
         rng = rng if rng is not None else np.random.default_rng(0)
-        self.weights = []
-        self.biases = []
-        for fan_in, fan_out in zip(widths[:-1], widths[1:]):
-            self.weights.append(rng.standard_normal((fan_out, fan_in)) / np.sqrt(fan_in))
-            self.biases.append(np.zeros(fan_out))
+        self.weights = [np.empty((*self.lead, fan_out, fan_in))
+                        for fan_in, fan_out in zip(widths[:-1], widths[1:])]
+        self.biases = [np.zeros((*self.lead, fan_out)) for fan_out in widths[1:]]
+        # Net by net, layer by layer: the draws of K nets built one at a time.
+        for net in np.ndindex(self.lead):
+            for w in self.weights:
+                w[net] = rng.standard_normal(w.shape[-2:]) / np.sqrt(w.shape[-1])
+
+    def __getitem__(self, k):
+        """Net k of a stack, its arrays views into the stack's."""
+        net = object.__new__(ScalarNet)
+        net.widths, net.activation, net.lead = self.widths, self.activation, ()
+        net.weights = [w[k] for w in self.weights]
+        net.biases = [b[k] for b in self.biases]
+        return net
 
     def _rows(self, x):
         """(m, in_width) float64 rows of x (one row for a 1-d x), whether x
@@ -195,50 +222,54 @@ class ScalarNet:
             a = a.reshape(1, -1)
         if a.shape[1] != self.widths[0]:
             raise ShapeError(f"net expects input width {self.widths[0]}, got {a.shape[1]}")
-        return a, single, max(1, BLOCK_BYTES // (8 * max(self.widths[1:])))
+        step = BLOCK_BYTES // (8 * math.prod(self.lead) * max(self.widths[1:])) // 4 * 4
+        return a, single, max(4, step)
 
     def _activations(self, a, layers=None):
         """Outputs of the rows a through the first ``layers`` layers (all of
-        them by default), input first."""
+        them by default), input first; (*lead, m, width) after the input."""
         activations = [a]
         last = len(self.weights) - 1
         for layer, (w, b) in enumerate(zip(self.weights[:layers], self.biases[:layers])):
-            a = a @ w.T
-            a += b
+            a = a @ w.mT  # (m, in) rows broadcast against every net of a stack
+            a += b[..., None, :]
             if layer != last:
                 _act(self.activation, a)
             activations.append(a)
         return activations
 
     def forward(self, x):
-        """Value on one input vector (a float) or on each row of an
-        (m, in_width) stack (an (m,) array)."""
+        """Value on one input vector (a float, or (K,) for a stack) or on
+        each row of an (m, in_width) stack (an (m,) or (K, m) array)."""
         a, single, step = self._rows(x)
-        out = self._activations(a[:step])[-1][:, 0]
+        out = self._activations(a[:step])[-1][..., 0]
         if len(a) > step:
-            out = np.concatenate([out] + [self._activations(a[start:start + step])[-1][:, 0]
-                                          for start in range(step, len(a), step)])
-        return float(out[0]) if single else out
+            out = np.concatenate([out] + [self._activations(a[start:start + step])[-1][..., 0]
+                                          for start in range(step, len(a), step)], axis=-1)
+        if single:
+            return out[..., 0] if self.lead else float(out[0])
+        return out
 
     def backward(self, x, dscalar):
-        """Parameter gradients (weights, biases) for d(loss)/d(output) =
-        dscalar on the input rows x, summed over the rows."""
+        """Parameter gradients (weights, biases), each shaped as its
+        parameter, for d(loss)/d(output) = dscalar, shaped as forward's
+        output, on the input rows x, summed over the rows."""
         a, _, step = self._rows(x)
-        dscalar = np.atleast_1d(np.asarray(dscalar, dtype=np.float64))
+        dscalar = np.asarray(dscalar, dtype=np.float64).reshape(*self.lead, -1)
         last = len(self.weights) - 1
         grads_w, grads_b = [0.0] * (last + 1), [0.0] * (last + 1)
         for start in range(0, max(len(a), 1), step):
             rows = slice(start, start + step)
             # The output layer's value is never read: only its gradient.
             activations = self._activations(a[rows], last)
-            delta = dscalar[rows, None]
+            delta = dscalar[..., rows, None]
             for layer in reversed(range(last + 1)):
                 if layer != last:
                     g = _act_grad(self.activation, activations[layer + 1])
                     g *= delta
                     delta = g
-                grads_w[layer] = grads_w[layer] + delta.T @ activations[layer]
-                grads_b[layer] = grads_b[layer] + delta.sum(axis=0)
+                grads_w[layer] = grads_w[layer] + delta.mT @ activations[layer]
+                grads_b[layer] = grads_b[layer] + delta.sum(axis=-2)
                 if layer:
                     delta = delta @ self.weights[layer]
         return grads_w, grads_b
@@ -249,9 +280,24 @@ class ScalarNet:
 NET_NAMES = ("g_r", "g_v", "gt_r", "gt_v")
 
 
+@dataclass(frozen=True)
+class LayerGrads:
+    """One layer's parameter gradients, stacked as its ScalarNet's
+    parameters; ``grads[name]`` is net ``name``'s (weights, biases) as views."""
+
+    weights: list
+    biases: list
+
+    def __getitem__(self, name):
+        k = NET_NAMES.index(name)
+        return [w[k] for w in self.weights], [b[k] for b in self.biases]
+
+
 class MpnnModel:
-    """T message-passing layers, four scalar nets per layer, weights shared
-    across nodes and pairs (permutation equivariance by construction)."""
+    """T message-passing layers, four scalar nets per layer held as one
+    stacked ScalarNet, weights shared across nodes and pairs (permutation
+    equivariance by construction). ``nets[layer][name]`` is one net, its
+    arrays views into the layer's stack."""
 
     def __init__(
         self,
@@ -281,13 +327,11 @@ class MpnnModel:
             edge_config.dim * n_particles if mode == CONCAT else 2 * edge_config.dim
         )
         rng = np.random.default_rng(seed)
-        self.nets = [
-            {
-                name: ScalarNet([in_width, *hidden, 1], activation, rng)
-                for name in NET_NAMES
-            }
+        self.stacks = [
+            ScalarNet([in_width, *hidden, 1], activation, rng, stack=len(NET_NAMES))
             for _ in range(layers)
         ]
+        self.nets = [{name: stack[k] for k, name in enumerate(NET_NAMES)} for stack in self.stacks]
 
     # -- forward ---------------------------------------------------------
 
@@ -326,9 +370,8 @@ class MpnnModel:
         rows = z.reshape(-1, z.shape[-1])
         h = np.stack([rs - rs.mean(axis=1, keepdims=True), vs])  # (2, B, n, 3)
         cache = {"n": n, "z": z, "h": [], "G": []}
-        for nets in self.nets:
-            vals = np.stack([nets[name].forward(rows) for name in NET_NAMES])
-            g = _pair_matrix(vals.reshape(2, 2, -1), z.shape, off)  # (2, 2, B, n, n)
+        for stack in self.stacks:
+            g = _pair_matrix(stack.forward(rows).reshape(2, 2, -1), z.shape, off)  # (2, 2, B, n, n)
             if want_cache:
                 cache["h"].append(h)
                 cache["G"].append(g)
@@ -345,22 +388,23 @@ class MpnnModel:
 
     def backward(self, cache, dout):
         """Reverse-mode parameter gradients for upstream d(loss)/d(output),
-        summed over the samples of the cached forward. Each net recomputes
-        its activations from the cached input rows, one block at a time."""
+        summed over the samples of the cached forward, as one LayerGrads per
+        layer. Each layer's stack recomputes its activations from the cached
+        input rows, one block at a time."""
         z = cache["z"]
         rows = z.reshape(-1, z.shape[-1])
         off = _off_diagonal(cache["n"])
         dh = np.zeros((2, *z.shape[:2], 3))
         dh[0 if self.readout == READOUT_POSITION else 1] = dout
-        grads = [{} for _ in range(self.layers)]
+        grads = [None] * self.layers
         for layer in reversed(range(self.layers)):
-            h, g, nets = cache["h"][layer], cache["G"][layer], self.nets[layer]
+            h, g = cache["h"][layer], cache["G"][layer]
             dm = dh[:, None]  # residual update: gradient reaches both h and m
             # dG_ij = dm_i . (h_i - h_j);  dh += rowsum(G) dm - G^T dm
             dg = (dm * h).sum(axis=-1)[..., None] - dm @ np.swapaxes(h, -1, -2)
             dh = dh + (g.sum(axis=-1)[..., None] * dm - np.swapaxes(g, -1, -2) @ dm).sum(axis=0)
-            for name, dvals in zip(NET_NAMES, _row_grads(dg, z.shape, off).reshape(4, -1)):
-                grads[layer][name] = nets[name].backward(rows, dvals)
+            dvals = _row_grads(dg, z.shape, off).reshape(len(NET_NAMES), -1)
+            grads[layer] = LayerGrads(*self.stacks[layer].backward(rows, dvals))
         return grads
 
     # -- parameter access --------------------------------------------------
@@ -378,14 +422,9 @@ class MpnnModel:
         return out
 
     def apply_gradients(self, grads, lr):
-        for layer in range(self.layers):
-            for name in NET_NAMES:
-                net = self.nets[layer][name]
-                gw, gb = grads[layer][name]
-                for w, g in zip(net.weights, gw):
-                    w -= lr * g
-                for b, g in zip(net.biases, gb):
-                    b -= lr * g
+        for stack, layer in zip(self.stacks, grads):
+            for p, g in zip(stack.weights + stack.biases, layer.weights + layer.biases):
+                p -= lr * g
 
     def to_dict(self):
         return {
@@ -426,14 +465,27 @@ class MpnnModel:
             ),
             readout=obj["readout"],
         )
-        for layer, nets in enumerate(obj["nets"]):
+        saved = obj["nets"]
+        if not isinstance(saved, list) or len(saved) != model.layers:
+            raise ShapeError(f"nets must be a list of {model.layers} layers, one per model layer")
+        for layer, nets in enumerate(saved):
+            if not isinstance(nets, dict) or sorted(nets) != sorted(NET_NAMES):
+                raise ShapeError(f"layer {layer} must hold exactly the nets {', '.join(NET_NAMES)}")
             for name in NET_NAMES:
-                model.nets[layer][name].weights = [
-                    np.asarray(w, dtype=np.float64) for w in nets[name]["weights"]
-                ]
-                model.nets[layer][name].biases = [
-                    np.asarray(b, dtype=np.float64) for b in nets[name]["biases"]
-                ]
+                net = model.nets[layer][name]
+                for kind, arrays in (("weights", net.weights), ("biases", net.biases)):
+                    values = nets[name][kind]
+                    if len(values) != len(arrays):
+                        raise ShapeError(f"layer {layer} net {name} must hold {len(arrays)} {kind}")
+                    for idx, (arr, value) in enumerate(zip(arrays, values)):
+                        where = f"layer {layer} net {name} {kind}[{idx}]"
+                        try:
+                            value = np.asarray(value, dtype=np.float64)
+                        except (TypeError, ValueError):
+                            raise ShapeError(f"{where} is not an array of numbers") from None
+                        if value.shape != arr.shape:
+                            raise ShapeError(f"{where} has shape {value.shape}, expected {arr.shape}")
+                        arr[...] = value
         return model
 
     def save(self, path):

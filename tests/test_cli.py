@@ -276,6 +276,47 @@ def test_demo_equivariance_check_prints_its_seeded_output(runner, tmp_path, whic
         assert result.exit_code == 2 and result.stderr.startswith("demo: ")
 
 
+# Finite particle files whose results leave float64: masses, positions and
+# velocities near 1e200 overflow the energy, and a source 1e-200 from the test
+# particle divides the force by a distance cubed that underflows to 0.
+_HUGE = {"particles": [
+    {"r": [1e200, 2e200, -1e200], "v": [1e200, 0.0, 1e200], "mass": 1e200},
+    {"r": [-1e200, 3e200, 0.0], "v": [0.0, 1e200, 0.0], "mass": 2e200},
+]}
+_CLOSE = {"particles": [
+    {"r": [0.0, 0.0, 0.0], "v": [0.1, 0.0, 0.0], "charge": 1.0},
+    {"r": [1e-200, 0.0, 0.0], "v": [0.0, 0.2, 0.0], "charge": 1.0},
+]}
+
+
+@pytest.mark.parametrize("which, particles, args, names", [
+    ("energy", _HUGE, [], "energy"),
+    ("energy", _HUGE, ["--check-equivariance", "3", "--seed", "1"], "energy and max_residual"),
+    ("emforce", _CLOSE, [], "force_cross and force_scalar"),
+], ids=["energy-1e200", "energy-1e200-checked", "emforce-1e-200-apart"])
+def test_demo_exits_2_on_a_result_that_is_not_finite(runner, tmp_path, which, particles, args, names):
+    infile = _write(tmp_path / "p.json", json.dumps(particles))
+    with warnings.catch_warnings(record=True) as caught:
+        warnings.simplefilter("always")
+        result = runner.invoke(main, ["demo", which, *args, "--in", infile])
+    assert result.exit_code == 2
+    assert result.stderr == f"demo: {names} not finite: NaN or Inf\n" and result.stdout == ""
+    assert caught == []
+
+
+def test_demo_prints_the_vanishing_force_of_a_source_past_float64_range(runner, tmp_path):
+    particles = {"particles": [
+        {"r": [1e308, -1e308, 1e308], "v": [0.1, 0.0, 0.0], "charge": 1.0},
+        {"r": [0.0, 0.0, 0.0], "v": [0.0, 0.2, 0.0], "charge": 1.0},
+    ]}
+    infile = _write(tmp_path / "p.json", json.dumps(particles))
+    with warnings.catch_warnings(record=True) as caught:
+        warnings.simplefilter("always")
+        result = runner.invoke(main, ["demo", "emforce", "--in", infile])
+    assert result.exit_code == 0 and result.stderr == "" and caught == []
+    assert json.loads(result.stdout) == {"force_cross": [0.0] * 3, "force_scalar": [0.0] * 3}
+
+
 def test_demo_equivariance_requires_seed(runner, tmp_path):
     infile = _write(
         tmp_path / "p.json",
@@ -494,6 +535,31 @@ def test_certify_trained_model(runner, tmp_path):
     )
     assert result.exit_code == 0, result.output
     assert json.loads(result.output)["passed"] is True
+
+
+# Edits of the golden concat model file (2 layers of nets) that no longer
+# fit the model it declares.
+_BAD_MODEL_NETS = {
+    "weight-row-dropped": (lambda nets: nets[0]["g_v"]["weights"][1].pop(),
+                           "layer 0 net g_v weights[1] has shape (5, 6), expected (6, 6)"),
+    "bias-entry-added": (lambda nets: nets[1]["gt_r"]["biases"][0].append(0.5),
+                         "layer 1 net gt_r biases[0] has shape (7,), expected (6,)"),
+    "one-of-two-layers": (lambda nets: nets.pop(), "nets must be a list of 2 layers, one per model layer"),
+}
+
+
+@pytest.mark.parametrize("case", _BAD_MODEL_NETS)
+def test_certify_a_model_file_that_does_not_fit_its_model_exits_2(runner, tmp_path, case):
+    edit, message = _BAD_MODEL_NETS[case]
+    obj = json.loads((DATA / "golden_concat.model.json").read_text())
+    edit(obj["nets"])
+    model_path = _write(tmp_path / "model.json", json.dumps(obj))
+    specfile = _write(tmp_path / "spec.json", json.dumps(
+        [{k: list(v) if isinstance(v, tuple) else v for k, v in spec.items()} for spec in BLOCK_SPECS]))
+    result = runner.invoke(main, ["certify", "--target", f"model:{model_path}", "--spec", specfile,
+                                  "--trials", "5", "--seed", "1"])
+    assert result.exit_code == 2
+    assert result.stderr == f"certify: {message}\n" and result.stdout == ""
 
 
 def test_certify_unknown_target_exits_2(runner, tmp_path):

@@ -100,7 +100,7 @@ def test_edge_features_euclidean_invariance():
 
 
 @pytest.mark.parametrize("field, value", [("qs", np.inf), ("rs", np.nan), ("vs", -np.inf)])
-def test_non_finite_input_is_rejected_before_any_arithmetic(field, value):
+def test_non_finite_input_raises_non_finite_error(field, value):
     rng = np.random.default_rng(4)
     system = dict(zip(("qs", "rs", "vs"), _random_system(rng, 3)))
     system[field][1] = value
@@ -166,11 +166,12 @@ def test_scalar_net_rejects_bad_widths():
 
 
 def _patch_block_rows(monkeypatch, rows):
-    # Blocks of 8 rows of width-16 layers. Like the 512 rows of a real block
-    # they are a multiple of the 4 rows that the BLAS matrix-vector kernel of
-    # the output layer takes at a time, so every row meets the same
-    # arithmetic as in one whole-batch call (7-row blocks move some outputs
-    # by an ulp).
+    # Blocks of 8 rows of one net of width-16 layers, and of 4 rows (the
+    # least) of a model layer's stack of four such nets. Like the 128 and 512
+    # rows of real blocks they are a multiple of the 4 rows that the BLAS
+    # matrix-vector kernel of the output layer takes at a time, so every row
+    # meets the same arithmetic as in one whole-batch call (7-row blocks move
+    # some outputs by an ulp).
     monkeypatch.setattr(mpnn, "BLOCK_BYTES", rows * 8 * 16)
 
 
@@ -335,7 +336,8 @@ def test_batched_forward_and_backward_match_per_sample(mode, n, readout):
 
 
 def test_batched_rows_across_the_block_size_match_per_sample():
-    # 32 * 132 pair rows, past the 1638 rows of one block of width-5 layers
+    # 32 * 132 pair rows, past the 1638 rows of one block of one net of
+    # width-5 layers and the 408 of a stack of four
     assert 32 * 12 * 11 > mpnn.BLOCK_BYTES // (8 * 5)
     _check_batched_matches_per_sample(mpnn.POOLED, 12, mpnn.READOUT_POSITION, 32)
 
@@ -349,7 +351,7 @@ def test_blocked_model_matches_one_block(monkeypatch, mode):
     probe = rng.standard_normal(rs.shape)
     out, cache = model.forward(qs, rs, vs, want_cache=True)
     grads = _flat_grads(model, model.backward(cache, probe))
-    # pooled: 60 pair rows, 7 blocks of 8 and one of 4; concat: 20 node rows
+    # stacks of four nets in blocks of 4 rows: pooled 60 pair rows, concat 20 node rows
     _patch_block_rows(monkeypatch, 8)
     blocked, blocked_cache = model.forward(qs, rs, vs, want_cache=True)
     assert np.array_equal(blocked, out)
@@ -369,6 +371,204 @@ def test_golden_model_reproduces_saved_outputs_and_gradients(tag):
     assert _rel_err(out, np.array(case["outputs"])) <= 1e-12
     grads = _flat_grads(model, model.backward(cache, probe))
     assert _rel_err(grads, np.array(case["grad_sum"])) <= 1e-12
+
+
+# -- stacked layers ------------------------------------------------------------------
+#
+# The per-net path that the stacked layers replaced, kept as their oracle:
+# each of a layer's four nets runs on its own over the layer's input rows,
+# in blocks of BLOCK_BYTES per hidden-layer temporary of that one net, and
+# the message kernel reads the np.stack of their outputs.
+
+
+def _oracle_activations(net, a, layers=None):
+    activations = [a]
+    last = len(net.weights) - 1
+    for layer, (w, b) in enumerate(zip(net.weights[:layers], net.biases[:layers])):
+        a = a @ w.T
+        a += b
+        if layer != last:
+            mpnn._act(net.activation, a)
+        activations.append(a)
+    return activations
+
+
+def _oracle_step(net):
+    return max(1, mpnn.BLOCK_BYTES // (8 * max(net.widths[1:])))
+
+
+def _oracle_net_forward(net, a):
+    step = _oracle_step(net)
+    return np.concatenate([_oracle_activations(net, a[start:start + step])[-1][:, 0]
+                           for start in range(0, len(a), step)])
+
+
+def _oracle_net_backward(net, a, dscalar):
+    step = _oracle_step(net)
+    last = len(net.weights) - 1
+    grads_w, grads_b = [0.0] * (last + 1), [0.0] * (last + 1)
+    for start in range(0, len(a), step):
+        rows = slice(start, start + step)
+        activations = _oracle_activations(net, a[rows], last)
+        delta = dscalar[rows, None]
+        for layer in reversed(range(last + 1)):
+            if layer != last:
+                g = mpnn._act_grad(net.activation, activations[layer + 1])
+                g *= delta
+                delta = g
+            grads_w[layer] = grads_w[layer] + delta.T @ activations[layer]
+            grads_b[layer] = grads_b[layer] + delta.sum(axis=0)
+            if layer:
+                delta = delta @ net.weights[layer]
+    return grads_w, grads_b
+
+
+def _oracle_forward(model, qs, rs, vs):
+    """(output, cache) of the per-net path on (B, n) charges and (B, n, 3)
+    positions and velocities."""
+    n = qs.shape[1]
+    off = mpnn._off_diagonal(n)
+    z = model._net_input(mpnn.edge_features(qs, rs, vs, model.edge_config), off)
+    rows = z.reshape(-1, z.shape[-1])
+    h = np.stack([rs - rs.mean(axis=1, keepdims=True), vs])
+    cache = {"n": n, "z": z, "h": [], "G": []}
+    for nets in model.nets:
+        vals = np.stack([_oracle_net_forward(nets[name], rows) for name in mpnn.NET_NAMES])
+        g = mpnn._pair_matrix(vals.reshape(2, 2, -1), z.shape, off)
+        cache["h"].append(h)
+        cache["G"].append(g)
+        h = h + (g.sum(axis=-1)[..., None] * h - g @ h).sum(axis=1)
+    return h[0 if model.readout == mpnn.READOUT_POSITION else 1], cache
+
+
+def _oracle_backward(model, cache, dout):
+    z = cache["z"]
+    rows = z.reshape(-1, z.shape[-1])
+    off = mpnn._off_diagonal(cache["n"])
+    dh = np.zeros((2, *z.shape[:2], 3))
+    dh[0 if model.readout == mpnn.READOUT_POSITION else 1] = dout
+    grads = [{} for _ in range(model.layers)]
+    for layer in reversed(range(model.layers)):
+        h, g, nets = cache["h"][layer], cache["G"][layer], model.nets[layer]
+        dm = dh[:, None]
+        dg = (dm * h).sum(axis=-1)[..., None] - dm @ np.swapaxes(h, -1, -2)
+        dh = dh + (g.sum(axis=-1)[..., None] * dm - np.swapaxes(g, -1, -2) @ dm).sum(axis=0)
+        for name, dvals in zip(mpnn.NET_NAMES, mpnn._row_grads(dg, z.shape, off).reshape(4, -1)):
+            grads[layer][name] = _oracle_net_backward(nets[name], rows, dvals)
+    return grads
+
+
+@pytest.mark.parametrize("rows", [None, 8], ids=["default-blocks", "patched-blocks"])
+@pytest.mark.parametrize("b", [1, 32], ids=["single", "batch-32"])
+@pytest.mark.parametrize("n", [3, 4, 12])
+@pytest.mark.parametrize("mode", [mpnn.CONCAT, mpnn.POOLED])
+def test_stacked_layers_match_the_per_net_oracle(monkeypatch, mode, n, b, rows):
+    if rows:
+        _patch_block_rows(monkeypatch, rows)
+    rng = np.random.default_rng(29)
+    model = mpnn.MpnnModel(n, hidden=(16, 16), mode=mode,
+                           edge_config=mpnn.EdgeConfig(include_inv_sqrt=True), seed=n + b)
+    qs, rs, vs = _random_batch(rng, b, n)
+    probe = rng.standard_normal(rs.shape)
+    want, oracle_cache = _oracle_forward(model, qs, rs, vs)
+    out, cache = model.forward(qs, rs, vs, want_cache=True)
+    assert np.array_equal(out, want)
+    if b == 1:
+        assert np.array_equal(model.forward(qs[0], rs[0], vs[0]), want[0])
+    got = _flat_grads(model, model.backward(cache, probe))
+    assert _rel_err(got, _flat_grads(model, _oracle_backward(model, oracle_cache, probe))) <= 1e-12
+
+
+def test_one_scalar_net_forward_per_layer_and_one_pass_per_block(monkeypatch):
+    calls = {"forward": 0, "blocks": 0}
+
+    def counted(key, fn):
+        def wrapper(*args, **kwargs):
+            calls[key] += 1
+            return fn(*args, **kwargs)
+        return wrapper
+
+    monkeypatch.setattr(mpnn.ScalarNet, "forward", counted("forward", mpnn.ScalarNet.forward))
+    monkeypatch.setattr(mpnn.ScalarNet, "_activations",
+                        counted("blocks", mpnn.ScalarNet._activations))
+    qs, rs, vs = _random_batch(np.random.default_rng(30), 2, 12)
+    # 2 * 132 pair rows in blocks of 128 rows of a stack of four width-16 nets
+    assert mpnn.BLOCK_BYTES // (8 * 4 * 16) == 128
+    _pooled_n12_model().forward(qs, rs, vs)
+    assert calls == {"forward": 2, "blocks": 2 * 3}
+
+
+@pytest.mark.parametrize("widths, stack", [
+    ([8, 16, 16, 1], None), ([8, 16, 16, 1], 4), ([8, 5, 1], None), ([48, 5, 1], 4),
+    ([8, 7, 3, 1], 4), ([8, 3000, 1], 4),
+])
+def test_block_rows_are_the_most_multiple_of_4_that_fit_block_bytes(widths, stack):
+    net = mpnn.ScalarNet(widths, stack=stack)
+    step = net._rows(np.zeros(widths[0]))[2]
+    row_bytes = 8 * (stack or 1) * max(widths[1:])
+    assert step % 4 == 0 and step >= 4
+    assert step * row_bytes <= mpnn.BLOCK_BYTES or step == 4
+    assert (step + 4) * row_bytes > mpnn.BLOCK_BYTES
+
+
+def test_a_stack_holds_the_nets_built_one_at_a_time():
+    stack = mpnn.ScalarNet([6, 5, 3, 1], rng=np.random.default_rng(3), stack=4)
+    x = np.random.default_rng(4).standard_normal((100, 6))
+    out = stack.forward(x)
+    assert out.shape == (4, 100) and stack.forward(x[7]).shape == (4,)
+    rng = np.random.default_rng(3)
+    for k in range(4):
+        net = mpnn.ScalarNet([6, 5, 3, 1], rng=rng)
+        for got, want in zip(stack[k].weights + stack[k].biases, net.weights + net.biases):
+            assert np.array_equal(got, want)
+        assert np.array_equal(stack[k].forward(x), out[k])
+
+
+def test_per_net_weights_are_views_into_the_layer_stacks():
+    rng = np.random.default_rng(31)
+    model = _small_model(mpnn.POOLED)
+    qs, rs, vs = _random_system(rng)
+    before = model.forward(qs, rs, vs)
+    for stack, nets in zip(model.stacks, model.nets):
+        for k, name in enumerate(mpnn.NET_NAMES):
+            for view, stacked in zip(nets[name].weights + nets[name].biases,
+                                     stack.weights + stack.biases):
+                assert view.base is stacked and np.array_equal(view, stacked[k])
+    model.nets[1]["g_r"].biases[-1] += 0.25
+    assert np.all(model.stacks[1].biases[-1][0] == model.nets[1]["g_r"].biases[-1])
+    assert not np.array_equal(model.forward(qs, rs, vs), before)
+
+
+@pytest.mark.parametrize("tag", ["concat", "pooled"])
+def test_golden_model_files_load_and_save_byte_for_byte(tmp_path, tag):
+    path = DATA / f"golden_{tag}.model.json"
+    mpnn.MpnnModel.load(path).save(tmp_path / "model.json")
+    assert (tmp_path / "model.json").read_bytes() == path.read_bytes()
+
+
+# Edits of the golden concat model file (2 layers of [16, 6, 6, 1] nets)
+# that no longer fit the model it declares.
+BAD_NETS = {
+    "weight-row-dropped": (lambda nets: nets[0]["g_v"]["weights"][1].pop(),
+                           ["layer 0 net g_v weights[1]", "(5, 6)", "(6, 6)"]),
+    "bias-entry-added": (lambda nets: nets[1]["gt_r"]["biases"][0].append(0.5),
+                         ["layer 1 net gt_r biases[0]", "(7,)", "(6,)"]),
+    "one-of-two-layers": (lambda nets: nets.pop(), ["2 layers"]),
+    "net-missing": (lambda nets: nets[1].pop("gt_v"), ["layer 1", "g_r, g_v, gt_r, gt_v"]),
+    "weight-missing": (lambda nets: nets[0]["g_r"]["weights"].pop(), ["layer 0 net g_r", "3 weights"]),
+    "weight-ragged": (lambda nets: nets[1]["g_v"]["weights"][1][0].append(1.0),
+                      ["layer 1 net g_v weights[1]", "not an array of numbers"]),
+}
+
+
+@pytest.mark.parametrize("case", BAD_NETS)
+def test_from_dict_rejects_nets_that_do_not_fit_the_declared_model(case):
+    edit, words = BAD_NETS[case]
+    obj = json.loads((DATA / "golden_concat.model.json").read_text())
+    edit(obj["nets"])
+    with pytest.raises(ShapeError) as info:
+        mpnn.MpnnModel.from_dict(obj)
+    assert all(word in str(info.value) for word in words), str(info.value)
 
 
 def _pooled_n12_model():
