@@ -257,7 +257,11 @@ def einsum_eval(expr, bindfile, dim, metric_kind):
     parsed = einsum.parse(expr)
     with open(bindfile) as fh:
         bindings = json.load(fh)
-    value = einsum.evaluate(parsed, bindings, dim, Metric(metric_kind, dim))
+    # Finite bindings whose products overflow: one check of the value.
+    with np.errstate(over="ignore", invalid="ignore"):
+        value = einsum.evaluate(parsed, bindings, dim, Metric(metric_kind, dim))
+    if not np.isfinite(value).all():
+        raise NonFiniteError("value not finite: NaN or Inf")
     _emit({"value": value if np.isscalar(value) else np.asarray(value).tolist()})
 
 

@@ -32,8 +32,12 @@ layer for every pair of the minibatch at once (about four times the peak
 memory of a training step at n = 12). `ScalarNet.backward` recomputes them
 from z one row block at a time and drops each block's before the next
 (gradient checkpointing per block); a block holds as many rows as keep a
-stacked hidden-layer temporary within BLOCK_BYTES. Everything is float64
-numpy with hand-rolled reverse-mode gradients.
+stacked hidden-layer temporary within BLOCK_BYTES. So that no operation in
+a block repeats an operand along its rows, a call of more than one block
+builds one contiguous tile of a block's rows of each layer's biases (and,
+in `backward`, of the output weights) and every block reads it; a call of
+one block, as every single-sample call is, broadcasts them instead.
+Everything is float64 numpy with hand-rolled reverse-mode gradients.
 """
 from __future__ import annotations
 
@@ -114,7 +118,8 @@ def _sorted_blocks(e: np.ndarray) -> np.ndarray:
     lexicographic order, making the result a function of the row multiset
     rather than the row order."""
     order = np.lexsort(np.moveaxis(e, -1, 0)[::-1], axis=-1)
-    return np.take_along_axis(e, order[..., None], axis=-2).reshape(*e.shape[:-2], -1)
+    rows = np.take_along_axis(e, order[..., None], axis=-2)
+    return rows.reshape(*e.shape[:-2], e.shape[-2] * e.shape[-1])
 
 
 def _pair_matrix(vals, shape, off):
@@ -170,7 +175,9 @@ def _act_grad(name, a):
 # call; sized in bytes, a wider net or a larger stack takes fewer rows. Rows
 # go by multiples of 4, the rows that the BLAS matrix-vector kernel of the
 # output layer takes at a time, so every row meets the same arithmetic
-# whatever the block size (2-row blocks move some outputs by an ulp).
+# whatever the block size (2-row blocks move some outputs by an ulp). A call
+# of more than one block also holds a tile per layer, a block's rows of
+# that layer's biases, which is at most this size too.
 BLOCK_BYTES = 64 * 1024
 
 
@@ -184,22 +191,38 @@ class ScalarNet:
     The input rows run in blocks of BLOCK_BYTES per hidden-layer temporary.
     `backward` stores nothing from `forward`: it recomputes each block's
     activations from the input rows and adds the block's gradients to the
-    totals."""
+    totals. An operand repeated along a block's rows makes numpy run one
+    short inner loop per row, 3-4 times the cost of the same arithmetic
+    on contiguous arrays. So a call of more than one block adds biases
+    from contiguous tiles (a call of one block broadcasts them, cheaper
+    than building tiles), a bias gradient is one matrix-vector product
+    with a vector of ones, and the output layer's rank-1 backprop is two
+    multiplies, not a matmul over a length-1 axis."""
 
     def __init__(self, widths, activation="tanh", rng=None, stack=None):
+        self._allocate(widths, activation, stack)
+        self._draw(rng if rng is not None else np.random.default_rng(0))
+
+    def _allocate(self, widths, activation, stack):
+        """Check the shape, then hold weights not yet drawn and zero biases."""
+        if len(widths) < 2:
+            raise ShapeError(f"widths must hold an input and an output width, got {list(widths)}")
         if any(w < 1 for w in widths):
             raise ShapeError(f"widths must be at least 1, got {list(widths)}")
         if widths[-1] != 1:
             raise ShapeError("scalar net output width must be 1")
+        if stack is not None and (not isinstance(stack, (int, np.integer)) or stack < 1):
+            raise ShapeError(f"stack must be an integer of at least 1, got {stack!r}")
         if activation not in ("tanh", "softplus"):
             raise ValueError(f"unknown activation {activation!r}")
         self.widths = list(widths)
         self.activation = activation
-        self.lead = () if stack is None else (stack,)
-        rng = rng if rng is not None else np.random.default_rng(0)
+        self.lead = () if stack is None else (int(stack),)
         self.weights = [np.empty((*self.lead, fan_out, fan_in))
                         for fan_in, fan_out in zip(widths[:-1], widths[1:])]
         self.biases = [np.zeros((*self.lead, fan_out)) for fan_out in widths[1:]]
+
+    def _draw(self, rng):
         # Net by net, layer by layer: the draws of K nets built one at a time.
         for net in np.ndindex(self.lead):
             for w in self.weights:
@@ -225,14 +248,32 @@ class ScalarNet:
         step = BLOCK_BYTES // (8 * math.prod(self.lead) * max(self.widths[1:])) // 4 * 4
         return a, single, max(4, step)
 
-    def _activations(self, a, layers=None):
-        """Outputs of the rows a through the first ``layers`` layers (all of
-        them by default), input first; (*lead, m, width) after the input."""
+    def _blocks(self, m, step, vectors):
+        """(rows, vectors) of each block of m input rows: its slice of the
+        rows and the (*lead, 1, width) ``vectors`` repeated along its rows
+        (biases to add, weights to multiply by). One block takes them as
+        they are, by broadcasting; more blocks share one contiguous tile of
+        each, built here."""
+        if m <= step:
+            return [(slice(None), vectors)]
+        starts = list(range(0, m, step))
+        if m % step == 1:
+            # numpy runs a 1-row block through BLAS's matrix-vector kernels,
+            # which give that row other bits than a larger block does: it
+            # takes 4 rows of the block before it.
+            starts[-1] -= 4
+        bounds = [(lo, hi) for lo, hi in zip(starts, starts[1:] + [m]) if hi > lo]
+        tiles = [np.repeat(v, max(hi - lo for lo, hi in bounds), axis=-2) for v in vectors]
+        return [(slice(lo, hi), [t[..., :hi - lo, :] for t in tiles]) for lo, hi in bounds]
+
+    def _activations(self, a, bias):
+        """Outputs of the rows a through the first len(bias) layers, layer
+        i adding bias[i], input first; (*lead, m, width) after the input."""
         activations = [a]
         last = len(self.weights) - 1
-        for layer, (w, b) in enumerate(zip(self.weights[:layers], self.biases[:layers])):
+        for layer, (w, b) in enumerate(zip(self.weights, bias)):
             a = a @ w.mT  # (m, in) rows broadcast against every net of a stack
-            a += b[..., None, :]
+            a += b
             if layer != last:
                 _act(self.activation, a)
             activations.append(a)
@@ -242,10 +283,12 @@ class ScalarNet:
         """Value on one input vector (a float, or (K,) for a stack) or on
         each row of an (m, in_width) stack (an (m,) or (K, m) array)."""
         a, single, step = self._rows(x)
-        out = self._activations(a[:step])[-1][..., 0]
-        if len(a) > step:
-            out = np.concatenate([out] + [self._activations(a[start:start + step])[-1][..., 0]
-                                          for start in range(step, len(a), step)], axis=-1)
+        bias = [b[..., None, :] for b in self.biases]
+        if len(a) <= step:
+            out = self._activations(a, bias)[-1][..., 0]
+        else:
+            out = np.concatenate([self._activations(a[rows], tiles)[-1][..., 0]
+                                  for rows, tiles in self._blocks(len(a), step, bias)], axis=-1)
         if single:
             return out[..., 0] if self.lead else float(out[0])
         return out
@@ -258,20 +301,25 @@ class ScalarNet:
         dscalar = np.asarray(dscalar, dtype=np.float64).reshape(*self.lead, -1)
         last = len(self.weights) - 1
         grads_w, grads_b = [0.0] * (last + 1), [0.0] * (last + 1)
-        for start in range(0, max(len(a), 1), step):
-            rows = slice(start, start + step)
-            # The output layer's value is never read: only its gradient.
-            activations = self._activations(a[rows], last)
+        ones = np.ones(len(a))
+        # The output layer's value is never read: only its gradient, and
+        # its weights' rows for the rank-1 backprop below it.
+        vectors = [b[..., None, :] for b in self.biases[:last]] + [self.weights[last]]
+        for rows, tiles in self._blocks(len(a), step, vectors):
+            *bias, w_out = tiles
+            activations = self._activations(a[rows], bias)
             delta = dscalar[..., rows, None]
             for layer in reversed(range(last + 1)):
                 if layer != last:
                     g = _act_grad(self.activation, activations[layer + 1])
-                    g *= delta
+                    if layer == last - 1:  # (*lead, m, 1) delta by the output weights
+                        g *= w_out
+                        g *= delta
+                    else:
+                        g *= delta @ self.weights[layer + 1]
                     delta = g
                 grads_w[layer] = grads_w[layer] + delta.mT @ activations[layer]
-                grads_b[layer] = grads_b[layer] + delta.sum(axis=-2)
-                if layer:
-                    delta = delta @ self.weights[layer]
+                grads_b[layer] = grads_b[layer] + ones[:delta.shape[-2]] @ delta
         return grads_w, grads_b
 
 
@@ -310,6 +358,15 @@ class MpnnModel:
         readout=READOUT_POSITION,
         seed=0,
     ):
+        self._allocate(n_particles, layers, hidden, activation, mode, edge_config, readout)
+        rng = np.random.default_rng(seed)
+        for stack in self.stacks:
+            stack._draw(rng)
+
+    def _allocate(self, n_particles, layers, hidden, activation, mode, edge_config, readout):
+        """Check the configuration, then hold its stacks, weights not yet drawn."""
+        if n_particles < 1:
+            raise ShapeError(f"n_particles must be at least 1, got {n_particles}")
         if layers < 1:
             raise ShapeError(f"layers must be at least 1, got {layers}")
         if mode not in (CONCAT, POOLED):
@@ -326,11 +383,9 @@ class MpnnModel:
         in_width = (
             edge_config.dim * n_particles if mode == CONCAT else 2 * edge_config.dim
         )
-        rng = np.random.default_rng(seed)
-        self.stacks = [
-            ScalarNet([in_width, *hidden, 1], activation, rng, stack=len(NET_NAMES))
-            for _ in range(layers)
-        ]
+        self.stacks = [ScalarNet.__new__(ScalarNet) for _ in range(layers)]
+        for stack in self.stacks:
+            stack._allocate([in_width, *hidden, 1], activation, len(NET_NAMES))
         self.nets = [{name: stack[k] for k, name in enumerate(NET_NAMES)} for stack in self.stacks]
 
     # -- forward ---------------------------------------------------------
@@ -344,9 +399,11 @@ class MpnnModel:
             # (lexicographically sorted) block order, so that reordering
             # the particles cannot change the net input.
             return _sorted_blocks(e)[:, :, None, :]
-        b, n = e.shape[:2]
-        pooled = np.broadcast_to(e.sum(axis=2, keepdims=True), e.shape)
-        return np.concatenate([e, pooled], axis=-1)[:, off].reshape(b, n, n - 1, -1)
+        b, n, _, c = e.shape
+        z = np.empty((b, n, n - 1, 2 * c))
+        z[..., :c] = e[:, off].reshape(b, n, n - 1, c)
+        z[..., c:] = e.sum(axis=2)[:, :, None, :]
+        return z
 
     def forward(self, qs, rs, vs, want_cache=False):
         """Output vectors: (n, 3) for one sample given as (n,) charges and
@@ -361,6 +418,8 @@ class MpnnModel:
         if qs.ndim != 2:
             raise ShapeError(f"expected (n,) or (B, n) charges, got shape {qs.shape}")
         n = qs.shape[1]
+        if n < 1:
+            raise ShapeError("need at least 1 particle")
         if self.mode == CONCAT and n != self.n_particles:
             raise ShapeError(
                 f"concat-mode model built for n={self.n_particles}, got n={n}"
@@ -453,17 +512,18 @@ class MpnnModel:
 
     @classmethod
     def from_dict(cls, obj):
+        """The model that ``obj`` describes, its weights read from ``obj``
+        without drawing any first."""
         cfg = obj["edge_config"]
-        model = cls(
+        model = cls.__new__(cls)
+        model._allocate(
             obj["n_particles"],
-            layers=obj["layers"],
-            hidden=tuple(obj["hidden"]),
-            activation=obj["activation"],
-            mode=obj["mode"],
-            edge_config=EdgeConfig(
-                cfg["include_inv_sqrt"], tuple(cfg["rbf_centers"]), cfg["rbf_width"]
-            ),
-            readout=obj["readout"],
+            obj["layers"],
+            tuple(obj["hidden"]),
+            obj["activation"],
+            obj["mode"],
+            EdgeConfig(cfg["include_inv_sqrt"], tuple(cfg["rbf_centers"]), cfg["rbf_width"]),
+            obj["readout"],
         )
         saved = obj["nets"]
         if not isinstance(saved, list) or len(saved) != model.layers:

@@ -377,7 +377,17 @@ def test_einsum_eval_non_finite_binding_exits_2(runner, tmp_path):
     assert "'u'" in result.output
 
 
-# -- train -----------------------------------------------------------------------
+@pytest.mark.parametrize("expr, v", [
+    ("u_i v_i", [1e200, 0, 0]), ("eps_ijk u_j v_k", [0, 1e200, 0]),
+], ids=["dot-overflows", "cross-overflows"])
+def test_einsum_eval_exits_2_on_a_value_that_is_not_finite(runner, tmp_path, expr, v):
+    bindfile = _write(tmp_path / "b.json", json.dumps({"u": [1e200, 0, 0], "v": v}))
+    with warnings.catch_warnings(record=True) as caught:
+        warnings.simplefilter("always")
+        result = runner.invoke(main, ["einsum", "eval", expr, "--bind", bindfile, "--dim", "3"])
+    assert result.exit_code == 2
+    assert result.stderr == "einsum eval: value not finite: NaN or Inf\n" and result.stdout == ""
+    assert caught == []
 
 TRAIN_CONFIG = """
 # tiny smoke-test configuration

@@ -479,6 +479,43 @@ def test_stacked_layers_match_the_per_net_oracle(monkeypatch, mode, n, b, rows):
     assert _rel_err(got, _flat_grads(model, _oracle_backward(model, oracle_cache, probe))) <= 1e-12
 
 
+@pytest.mark.parametrize("activation", ["tanh", "softplus"])
+@pytest.mark.parametrize("stack", [None, 4], ids=["one-net", "stack-of-4"])
+def test_row_blocks_match_the_per_net_oracle_and_one_block(monkeypatch, stack, activation):
+    # Row counts on both sides of the block size (512 rows for one net, 128
+    # for a stack of four), step + 1 leaving a 1-row remainder; biases drawn
+    # so that adding them from a tile of a block's rows and from the
+    # broadcast vector can be told apart. The oracle runs each net over all
+    # the rows at once.
+    rng = np.random.default_rng(32)
+    net = mpnn.ScalarNet([8, 16, 16, 1], activation, rng, stack=stack)
+    for b in net.biases:
+        b[...] = rng.standard_normal(b.shape)
+    nets = [net[k] for k in range(stack)] if stack else [net]
+    step = net._rows(np.zeros(8))[2]
+    x_all = rng.standard_normal((4224, 8))
+    d_all = rng.standard_normal((len(nets), 4224))
+    sizes = [1, 3, 4, 5, step - 1, step, step + 1, 2 * step + 3, 4224]
+    blocked = []
+    for m in sizes:
+        x, d = x_all[:m], d_all[:, :m]
+        out = net.forward(x).reshape(len(nets), m)
+        want = np.stack([_oracle_activations(one, x)[-1][:, 0] for one in nets])
+        assert np.array_equal(out, want), m
+        grads_w, grads_b = net.backward(x, d.reshape(out.shape if stack else m))
+        for k, one in enumerate(nets):
+            want_w, want_b = _oracle_net_backward(one, x, d[k])
+            got = [g[k] if stack else g for g in grads_w + grads_b]
+            assert _rel_err(np.concatenate([g.ravel() for g in got]),
+                            np.concatenate([g.ravel() for g in want_w + want_b])) <= 1e-12, m
+        blocked.append(out)
+    # The single-row call that certification makes, through the one-block path.
+    assert np.array_equal(np.reshape(net.forward(x_all[0]), len(nets)), blocked[0][:, 0])
+    monkeypatch.setattr(mpnn, "BLOCK_BYTES", 1 << 30)
+    for m, out in zip(sizes, blocked):
+        assert np.array_equal(net.forward(x_all[:m]).reshape(len(nets), m), out), m
+
+
 def test_one_scalar_net_forward_per_layer_and_one_pass_per_block(monkeypatch):
     calls = {"forward": 0, "blocks": 0}
 
@@ -582,7 +619,7 @@ def test_training_memory_stays_near_one_sgd_step():
     # Keeping every net's activations for all 32 * 132 pairs of a batch from
     # forward to backward peaks near 16 MB here; recomputing them per net in
     # backward over the whole batch peaked near 4.0 MB, and over row blocks
-    # near 1.7 MB.
+    # near 1.6 MB.
     ds = mpnn.generate_dataset(np.random.default_rng(42), 12, 64)
     model = _pooled_n12_model()
     tracemalloc.start()
@@ -597,7 +634,7 @@ def test_training_memory_stays_near_one_sgd_step():
 def test_backward_memory_stays_within_row_blocks():
     # One backward over a 32-sample batch: the nets' (32 * 132, 16)
     # temporaries over the whole batch peaked at 3.37 MB here, in row
-    # blocks at 1.03 MB.
+    # blocks with their bias tiles at 0.94 MB.
     ds = mpnn.generate_dataset(np.random.default_rng(42), 12, 32)
     model = _pooled_n12_model()
     out, cache = model.forward(ds.qs, ds.rs, ds.vs, want_cache=True)
@@ -733,3 +770,51 @@ def test_a_size_below_1_is_rejected_when_built(build, field):
 def test_an_unknown_activation_is_rejected_when_the_net_is_built(build):
     with pytest.raises(ValueError, match="activation"):
         build()
+
+
+@pytest.mark.parametrize("build, field", [
+    (lambda: mpnn.ScalarNet([1]), "widths"),
+    (lambda: mpnn.ScalarNet([3, 1], stack=0), "stack"),
+    (lambda: mpnn.ScalarNet([3, 1], stack=-1), "stack"),
+    (lambda: mpnn.ScalarNet([3, 1], stack=2.5), "stack"),
+    (lambda: mpnn.MpnnModel(0, mode=mpnn.POOLED), "n_particles"),
+    (lambda: mpnn.MpnnModel(0, mode=mpnn.CONCAT), "n_particles"),
+], ids=["scalar-net-one-width", "stack-0", "stack-negative", "stack-not-integer",
+        "pooled-n-0", "concat-n-0"])
+def test_a_shape_no_net_can_have_is_rejected_when_built(build, field):
+    with pytest.raises(ShapeError, match=field):
+        build()
+
+
+@pytest.mark.parametrize("readout", [mpnn.READOUT_POSITION, mpnn.READOUT_VELOCITY])
+@pytest.mark.parametrize("mode", [mpnn.CONCAT, mpnn.POOLED])
+def test_one_particle_gets_no_messages(mode, readout):
+    model = _small_model(mode, n=1, readout=readout)
+    qs, rs, vs = _random_system(np.random.default_rng(34), 1)
+    out, cache = model.forward(qs, rs, vs, want_cache=True)
+    # Unchanged hidden channels: the centred position is 0, the velocity itself.
+    assert np.array_equal(out, np.zeros((1, 3)) if readout == mpnn.READOUT_POSITION else vs)
+    assert not np.any(_flat_grads(model, model.backward(cache, np.ones((1, 3)))))
+
+
+@pytest.mark.parametrize("mode", [mpnn.CONCAT, mpnn.POOLED])
+def test_an_empty_batch_gives_an_empty_output_and_zero_gradients(mode):
+    model = _small_model(mode, n=4)
+    out, cache = model.forward(np.zeros((0, 4)), np.zeros((0, 4, 3)), np.zeros((0, 4, 3)),
+                               want_cache=True)
+    assert out.shape == (0, 4, 3)
+    grads = _flat_grads(model, model.backward(cache, out))
+    assert grads.size == sum(arr.size for *_, arr in model.parameters())
+    assert not np.any(grads)
+
+
+def test_from_dict_draws_no_random_weights(monkeypatch):
+    class NoDraws(np.random.Generator):
+        def standard_normal(self, *args, **kwargs):
+            raise AssertionError("from_dict drew random weights")
+
+    obj = json.loads((DATA / "golden_pooled.model.json").read_text())
+    monkeypatch.setattr(np.random, "default_rng", lambda *args: NoDraws(np.random.PCG64()))
+    with pytest.raises(AssertionError):
+        mpnn.MpnnModel(3)
+    assert mpnn.MpnnModel.from_dict(obj).to_dict() == obj
