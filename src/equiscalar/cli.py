@@ -118,20 +118,198 @@ def _json_floats(text):
     return text.replace("inf", "Infinity").replace("nan", "NaN")
 
 
+# float64 texts as float.__repr__ spells them, computed as array operations.
+# Digits: Schubfach (R. Giulietti, "The Schubfach way to render doubles",
+# 2020; the algorithm of Java 19's Double.toString) finds the shortest digits
+# that read back as the same double, the closest to it on a tie of length.
+# Only normal values take that path: Java gives a subnormal like 5e-324 two
+# digits where Python gives one, so zeros, subnormals, infinities and NaNs
+# are spelled by float.__repr__ one by one.
+
+_REPR_CHUNK = 8192  # entries per kernel pass; its temporaries stay in cache
+_REPR_SMALL = 256  # below this many entries float.__repr__ is the faster path
+
+
+def _schubfach_table():
+    """For k in [-324, 292], g = floor(10**-k * 2**(125 - r)) + 1 with
+    r = floor(log2(10**-k)), as the rows g1 = g >> 63, the 32-bit halves of
+    g1 and the 32-bit halves of g0 = g mod 2**63."""
+    rows = []
+    for k in range(-324, 293):
+        r = (-k * 913124641741) >> 38
+        if k > 0:
+            g = (1 << (125 - r)) // 10 ** k + 1
+        else:
+            g = (10 ** -k << (125 - r) if r <= 125 else 10 ** -k >> (r - 125)) + 1
+        g1, g0 = g >> 63, g & (1 << 63) - 1
+        rows.append((g1, g1 >> 32, g1 & 0xFFFFFFFF, g0 >> 32, g0 & 0xFFFFFFFF))
+    return np.array(rows, np.uint64).T.copy()
+
+
+def _mulhi(ah, al, bh, bl):
+    """High 64 bits of a * b from 32-bit halves, for a < 2**63 and b < 2**60
+    (the sum of the cross products cannot carry out of 64 bits)."""
+    mid = ((al * bl) >> 32) + al * bh + ah * bl
+    return ah * bh + (mid >> 32)
+
+
+def _rop(g, cp):
+    """Schubfach's round-to-odd of g * cp / 2**127."""
+    g1, g1h, g1l, g0h, g0l = g
+    ch, cl = cp >> 32, cp & 0xFFFFFFFF
+    z = ((g1 * cp) >> 1) + _mulhi(g0h, g0l, ch, cl)
+    return (_mulhi(g1h, g1l, ch, cl) + (z >> 63)) | ((z << 1) != 0)
+
+
+def _shortest_digits(bits, table):
+    """(f, k) with f * 10**k the shortest decimal, closest on a tie, that
+    reads back as each normal double of ``bits``; f has 16 or 17 digits and
+    may end in zeros. Other entries get values of no meaning. ``table`` is
+    _schubfach_table()."""
+    bq = (bits >> 52).astype(np.int64) & 0x7FF
+    t = bits & (1 << 52) - 1
+    q = bq - 1075
+    c = t | 1 << 52
+    irregular = (t == 0) & (bq > 1)  # a power of two: the gap below it is half
+    k = (q * 661971961083 - irregular * 274743187321) >> 41
+    h = (q + ((-k * 913124641741) >> 38) + 2).astype(np.uint64)  # 2 to 5: cp < 2**60
+    g = table.take(k + 324, axis=1)
+    odd = c & 1  # an odd significand excludes the ends of its interval
+    cb = c << 2
+    vb = _rop(g, cb << h)
+    vbl = _rop(g, (cb - 2 + irregular) << h) + odd
+    vbr = _rop(g, (cb + 2) << h) - odd
+    s = vb >> 2
+    sp = s // 10 * 10  # the one candidate with a digit fewer, and sp + 10
+    upin, wpin = vbl <= sp << 2, (sp + 10) << 2 <= vbr
+    uin, win = vbl <= s << 2, (s + 1) << 2 <= vbr
+    r = vb & 3
+    up = np.where(uin != win, win, (r > 2) | ((r == 2) & (s & 1 == 1)))
+    return np.where(upin != wpin, sp + np.uint64(10) * wpin, s + up), k
+
+
+# An entry's source row: its 17 digits, its |decimal exponent| as "0ddd",
+# then the fixed bytes ".e-+0" and NUL; a layout is the 24 source bytes of a
+# text, NUL-padded.
+_DOT, _E, _MINUS, _PLUS, _ZERO, _NUL = range(21, 27)
+_SOURCE_TAIL = np.frombuffer(b".e-+0\0", np.uint8)
+_LEADS = range(-309, 309)  # decimal exponents of a first digit: k + 15 or k + 16
+
+
+def _layouts():
+    """Python's layouts of a text as rows of source indices, the rows from
+    ``len // 2`` on the same after a "-", and, for each first-digit exponent
+    lead in _LEADS and count nd of significant digits, the row of the
+    unsigned text at ``index[lead - _LEADS[0], nd]``: positional for
+    -4 <= lead < 16, with ".0" on integers, else d.ddde±XX."""
+    positional = []  # by lead from -4, then nd from 1
+    for lead in range(-4, 16):
+        for nd in range(1, 18):
+            if lead >= 0:
+                positional.append([*range(lead + 1), _DOT, *(range(lead + 1, nd) or [_ZERO])])
+            else:
+                positional.append([_ZERO, _DOT, *[_ZERO] * (-lead - 1), *range(nd)])
+    scientific = []  # by nd from 1, the exponent's sign, then its width
+    for nd in range(1, 18):
+        mantissa = [0, _DOT, *range(1, nd)] if nd > 1 else [0]
+        for sign in (_PLUS, _MINUS):
+            scientific += [mantissa + [_E, sign, 19, 20], mantissa + [_E, sign, 18, 19, 20]]
+    rows = np.full((len(positional) + len(scientific), 24), _NUL, np.uint8)
+    for row, text in zip(rows, positional + scientific):
+        row[:len(text)] = text
+    signed = np.concatenate([np.full((len(rows), 1), _MINUS, np.uint8), rows[:, :23]], axis=1)
+    lead, nd = np.array(_LEADS, np.int16)[:, None], np.arange(18, dtype=np.int16)
+    index = np.where((lead >= -4) & (lead < 16), (lead + 4) * 17 + nd - 1,
+                     len(positional) + 4 * (nd - 1) + 2 * (lead < 0) + (abs(lead) >= 100))
+    return np.concatenate([rows, signed]), index
+
+
+def _quad_tables():
+    """0000-9999 as 4 ASCII bytes each (uint32), and, for quad j (digits
+    4j+1 to 4j+4 of 17) at 10000 j + its value, the significant digits of
+    a text whose last non-zero digit is in it, 1 if it is all zeros."""
+    digits = (np.arange(10000, dtype=np.uint16)[:, None] // np.array([1000, 100, 10, 1], np.uint16)
+              % 10 + 48).astype(np.uint8)
+    last = np.where(digits[:, ::-1] != 48, np.arange(4, 0, -1, dtype=np.uint8), 0).max(axis=1)
+    return digits.view(np.uint32)[:, 0], np.concatenate([np.where(last, 4 * j + 1 + last, 1) for j in range(4)])
+
+
+@functools.cache
+def _repr_tables():
+    """The formatter's tables, built on its first array-path call, not when
+    the CLI is imported."""
+    return _schubfach_table(), *_layouts(), *_quad_tables()
+
+
+def _float_reprs(x):
+    """``float.__repr__`` of each entry of the float64 array ``x``, as a flat
+    S24 array (24 bytes hold the longest repr), made in chunks of
+    _REPR_CHUNK entries: Schubfach's digits, then each entry's 17 digits and
+    exponent laid out by one gather of its source row through its layout."""
+    x = np.ascontiguousarray(x, np.float64).ravel()
+    if x.size < _REPR_SMALL:
+        return np.array(list(map(float.__repr__, x.tolist())), "S24")
+    table, layouts, layout_index, quad_chars, quad_digits = _repr_tables()
+    out = np.empty(x.size, "S24")
+    sources = np.empty((min(x.size, _REPR_CHUNK), 32), np.uint8)
+    sources[:, 21:27] = _SOURCE_TAIL
+    for lo in range(0, x.size, _REPR_CHUNK):
+        bits = x[lo:lo + _REPR_CHUNK].view(np.uint64)
+        n = bits.size
+        f, k = _shortest_digits(bits, table)
+        long = f >= 10 ** 16
+        f = np.where(long, f, f * 10)  # 17 digits
+        lead = k + 15 + long  # decimal exponent of the first digit
+        first = f // 10 ** 16
+        f -= first * 10 ** 16
+        high = f // 10 ** 8
+        low = f - high * 10 ** 8
+        quads = np.empty((4, n), np.uint64)
+        quads[0] = high // 10000
+        quads[1] = high - quads[0] * 10000
+        quads[2] = low // 10000
+        quads[3] = low - quads[2] * 10000
+        source = sources[:n]
+        source[:, 0] = first + 48
+        source[:, 1:17].view(np.uint32)[:] = quad_chars.take(quads).T
+        source[:, 17:21].view(np.uint32)[:, 0] = quad_chars.take(abs(lead))
+        quads += np.arange(0, 40000, 10000, dtype=np.uint64)[:, None]
+        nd = quad_digits.take(quads).max(axis=0)
+        layout = (layout_index.take((lead - _LEADS[0]) * 18 + nd)
+                  + (bits >> 63).astype(np.intp) * (len(layouts) // 2))
+        index = layouts.take(layout, axis=0) + np.arange(0, 32 * n, 32)[:, None]
+        texts = out[lo:lo + n]
+        texts[:] = source.ravel().take(index).view("S24")[:, 0]
+        bq = bits >> 52 & 0x7FF
+        other = np.flatnonzero((bq == 0) | (bq == 0x7FF))
+        if other.size:
+            texts[other] = list(map(float.__repr__, x[lo + other].tolist()))
+    return out
+
+
+_ROWS_OF = 16384  # Gram entries per streamed block of rows
+_ROW_OPEN = np.frombuffer(b",\n    [\n      ", np.uint8)
+_ENTRY_END = np.frombuffer(b",\n      ", np.uint8)
+_ROW_END = np.frombuffer(b"\n    ]\0\0", np.uint8)
+
+
 def _write_features(out, write):
     """Write ``json.dumps(out, indent=2)`` through ``write``, with ``out["gram"]``
     a square float64 ndarray and ``out["omega"]``, if present, a list of
     ``{"i", "j", "value"}`` dicts.
 
     json's pure-Python encoder (the one ``indent`` selects) spells a float as
-    ``float.__repr__`` does, except ``Infinity``, ``-Infinity`` and ``NaN``.
-    The Gram goes out one row at a time, and each entry on or above the
-    diagonal is formatted once: row k's entries left of the diagonal reuse
-    the texts of column k of the earlier rows, kept in a bytes array
-    (``S24`` holds the longest float64 repr) that is filled column by column,
-    so that row k's prefix is the contiguous ``mirror[k, :k]``. An entry
-    whose bits differ from its mirror's is formatted on its own. The Ω band
-    goes through a template, the other keys through json."""
+    ``float.__repr__`` does, except ``Infinity``, ``-Infinity`` and ``NaN``;
+    ``_float_reprs`` makes those texts for whole arrays at once. The Gram goes
+    out in blocks of rows, and each entry on or above the diagonal is
+    formatted once: the texts are kept in an S24 array (``S24`` holds the
+    longest float64 repr) whose row k holds row k's entries from column k
+    on, and whose column k, below row k, the same texts again, so that row
+    k's part left of the diagonal is already there when its block comes. An
+    entry whose bits differ from its mirror's is formatted on its own. Each
+    block is written as one text: its rows' texts and separators laid out in
+    fixed-width slots and the NUL padding dropped. The Ω band goes through a
+    template, the other keys through json."""
     g, omega = out["gram"], out.get("omega")
     rest = json.dumps({k: None if k in ("gram", "omega") else v for k, v in out.items()}, indent=2)
     head, _, tail = rest.partition('"gram": null')
@@ -139,22 +317,33 @@ def _write_features(out, write):
         entries = ",\n    ".join(_OMEGA_ENTRY % (e["i"], e["j"], e["value"]) for e in omega)
         tail = tail.replace('"omega": null', '"omega": ' + (
             "[\n    " + _json_floats(entries) + "\n  ]" if omega else "[]"))
+    n = len(g)
     bits = g.view(np.uint64)
-    mirror = np.zeros(g.shape, "S24")
+    texts = np.zeros(g.shape, "S24")
     finite = np.isfinite(g).all()
+    step = max(1, min(n, _ROWS_OF // max(n, 1)))
+    slots = np.zeros((step, n + 1, 32), np.uint8)  # a row's opening, then its entries
+    slots[:, 0, :14] = _ROW_OPEN
+    slots[:, 1:, 24:] = _ENTRY_END
+    slots[:, -1, 24:] = _ROW_END
     write(head + '"gram": [')
-    sep = "\n    [\n      "
-    for k, row in enumerate(g):
-        texts = list(map(float.__repr__, row[k:].tolist()))
-        mirror[k + 1:, k] = texts[1:]
-        prefix = mirror[k, :k]
-        odd = np.flatnonzero(bits[k, :k] != bits[:k, k])
-        if odd.size:
-            prefix[odd] = list(map(float.__repr__, row[odd].tolist()))
-        text = b",\n      ".join([*prefix.tolist(), b""]).decode() + ",\n      ".join(texts)
-        write(sep + (text if finite else _json_floats(text)) + "\n    ]")
-        sep = ",\n    [\n      "
-    write(("\n  ]" if len(g) else "]") + tail)
+    for k0 in range(0, n, step):
+        k1 = min(n, k0 + step)
+        rows, column = np.arange(k0, k1)[:, None], np.arange(n)
+        block = texts[k0:k1]
+        upper = column[k0:] >= rows
+        block[:, k0:][upper] = _float_reprs(g[k0:k1, k0:][upper])
+        texts[k1:, k0:k1] = block[:, k1:].T
+        square, lower = block[:, k0:k1], ~upper[:, :k1 - k0]
+        square[lower] = square.T[lower]
+        odd = (bits[k0:k1, :k1] != bits[:k1, k0:k1].T) & (column[:k1] < rows)
+        if odd.any():
+            block[:, :k1][odd] = _float_reprs(g[k0:k1, :k1][odd])
+        slots[:k1 - k0, 1:, :24] = block.view(np.uint8).reshape(k1 - k0, n, 24)
+        text = slots[:k1 - k0].tobytes().translate(None, b"\0").decode()
+        text = text if finite else _json_floats(text)
+        write(text[1:] if k0 == 0 else text)  # no comma before the first row
+    write(("\n  ]" if n else "]") + tail)
 
 
 # -- demo -------------------------------------------------------------------

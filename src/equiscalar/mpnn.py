@@ -197,7 +197,17 @@ class ScalarNet:
     from contiguous tiles (a call of one block broadcasts them, cheaper
     than building tiles), a bias gradient is one matrix-vector product
     with a vector of ones, and the output layer's rank-1 backprop is two
-    multiplies, not a matmul over a length-1 axis."""
+    multiplies, not a matmul over a length-1 axis.
+
+    The result for one row need not have the same last bits in every
+    batch: the BLAS matmul of a layer can round a row differently with the
+    number of rows (with OpenBLAS, a (m, 48) @ (48, 16) first layer gave
+    other bits at m = 132, 384 or 1200 than in blocks of 4 or 8). So a
+    concat model's output for one sample can change in its last bits with
+    the batch it is evaluated in and with BLOCK_BYTES (at n = 5 to 12 for
+    most samples, by up to 5e-13 relative at n = 12); the golden model
+    files (n = 4) and pooled models gave the same bits alone as in a
+    batch."""
 
     def __init__(self, widths, activation="tanh", rng=None, stack=None):
         self._allocate(widths, activation, stack)
@@ -514,18 +524,14 @@ class MpnnModel:
     def from_dict(cls, obj):
         """The model that ``obj`` describes, its weights read from ``obj``
         without drawing any first."""
-        cfg = obj["edge_config"]
+        if not isinstance(obj, dict):
+            raise ShapeError(f"a saved model must be an object, got {type(obj).__name__}")
+        n, layers, hidden, activation, mode, readout, _, inv_sqrt, centers, width = (
+            _saved_field(obj, path) for path in _SAVED_FIELDS)
         model = cls.__new__(cls)
-        model._allocate(
-            obj["n_particles"],
-            obj["layers"],
-            tuple(obj["hidden"]),
-            obj["activation"],
-            obj["mode"],
-            EdgeConfig(cfg["include_inv_sqrt"], tuple(cfg["rbf_centers"]), cfg["rbf_width"]),
-            obj["readout"],
-        )
-        saved = obj["nets"]
+        model._allocate(n, layers, tuple(hidden), activation, mode,
+                        EdgeConfig(inv_sqrt, tuple(centers), width), readout)
+        saved = obj.get("nets")
         if not isinstance(saved, list) or len(saved) != model.layers:
             raise ShapeError(f"nets must be a list of {model.layers} layers, one per model layer")
         for layer, nets in enumerate(saved):
@@ -534,8 +540,8 @@ class MpnnModel:
             for name in NET_NAMES:
                 net = model.nets[layer][name]
                 for kind, arrays in (("weights", net.weights), ("biases", net.biases)):
-                    values = nets[name][kind]
-                    if len(values) != len(arrays):
+                    values = nets[name].get(kind) if isinstance(nets[name], dict) else None
+                    if not isinstance(values, list) or len(values) != len(arrays):
                         raise ShapeError(f"layer {layer} net {name} must hold {len(arrays)} {kind}")
                     for idx, (arr, value) in enumerate(zip(arrays, values)):
                         where = f"layer {layer} net {name} {kind}[{idx}]"
@@ -556,6 +562,42 @@ class MpnnModel:
     def load(cls, path):
         with open(path) as fh:
             return cls.from_dict(json.load(fh))
+
+
+def _is_integer(value):
+    return isinstance(value, int) and not isinstance(value, bool)
+
+
+def _is_number(value):
+    return isinstance(value, (int, float)) and not isinstance(value, bool)
+
+
+# A saved model's fields other than its nets, each object before its own
+# fields: the type each must have, and the check of it.
+_SAVED_FIELDS = {
+    "n_particles": ("an integer", _is_integer),
+    "layers": ("an integer", _is_integer),
+    "hidden": ("a list of integers", lambda v: isinstance(v, list) and all(map(_is_integer, v))),
+    "activation": ("a string", lambda v: isinstance(v, str)),
+    "mode": ("a string", lambda v: isinstance(v, str)),
+    "readout": ("a string", lambda v: isinstance(v, str)),
+    "edge_config": ("an object", lambda v: isinstance(v, dict)),
+    "edge_config.include_inv_sqrt": ("true or false", lambda v: isinstance(v, bool)),
+    "edge_config.rbf_centers": ("a list of numbers", lambda v: isinstance(v, list) and all(map(_is_number, v))),
+    "edge_config.rbf_width": ("a number", _is_number),
+}
+
+
+def _saved_field(obj, path):
+    """The field at ``path`` (``"edge_config.rbf_width"``) of the saved model
+    ``obj``, or ShapeError naming it and its type; a missing one reads None."""
+    value = obj
+    for key in path.split("."):
+        value = value.get(key)  # the objects on the path are checked first
+    what, check = _SAVED_FIELDS[path]
+    if not check(value):
+        raise ShapeError(f"{path} must be {what}, got {value!r}")
+    return value
 
 
 # -- dataset -------------------------------------------------------------

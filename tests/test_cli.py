@@ -572,6 +572,30 @@ def test_certify_a_model_file_that_does_not_fit_its_model_exits_2(runner, tmp_pa
     assert result.stderr == f"certify: {message}\n" and result.stdout == ""
 
 
+# Edits of the golden concat model file whose fields do not have their type.
+_BAD_MODEL_FIELDS = {
+    "n-particles-a-string": ({"n_particles": "4"}, "n_particles must be an integer, got '4'"),
+    "layers-a-float": ({"layers": 2.0}, "layers must be an integer, got 2.0"),
+    "layers-a-bool": ({"layers": True}, "layers must be an integer, got True"),
+    "hidden-a-string": ({"hidden": "16"}, "hidden must be a list of integers, got '16'"),
+    "hidden-a-float-width": ({"hidden": [16.5, 16]}, "hidden must be a list of integers, got [16.5, 16]"),
+    "activation-a-number": ({"activation": 3}, "activation must be a string, got 3"),
+}
+
+
+@pytest.mark.parametrize("case", _BAD_MODEL_FIELDS)
+def test_certify_a_model_file_with_a_field_of_the_wrong_type_exits_2(runner, tmp_path, case):
+    fields, message = _BAD_MODEL_FIELDS[case]
+    obj = {**json.loads((DATA / "golden_concat.model.json").read_text()), **fields}
+    model_path = _write(tmp_path / "model.json", json.dumps(obj))
+    specfile = _write(tmp_path / "spec.json", json.dumps(
+        [{k: list(v) if isinstance(v, tuple) else v for k, v in spec.items()} for spec in BLOCK_SPECS]))
+    result = runner.invoke(main, ["certify", "--target", f"model:{model_path}", "--spec", specfile,
+                                  "--trials", "5", "--seed", "1"])
+    assert result.exit_code == 2
+    assert result.stderr == f"certify: {message}\n" and result.stdout == ""
+
+
 def test_certify_unknown_target_exits_2(runner, tmp_path):
     spec = {"group": "o", "dim": 3, "n_vectors": 2}
     specfile = _write(tmp_path / "spec.json", json.dumps(spec))

@@ -6,11 +6,14 @@ exit code, stdout and written file text of the command with ``--out``, as
 written by ``json.dump(out, fh, indent=2)`` of the whole payload. Any change
 to how ``features`` writes its JSON must reproduce them exactly.
 
-The command writes the Gram row by row, formatting each entry on or above
-the diagonal once and reusing its text for the mirror entry, and the Omega
-band through a template; the tests below also check that writer against
+The command writes the Gram in blocks of rows, formatting each entry on or
+above the diagonal once, with ``cli._float_reprs`` (array arithmetic for the
+normal doubles of arrays of 256 entries or more, ``float.__repr__`` for the
+rest), and reusing its text for the mirror entry, and the Omega band through
+a template; the tests below also check that writer against
 ``json.dumps(out, indent=2)`` directly, on symmetric Grams and on matrices
-whose mirror entries differ.
+whose mirror entries differ. ``tests/test_float_reprs.py`` checks the
+formatter itself against ``float.__repr__``.
 
 Regenerate (only when a change is meant to move the output) with
 
@@ -137,7 +140,9 @@ def _off_the_happy_path():
     g[0, 3], g[3, 0] = _nan(0x7FF8000000000001), _nan(0xFFF8000000000002)
     g[2, 2] = np.nan
     # 24-character reprs fill the writer's S24 store; a narrower one would
-    # cut their texts in the lower triangle.
+    # cut their texts in the lower triangle. At 28 entries on or above the
+    # diagonal they are float.__repr__'s own; the array formatter's 24-byte
+    # layouts get the same values in tests/float_repr_sweep.py.
     g = cases["longest-reprs"] = _symmetric(7, 10)
     for i, j, v in [(0, 1, -2.2250738585072014e-308), (2, 5, -1.7976931348623157e+308),
                     (3, 3, -2.2250738585072014e-308), (6, 4, -1.7976931348623157e+308)]:

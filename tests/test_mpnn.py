@@ -595,6 +595,10 @@ BAD_NETS = {
     "weight-missing": (lambda nets: nets[0]["g_r"]["weights"].pop(), ["layer 0 net g_r", "3 weights"]),
     "weight-ragged": (lambda nets: nets[1]["g_v"]["weights"][1][0].append(1.0),
                       ["layer 1 net g_v weights[1]", "not an array of numbers"]),
+    "net-not-an-object": (lambda nets: nets[0].update(g_r=5), ["layer 0 net g_r", "3 weights"]),
+    "weights-key-missing": (lambda nets: nets[1]["gt_v"].pop("weights"), ["layer 1 net gt_v", "3 weights"]),
+    "biases-not-a-list": (lambda nets: nets[0]["g_v"].update(biases={"0": [0.0]}),
+                          ["layer 0 net g_v", "3 biases"]),
 }
 
 
@@ -606,6 +610,52 @@ def test_from_dict_rejects_nets_that_do_not_fit_the_declared_model(case):
     with pytest.raises(ShapeError) as info:
         mpnn.MpnnModel.from_dict(obj)
     assert all(word in str(info.value) for word in words), str(info.value)
+
+
+# Edits of the golden concat model file whose fields other than the nets
+# do not have their type.
+BAD_FIELDS = {
+    "n-particles-a-string": (lambda m: m.update(n_particles="4"),
+                             "n_particles must be an integer, got '4'"),
+    "n-particles-missing": (lambda m: m.pop("n_particles"), "n_particles must be an integer, got None"),
+    "nets-missing": (lambda m: m.pop("nets"), "nets must be a list of 2 layers, one per model layer"),
+    "layers-a-float": (lambda m: m.update(layers=2.0), "layers must be an integer, got 2.0"),
+    "layers-a-bool": (lambda m: m.update(layers=True), "layers must be an integer, got True"),
+    "hidden-a-string": (lambda m: m.update(hidden="16"), "hidden must be a list of integers, got '16'"),
+    "hidden-a-float-width": (lambda m: m.update(hidden=[16.5, 16]),
+                             "hidden must be a list of integers, got [16.5, 16]"),
+    "hidden-a-bool-width": (lambda m: m.update(hidden=[True, 6]),
+                            "hidden must be a list of integers, got [True, 6]"),
+    "activation-a-number": (lambda m: m.update(activation=3), "activation must be a string, got 3"),
+    "mode-a-list": (lambda m: m.update(mode=["concat"]), "mode must be a string, got ['concat']"),
+    "readout-null": (lambda m: m.update(readout=None), "readout must be a string, got None"),
+    "edge-config-a-list": (lambda m: m.update(edge_config=[]), "edge_config must be an object, got []"),
+    "inv-sqrt-an-integer": (lambda m: m["edge_config"].update(include_inv_sqrt=1),
+                            "edge_config.include_inv_sqrt must be true or false, got 1"),
+    "rbf-centers-a-number": (lambda m: m["edge_config"].update(rbf_centers=0.5),
+                             "edge_config.rbf_centers must be a list of numbers, got 0.5"),
+    "rbf-centers-hold-a-bool": (lambda m: m["edge_config"].update(rbf_centers=[False]),
+                                "edge_config.rbf_centers must be a list of numbers, got [False]"),
+    "rbf-width-a-string": (lambda m: m["edge_config"].update(rbf_width="0.5"),
+                           "edge_config.rbf_width must be a number, got '0.5'"),
+    "rbf-width-a-bool": (lambda m: m["edge_config"].update(rbf_width=True),
+                         "edge_config.rbf_width must be a number, got True"),
+}
+
+
+@pytest.mark.parametrize("case", BAD_FIELDS)
+def test_from_dict_names_a_field_of_the_wrong_type(case):
+    edit, message = BAD_FIELDS[case]
+    obj = json.loads((DATA / "golden_concat.model.json").read_text())
+    edit(obj)
+    with pytest.raises(ShapeError) as info:
+        mpnn.MpnnModel.from_dict(obj)
+    assert str(info.value) == message
+
+
+def test_from_dict_rejects_a_saved_model_that_is_not_an_object():
+    with pytest.raises(ShapeError, match="a saved model must be an object, got list"):
+        mpnn.MpnnModel.from_dict([])
 
 
 def _pooled_n12_model():
