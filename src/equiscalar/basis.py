@@ -14,12 +14,14 @@ from __future__ import annotations
 
 import itertools
 import math
+from collections.abc import Mapping
 from dataclasses import dataclass
+from numbers import Real
 
 import numpy as np
 
 from . import groups
-from .core import Metric, VectorTuple, _identity, as_vector, sort_sign
+from .core import Metric, VectorTuple, _identity, as_vector, det, sort_sign
 from .errors import ShapeError
 from .features import (
     CENTER_OF_POSITIONS,
@@ -43,18 +45,24 @@ SYMMETRIZE_CHUNK = 720
 
 
 def generalized_cross(vs) -> np.ndarray:
-    """Cross product of d-1 vectors in R^d: the unique x with
-    <x, y> = det(v_1, ..., v_{d-1}, y) for all y."""
-    vs = list(vs)
-    if not vs:
+    """Cross product of d-1 vectors in R^d, given as a sequence of vectors or
+    a (d-1, d) array: the unique x with <x, y> = det(v_1, ..., v_{d-1}, y)
+    for all y."""
+    vs = vs if isinstance(vs, np.ndarray) else list(vs)
+    if not len(vs):
         raise ShapeError("generalized cross product needs at least one vector")
     d = len(vs) + 1
+    try:
+        a = np.asarray(vs, dtype=np.float64)
+    except (TypeError, ValueError):  # ragged or not numbers: as_vector names the vector
+        a = None
+    if a is None or a.shape != (d - 1, d) or not all(map(math.isfinite, a.ravel().tolist())):
+        a = np.array([as_vector(v, d) for v in vs])
     # x_k = <x, e_k> = det(v_1, ..., v_{d-1}, e_k): one batched det over k.
     mats = np.empty((d, d, d))
-    for j, v in enumerate(vs):
-        mats[:, :, j] = as_vector(v, d)
+    mats[:, :, :-1] = a.T
     mats[:, :, -1] = _identity(d)
-    return np.linalg.det(mats)
+    return det(mats)
 
 
 class FixedClosure:
@@ -70,13 +78,32 @@ class FixedClosure:
         self.name = name
 
     def coefficients(self, features: ScalarFeatureSet):
-        coeffs = np.asarray(self.fn(features), dtype=np.float64)
+        out = self.fn(features)
+        try:
+            coeffs = np.asarray(out, dtype=np.float64)
+        except (TypeError, ValueError) as exc:
+            raise ShapeError(f"coefficient function of {self._label()} returned non-numbers: {exc}") from None
         if coeffs.shape != (features.n,):
             raise ShapeError(
                 f"coefficient function returned shape {coeffs.shape}, expected ({features.n},)"
             )
-        cross = self.cross_fn(features) if self.cross_fn is not None else None
+        if self.cross_fn is None:
+            return coeffs, None
+        cross = self.cross_fn(features)
+        if cross is not None and not (
+                (type(cross) is dict or isinstance(cross, Mapping)) and all(map(_is_number, cross.values()))):
+            raise ShapeError(f"cross function of {self._label()} must return a mapping of index "
+                             f"subsets to numbers or None, got {cross!r}")
         return coeffs, cross
+
+    def _label(self) -> str:
+        return repr(self.name if self.name is not None else getattr(self.fn, "__qualname__", self.fn))
+
+
+def _is_number(c) -> bool:
+    """A real number or a 0-d numeric array, as a cross-term coefficient must be."""
+    return (isinstance(c, (float, Real))  # float first: the common case, and fast
+            or (isinstance(c, np.ndarray) and c.shape == () and c.dtype.kind in "biuf"))
 
 
 def select_vector(t: int, name=None):
@@ -125,16 +152,25 @@ def evaluate(model: EquivariantModel, x: VectorTuple) -> np.ndarray:
     features = ScalarFeatureSet(gram(model.metric, reduced), model.metric, subdets=subdets)
     coeffs, cross_coeffs = coeff_fn.coefficients(features)
     if centred:
-        pos = x.position_indices()
-        coeffs = coeffs.copy()
-        coeffs[pos] += (_POSITION_SUMS[model.mode] - coeffs[pos].sum()) / pos.size
+        coeffs = _centred(coeffs, x.position_indices(), _POSITION_SUMS[model.mode])
     h = coeffs @ x.vectors
-    if cross_coeffs and not pseudo:
-        raise ShapeError("cross-term coefficients are only valid for the SO family")
-    for subset, c in (cross_coeffs or {}).items():
-        _check_cross_subset(subset, x.n, x.d)
-        h = h + c * generalized_cross([x.vectors[i] for i in subset])
+    if cross_coeffs:
+        if not pseudo:
+            raise ShapeError("cross-term coefficients are only valid for the SO family")
+        for subset, c in cross_coeffs.items():
+            _check_cross_subset(subset, x.n, x.d)
+            h = h + c * generalized_cross([x.vectors[i] for i in subset])
     return h
+
+
+def _centred(coeffs, pos, total) -> np.ndarray:
+    """A copy of ``coeffs`` whose entries at the positions ``pos`` are shifted
+    by one amount so that they sum to ``total``."""
+    if pos.size == coeffs.size:  # every vector a position: no gather or scatter
+        return coeffs + (total - coeffs.sum()) / pos.size
+    coeffs = coeffs.copy()
+    coeffs[pos] += (total - coeffs[pos].sum()) / pos.size
+    return coeffs
 
 
 def _check_cross_subset(subset, n: int, d: int) -> None:
@@ -170,15 +206,18 @@ class _SymmetrizedCoefficients:
         count = math.factorial(n)
         for idx, grams in _permuted_grams(features.gram, n):
             subdets = _permuted_subdets(features.subdets, idx)
-            mapped, values = [], []
+            mapped, values, chunk = [], [], []
             for sigma, g, sd in zip(idx, grams, subdets):
                 coeffs, cross = self.base.coefficients(ScalarFeatureSet(g, features.metric, sd))
-                total[sigma] += coeffs
+                chunk.append(coeffs)
                 if cross:
                     for subset in cross:
                         _check_cross_subset(subset, n, features.metric.dim)
                     mapped.append(sigma[np.array(list(cross), dtype=np.intp)])
                     values += cross.values()
+            # Slot sigma[t] gains coefficient t of each sigma, sigma by sigma,
+            # in one unbuffered scatter: the additions of a loop over sigma.
+            np.add.at(total, idx, np.array(chunk))
             if values:
                 images, signs = sort_sign(np.concatenate(mapped))
                 for key, sign, c in zip(map(tuple, images.tolist()), signs.tolist(), values):

@@ -19,6 +19,7 @@ from functools import cached_property
 from numbers import Real
 
 import numpy as np
+from numpy.linalg import _umath_linalg
 
 from .errors import DimensionMismatchError, NonFiniteError, RoleError, ShapeError
 
@@ -77,6 +78,14 @@ def _kept(build, small):
         except _Unkept as unkept:
             return unkept.args[0]
     return kept
+
+
+def det(a) -> np.ndarray:
+    """``np.linalg.det`` of a float64 (..., d, d) stack, bit for bit: the
+    LAPACK gufunc that it calls, without its argument checks and dtype
+    dispatch (3.4 of the 5.3 us of one call on a 3 x 3 matrix, timeit on a
+    2-core host)."""
+    return _umath_linalg.det(a, signature="d->d")
 
 
 def sort_sign(a) -> tuple[np.ndarray, np.ndarray]:

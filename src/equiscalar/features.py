@@ -19,7 +19,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .core import FREE, MINKOWSKI, Metric, VectorTuple, _kept, as_matrix
+from .core import FREE, MINKOWSKI, Metric, VectorTuple, _kept, as_matrix, det
 from .errors import DegenerateInputError, IndefiniteMatrixError, NonFiniteError, RoleError, ShapeError
 
 FIRST_POSITION = "first-position"
@@ -31,13 +31,18 @@ MAX_SUBDET_ENTRIES = 2**24  # float64 entries of stacked minors (128 MiB)
 OMEGA_TOL = 1e-12  # relative objective decrease below which ALS stops
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, init=False)
 class ScalarFeatureSet:
     """Gram matrix plus optional subdeterminant features of one tuple."""
 
     gram: np.ndarray
     metric: Metric
     subdets: dict | None = None
+
+    def __init__(self, gram, metric, subdets=None):
+        # The fields in one step: a frozen dataclass's own __init__ sets each
+        # by object.__setattr__, half again the cost, once per coefficient call.
+        self.__dict__.update(gram=gram, metric=metric, subdets=subdets)
 
     @property
     def n(self) -> int:
@@ -86,7 +91,7 @@ def subdeterminants(x: VectorTuple) -> dict:
         )
     subsets, index = _subsets(n, d)
     minors = x.vectors[index].transpose(0, 2, 1)  # (C, d, d)
-    return dict(zip(subsets, np.linalg.det(minors).tolist()))
+    return dict(zip(subsets, det(minors).tolist()))
 
 
 def _build_subsets(n: int, d: int) -> tuple:
@@ -109,17 +114,23 @@ def translation_reduce(x: VectorTuple, pivot: str = FIRST_POSITION) -> VectorTup
     pos = x.position_indices()
     if pos.size == 0:
         raise RoleError("translation_reduce requires at least one position vector")
-    positions = x.vectors[pos]
-    # Differencing huge positions can overflow; the finite check reports it.
-    with np.errstate(over="ignore"):
-        if pivot == FIRST_POSITION:
-            positions -= x.vectors[pos[0]]
-        elif pivot == CENTER_OF_POSITIONS:
-            positions -= positions.sum(axis=0) / pos.size  # numpy's mean, bit for bit
-        else:
-            raise ValueError(f"unknown pivot rule {pivot!r}")
-    if not np.isfinite(positions).all():  # the free vectors are finite already
-        raise NonFiniteError("translation-reduced positions overflow to Inf")
+    if pivot not in (FIRST_POSITION, CENTER_OF_POSITIONS):
+        raise ValueError(f"unknown pivot rule {pivot!r}")
+    # Differencing finite positions gives Inf only by overflowing, which raises here.
+    try:
+        with np.errstate(over="raise"):
+            if pivot == CENTER_OF_POSITIONS and pos.size == x.n:
+                # Every vector a position: the centred copy, with no gather or
+                # scatter. C order sums the rows as a gathered copy does.
+                v = np.ascontiguousarray(x.vectors)
+                return VectorTuple._trusted(v - v.sum(axis=0) / pos.size, (FREE,) * x.n)
+            positions = x.vectors[pos]
+            if pivot == FIRST_POSITION:
+                positions -= x.vectors[pos[0]]
+            else:
+                positions -= positions.sum(axis=0) / pos.size  # numpy's mean, bit for bit
+    except FloatingPointError:
+        raise NonFiniteError("translation-reduced positions overflow to Inf") from None
     out = x.vectors.copy()
     out[pos] = positions
     if pivot == FIRST_POSITION:

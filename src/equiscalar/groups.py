@@ -28,6 +28,7 @@ rapidity (the group is non-compact, so no Haar measure exists there).
 """
 from __future__ import annotations
 
+import math
 from dataclasses import InitVar, dataclass, fields
 from typing import Callable, NamedTuple
 
@@ -209,10 +210,10 @@ def _draw_lorentz(rng, d_plus_1, rapidity_max):
     a = rng.standard_normal((d, d)) if d >= 2 else np.empty((0, 0))
     phi = rng.uniform(-rapidity_max, rapidity_max)
     axis = rng.standard_normal(d)
-    norm = np.linalg.norm(axis)
+    norm = math.sqrt(axis.dot(axis))  # np.linalg.norm(axis), bit for bit
     while norm < 1e-8:
         axis = rng.standard_normal(d)
-        norm = np.linalg.norm(axis)
+        norm = math.sqrt(axis.dot(axis))
     # Each axis is normalised on its own: a norm over a stack of axes
     # differs from the per-vector norm in the last bit.
     return a, phi, axis / norm
@@ -312,15 +313,21 @@ def _family(family: str) -> _Family:
     return FAMILIES[family]
 
 
-def draw(family: str, rng, dim: int, rapidity_max: float = DEFAULT_RAPIDITY_MAX) -> tuple:
-    """The raw numbers of one element of ``family``, from ``rng``, after the one check of every
-    sampling path (past finfo.max / 2, rng.uniform(-rapidity_max, rapidity_max) overflows)."""
+def draw_record(family: str, dim: int, rapidity_max: float = DEFAULT_RAPIDITY_MAX) -> _Family:
+    """The record of ``family`` after the one check of every sampling path (past finfo.max / 2,
+    rng.uniform(-rapidity_max, rapidity_max) overflows); its ``draw(rng, dim, rapidity_max)``
+    then takes elements' raw numbers with these arguments, unchecked."""
     record = _family(family)
     if dim < record.least_dim:
         raise ShapeError(f"dim must be >= {record.least_dim} for group {family!r}, got {dim}")
     if not 0 < rapidity_max <= _MAX_RAPIDITY:
         raise ShapeError(f"rapidity_max must be finite and in (0, {_MAX_RAPIDITY:.6g}], got {rapidity_max}")
-    return record.draw(rng, dim, rapidity_max)
+    return record
+
+
+def draw(family: str, rng, dim: int, rapidity_max: float = DEFAULT_RAPIDITY_MAX) -> tuple:
+    """The raw numbers of one element of ``family``, from ``rng``, checked by ``draw_record``."""
+    return draw_record(family, dim, rapidity_max).draw(rng, dim, rapidity_max)
 
 
 def sample_stack(family: str, draws) -> GroupElement:
@@ -361,7 +368,8 @@ def apply(g: GroupElement, x: VectorTuple) -> VectorTuple:
         if slots != n:
             raise ShapeError(f"permutation on {slots} slots applied to {n} vectors")
         idx = (g.sigma + n * np.arange(count)[:, None]).ravel() if stack else g.sigma
-        return VectorTuple(v[idx], tuple(x.roles[i] for i in idx))
+        roles = x.roles
+        return VectorTuple(v[idx], tuple([roles[i] for i in idx.tolist()]))
     d = g.q.shape[-1]
     if d != x.d:
         raise DimensionMismatchError(d, x.d)

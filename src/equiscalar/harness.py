@@ -10,7 +10,8 @@ per spec, in spec order, before the next trial draws anything. Trials run
 in stacks of ``CHUNK_TRIALS``: the draws of a stack are taken in that
 order first, then its elements are built, applied to all inputs and
 compared as array operations. Stacking moves no draw, so a seeded report is
-the same whatever the chunk size.
+the same whatever the chunk size. Each spec's draw arguments are checked
+once per stack; its family's draw then runs unchecked per trial.
 
 The stacked inputs form one ``VectorTuple`` of T*n rows, built without a
 check: the generator draws finite floats, and the spec checked its roles. A
@@ -21,7 +22,11 @@ on their images, provided every image keeps the spec's roles. Otherwise,
 and whenever the batched call raises or returns the wrong leading length,
 the target is called per trial on row views of the input stack: on the
 input, then on its image, in trial order, so a failure names its trial.
-Residuals of the outputs of one shape are computed as one stack. A trial is
+Residuals of the outputs of one shape are computed as one stack; an output
+that is NaN or infinite, or a residual that is NaN, fails its trial with
+``NonFiniteError``. Residuals and components are added up once per stack,
+the residuals one at a time in trial order, as ``mean_residual``'s bits
+depend on that order. A trial is
 otherwise carried as its index in the stack; row views are built for the
 report only for the failures and the worst trial, the inputs it serializes.
 """
@@ -29,12 +34,12 @@ from __future__ import annotations
 
 import json
 from dataclasses import dataclass, field
-from numbers import Integral
+from numbers import Integral, Real
 
 import numpy as np
 
-from .core import FREE, MINKOWSKI, ROLES, VectorTuple
-from .errors import RoleError, ShapeError
+from .core import FREE, MINKOWSKI, ROLES, VectorTuple, det
+from .errors import NonFiniteError, RoleError, ShapeError
 from . import groups
 
 SCALAR_INVARIANT = "scalar-invariant"
@@ -89,6 +94,11 @@ class SymmetrySpec:
             raise ShapeError(f"scalars_per_block must be >= 0, got {self.scalars_per_block}")
         if self.scalars_per_block and self.blocks is None:
             raise ShapeError("scalars_per_block needs blocks")
+        rapidity = self.rapidity_max
+        if (isinstance(rapidity, bool) or not isinstance(rapidity, Real)
+                or not 0 < rapidity <= groups._MAX_RAPIDITY):
+            raise ShapeError(f"rapidity_max must be a real number in (0, {groups._MAX_RAPIDITY:.6g}], "
+                             f"got {rapidity!r}")
         roles = self.roles
         if roles is None:
             roles = (FREE,) * self.n_vectors
@@ -134,12 +144,17 @@ def _element_dim(spec: SymmetrySpec) -> int:
     return (spec.blocks or spec.n_vectors) if groups.FAMILIES[spec.group].on_slots else spec.dim
 
 
-def _sample_input(specs, rng, trial: int):
-    """One trial's (n, d) input vectors and its (blocks, k) scalars or None."""
-    spec = specs[0]
+def _stressed(specs) -> bool:
+    """Whether every fourth trial (trial % 4 == 3) draws a near-lightlike input."""
+    return any(groups.FAMILIES[s.group].metric == MINKOWSKI for s in specs)
+
+
+def _sample_input(spec: SymmetrySpec, rng, lightlike: bool):
+    """One trial's (n, d) input vectors, near-lightlike if ``lightlike``, and
+    its (blocks, k) scalars or None."""
     n, d = spec.n_vectors, spec.dim
     vecs = rng.standard_normal((n, d))
-    if trial % 4 == 3 and any(groups.FAMILIES[s.group].metric == MINKOWSKI for s in specs):
+    if lightlike:
         # Near-lightlike stress inputs: timelike plus 0.999 spacelike. Row i
         # draws its spatial direction, then its scale.
         draw = rng.standard_normal((n, d))
@@ -166,10 +181,6 @@ def _trial_input(x: VectorTuple, scalars, t: int, n: int) -> str:
     """``_serialize_input`` of trial t, rows t*n:(t+1)*n of the input stack
     x. Only the inputs reported are built as rows: failures and the worst."""
     return _serialize_input(x.rows(t * n, (t + 1) * n), None if scalars is None else scalars[t])
-
-
-def _call(fn, x, scalars):
-    return fn(x) if scalars is None else fn(x, scalars)
 
 
 def _apply_stack(g, spec: SymmetrySpec, x: VectorTuple, scalars):
@@ -239,32 +250,39 @@ def _batched_outputs(fn, x, scalars, images, image_scalars, count):
 
 def _per_trial_outputs(fn, x, scalars, images, image_scalars, count, errors, late):
     """Call fn on each input and then on its image (unless ``images`` is
-    None), in trial order, on row views of the stacks; record each trial's
-    error in ``errors`` (its input's call) or ``late`` (its image's call, or
-    an image output whose shape is not the input's). Returns, per output
-    shape, (trials, their outputs, positions among them of the trials with an
-    image output, those image outputs)."""
+    None), in trial order, on (n, d) row views of the stacks; record each
+    trial's error in ``errors`` (its input's call) or ``late`` (its image's
+    call, or an image output whose shape is not the input's). Returns, per
+    output shape, (trials, their outputs, positions among them of the trials
+    with an image output, those image outputs)."""
     n = x.n // count
+    roles = x.roles[:n]
+    trusted = VectorTuple._trusted
+    inputs = x.vectors.reshape(count, n, x.d)
+    if images is not None:
+        moved = images.vectors.reshape(count, n, x.d)
+        # Every image row keeps its input's roles unless a permutation moved a tag.
+        same_roles = images.roles == x.roles
     outs, outs2 = [None] * count, [None] * count
     for t in range(count):
         try:
-            outs[t] = np.asarray(_call(fn, x.rows(t * n, (t + 1) * n),
-                                       None if scalars is None else scalars[t]), dtype=np.float64)
+            row = trusted(inputs[t], roles)
+            outs[t] = out = np.asarray(fn(row) if scalars is None else fn(row, scalars[t]), dtype=np.float64)
         except Exception as exc:  # noqa: BLE001 - failures are data here
             errors[t] = exc
             continue
         if images is None:
             continue
         try:
-            out2 = np.asarray(_call(fn, images.rows(t * n, (t + 1) * n),
-                                    None if image_scalars is None else image_scalars[t]),
+            image = trusted(moved[t], roles if same_roles else images.roles[t * n:(t + 1) * n])
+            out2 = np.asarray(fn(image) if image_scalars is None else fn(image, image_scalars[t]),
                               dtype=np.float64)
         except Exception as exc:  # noqa: BLE001
             late[t] = exc
             continue
-        if out2.shape != outs[t].shape:
+        if out2.shape != out.shape:
             late[t] = ShapeError(f"output of shape {out2.shape} on the image, "
-                                 f"{outs[t].shape} on the input")
+                                 f"{out.shape} on the input")
         else:
             outs2[t] = out2
     by_shape = {}
@@ -286,41 +304,54 @@ def _norms(a):
     return np.sqrt(f[:, None, :] @ f[:, :, None]).ravel()
 
 
+def _non_finite(stack, norms) -> list:
+    """Positions in the (k, ...) output stack of the outputs holding NaN or
+    Inf, given the outputs' norms: an output whose norm is finite is finite."""
+    if np.isfinite(norms.sum()):
+        return []
+    return [k for k in np.flatnonzero(~np.isfinite(norms)).tolist() if not np.isfinite(stack[k]).all()]
+
+
 def _chunk_results(fn, specs, chunk, rng):
-    """The chunk's input stack, its (T, blocks, k) scalars or None,
-    and (error, residual, component keys) for each trial of ``chunk``, in
-    order; error is None or residual is."""
+    """The chunk's input stack, its (T, blocks, k) scalars or None, for each
+    trial of ``chunk`` in order its error (None if it passed) and residual
+    (None if it failed), and per spec with a determinant whether each
+    trial's element has det > 0."""
     # Draw: each trial's input, then one element per spec, in spec order.
-    inputs, draws = [], [[] for _ in specs]
-    per_spec = [(spec.group, _element_dim(spec), spec.rapidity_max, drawn)
-                for spec, drawn in zip(specs, draws)]
+    # The draw arguments are checked here, once for the chunk.
+    spec = specs[0]
+    stressed = _stressed(specs)
+    inputs, per_spec = [], []
+    for s in specs:
+        dim = _element_dim(s)
+        per_spec.append((groups.draw_record(s.group, dim, s.rapidity_max).draw, dim, s.rapidity_max, []))
     for trial in chunk:
-        inputs.append(_sample_input(specs, rng, trial))
-        for group, dim, rapidity_max, drawn in per_spec:
-            drawn.append(groups.draw(group, rng, dim, rapidity_max))
-    elements = [groups.sample_stack(spec.group, drawn) for spec, drawn in zip(specs, draws)]
-    dets = [None if isinstance(g, groups.Permutation) else np.linalg.det(g.q) for g in elements]
-    positive = [(det > 0).tolist() for g, det in zip(elements, dets)
+        inputs.append(_sample_input(spec, rng, stressed and trial % 4 == 3))
+        for draw, dim, rapidity_max, drawn in per_spec:
+            drawn.append(draw(rng, dim, rapidity_max))
+    elements = [groups.sample_stack(s.group, drawn) for s, (*_, drawn) in zip(specs, per_spec)]
+    dets = [None if isinstance(g, groups.Permutation) else det(g.q) for g in elements]
+    positive = [(dg > 0).tolist() for g, dg in zip(elements, dets)
                 if not isinstance(g, (groups.Permutation, groups.Translation))]
 
     # Apply: stack the inputs as one tuple, then move them by each spec in
     # turn; ``groups.apply`` checks each image, as a boost can overflow.
     # Failing there fails every trial whose output reaches that spec.
     count = len(chunk)
-    x = VectorTuple._trusted(np.concatenate([v for v, _ in inputs]), specs[0].roles * count)
+    x = VectorTuple._trusted(np.concatenate([v for v, _ in inputs]), spec.roles * count)
     scalars = None if inputs[0][1] is None else np.array([s for _, s in inputs])
     images, image_scalars = x, scalars
     applied, apply_error = len(specs), None
-    for j, (g, spec) in enumerate(zip(elements, specs)):
+    for j, (g, s) in enumerate(zip(elements, specs)):
         try:
-            images, image_scalars = _apply_stack(g, spec, images, image_scalars)
+            images, image_scalars = _apply_stack(g, s, images, image_scalars)
         except Exception as exc:  # noqa: BLE001 - failures are data here
             applied, apply_error = j, exc
             break
 
     # Call fn on the inputs and on their images. A trial's error is the first
-    # of: its input's call, then spec by spec the apply and the transform,
-    # then its image's call (``late``).
+    # of: its input's call (a non-finite output included), then spec by spec
+    # the apply and the transform, then its image's call (``late``).
     errors, late = [None] * count, [None] * count
     shapes = None if apply_error else _batched_outputs(fn, x, scalars, images, image_scalars, count)
     if shapes is None:
@@ -328,36 +359,58 @@ def _chunk_results(fn, specs, chunk, rng):
                                     image_scalars, count, errors, late)
 
     # Transform the outputs of each shape as one stack, spec by spec, and
-    # compare those of the trials whose image output came back.
+    # compare those of the trials whose image output came back. Outputs that
+    # are not finite are found from their norms; the arithmetic on them stays
+    # quiet, as their trials fail.
     residuals = [None] * count
-    for idx, stack, done, outs2 in shapes:
-        expected = stack
-        try:
-            for j, (g, det, spec) in enumerate(zip(elements, dets, specs)):
-                if j == applied:
-                    raise apply_error
-                expected = _transform(g, det, spec, expected,
-                                      slice(None) if len(idx) == count else idx)
-        except Exception as exc:  # noqa: BLE001
-            for t in idx:
-                errors[t] = exc
-            continue
-        if not done:
-            continue
-        if len(done) < len(idx):
-            stack, expected = stack[done], expected[done]
-        stacked = _norms(outs2 - expected) / (1.0 + _norms(stack))
-        for k, residual in zip(done, stacked.tolist()):
-            residuals[idx[k]] = residual
+    with np.errstate(invalid="ignore", over="ignore"):
+        for idx, stack, done, outs2 in shapes:
+            norms = _norms(stack)
+            for k in _non_finite(stack, norms):
+                errors[idx[k]] = NonFiniteError("output on the input is NaN or Inf")
+            expected = stack
+            try:
+                for j, (g, dg, s) in enumerate(zip(elements, dets, specs)):
+                    if j == applied:
+                        raise apply_error
+                    expected = _transform(g, dg, s, expected,
+                                          slice(None) if len(idx) == count else idx)
+            except Exception as exc:  # noqa: BLE001
+                for t in idx:
+                    if errors[t] is None:
+                        errors[t] = exc
+                continue
+            if not done:
+                continue
+            if len(done) < len(idx):
+                norms, expected = norms[done], expected[done]
+            for j in _non_finite(outs2, _norms(outs2)):
+                late[idx[done[j]]] = NonFiniteError("output on the image is NaN or Inf")
+            stacked = _norms(outs2 - expected) / (1.0 + norms)
+            for k, residual in zip(done, stacked.tolist()):
+                if residual == residual:
+                    residuals[idx[k]] = residual
+                elif late[idx[k]] is None:  # finite outputs whose squared norms overflow
+                    late[idx[k]] = NonFiniteError("residual is NaN: the outputs overflow its arithmetic")
+    errors = [late[t] if error is None else error for t, error in enumerate(errors)]
+    return x, scalars, errors, residuals, positive
 
-    results = []
-    for t in range(count):
-        error = errors[t] if errors[t] is not None else late[t]
-        if error is not None:
-            results.append((error, None, ()))
-            continue
-        results.append((None, residuals[t], [_DET_KEYS[p[t]] for p in positive]))
-    return x, scalars, results
+
+def _add_components(components, positive, residuals) -> None:
+    """Add a chunk's passed trials to the per-component stats: ``positive``
+    holds, per spec with a determinant, whether each trial's element has
+    det > 0, ``residuals`` the trials' residuals. A trial counts once per
+    spec under its key. Taken trial by trial and each spec by spec, the
+    first trial's first key comes first, so it enters ``components`` first."""
+    if not positive:
+        return
+    first = positive[0][0]
+    for sign in (first, not first):
+        hits = [r for p in positive for r, s in zip(residuals, p) if s == sign]
+        if hits:
+            comp = components.setdefault(_DET_KEYS[sign], {"trials": 0, "max_residual": 0.0})
+            comp["trials"] += len(hits)
+            comp["max_residual"] = max(comp["max_residual"], max(hits))
 
 
 def certify(fn, spec: SymmetrySpec, trials: int, rng) -> CertReport:
@@ -379,22 +432,28 @@ def certify_joint(fn, specs, trials: int, rng) -> CertReport:
     total, worst = 0.0, None
     for start in range(0, trials, CHUNK_TRIALS):
         chunk = range(start, min(trials, start + CHUNK_TRIALS))
-        x, scalars, results = _chunk_results(fn, specs, chunk, rng)
-        for t, (error, residual, keys) in enumerate(results):
-            if error is not None:
+        x, scalars, errors, residuals, positive = _chunk_results(fn, specs, chunk, rng)
+        passed = []
+        for t, error in enumerate(errors):
+            if error is None:
+                passed.append(t)
+            else:
                 report.failures.append(
                     {"trial": start + t, "error": f"{type(error).__name__}: {error}",
                      "input": _trial_input(x, scalars, t, n)}
                 )
-                continue
+        if not passed:
+            continue
+        values = [residuals[t] for t in passed]
+        for residual in values:  # one at a time, in trial order: mean_residual's bits
             total += residual
-            if residual >= report.max_residual:
-                report.max_residual = residual
-                worst = (x, scalars, t, n)
-            for key in keys:
-                comp = report.components.setdefault(key, {"trials": 0, "max_residual": 0.0})
-                comp["trials"] += 1
-                comp["max_residual"] = max(comp["max_residual"], residual)
+        top = max(values)
+        if top >= report.max_residual:  # the last trial to reach the maximum is the worst
+            report.max_residual = top
+            worst = (x, scalars, passed[len(values) - 1 - values[::-1].index(top)], n)
+        if len(passed) < len(chunk):
+            positive = [[p[t] for t in passed] for p in positive]
+        _add_components(report.components, positive, values)
     if worst is not None:
         report.worst_input = _trial_input(*worst)
     done = trials - len(report.failures)

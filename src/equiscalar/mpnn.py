@@ -84,8 +84,9 @@ def edge_features(qs, rs, vs, config: EdgeConfig = EdgeConfig()) -> np.ndarray:
             f"expected positions and velocities of shape {(*qs.shape, 3)}, "
             f"got {rs.shape} and {vs.shape}"
         )
-    # Non-finite or overflowing input reaches q_i^2, |v_i|^2 or dist_sq: one output check.
-    with np.errstate(over="ignore", invalid="ignore"):
+    # Non-finite or overflowing input reaches q_i^2, |v_i|^2 or dist_sq, and a
+    # coincident pair the inverse channel: one output check finds them all.
+    with np.errstate(over="ignore", invalid="ignore", divide="ignore"):
         delta = rs[..., :, None, :] - rs[..., None, :, :]
         dist_sq = np.einsum("...ijk,...ijk->...ij", delta, delta)
         channels = [
@@ -95,17 +96,17 @@ def edge_features(qs, rs, vs, config: EdgeConfig = EdgeConfig()) -> np.ndarray:
         ]
         if config.include_inv_sqrt:
             off_diag = _off_diagonal(qs.shape[-1])
-            if np.any(dist_sq == 0.0, where=off_diag):
-                raise DegenerateInputError(
-                    "coincident positions with the inverse-sqrt channel enabled"
-                )
             channels.append(np.power(dist_sq, -0.5, out=np.zeros_like(dist_sq), where=off_diag))
         if config.rbf_centers:
             dist = np.sqrt(dist_sq)
             for c in config.rbf_centers:
                 channels.append(np.exp(-((dist - c) ** 2) / (2.0 * config.rbf_width**2)))
-        e = np.stack(channels, axis=-1)
+        e = np.empty((*dist_sq.shape, len(channels)))
+        for i, channel in enumerate(channels):
+            e[..., i] = channel
     if not np.isfinite(e).all():
+        if config.include_inv_sqrt and np.any(dist_sq == 0.0, where=off_diag):
+            raise DegenerateInputError("coincident positions with the inverse-sqrt channel enabled")
         raise NonFiniteError("charges, positions and velocities must be finite, with finite edge features")
     return e
 
@@ -117,9 +118,10 @@ def _sorted_blocks(e: np.ndarray) -> np.ndarray:
     """(..., n, n * C): each node's rows e[..., i, :, :] flattened in
     lexicographic order, making the result a function of the row multiset
     rather than the row order."""
-    order = np.lexsort(np.moveaxis(e, -1, 0)[::-1], axis=-1)
-    rows = np.take_along_axis(e, order[..., None], axis=-2)
-    return rows.reshape(*e.shape[:-2], e.shape[-2] * e.shape[-1])
+    *lead, n, c = e.shape
+    order = np.lexsort(e.transpose(e.ndim - 1, *range(e.ndim - 1))[::-1], axis=-1)
+    rows = e.reshape(-1, n, c)[np.arange(order.size // n)[:, None], order.reshape(-1, n)]
+    return rows.reshape(*lead, n * c)
 
 
 def _pair_matrix(vals, shape, off):
@@ -201,13 +203,13 @@ class ScalarNet:
 
     The result for one row need not have the same last bits in every
     batch: the BLAS matmul of a layer can round a row differently with the
-    number of rows (with OpenBLAS, a (m, 48) @ (48, 16) first layer gave
-    other bits at m = 132, 384 or 1200 than in blocks of 4 or 8). So a
-    concat model's output for one sample can change in its last bits with
-    the batch it is evaluated in and with BLOCK_BYTES (at n = 5 to 12 for
-    most samples, by up to 5e-13 relative at n = 12); the golden model
-    files (n = 4) and pooled models gave the same bits alone as in a
-    batch."""
+    number of rows. The output layer's matrix-vector product takes rows
+    four at a time and the rest by another kernel, so a call whose row
+    count is not a multiple of 4 gives its last rows other bits; and with
+    OpenBLAS a wide first layer rounds with the row count: (m, 48) @ (48, 16)
+    gave other bits at m = 132, 384 or 1200 than in blocks of 4 or 8, and
+    (m, 32) @ (32, 16) other bits in an 8-row call than in a 512-row one.
+    See `MpnnModel.forward` for what this means for one sample."""
 
     def __init__(self, widths, activation="tanh", rng=None, stack=None):
         self._allocate(widths, activation, stack)
@@ -418,7 +420,18 @@ class MpnnModel:
     def forward(self, qs, rs, vs, want_cache=False):
         """Output vectors: (n, 3) for one sample given as (n,) charges and
         (n, 3) positions and velocities, (B, n, 3) for stacks of B samples.
-        With want_cache, returns (output, cache) for `backward`."""
+        With want_cache, returns (output, cache) for `backward`.
+
+        A sample's output alone and in a stack can differ in the last bits
+        (up to a few 1e-15 relative at n <= 12 with OpenBLAS): the nets'
+        output layer is a BLAS matrix-vector product that takes rows four
+        at a time and the remaining rows by another kernel, and a wide
+        concat net's first layer rounds with the row count (see
+        `ScalarNet`). A sample gives the same bits alone as in a stack when
+        its net input rows (n in concat mode, n(n - 1) pooled) are a
+        multiple of 4 and the first layer is narrow, as for n = 4 in either
+        mode and pooled n = 5 or 8; concat models at n = 2, 3 and 5 to 12
+        and pooled ones at n = 2, 3, 6 and 7 differ."""
         qs = np.asarray(qs, dtype=np.float64)
         rs = np.asarray(rs, dtype=np.float64)
         vs = np.asarray(vs, dtype=np.float64)
@@ -437,7 +450,9 @@ class MpnnModel:
         off = _off_diagonal(n)
         z = self._net_input(edge_features(qs, rs, vs, self.edge_config), off)
         rows = z.reshape(-1, z.shape[-1])
-        h = np.stack([rs - rs.mean(axis=1, keepdims=True), vs])  # (2, B, n, 3)
+        h = np.empty((2, *rs.shape))  # (2, B, n, 3): centred positions (numpy's mean, bit for bit), velocities
+        np.subtract(rs, np.add.reduce(rs, axis=1, keepdims=True) / n, out=h[0])
+        h[1] = vs
         cache = {"n": n, "z": z, "h": [], "G": []}
         for stack in self.stacks:
             g = _pair_matrix(stack.forward(rows).reshape(2, 2, -1), z.shape, off)  # (2, 2, B, n, n)
@@ -551,6 +566,8 @@ class MpnnModel:
                             raise ShapeError(f"{where} is not an array of numbers") from None
                         if value.shape != arr.shape:
                             raise ShapeError(f"{where} has shape {value.shape}, expected {arr.shape}")
+                        if not np.isfinite(value).all():
+                            raise NonFiniteError(f"{where} holds NaN or Inf")
                         arr[...] = value
         return model
 

@@ -27,11 +27,9 @@ class Particle:
 
     def __post_init__(self):
         r = as_vector(self.r)
-        v = as_vector(self.v, r.size)
-        object.__setattr__(self, "r", r)
-        object.__setattr__(self, "v", v)
-        object.__setattr__(self, "mass", as_scalar(self.mass, "particle mass"))
-        object.__setattr__(self, "charge", as_scalar(self.charge, "particle charge"))
+        # The fields of a frozen instance, set in one step.
+        self.__dict__.update(r=r, v=as_vector(self.v, r.size), mass=as_scalar(self.mass, "particle mass"),
+                             charge=as_scalar(self.charge, "particle charge"))
 
 
 def total_energy(particles, G: float) -> float:
@@ -56,10 +54,10 @@ def total_energies(r, v, m, G: float) -> np.ndarray:
     """``total_energy`` of the particles at positions r (n, d), velocities v
     (n, d) and masses m (n,), or of each set in stacks (T, n, d), (T, n, d),
     (T, n) of them, bit for bit as on one set."""
-    sep = np.linalg.norm(r[..., :, None, :] - r[..., None, :, :], axis=-1)
+    sep = _norms(r[..., :, None, :] - r[..., None, :, :])
     sep.reshape(*sep.shape[:-2], -1)[..., :: sep.shape[-1] + 1] = np.inf  # the diagonals
-    hit = np.argwhere(sep == 0.0)
-    if hit.size:
+    if not sep.all():
+        hit = np.argwhere(sep == 0.0)
         raise DegenerateInputError("particles %d and %d have coincident positions" % tuple(hit[0][-2:]))
     kinetic = (m[..., None, :] @ (v * v).sum(axis=-1)[..., None])[..., 0, 0]
     pairs = m[..., :, None] * m[..., None, :] / sep
@@ -70,8 +68,12 @@ def _check_em_inputs(test, sources):
     """Stacked source positions (m, 3), velocities (m, 3) and charges (m,)."""
     if test.r.size != 3 or any(s.r.size != 3 for s in sources):
         raise ShapeError("electromagnetic force is defined for d=3")
+    # A few sources: comparing their positions as lists costs less than as arrays.
+    at = test.r.tolist()
+    for i, s in enumerate(sources):
+        if s.r.tolist() == at:
+            raise DegenerateInputError(f"source {i} coincides with the test particle position")
     r = np.array([s.r for s in sources]).reshape(-1, 3)
-    _check_sources(test.r, r)
     q = np.array([s.charge for s in sources], dtype=np.float64)
     return r, np.array([s.v for s in sources]).reshape(-1, 3), q
 
@@ -100,7 +102,7 @@ def _em_force(r, v, q, rs, vs, qs, k: float, c: float) -> np.ndarray:
     with velocities vs (..., m, 3) and charges qs (..., m); any leading axes.
     q is an array, also for one test particle."""
     delta = r[..., None, :] - rs
-    coef = (k * q)[..., None] * qs / np.linalg.norm(delta, axis=-1) ** 3
+    coef = (k * q)[..., None] * qs / _norms(delta) ** 3
     test_v = v[..., None]
     vv, vd = vs @ test_v, delta @ test_v
     return (coef[..., None, :] @ ((1.0 - vv / c**2) * delta + (vd / c**2) * vs))[..., 0, :]
@@ -122,6 +124,11 @@ def em_forces(r, v, q, k: float, c: float) -> np.ndarray:
     rs, vs = r[..., others, :], v[..., others, :]  # (..., n, n - 1, 3): particle i's sources
     _check_sources(r, rs)
     return _em_force(r, v, q, rs, vs, q[..., others], k, c)
+
+
+def _norms(a):
+    """``np.linalg.norm(a, axis=-1)`` bit for bit, without its argument handling."""
+    return np.sqrt(np.add.reduce(a * a, axis=-1))
 
 
 def _check_sources(r, rs):

@@ -494,6 +494,41 @@ def test_cross_subset_outside_the_tuple_is_rejected(subset, symmetric):
         basis.evaluate(model, x)
 
 
+# -- malformed coefficient results name their fixture ----------------------------
+
+# fixture name -> (coefficient function, cross function, words of the message)
+MALFORMED = {
+    "cross-list": (lambda f: np.zeros(f.n), lambda f: [((0, 1), 1.0)], "must return a mapping"),
+    "cross-string-value": (lambda f: np.zeros(f.n), lambda f: {(0, 1): "x"}, "must return a mapping"),
+    "cross-array-value": (lambda f: np.zeros(f.n), lambda f: {(0, 1): np.ones(2)}, "must return a mapping"),
+    "coefficient-string": (lambda f: [1, 2, "x"], None, "returned non-numbers"),
+    "coefficient-none": (lambda f: [1.0, None, object()], None, "returned non-numbers"),
+}
+
+
+@pytest.mark.parametrize("symmetric", [False, True], ids=["plain", "symmetrized"])
+@pytest.mark.parametrize("name", MALFORMED)
+def test_a_malformed_coefficient_result_is_a_shape_error_naming_its_fixture(name, symmetric):
+    fn, cross_fn, words = MALFORMED[name]
+    model = basis.EquivariantModel("so", euclidean(3), basis.FixedClosure(fn, cross_fn, name=name),
+                                   permutation_symmetric=symmetric)
+    x = VectorTuple(np.random.default_rng(46).standard_normal((3, 3)))
+    with pytest.raises(ShapeError, match=f"'{name}'.*{words}|{words}.*'{name}'"):
+        basis.evaluate(model, x)
+
+
+def test_cross_terms_take_numpy_scalars_and_none():
+    x = VectorTuple(np.random.default_rng(47).standard_normal((3, 3)))
+    want = basis.generalized_cross(x.vectors[:2]) * 0.5
+    for value in (0.5, np.float64(0.5), np.array(0.5), np.float32(0.5)):
+        model = basis.EquivariantModel("so", euclidean(3), basis.FixedClosure(
+            lambda f: np.zeros(f.n), cross_fn=lambda f, value=value: {(0, 1): value}))
+        assert np.array_equal(basis.evaluate(model, x), want)
+    model = basis.EquivariantModel("so", euclidean(3), basis.FixedClosure(
+        lambda f: np.zeros(f.n), cross_fn=lambda f: None))
+    assert np.array_equal(basis.evaluate(model, x), np.zeros(3))
+
+
 # -- one table of scalars, checked when a model is built -----------------------
 
 

@@ -1,5 +1,6 @@
 import csv
 import importlib
+import itertools
 import json
 import os
 import re
@@ -596,6 +597,37 @@ def test_certify_a_model_file_with_a_field_of_the_wrong_type_exits_2(runner, tmp
     assert result.stderr == f"certify: {message}\n" and result.stdout == ""
 
 
+def _block_spec_file(tmp_path):
+    return _write(tmp_path / "spec.json", json.dumps(
+        [{k: list(v) if isinstance(v, tuple) else v for k, v in spec.items()} for spec in BLOCK_SPECS]))
+
+
+def test_certify_a_model_file_with_a_nan_weight_exits_2_naming_it(runner, tmp_path):
+    obj = json.loads((DATA / "golden_concat.model.json").read_text())
+    obj["nets"][0]["g_r"]["biases"][1][0] = float("nan")
+    model_path = _write(tmp_path / "model.json", json.dumps(obj))
+    result = runner.invoke(main, ["certify", "--target", f"model:{model_path}", "--spec",
+                                  _block_spec_file(tmp_path), "--trials", "5", "--seed", "1"])
+    assert result.exit_code == 2
+    assert result.stderr == "certify: layer 0 net g_r biases[1] holds NaN or Inf\n"
+
+
+def test_certify_a_model_whose_outputs_overflow_fails_with_exit_1(runner, tmp_path):
+    # Finite weights whose pair coefficients overflow the messages: NaN or Inf
+    # outputs fail their trials instead of dropping out of the residuals.
+    obj = json.loads((DATA / "golden_concat.model.json").read_text())
+    for net in obj["nets"][0].values():
+        net["biases"][-1] = [1e308]
+    model_path = _write(tmp_path / "model.json", json.dumps(obj))
+    with np.errstate(all="ignore"):
+        result = runner.invoke(main, ["certify", "--target", f"model:{model_path}", "--spec",
+                                      _block_spec_file(tmp_path), "--trials", "5", "--seed", "1"])
+    assert result.exit_code == 1
+    payload = json.loads(result.stdout)
+    assert payload["passed"] is False and len(payload["failures"]) == 5
+    assert all(f["error"].startswith("NonFiniteError: ") for f in payload["failures"])
+
+
 def test_certify_unknown_target_exits_2(runner, tmp_path):
     spec = {"group": "o", "dim": 3, "n_vectors": 2}
     specfile = _write(tmp_path / "spec.json", json.dumps(spec))
@@ -699,11 +731,11 @@ def test_batched_target_matches_the_per_trial_target_bit_for_bit(target, spec, r
 
 def test_emforce_stack_with_a_coincident_trial_reports_like_the_per_trial_target(monkeypatch):
     fn, specs = _certify_target("emforce", BLOCK_SPECS)
-    sample = harness._sample_input
+    sample, calls = harness._sample_input, itertools.count()
 
-    def coincident_at_trial_5(specs, rng, trial):
-        vectors, scalars = sample(specs, rng, trial)
-        if trial == 5:
+    def coincident_at_trial_5(spec, rng, lightlike):
+        vectors, scalars = sample(spec, rng, lightlike)
+        if next(calls) % 20 == 5:  # trial 5 of each 20-trial run
             vectors[2] = vectors[0]  # particle 1 sits on particle 0
         return vectors, scalars
 

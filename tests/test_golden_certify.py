@@ -177,6 +177,10 @@ def test_certify_cli_output_matches_golden(golden, name, tmp_path):
 def test_golden_cases_cover_failures_and_components(golden):
     reports = {name: json.loads(text) for name, text in golden["api"].items()}
     assert reports["raises-sometimes"]["failures"] and reports["raises-sometimes"]["worst_input"]
+    # A NaN output fails its trial: no NaN reaches the mean or drops out of the maximum.
+    nan_failures = reports["nan-sometimes"]["failures"]
+    assert nan_failures and all(f["error"].startswith("NonFiniteError: ") for f in nan_failures)
+    assert np.isfinite(reports["nan-sometimes"]["mean_residual"])
     assert len(reports["dims-disagree"]["failures"]) == 6
     assert len(reports["perm-slots-disagree"]["failures"]) == 6
     assert reports["pseudo-as-vector"]["components"]["det=-1"]["max_residual"] > 1e-2

@@ -61,6 +61,13 @@ BAD_SPECS = {
                               "scalars_per_block must be an integer"),
     "scalars-per-block-without-blocks": ("perm", 3, 4, {"scalars_per_block": 1},
                                          "scalars_per_block needs blocks"),
+    "rapidity-string": ("lorentz", 4, 3, {"rapidity_max": "x"}, "rapidity_max must be a real number"),
+    "rapidity-none": ("lorentz", 4, 3, {"rapidity_max": None}, "rapidity_max must be a real number"),
+    "rapidity-true": ("lorentz", 4, 3, {"rapidity_max": True}, "rapidity_max must be a real number"),
+    "rapidity-nan": ("poincare", 4, 3, {"rapidity_max": float("nan")}, "rapidity_max must be a real number"),
+    "rapidity-inf": ("o", 3, 3, {"rapidity_max": float("inf")}, "rapidity_max must be a real number"),
+    "rapidity-0": ("lorentz", 4, 3, {"rapidity_max": 0}, "rapidity_max must be a real number"),
+    "rapidity-past-max": ("lorentz", 4, 3, {"rapidity_max": 1e308}, "rapidity_max must be a real number"),
 }
 
 
@@ -74,6 +81,12 @@ def test_a_spec_outside_its_family_record_is_rejected_when_built(case):
 def test_a_spec_with_an_unknown_role_is_rejected_when_built():
     with pytest.raises(RoleError, match="roles"):
         harness.SymmetrySpec("o", 3, 2, roles=("pos", "free"))
+
+
+@pytest.mark.parametrize("rapidity_max", [2, 0.5, np.float64(9.0), groups._MAX_RAPIDITY])
+def test_a_spec_takes_any_real_rapidity_max_in_range(rapidity_max):
+    spec = harness.SymmetrySpec("lorentz", 4, 2, rapidity_max=rapidity_max)
+    assert spec.rapidity_max == rapidity_max
 
 
 def test_a_spec_takes_numpy_integers():
@@ -168,7 +181,7 @@ def test_lightlike_stress_input_matches_the_loop_bit_for_bit(family):
             d = 2 + seed % 7
             spec = harness.SymmetrySpec(family, d, n)
             rng_a, rng_b = groups.make_rng(seed), groups.make_rng(seed)
-            vecs, _ = harness._sample_input([spec], rng_a, trial=3)
+            vecs, _ = harness._sample_input(spec, rng_a, lightlike=True)
             assert np.array_equal(vecs, _lightlike_loop(rng_b, n, d))
             assert rng_a.standard_normal() == rng_b.standard_normal()
 
@@ -330,6 +343,63 @@ def test_report_round_trips_json():
     assert blob["max_residual"] <= 1e-12
 
 
+# -- non-finite outputs ------------------------------------------------------------
+
+
+@pytest.mark.parametrize("value", [np.nan, np.inf, -np.inf])
+def test_a_non_finite_output_fails_its_trial(value):
+    report = harness.certify(lambda x: np.full(3, value), harness.SymmetrySpec("o", 3, 3), 7,
+                             groups.make_rng(0))
+    assert [f["trial"] for f in report.failures] == list(range(7))
+    assert {f["error"] for f in report.failures} == {"NonFiniteError: output on the input is NaN or Inf"}
+    assert report.max_residual == 0.0 and report.worst_input is None and not report.components
+    assert np.isnan(report.mean_residual)
+
+
+def test_a_non_finite_output_on_the_image_alone_fails_its_trial():
+    calls = iter(range(100))
+
+    def fn(x):  # the second call of trials 0, 1 and 2: the image's output
+        return x.vectors[0] * (np.nan if next(calls) in (1, 3, 5) else 1.0)
+
+    report = harness.certify(fn, harness.SymmetrySpec("o", 3, 2), 6, groups.make_rng(1))
+    assert [(f["trial"], f["error"]) for f in report.failures] == [
+        (t, "NonFiniteError: output on the image is NaN or Inf") for t in range(3)]
+    assert sum(c["trials"] for c in report.components.values()) == 3
+    assert 0.0 < report.max_residual < 1e-12 and np.isfinite(report.mean_residual)
+
+
+def test_nan_outputs_fail_only_their_trials_and_leave_the_rest_as_before():
+    def some_nan(x):
+        out = x.vectors[0].copy()
+        if x.vectors[1, 0] > 1.0:
+            out[0] = np.nan
+        return out
+
+    def finite(x):
+        return x.vectors[0].copy()
+
+    spec = harness.SymmetrySpec("o", 3, 2)
+    report = harness.certify(some_nan, spec, 30, groups.make_rng(25))
+    clean = harness.certify(finite, spec, 30, groups.make_rng(25))
+    failed = {f["trial"] for f in report.failures}
+    assert failed and all(f["error"].startswith("NonFiniteError") for f in report.failures)
+    assert len(failed) < 30 and report.max_residual <= clean.max_residual
+    assert sum(c["trials"] for c in report.components.values()) == 30 - len(failed)
+
+
+def test_outputs_too_large_for_the_residual_fail_quietly():
+    # Finite outputs whose squared norms overflow make the residual NaN: the
+    # trial fails with that reason, and no numpy warning escapes.
+    report = harness.certify(lambda x: 1e300 * x.vectors[0], harness.SymmetrySpec("o", 3, 2), 4,
+                             groups.make_rng(2))
+    assert [(f["trial"], f["error"]) for f in report.failures] == [
+        (t, "NonFiniteError: residual is NaN: the outputs overflow its arithmetic") for t in range(4)]
+    report = harness.certify(lambda x: 1e150 * x.vectors[0], harness.SymmetrySpec("o", 3, 2), 4,
+                             groups.make_rng(2))
+    assert not report.failures and report.max_residual < 1e-15
+
+
 # -- the stacked loop against the per-trial loop it replaced ----------------------
 
 
@@ -368,17 +438,17 @@ def _oracle_certify_joint(fn, specs, trials, rng):
     report = harness.CertReport(trials=trials)
     total = 0.0
     for trial in range(trials):
-        vecs, scalars = harness._sample_input(specs, rng, trial)
+        vecs, scalars = harness._sample_input(specs[0], rng, trial % 4 == 3 and harness._stressed(specs))
         x = VectorTuple(vecs, specs[0].roles)
         elements = [groups.sample(s.group, rng, (s.blocks or s.n_vectors) if s.group == "perm"
                                   else s.dim, s.rapidity_max) for s in specs]
         try:
-            out = np.asarray(harness._call(fn, x, scalars), dtype=np.float64)
+            out = np.asarray(fn(x) if scalars is None else fn(x, scalars), dtype=np.float64)
             x2, scalars2, expected = x, scalars, out
             for g, spec in zip(elements, specs):
                 x2, scalars2 = apply_input(g, spec, x2, scalars2)
                 expected = transform(g, spec, expected)
-            out2 = np.asarray(harness._call(fn, x2, scalars2), dtype=np.float64)
+            out2 = np.asarray(fn(x2) if scalars2 is None else fn(x2, scalars2), dtype=np.float64)
             if out2.shape != out.shape:
                 raise ShapeError(f"output of shape {out2.shape} on the image, {out.shape} on the input")
         except Exception as exc:  # noqa: BLE001
@@ -460,7 +530,7 @@ def test_target_is_called_twice_per_trial_in_trial_order():
     assert len(seen) == 2 * trials
     rng = groups.make_rng(17)
     for trial in range(trials):
-        vecs, _ = harness._sample_input([harness.SymmetrySpec("o", 3, 2)], rng, trial)
+        vecs, _ = harness._sample_input(harness.SymmetrySpec("o", 3, 2), rng, False)
         g = groups.sample("o", rng, 3)
         assert np.array_equal(seen[2 * trial], vecs)
         assert np.array_equal(seen[2 * trial + 1], groups.apply(g, VectorTuple(vecs)).vectors)

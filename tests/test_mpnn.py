@@ -653,6 +653,20 @@ def test_from_dict_names_a_field_of_the_wrong_type(case):
     assert str(info.value) == message
 
 
+@pytest.mark.parametrize("net, kind, idx, value", [
+    ("g_r", "biases", 0, float("nan")), ("gt_v", "weights", 2, float("inf")), ("g_v", "biases", 2, -float("inf")),
+])
+def test_from_dict_rejects_non_finite_weights_naming_the_array(net, kind, idx, value):
+    obj = json.loads((DATA / "golden_concat.model.json").read_text())
+    array = obj["nets"][1][net][kind][idx]
+    if isinstance(array[0], list):
+        array[0][0] = value
+    else:
+        array[0] = value
+    with pytest.raises(NonFiniteError, match=rf"^layer 1 net {net} {kind}\[{idx}\] holds NaN or Inf$"):
+        mpnn.MpnnModel.from_dict(json.loads(json.dumps(obj)))
+
+
 def test_from_dict_rejects_a_saved_model_that_is_not_an_object():
     with pytest.raises(ShapeError, match="a saved model must be an object, got list"):
         mpnn.MpnnModel.from_dict([])
@@ -868,3 +882,37 @@ def test_from_dict_draws_no_random_weights(monkeypatch):
     with pytest.raises(AssertionError):
         mpnn.MpnnModel(3)
     assert mpnn.MpnnModel.from_dict(obj).to_dict() == obj
+
+
+# -- one sample alone and in a batch -------------------------------------------
+
+
+def _alone_and_batched(n, mode):
+    model = mpnn.MpnnModel(n, layers=2, hidden=(16, 16), mode=mode,
+                           edge_config=mpnn.EdgeConfig(include_inv_sqrt=True), seed=1)
+    data = mpnn.generate_dataset(np.random.default_rng(2), n, 64)
+    batch = model.forward(data.qs, data.rs, data.vs)
+    alone = np.array([model.forward(data.qs[i], data.rs[i], data.vs[i]) for i in range(64)])
+    return model, data, batch, alone
+
+
+@pytest.mark.parametrize("n, mode", [(4, mpnn.CONCAT), (4, mpnn.POOLED), (5, mpnn.POOLED)])
+def test_one_sample_gives_its_batch_bits_when_its_net_rows_are_a_multiple_of_four(n, mode):
+    _, _, batch, alone = _alone_and_batched(n, mode)
+    assert alone.tobytes() == batch.tobytes()
+
+
+def test_a_concat_sample_of_five_rows_differs_from_its_batch_only_by_rounding():
+    # One concat sample at n = 5 is 5 net input rows: the output layer's BLAS
+    # matrix-vector product takes 4 rows at a time and the fifth by another
+    # kernel, while in the batch every row is in a group of four. Padding the
+    # sample's rows to 8 gives each row its bits in the batch.
+    model, data, batch, alone = _alone_and_batched(5, mpnn.CONCAT)
+    assert np.max(np.abs(alone - batch)) <= 1e-13 * np.max(np.abs(batch))
+    e = mpnn.edge_features(data.qs, data.rs, data.vs, model.edge_config)
+    rows = model._net_input(e, mpnn._off_diagonal(5)).reshape(64 * 5, -1)
+    stack = model.stacks[0]
+    in_batch = stack.forward(rows)
+    for i in range(63):
+        padded = stack.forward(rows[5 * i:5 * i + 8])[:, :5]
+        assert padded.tobytes() == in_batch[:, 5 * i:5 * i + 5].tobytes()
