@@ -23,6 +23,13 @@ likewise one `ScalarNet` stack of K = 4 nets, with (4, out, in) weights and
 (4, out) biases: one `forward` call per layer gives the (4, B * n * k)
 coefficients that reshape to those matrices, one `backward` call gives the
 stacked gradients, and one SGD update per array covers all four nets.
+The output is one channel c of the last layer (c = 0, position, or 1,
+velocity, by the readout), so that layer runs only the two nets of message
+channel c, a sub-stack that cuts its rows into the same blocks as the whole
+stack, and computes the message and dG of channel c alone. Its other two
+nets never reach the output: they are not run, and their gradients are
+zeros in the (4, ...) arrays of the layer. `backward` does not update the
+input gradient dh below layer 0, where nothing reads it.
 `nets[layer][name]` is each net as views into its stack, for parameter
 access and the saved-model format. `MpnnModel.forward` takes one sample,
 (n,) charges with (n, 3) positions and velocities, or stacks (B, n) and
@@ -230,6 +237,7 @@ class ScalarNet:
         self.widths = list(widths)
         self.activation = activation
         self.lead = () if stack is None else (int(stack),)
+        self._block_nets = math.prod(self.lead)  # the nets whose temporaries size a block
         self.weights = [np.empty((*self.lead, fan_out, fan_in))
                         for fan_in, fan_out in zip(widths[:-1], widths[1:])]
         self.biases = [np.zeros((*self.lead, fan_out)) for fan_out in widths[1:]]
@@ -241,11 +249,16 @@ class ScalarNet:
                 w[net] = rng.standard_normal(w.shape[-2:]) / np.sqrt(w.shape[-1])
 
     def __getitem__(self, k):
-        """Net k of a stack, its arrays views into the stack's."""
+        """Net k of a stack, or for a slice k the stack of those nets, its
+        arrays views into the stack's. A slice cuts its rows into the same
+        blocks as the whole stack, so its outputs and its gradients, summed
+        block by block, are the whole stack's for those nets bit for bit."""
         net = object.__new__(ScalarNet)
-        net.widths, net.activation, net.lead = self.widths, self.activation, ()
+        net.widths, net.activation = self.widths, self.activation
         net.weights = [w[k] for w in self.weights]
         net.biases = [b[k] for b in self.biases]
+        net.lead = net.biases[0].shape[:-1]
+        net._block_nets = self._block_nets if isinstance(k, slice) else 1
         return net
 
     def _rows(self, x):
@@ -257,7 +270,7 @@ class ScalarNet:
             a = a.reshape(1, -1)
         if a.shape[1] != self.widths[0]:
             raise ShapeError(f"net expects input width {self.widths[0]}, got {a.shape[1]}")
-        step = BLOCK_BYTES // (8 * math.prod(self.lead) * max(self.widths[1:])) // 4 * 4
+        step = BLOCK_BYTES // (8 * self._block_nets * max(self.widths[1:])) // 4 * 4
         return a, single, max(4, step)
 
     def _blocks(self, m, step, vectors):
@@ -340,10 +353,22 @@ class ScalarNet:
 NET_NAMES = ("g_r", "g_v", "gt_r", "gt_v")
 
 
+def _on_all_nets(grad, live):
+    """A layer stack's (4, ...) gradient from that of its nets ``live``,
+    zero for the others."""
+    if len(grad) == len(NET_NAMES):
+        return grad
+    full = np.zeros((len(NET_NAMES), *grad.shape[1:]))
+    full[live] = grad
+    return full
+
+
 @dataclass(frozen=True)
 class LayerGrads:
     """One layer's parameter gradients, stacked as its ScalarNet's
-    parameters; ``grads[name]`` is net ``name``'s (weights, biases) as views."""
+    parameters; ``grads[name]`` is net ``name``'s (weights, biases) as views.
+    In the last layer the two nets of the channel not read out are not run,
+    and their gradients are zeros."""
 
     weights: list
     biases: list
@@ -398,7 +423,28 @@ class MpnnModel:
         self.stacks = [ScalarNet.__new__(ScalarNet) for _ in range(layers)]
         for stack in self.stacks:
             stack._allocate([in_width, *hidden, 1], activation, len(NET_NAMES))
+        self._view_stacks()
+
+    def _view_stacks(self):
+        """Hold the nets that are views into the stacks."""
         self.nets = [{name: stack[k] for k, name in enumerate(NET_NAMES)} for stack in self.stacks]
+        # Per layer, the message channels it computes and the nets that write
+        # them (those of channel c are nets 2c and 2c + 1): both channels
+        # below the last layer, and in the last only the one read out.
+        c = 0 if self.readout == READOUT_POSITION else 1
+        self._runs = [(slice(0, 2), stack) for stack in self.stacks[:-1]]
+        self._runs.append((slice(c, c + 1), self.stacks[-1][2 * c:2 * c + 2]))
+
+    def __getstate__(self):
+        # A copy or pickle of a view holds its own data: the views are rebuilt
+        # from the copied stacks instead, so that they follow them.
+        state = dict(self.__dict__)
+        del state["nets"], state["_runs"]
+        return state
+
+    def __setstate__(self, state):
+        self.__dict__.update(state)
+        self._view_stacks()
 
     # -- forward ---------------------------------------------------------
 
@@ -454,14 +500,17 @@ class MpnnModel:
         np.subtract(rs, np.add.reduce(rs, axis=1, keepdims=True) / n, out=h[0])
         h[1] = vs
         cache = {"n": n, "z": z, "h": [], "G": []}
-        for stack in self.stacks:
-            g = _pair_matrix(stack.forward(rows).reshape(2, 2, -1), z.shape, off)  # (2, 2, B, n, n)
-            if want_cache:
-                cache["h"].append(h)
-                cache["G"].append(g)
-            # m_i = sum_j G_ij (h_i - h_j), summed over both h channels
-            h = h + (g.sum(axis=-1)[..., None] * h - g @ h).sum(axis=1)
-        out = h[0 if self.readout == READOUT_POSITION else 1]
+        # Overflowing weights give an Inf or NaN output, which callers check.
+        with np.errstate(over="ignore", invalid="ignore"):
+            for channels, nets in self._runs:
+                vals = nets.forward(rows)
+                g = _pair_matrix(vals.reshape(len(vals) // 2, 2, -1), z.shape, off)  # (k, 2, B, n, n)
+                if want_cache:
+                    cache["h"].append(h)
+                    cache["G"].append(g)
+                # m_i = sum_j G_ij (h_i - h_j), summed over both h channels
+                h = h[channels] + (g.sum(axis=-1)[..., None] * h - g @ h).sum(axis=1)
+        out = h[0]
         if single:
             out = out[0]
         if want_cache:
@@ -473,22 +522,28 @@ class MpnnModel:
     def backward(self, cache, dout):
         """Reverse-mode parameter gradients for upstream d(loss)/d(output),
         summed over the samples of the cached forward, as one LayerGrads per
-        layer. Each layer's stack recomputes its activations from the cached
-        input rows, one block at a time."""
+        layer. Each layer runs the nets its forward ran, recomputing their
+        activations from the cached input rows one block at a time: in the
+        last layer the two nets of the channel read out. The other two
+        never reach the output, and their gradients are zeros."""
         z = cache["z"]
         rows = z.reshape(-1, z.shape[-1])
         off = _off_diagonal(cache["n"])
         dh = np.zeros((2, *z.shape[:2], 3))
         dh[0 if self.readout == READOUT_POSITION else 1] = dout
         grads = [None] * self.layers
-        for layer in reversed(range(self.layers)):
-            h, g = cache["h"][layer], cache["G"][layer]
-            dm = dh[:, None]  # residual update: gradient reaches both h and m
-            # dG_ij = dm_i . (h_i - h_j);  dh += rowsum(G) dm - G^T dm
-            dg = (dm * h).sum(axis=-1)[..., None] - dm @ np.swapaxes(h, -1, -2)
-            dh = dh + (g.sum(axis=-1)[..., None] * dm - np.swapaxes(g, -1, -2) @ dm).sum(axis=0)
-            dvals = _row_grads(dg, z.shape, off).reshape(len(NET_NAMES), -1)
-            grads[layer] = LayerGrads(*self.stacks[layer].backward(rows, dvals))
+        with np.errstate(over="ignore", invalid="ignore"):
+            for layer in reversed(range(self.layers)):
+                (channels, nets), h, g = self._runs[layer], cache["h"][layer], cache["G"][layer]
+                dm = dh[channels, None]  # residual update: gradient reaches both h and m
+                # dG_ij = dm_i . (h_i - h_j);  dh += rowsum(G) dm - G^T dm, unread below layer 0
+                dg = (dm * h).sum(axis=-1)[..., None] - dm @ np.swapaxes(h, -1, -2)
+                if layer:
+                    dh = dh + (g.sum(axis=-1)[..., None] * dm - np.swapaxes(g, -1, -2) @ dm).sum(axis=0)
+                dvals = _row_grads(dg, z.shape, off).reshape(2 * len(dg), -1)
+                live = slice(2 * channels.start, 2 * channels.stop)
+                grads[layer] = LayerGrads(*([_on_all_nets(p, live) for p in part]
+                                            for part in nets.backward(rows, dvals)))
         return grads
 
     # -- parameter access --------------------------------------------------
@@ -506,9 +561,10 @@ class MpnnModel:
         return out
 
     def apply_gradients(self, grads, lr):
-        for stack, layer in zip(self.stacks, grads):
-            for p, g in zip(stack.weights + stack.biases, layer.weights + layer.biases):
-                p -= lr * g
+        with np.errstate(over="ignore", invalid="ignore"):
+            for stack, layer in zip(self.stacks, grads):
+                for p, g in zip(stack.weights + stack.biases, layer.weights + layer.biases):
+                    p -= lr * g
 
     def to_dict(self):
         return {
@@ -690,10 +746,25 @@ class TrainConfig:
     stop_at_val_ratio: float | None = None
 
     def __post_init__(self):
-        if self.epochs < 0:
-            raise ShapeError(f"epochs must be at least 0, got {self.epochs}")
-        if self.batch_size < 1:
-            raise ShapeError(f"batch_size must be at least 1, got {self.batch_size}")
+        for name, least in (("epochs", 0), ("batch_size", 1)):
+            value = getattr(self, name)
+            if isinstance(value, bool) or not isinstance(value, (int, np.integer)):
+                raise ShapeError(f"{name} must be an integer, got {value!r}")
+            if value < least:
+                raise ShapeError(f"{name} must be at least {least}, got {value}")
+        if not _is_finite_real(self.lr):
+            raise ShapeError(f"lr must be a finite number, got {self.lr!r}")
+        if not (_is_finite_real(self.val_fraction) and 0 <= self.val_fraction < 1):
+            raise ShapeError(f"val_fraction must be a finite number in [0, 1), got {self.val_fraction!r}")
+        ratio = self.stop_at_val_ratio
+        if ratio is not None and not (_is_finite_real(ratio) and ratio >= 0):
+            raise ShapeError(f"stop_at_val_ratio must be None or a finite number of at least 0, got {ratio!r}")
+
+
+def _is_finite_real(value):
+    if isinstance(value, bool) or not isinstance(value, (int, float, np.integer, np.floating)):
+        return False
+    return isinstance(value, (int, np.integer)) or math.isfinite(value)
 
 
 @dataclass
@@ -714,8 +785,9 @@ DIVERGENCE_LIMIT = 1e6
 
 
 def mse_loss(pred, target):
-    diff = pred - target
-    return float(np.mean(diff * diff))
+    with np.errstate(over="ignore", invalid="ignore"):  # a diverged model's MSE is Inf or NaN
+        diff = pred - target
+        return float(np.mean(diff * diff))
 
 
 def evaluate_mse(model, dataset, indices, batch_size=TrainConfig.batch_size):
@@ -762,16 +834,18 @@ def train(model: MpnnModel, dataset: Dataset, config: TrainConfig, on_epoch=None
             pred, cache = model.forward(
                 dataset.qs[batch], dataset.rs[batch], dataset.vs[batch], want_cache=True
             )
-            diff = pred - dataset.targets[batch]
-            epoch_loss += float(np.mean(diff * diff)) * len(batch)
-            # d(mean over the batch of per-sample MSE)/d(pred)
-            model.apply_gradients(model.backward(cache, 2.0 * diff / diff.size), config.lr)
+            with np.errstate(over="ignore", invalid="ignore"):
+                diff = pred - dataset.targets[batch]
+                epoch_loss += float(np.mean(diff * diff)) * len(batch)
+                # d(mean over the batch of per-sample MSE)/d(pred)
+                dout = 2.0 * diff / diff.size
+            model.apply_gradients(model.backward(cache, dout), config.lr)
         train_mse = epoch_loss / len(order)
         val_mse = evaluate_mse(model, dataset, val_idx, config.batch_size)
         report.epochs.append((epoch, train_mse, val_mse))
         if on_epoch is not None:
             on_epoch(epoch, model)
-        if train_mse > DIVERGENCE_LIMIT or not np.isfinite(train_mse):
+        if not (train_mse <= DIVERGENCE_LIMIT and val_mse <= DIVERGENCE_LIMIT):  # NaN compares False
             report.aborted = True
             break
         if config.stop_at_val_ratio is not None and val_mse <= config.stop_at_val_ratio * val0:

@@ -628,6 +628,23 @@ def test_certify_a_model_whose_outputs_overflow_fails_with_exit_1(runner, tmp_pa
     assert all(f["error"].startswith("NonFiniteError: ") for f in payload["failures"])
 
 
+def test_certify_a_model_whose_outputs_overflow_prints_no_numpy_warning(tmp_path):
+    # Layer 0's g_r pair coefficients overflow the messages and the nets
+    # downstream: the outputs' NonFiniteError failures are the only report.
+    obj = json.loads((DATA / "golden_concat.model.json").read_text())
+    obj["nets"][0]["g_r"]["biases"][-1] = [1e308]
+    model_path = _write(tmp_path / "model.json", json.dumps(obj))
+    root = Path(__file__).parents[1]
+    path = os.pathsep.join(filter(None, [str(root / "src"), os.environ.get("PYTHONPATH")]))
+    run = subprocess.run([sys.executable, "-m", "equiscalar.cli", "certify", "--target", f"model:{model_path}",
+                          "--spec", _block_spec_file(tmp_path), "--trials", "12", "--seed", "37"],
+                         capture_output=True, text=True, env={**os.environ, "PYTHONPATH": path}, timeout=120)
+    assert run.returncode == 1 and run.stderr == ""
+    payload = json.loads(run.stdout)
+    assert payload["passed"] is False and len(payload["failures"]) == 12
+    assert all(f["error"].startswith("NonFiniteError: ") for f in payload["failures"])
+
+
 def test_certify_unknown_target_exits_2(runner, tmp_path):
     spec = {"group": "o", "dim": 3, "n_vectors": 2}
     specfile = _write(tmp_path / "spec.json", json.dumps(spec))

@@ -1,5 +1,7 @@
+import copy
 import json
 import pathlib
+import pickle
 import tracemalloc
 
 import numpy as np
@@ -561,6 +563,20 @@ def test_a_stack_holds_the_nets_built_one_at_a_time():
         assert np.array_equal(stack[k].forward(x), out[k])
 
 
+@pytest.mark.parametrize("clone", [copy.deepcopy, lambda m: pickle.loads(pickle.dumps(m))],
+                         ids=["deepcopy", "pickle"])
+def test_a_copied_model_keeps_its_nets_as_views_into_its_own_stacks(clone):
+    qs, rs, vs = _random_batch(np.random.default_rng(40), 4, 3)
+    model = _small_model(mpnn.POOLED, seed=5)
+    copied = clone(model)
+    out, cache = copied.forward(qs, rs, vs, want_cache=True)
+    copied.apply_gradients(copied.backward(cache, np.ones_like(out)), 1e-2)
+    trained = copied.forward(qs, rs, vs)
+    assert not np.array_equal(trained, out)
+    assert np.array_equal(mpnn.MpnnModel.from_dict(copied.to_dict()).forward(qs, rs, vs), trained)
+    assert np.array_equal(model.forward(qs, rs, vs), out)
+
+
 def test_per_net_weights_are_views_into_the_layer_stacks():
     rng = np.random.default_rng(31)
     model = _small_model(mpnn.POOLED)
@@ -783,6 +799,47 @@ def test_train_rejects_no_training_samples_or_empty_batches(n_samples, batch_siz
     ds = mpnn.generate_dataset(np.random.default_rng(25), 3, n_samples)
     with pytest.raises(ShapeError):
         mpnn.train(_small_model(mpnn.POOLED), ds, mpnn.TrainConfig(epochs=1, batch_size=batch_size))
+
+
+@pytest.mark.parametrize("lr, final_val", [(1e200, "nan"), (1e50, "huge")])
+def test_train_aborts_quietly_when_only_the_val_mse_diverges(lr, final_val, recwarn, capfd):
+    # One step leaves the train MSE (taken before the step) finite and small;
+    # the val MSE after it is NaN or about 2e204.
+    ds = mpnn.generate_dataset(np.random.default_rng(1), 3, 10)
+    report = mpnn.train(mpnn.MpnnModel(3, hidden=(4,), seed=1), ds, mpnn.TrainConfig(epochs=1, lr=lr))
+    (_, train_mse, val_mse), = report.epochs[1:]
+    assert train_mse < mpnn.DIVERGENCE_LIMIT
+    assert np.isnan(val_mse) if final_val == "nan" else val_mse > 1e200
+    assert report.aborted
+    assert len(recwarn) == 0 and capfd.readouterr().err == ""
+
+
+@pytest.mark.parametrize("field, value, message", [
+    ("epochs", 2.5, "epochs must be an integer"),
+    ("epochs", True, "epochs must be an integer"),
+    ("batch_size", 2.5, "batch_size must be an integer"),
+    ("batch_size", False, "batch_size must be an integer"),
+    ("lr", float("nan"), "lr must be a finite number"),
+    ("lr", float("inf"), "lr must be a finite number"),
+    ("lr", "0.1", "lr must be a finite number"),
+    ("lr", True, "lr must be a finite number"),
+    ("val_fraction", float("nan"), "val_fraction must be a finite number in"),
+    ("val_fraction", -0.5, "val_fraction must be a finite number in"),
+    ("val_fraction", 1.0, "val_fraction must be a finite number in"),
+    ("val_fraction", None, "val_fraction must be a finite number in"),
+    ("stop_at_val_ratio", -1.0, "stop_at_val_ratio must be None or a finite number"),
+    ("stop_at_val_ratio", float("inf"), "stop_at_val_ratio must be None or a finite number"),
+    ("stop_at_val_ratio", "0.5", "stop_at_val_ratio must be None or a finite number"),
+])
+def test_train_config_fields_are_checked_when_built(field, value, message):
+    with pytest.raises(ShapeError, match=message):
+        mpnn.TrainConfig(**{field: value})
+
+
+def test_train_config_accepts_every_field_at_its_bounds():
+    mpnn.TrainConfig(epochs=0, lr=-1e-3, batch_size=1, val_fraction=0.0, stop_at_val_ratio=0.0)
+    mpnn.TrainConfig(epochs=np.int64(3), lr=np.float64(1e-2), batch_size=np.int32(8), val_fraction=0.99,
+                     stop_at_val_ratio=None)
 
 
 def test_evaluate_mse_is_independent_of_slice_size():
