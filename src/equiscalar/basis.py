@@ -9,6 +9,14 @@ A model family is a family of ``groups.FAMILIES`` with a metric; its record
 gives the Gram's metric, whether positions are centred first (the family
 translates) and whether SO(d) subdeterminants join the scalars (its matrices
 are proper). A model is checked against the record when built.
+
+``evaluate`` hands the coefficient function a ``ScalarFeatureSet`` of the
+(centred) tuple that computes each scalar on first read, so a model pays
+only for what it reads: the Gram in O(n^2 d), the channels ``diag``,
+``row_sums`` and ``total`` in O(nd). Two steps stay eager. The centring
+runs first, so that a tuple without positions or one whose centre
+overflows is refused even when no scalar is read. SO(d) subdeterminants
+are computed whole for every SO model, read or not.
 """
 from __future__ import annotations
 
@@ -26,7 +34,6 @@ from .errors import ShapeError
 from .features import (
     CENTER_OF_POSITIONS,
     ScalarFeatureSet,
-    gram,
     subdeterminants,
     translation_reduce,
 )
@@ -149,7 +156,7 @@ def evaluate(model: EquivariantModel, x: VectorTuple) -> np.ndarray:
     # n < d vectors no d-subset exists, so an SO(d) model sees no subdeterminant.
     reduced = translation_reduce(x, CENTER_OF_POSITIONS) if centred else x
     subdets = (subdeterminants(x) if x.n >= x.d else {}) if pseudo else None
-    features = ScalarFeatureSet(gram(model.metric, reduced), model.metric, subdets=subdets)
+    features = ScalarFeatureSet.from_tuple(model.metric, reduced, subdets)
     coeffs, cross_coeffs = coeff_fn.coefficients(features)
     if centred:
         coeffs = _centred(coeffs, x.position_indices(), _POSITION_SUMS[model.mode])
@@ -191,7 +198,9 @@ class _SymmetrizedCoefficients:
         if n > MAX_EXPLICIT_SYMMETRIZE:
             raise ShapeError(
                 f"explicit symmetrization is limited to n <= {MAX_EXPLICIT_SYMMETRIZE} "
-                f"(got n={n}); use a pooled slot-symmetric coefficient function instead"
+                f"(got n={n}); a coefficient function that computes slot t's coefficient "
+                f"by one rule from the channels diag[t], row_sums[t] and total of its "
+                f"ScalarFeatureSet is permutation-equivariant without it"
             )
         self.base = base
         self.n = n
@@ -204,11 +213,11 @@ class _SymmetrizedCoefficients:
         total = np.zeros(n)
         cross_total = {}
         count = math.factorial(n)
-        for idx, grams in _permuted_grams(features.gram, n):
+        for idx in _permutation_chunks(n):
             subdets = _permuted_subdets(features.subdets, idx)
             mapped, values, chunk = [], [], []
-            for sigma, g, sd in zip(idx, grams, subdets):
-                coeffs, cross = self.base.coefficients(ScalarFeatureSet(g, features.metric, sd))
+            for sigma, permuted in zip(idx, features.permuted(idx, subdets)):
+                coeffs, cross = self.base.coefficients(permuted)
                 chunk.append(coeffs)
                 if cross:
                     for subset in cross:
@@ -227,12 +236,19 @@ class _SymmetrizedCoefficients:
         return total, cross_out
 
 
-def _permuted_grams(gram, n: int):
+def _permutation_chunks(n: int):
     """S_n in (P, n) index arrays of at most SYMMETRIZE_CHUNK permutations,
-    each with its P permuted grams, so memory stays bounded."""
+    so memory stays bounded."""
     perms = itertools.permutations(range(n))
     while sigmas := list(itertools.islice(perms, SYMMETRIZE_CHUNK)):
-        idx = np.array(sigmas, dtype=np.intp)
+        yield np.array(sigmas, dtype=np.intp)
+
+
+def _permuted_grams(gram, n: int):
+    """Each chunk of ``_permutation_chunks`` with its P permuted grams,
+    gathered at once: the eager form of the Grams of
+    ``ScalarFeatureSet.permuted``."""
+    for idx in _permutation_chunks(n):
         yield idx, gram[idx[:, :, None], idx[:, None, :]]
 
 

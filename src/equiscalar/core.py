@@ -200,8 +200,14 @@ class VectorTuple:
         return self.vectors.shape[1]
 
     def position_indices(self) -> np.ndarray:
-        """Ascending indices of the position vectors, as a read-only array."""
-        return _positions(self.roles)
+        """Ascending indices of the position vectors, as a read-only array,
+        found on the first call and kept: at large n finding them is a
+        Python pass over the roles, and a translation-family model reads
+        them twice per evaluation."""
+        pos = self.__dict__.get("_positions")
+        if pos is None:
+            pos = self.__dict__["_positions"] = _positions(self.roles)
+        return pos
 
     def with_vectors(self, vectors) -> "VectorTuple":
         return VectorTuple(vectors, self.roles)

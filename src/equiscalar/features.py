@@ -5,6 +5,11 @@ quotients, the wrap-around band sampling of a low-rank Gram matrix and its
 completion, Gram reconstruction, and Minkowski Gram-Schmidt with lightlike
 restarts.
 
+``ScalarFeatureSet`` is where a model's scalars are made: each is computed
+on its first read and then kept. The Gram costs O(n^2 d); the channels
+``diag``, ``row_sums`` and ``total`` come from the vectors in O(nd), so a
+model that reads only them never builds the Gram.
+
 Completion factors all (d+1)-windows of the band in one batched eigh, fits
 every pair of adjacent windows in one batched step (orthogonal Procrustes
 for PSD windows, least squares for indefinite ones), composes the fits by
@@ -31,22 +36,151 @@ MAX_SUBDET_ENTRIES = 2**24  # float64 entries of stacked minors (128 MiB)
 OMEGA_TOL = 1e-12  # relative objective decrease below which ALS stops
 
 
-@dataclass(frozen=True, init=False)
-class ScalarFeatureSet:
-    """Gram matrix plus optional subdeterminant features of one tuple."""
+class _on_read:
+    """A method read as an attribute: called on the first read, its value
+    then kept in the instance. ``functools.cached_property`` without the
+    lock it takes before Python 3.12, at a third of its cost."""
 
-    gram: np.ndarray
-    metric: Metric
-    subdets: dict | None = None
+    def __init__(self, fn):
+        self.fn = fn
+
+    def __set_name__(self, owner, name):
+        self.name = name
+
+    def __get__(self, obj, owner=None):
+        if obj is None:
+            return self
+        value = obj.__dict__[self.name] = self.fn(obj)
+        return value
+
+
+class ScalarFeatureSet:
+    """The invariant scalars of one tuple, each computed on first read and
+    then kept, so a model pays only for the scalars it reads.
+
+    ``ScalarFeatureSet(gram, metric, subdets)`` holds a Gram already made and
+    takes every channel from it. ``ScalarFeatureSet.from_tuple(metric, x,
+    subdets)`` holds the (translation-reduced) tuple x and computes nothing
+    until it is read: ``gram`` is then ``gram(metric, x)``, O(n^2 d), and the
+    channels come from the vectors in O(nd), without the Gram. ``subdets``
+    is given, not computed: None, or the dict of ``subdeterminants``.
+
+    For vectors v (n, d), signature eta and column sums c = v.sum(axis=0)
+    (numpy's sum over the rows), the channels of a tuple set are
+
+    - ``diag``, shape (n,): G_tt = sum_k (eta_k v_tk) v_tk
+    - ``row_sums``, shape (n,): sum_s G_ts = sum_k v_tk (eta_k c_k)
+    - ``total``, a float: sum_ts G_ts = sum_k (eta_k c_k) c_k
+
+    each sum over k taken left to right, k = 0..d-1, with no BLAS call, so
+    their bits are those of these formulas on every host. A set built from
+    a Gram G gives G's diagonal, ``G.sum(axis=1)`` and ``G.sum()`` instead.
+    Under a translation family the centred vectors sum to zero, so
+    ``row_sums`` and ``total`` cancel to rounding noise, which is not
+    equivariant; a model that must hold at large n should read ``diag``.
+    """
 
     def __init__(self, gram, metric, subdets=None):
-        # The fields in one step: a frozen dataclass's own __init__ sets each
-        # by object.__setattr__, half again the cost, once per coefficient call.
-        self.__dict__.update(gram=gram, metric=metric, subdets=subdets)
+        self.__dict__.update(gram=gram, metric=metric, subdets=subdets, _vectors=None)
 
-    @property
+    @classmethod
+    def from_tuple(cls, metric: Metric, x: VectorTuple, subdets=None) -> "ScalarFeatureSet":
+        """The scalars of ``x`` under ``metric``, none of them computed yet."""
+        self = cls.__new__(cls)
+        self.__dict__.update(metric=metric, subdets=subdets, n=x.n, _tuple=x, _vectors=x.vectors)
+        return self
+
+    def __setattr__(self, name, value):
+        raise AttributeError(f"ScalarFeatureSet is read-only, cannot set {name!r}")
+
+    @_on_read
     def n(self) -> int:
         return self.gram.shape[0]
+
+    @_on_read
+    def gram(self) -> np.ndarray:
+        # The module's own binding, called as gram(metric, tuple), so that a
+        # wrapper installed on features.gram sees every Gram a model reads.
+        return gram(self.metric, self._tuple)
+
+    @_on_read
+    def diag(self) -> np.ndarray:
+        if self._vectors is None:
+            return self.gram.diagonal().copy()
+        return _dot_over_k(self._vectors * self.metric.signature, self._vectors)
+
+    @_on_read
+    def row_sums(self) -> np.ndarray:
+        if self._vectors is None:
+            return self.gram.sum(axis=1)
+        return _dot_over_k(self._vectors, self._eta_c)
+
+    @_on_read
+    def total(self) -> float:
+        if self._vectors is None:
+            return float(self.gram.sum())
+        return float(_dot_over_k(self._eta_c, self._c))
+
+    @_on_read
+    def _c(self) -> np.ndarray:
+        return self._vectors.sum(axis=0)
+
+    @_on_read
+    def _eta_c(self) -> np.ndarray:
+        return self.metric.signature * self._c
+
+    def permuted(self, idx: np.ndarray, subdets):
+        """The sets of this tuple permuted by each row sigma of the (P, n)
+        index array ``idx``, yielded in order, set p holding ``subdets[p]``.
+        Each reads this set's scalars through sigma: the Gram
+        G[sigma][:, sigma], the channels diag[sigma] and row_sums[sigma],
+        and the same total. The first read of a scalar gathers it for all P
+        sets at once, and each set made after that read is given its own."""
+        chunk = _PermutedChunk(self, idx)
+        common = {"metric": self.metric, "n": self.n, "_chunk": chunk}
+        gathered = chunk.rows.items()
+        for k, sd in enumerate(subdets):  # once per sigma: kept to a few dict stores
+            permuted = object.__new__(_PermutedScalars)
+            scalars = permuted.__dict__
+            scalars.update(common)
+            scalars["subdets"], scalars["_k"] = sd, k
+            for name, rows in gathered:
+                scalars[name] = rows[k]
+            yield permuted
+
+
+class _PermutedChunk:
+    """The scalars of a set read through each row of ``idx``, each gathered
+    for every row on the first read of it. It holds no reference to the
+    sets that read it, so they form no reference cycle."""
+
+    def __init__(self, base: ScalarFeatureSet, idx: np.ndarray):
+        self.base, self.idx, self.rows = base, idx, {}
+
+    def read(self, name: str, k: int):
+        rows = self.rows.get(name)
+        if rows is None:
+            value, idx = getattr(self.base, name), self.idx
+            rows = self.rows[name] = value[idx[:, :, None], idx[:, None, :]] if value.ndim == 2 else value[idx]
+        return rows[k]
+
+
+class _PermutedScalars(ScalarFeatureSet):
+    """One set of ``ScalarFeatureSet.permuted``."""
+
+    gram = _on_read(lambda self: self._chunk.read("gram", self._k))
+    diag = _on_read(lambda self: self._chunk.read("diag", self._k))
+    row_sums = _on_read(lambda self: self._chunk.read("row_sums", self._k))
+    total = _on_read(lambda self: self._chunk.base.total)
+
+
+def _dot_over_k(a: np.ndarray, b: np.ndarray) -> np.ndarray:
+    """sum_k a[..., k] b[..., k], the terms added left to right."""
+    terms = a * b
+    out = terms[..., 0].copy()
+    for k in range(1, terms.shape[-1]):
+        out += terms[..., k]
+    return out
 
 
 # Strict lower-triangle masks: at small n building one costs more than the Gram.

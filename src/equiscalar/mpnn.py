@@ -68,11 +68,28 @@ READOUT_VELOCITY = "velocity"
 # -- edge features -----------------------------------------------------------
 
 
+def _is_finite_real(value):
+    if isinstance(value, bool) or not isinstance(value, (int, float, np.integer, np.floating)):
+        return False
+    return isinstance(value, (int, np.integer)) or math.isfinite(value)
+
+
 @dataclass(frozen=True)
 class EdgeConfig:
+    """The optional edge channels. The values are checked as given, not
+    converted, so a model saves the numbers it was built with."""
+
     include_inv_sqrt: bool = False
     rbf_centers: tuple = ()
     rbf_width: float = 0.5
+
+    def __post_init__(self):
+        if type(self.include_inv_sqrt) is not bool:
+            raise ShapeError(f"include_inv_sqrt must be true or false, got {self.include_inv_sqrt!r}")
+        if not (isinstance(self.rbf_centers, (tuple, list)) and all(map(_is_finite_real, self.rbf_centers))):
+            raise ShapeError(f"rbf_centers must be a list of finite numbers, got {self.rbf_centers!r}")
+        if not (_is_finite_real(self.rbf_width) and self.rbf_width > 0):
+            raise ShapeError(f"rbf_width must be a finite number > 0, got {self.rbf_width!r}")
 
     @property
     def dim(self) -> int:
@@ -759,12 +776,6 @@ class TrainConfig:
         ratio = self.stop_at_val_ratio
         if ratio is not None and not (_is_finite_real(ratio) and ratio >= 0):
             raise ShapeError(f"stop_at_val_ratio must be None or a finite number of at least 0, got {ratio!r}")
-
-
-def _is_finite_real(value):
-    if isinstance(value, bool) or not isinstance(value, (int, float, np.integer, np.floating)):
-        return False
-    return isinstance(value, (int, np.integer)) or math.isfinite(value)
 
 
 @dataclass

@@ -281,6 +281,52 @@ def test_symmetrize_large_n_rejected():
         basis.symmetrize_permutation(basis.uniform_mixture(), 9)
 
 
+def test_the_symmetrize_refusal_names_the_slot_symmetric_channels():
+    with pytest.raises(ShapeError, match=r"n <= 8 \(got n=9\).*diag\[t\], row_sums\[t\] and total"):
+        basis.symmetrize_permutation(basis.uniform_mixture(), 9)
+
+
+# -- a model pays only for the scalars it reads ----------------------------------
+
+
+_MODEL_FAMILIES = [("o", euclidean(3)), ("so", euclidean(3)), ("e", euclidean(3)),
+                   ("lorentz", minkowski(4)), ("poincare", minkowski(4))]
+
+
+@pytest.mark.parametrize("symmetric", [False, True], ids=["plain", "symmetrized"])
+@pytest.mark.parametrize("mode", [basis.MODE_EQUIVARIANT, basis.MODE_INVARIANT])
+@pytest.mark.parametrize("family, metric", _MODEL_FAMILIES, ids=[f for f, _ in _MODEL_FAMILIES])
+def test_a_model_that_reads_no_gram_builds_none(gram_calls, family, metric, mode, symmetric):
+    x = VectorTuple(np.random.default_rng(50).standard_normal((5, metric.dim)), (POSITION, FREE) * 2 + (POSITION,))
+    for fixture in (basis.uniform_mixture(), basis.FixedClosure(lambda f: np.tanh(f.diag + f.row_sums + f.total))):
+        model = basis.EquivariantModel(family, metric, fixture, mode=mode, permutation_symmetric=symmetric)
+        basis.evaluate(model, x)
+    assert gram_calls == []
+
+    def reads_twice(f):
+        first = f.gram
+        assert f.gram is first
+        return np.tanh(first[0])
+
+    model = basis.EquivariantModel(family, metric, basis.FixedClosure(reads_twice), mode=mode,
+                                   permutation_symmetric=symmetric)
+    basis.evaluate(model, x)
+    assert len(gram_calls) == 1
+
+
+@pytest.mark.parametrize("family, metric", [f for f in _MODEL_FAMILIES if f[0] != "so"],
+                         ids=["o", "e", "lorentz", "poincare"])
+def test_a_diag_model_certifies_at_n_1e5_without_a_gram(gram_calls, family, metric):
+    n = 100_000
+    roles = (POSITION,) * n if family in ("e", "poincare") else None
+    model = basis.EquivariantModel(family, metric, basis.FixedClosure(lambda f: np.tanh(f.diag)))
+    spec = harness.SymmetrySpec(family, metric.dim, n, roles=roles)
+    report = harness.certify(lambda x: basis.evaluate(model, x), spec, 4, groups.make_rng(7))
+    assert not report.failures and report.trials == 4
+    assert report.max_residual <= 1e-8
+    assert gram_calls == []
+
+
 # -- span_check ---------------------------------------------------------------
 
 

@@ -836,6 +836,8 @@ BAD_INPUT = {
         p, "lr = 0.001", "lr = 0.001\nedge_rbf_centers = 0.5"), ["edge_rbf_centers", "a list of"]),
     "train-edge-rbf-width-wide": ("train", lambda p: _train_args(
         p, "lr = 0.001", "lr = 0.001\nedge_rbf_width = wide"), ["edge_rbf_width", "a finite number"]),
+    "train-edge-rbf-width-0": ("train", lambda p: _train_args(
+        p, "lr = 0.001", "lr = 0.001\nedge_rbf_width = 0"), ["rbf_width", "> 0, got 0"]),
     "train-lr-fast": ("train", lambda p: _train_args(p, "lr = 0.001", "lr = fast"), ["lr", "a finite number"]),
     "train-lr-nan": ("train", lambda p: _train_args(p, "lr = 0.001", "lr = nan"), ["lr", "a finite number"]),
     "train-no-n-samples": ("train", lambda p: _without_line(p, "n_samples = 12"), ["n_samples", "an integer"]),

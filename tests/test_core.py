@@ -157,11 +157,13 @@ def test_position_indices_are_kept_read_only():
     assert kept[0] is kept[1]
     assert x.rows(1, 4).position_indices().tolist() == [0, 2]
     assert core.VectorTuple(np.zeros((2, 2))).position_indices().size == 0
-    # Roles tuples longer than 32 are scanned per call, read-only too.
+    # Roles tuples longer than 32 are scanned once per tuple, not kept
+    # across tuples, read-only too.
     long = core.VectorTuple(np.zeros((40, 2)), ("position", "free") * 20)
     idx = long.position_indices()
     assert idx.tolist() == list(range(0, 40, 2))
-    assert long.position_indices() is not idx
+    assert long.position_indices() is idx
+    assert core.VectorTuple(np.zeros((40, 2)), long.roles).position_indices() is not idx
     with pytest.raises(ValueError):
         idx[0] = 1
 

@@ -102,6 +102,122 @@ def test_gram_metric_dimension_mismatch():
         features.gram(euclidean(3), VectorTuple(np.eye(2)))
 
 
+# -- ScalarFeatureSet: each scalar computed on first read -----------------------
+
+
+def _left_sum(terms):
+    out = terms[0]
+    for term in terms[1:]:
+        out = out + term
+    return out
+
+
+def _channel_oracle(metric, v):
+    """The documented channel formulas, one Python float operation at a time:
+    c = v.sum(axis=0), each sum over k taken left to right."""
+    eta, c = metric.signature.tolist(), v.sum(axis=0).tolist()
+    d = v.shape[1]
+    diag = [_left_sum([(eta[k] * row[k]) * row[k] for k in range(d)]) for row in v.tolist()]
+    row_sums = [_left_sum([row[k] * (eta[k] * c[k]) for k in range(d)]) for row in v.tolist()]
+    total = _left_sum([(eta[k] * c[k]) * c[k] for k in range(d)])
+    return np.array(diag), np.array(row_sums), total
+
+
+def _same_bits(a, b):
+    a, b = np.asarray(a, dtype=np.float64), np.asarray(b, dtype=np.float64)
+    return a.shape == b.shape and a.tobytes() == b.tobytes()
+
+
+@pytest.mark.parametrize("metric", [euclidean(3), euclidean(5), minkowski(4)], ids=["e3", "e5", "m4"])
+@pytest.mark.parametrize("n", [1, 2, 7, 300])
+def test_tuple_channels_match_their_formulas_bit_for_bit(metric, n):
+    rng = np.random.default_rng(n + metric.dim)
+    v = rng.standard_normal((n, metric.dim)) * 10.0 ** rng.uniform(-3, 3, (n, 1))
+    v[0, -1] = -0.0
+    feats = features.ScalarFeatureSet.from_tuple(metric, VectorTuple(v))
+    diag, row_sums, total = _channel_oracle(metric, v)
+    assert _same_bits(feats.diag, diag) and _same_bits(feats.row_sums, row_sums)
+    assert type(feats.total) is float and _same_bits(feats.total, total)
+    # The same scalars as the Gram's, up to rounding.
+    g = feats.gram
+    scale = np.max(np.abs(v)) ** 2 * n
+    assert np.max(np.abs(feats.diag - np.diagonal(g))) <= 1e-13 * scale
+    assert np.max(np.abs(feats.row_sums - g.sum(axis=1))) <= 1e-13 * scale
+    assert abs(feats.total - g.sum()) <= 1e-13 * scale * n
+
+
+_FAMILIES = [("o", euclidean(3)), ("so", euclidean(3)), ("e", euclidean(3)),
+             ("lorentz", minkowski(4)), ("poincare", minkowski(4))]
+
+
+@pytest.mark.parametrize("family, metric", _FAMILIES, ids=[f for f, _ in _FAMILIES])
+def test_a_model_reads_the_channels_of_its_reduced_tuple_bit_for_bit(family, metric):
+    seen = []
+    model = basis.EquivariantModel(family, metric, basis.FixedClosure(
+        lambda f: seen.append((f.diag, f.row_sums, f.total, f.gram)) or np.zeros(f.n)))
+    rng = np.random.default_rng(len(family))
+    for roles in [(POSITION,) * 6, (FREE, POSITION, POSITION, FREE, POSITION, FREE)]:
+        x = VectorTuple(rng.standard_normal((6, metric.dim)), roles)
+        basis.evaluate(model, x)
+        translates = groups.FAMILIES[family].translates
+        reduced = features.translation_reduce(x, features.CENTER_OF_POSITIONS) if translates else x
+        diag, row_sums, total, g = seen.pop()
+        want = _channel_oracle(metric, reduced.vectors)
+        assert _same_bits(diag, want[0]) and _same_bits(row_sums, want[1]) and _same_bits(total, want[2])
+        assert _same_bits(g, features.gram(metric, reduced))
+
+
+def test_a_set_built_from_a_gram_takes_its_channels_from_it():
+    x = VectorTuple(np.random.default_rng(3).standard_normal((6, 4)))
+    g = features.gram(minkowski(4), x)
+    feats = features.ScalarFeatureSet(g, minkowski(4))
+    assert feats.gram is g and feats.n == 6 and feats.subdets is None
+    assert _same_bits(feats.diag, np.diagonal(g)) and _same_bits(feats.row_sums, g.sum(axis=1))
+    assert type(feats.total) is float and _same_bits(feats.total, g.sum())
+
+
+def test_each_scalar_is_computed_once_on_first_read(gram_calls):
+    x = VectorTuple(np.random.default_rng(4).standard_normal((5, 3)))
+    feats = features.ScalarFeatureSet.from_tuple(euclidean(3), x)
+    assert feats.n == 5 and feats.diag is feats.diag and feats.row_sums is feats.row_sums
+    assert feats.total == feats.total and gram_calls == []
+    first = feats.gram
+    assert feats.gram is first and len(gram_calls) == 1
+    # Positional (metric, tuple), as a wrapper of features.gram counts its work.
+    assert gram_calls[0][0] == euclidean(3) and gram_calls[0][1] is x
+    assert _same_bits(first, features.gram_stack(euclidean(3), x.vectors))
+
+
+def test_a_feature_set_is_read_only():
+    feats = features.ScalarFeatureSet.from_tuple(euclidean(2), VectorTuple(np.eye(2)))
+    with pytest.raises(AttributeError):
+        feats.gram = np.zeros((2, 2))
+    with pytest.raises(AttributeError):
+        feats.diag = np.zeros(2)
+
+
+@pytest.mark.parametrize("read", ["each-when-made", "all-after-made"])
+@pytest.mark.parametrize("built", ["tuple", "gram"])
+def test_permuted_sets_read_the_base_scalars_through_sigma(gram_calls, built, read):
+    x = VectorTuple(np.random.default_rng(5).standard_normal((4, 4)))
+    metric = minkowski(4)
+    base = (features.ScalarFeatureSet.from_tuple(metric, x) if built == "tuple"
+            else features.ScalarFeatureSet(features.gram_stack(metric, x.vectors), metric))
+    idx = np.array(list(itertools.permutations(range(4))), dtype=np.intp)
+    subdets = [{(0, 1, 2, 3): float(p)} for p in range(len(idx))]
+    sets = base.permuted(idx, subdets)
+    if read == "all-after-made":
+        sets = list(sets)
+        assert len(sets) == 24 and gram_calls == []
+    for sigma, feats, sd in zip(idx, sets, subdets, strict=True):
+        assert feats.n == 4 and feats.metric == metric and feats.subdets is sd
+        assert _same_bits(feats.diag, base.diag[sigma])
+        assert _same_bits(feats.row_sums, base.row_sums[sigma])
+        assert feats.total == base.total
+        assert _same_bits(feats.gram, base.gram[np.ix_(sigma, sigma)])
+    assert len(gram_calls) == (built == "tuple")
+
+
 # -- subdeterminants ---------------------------------------------------------
 
 

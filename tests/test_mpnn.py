@@ -128,6 +128,41 @@ def test_edge_features_shape_error():
         mpnn.edge_features([1.0, -1.0], np.zeros((2, 2)), np.zeros((2, 2)))
 
 
+BAD_EDGE_CONFIGS = {
+    "inv-sqrt-an-integer": ({"include_inv_sqrt": 1}, "include_inv_sqrt must be true or false, got 1"),
+    "inv-sqrt-numpy-bool": ({"include_inv_sqrt": np.True_}, "include_inv_sqrt must be true or false"),
+    "centers-a-string": ({"rbf_centers": ("a",)}, "rbf_centers must be a list of finite numbers, got ('a',)"),
+    "centers-a-number": ({"rbf_centers": 0.5}, "rbf_centers must be a list of finite numbers, got 0.5"),
+    "centers-hold-nan": ({"rbf_centers": [0.5, float("nan")]}, "rbf_centers must be a list of finite numbers"),
+    "centers-hold-a-bool": ({"rbf_centers": [True]}, "rbf_centers must be a list of finite numbers"),
+    "width-minus-1": ({"rbf_width": -1}, "rbf_width must be a finite number > 0, got -1"),
+    "width-0": ({"rbf_width": 0}, "rbf_width must be a finite number > 0, got 0"),
+    "width-inf": ({"rbf_width": float("inf")}, "rbf_width must be a finite number > 0, got inf"),
+    "width-a-string": ({"rbf_width": "0.5"}, "rbf_width must be a finite number > 0, got '0.5'"),
+}
+
+
+@pytest.mark.parametrize("case", BAD_EDGE_CONFIGS)
+def test_an_edge_config_is_checked_when_built(case):
+    kwargs, message = BAD_EDGE_CONFIGS[case]
+    with pytest.raises(ShapeError) as info:
+        mpnn.EdgeConfig(**kwargs)
+    assert str(info.value).startswith(message)
+
+
+def test_an_edge_config_keeps_its_values_as_given():
+    cfg = mpnn.EdgeConfig(include_inv_sqrt=True, rbf_centers=[0.5, 1], rbf_width=np.float64(0.25))
+    saved = mpnn.MpnnModel(3, edge_config=cfg, seed=1).to_dict()["edge_config"]
+    assert json.dumps(saved) == '{"include_inv_sqrt": true, "rbf_centers": [0.5, 1], "rbf_width": 0.25}'
+
+
+def test_a_saved_model_with_a_zero_rbf_width_is_rejected():
+    obj = json.loads((DATA / "golden_pooled.model.json").read_text())
+    obj["edge_config"]["rbf_width"] = 0
+    with pytest.raises(ShapeError, match=r"^rbf_width must be a finite number > 0, got 0$"):
+        mpnn.MpnnModel.from_dict(obj)
+
+
 # -- scalar nets -----------------------------------------------------------------
 
 
