@@ -24,12 +24,11 @@ import itertools
 import math
 from collections.abc import Mapping
 from dataclasses import dataclass
-from numbers import Real
 
 import numpy as np
 
 from . import groups
-from .core import Metric, VectorTuple, _identity, as_vector, det, sort_sign
+from .core import _FINITE, Metric, VectorTuple, _identity, as_vector, choice, det, sort_sign
 from .errors import ShapeError
 from .features import (
     CENTER_OF_POSITIONS,
@@ -45,6 +44,7 @@ MODE_EQUIVARIANT = "equivariant"
 # The 0 is -0.0 so that shifting by (-0.0 - sum) / n leaves a -0.0
 # coefficient as subtracting the mean does when the sum is +0.0.
 _POSITION_SUMS = {MODE_INVARIANT: -0.0, MODE_EQUIVARIANT: 1.0}
+_MODES = choice(_POSITION_SUMS)
 
 MAX_EXPLICIT_SYMMETRIZE = 8
 # Permutations gathered and sign-mapped as one array at a time.
@@ -98,26 +98,25 @@ class FixedClosure:
             return coeffs, None
         cross = self.cross_fn(features)
         if cross is not None and not (
-                (type(cross) is dict or isinstance(cross, Mapping)) and all(map(_is_number, cross.values()))):
+                (type(cross) is dict or isinstance(cross, Mapping)) and all(map(_FINITE.takes, cross.values()))):
             raise ShapeError(f"cross function of {self._label()} must return a mapping of index "
-                             f"subsets to numbers or None, got {cross!r}")
+                             f"subsets to finite numbers or None, got {cross!r}")
         return coeffs, cross
 
     def _label(self) -> str:
         return repr(self.name if self.name is not None else getattr(self.fn, "__qualname__", self.fn))
 
 
-def _is_number(c) -> bool:
-    """A real number or a 0-d numeric array, as a cross-term coefficient must be."""
-    return (isinstance(c, (float, Real))  # float first: the common case, and fast
-            or (isinstance(c, np.ndarray) and c.shape == () and c.dtype.kind in "biuf"))
-
-
 def select_vector(t: int, name=None):
     """The projection fixture f_s = delta_{s,t}; equivariant for every family."""
-    return FixedClosure(
-        lambda feats: np.eye(feats.n)[t], name=name or f"select-{t}"
-    )
+    return FixedClosure(lambda feats: _one_hot(feats.n, t), name=name or f"select-{t}")
+
+
+def _one_hot(n: int, t: int) -> np.ndarray:
+    """``np.eye(n)[t]`` in O(n), with its IndexError for a t outside -n..n-1."""
+    out = np.zeros(n)
+    out[t] = 1.0
+    return out
 
 
 def uniform_mixture(name="uniform"):
@@ -140,8 +139,7 @@ class EquivariantModel:
         kind = record.metric
         if getattr(self.metric, "kind", None) != kind:
             raise ShapeError(f"family {self.family!r} needs a {kind} metric, got {self.metric!r}")
-        if self.mode not in _POSITION_SUMS:
-            raise ShapeError(f"unknown mode {self.mode!r}, expected one of {', '.join(_POSITION_SUMS)}")
+        _MODES(self.mode, "mode")
 
 
 def evaluate(model: EquivariantModel, x: VectorTuple) -> np.ndarray:

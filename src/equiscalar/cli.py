@@ -22,7 +22,7 @@ import click
 import numpy as np
 
 from . import einsum, features, groups, harness, mpnn, physics
-from .core import EUCLIDEAN, MINKOWSKI, Metric, VectorTuple, as_scalar
+from .core import EUCLIDEAN, MINKOWSKI, Metric, VectorTuple, as_scalar, choice, real
 from .errors import EquiscalarError, NonFiniteError, ShapeError
 
 
@@ -373,7 +373,7 @@ def _load_particles(path):
 def demo(which, infile, trials, seed):
     """Evaluate the reference physics examples on a particle file."""
     if trials > 0 and seed is None:
-        raise ValueError("--check-equivariance requires an explicit --seed")
+        raise ShapeError("--check-equivariance requires an explicit --seed")
     obj, particles = _load_particles(infile)
     G, k, c = (as_scalar(obj.get(name, 1.0), name) for name in ("G", "k", "c"))
     out = {}
@@ -466,7 +466,7 @@ def _parse_kv_config(path):
             if not line:
                 continue
             if "=" not in line:
-                raise ValueError(f"{path}:{lineno}: expected 'key = value'")
+                raise ShapeError(f"{path}:{lineno}: expected 'key = value'")
             key, value = (s.strip() for s in line.split("=", 1))
             out[key] = _parse_value(value)
     return out
@@ -488,57 +488,42 @@ def _parse_value(value):
         return value
 
 
-def _finite(value):
-    return isinstance(value, int) or isinstance(value, float) and np.isfinite(value)
-
-
-# Kinds of config value: (what a message calls it, test of the parsed
-# value, conversion of a value that passes it or None).
-_INTEGER = ("an integer", lambda v: isinstance(v, int), None)
-_NUMBER = ("a finite number", _finite, None)
-_WORD = ("a word", lambda v: isinstance(v, str), None)
-_BOOLS = {"true": True, "false": False, 1: True, 0: False}
-_BOOL = ("true, false, 1 or 0", lambda v: isinstance(v, (str, int)) and v in _BOOLS, _BOOLS.get)
-_INTEGERS = ("a list of integers", lambda v: isinstance(v, list) and all(isinstance(i, int) for i in v),
-             None)
-_NUMBERS = ("a list of finite numbers", lambda v: isinstance(v, list) and all(map(_finite, v)), tuple)
-
-# Config key -> (constructor, its keyword, kind of value); the keys of
-# constructor None are required, any other key left out takes the
-# constructor's default.
+# The callables a train config sets keywords of, in the order of
+# ``_train_kwargs``' result; each holds its keywords' rules as ``_rules``.
+_TRAIN_OWNERS = (mpnn.generate_dataset, mpnn.EdgeConfig, mpnn.MpnnModel, mpnn.TrainConfig)
+# Config key -> (the callable whose keyword it sets, that keyword). A key
+# left out takes the callable's default; the ``_REQUIRED`` keys have none.
 _TRAIN_KEYS = {
-    "n_particles": (None, "n_particles", _INTEGER),
-    "n_samples": (None, "n_samples", _INTEGER),
-    "seed": (None, "seed", _INTEGER),
-    "edge_inv_sqrt": (mpnn.EdgeConfig, "include_inv_sqrt", _BOOL),
-    "edge_rbf_centers": (mpnn.EdgeConfig, "rbf_centers", _NUMBERS),
-    "edge_rbf_width": (mpnn.EdgeConfig, "rbf_width", _NUMBER),
-    "layers": (mpnn.MpnnModel, "layers", _INTEGER),
-    "widths": (mpnn.MpnnModel, "hidden", _INTEGERS),
-    "activation": (mpnn.MpnnModel, "activation", _WORD),
-    "mode": (mpnn.MpnnModel, "mode", _WORD),
-    "readout": (mpnn.MpnnModel, "readout", _WORD),
-    "epochs": (mpnn.TrainConfig, "epochs", _INTEGER),
-    "lr": (mpnn.TrainConfig, "lr", _NUMBER),
-    "batch": (mpnn.TrainConfig, "batch_size", _INTEGER),
+    "n_samples": (mpnn.generate_dataset, "n_samples"),
+    "edge_inv_sqrt": (mpnn.EdgeConfig, "include_inv_sqrt"),
+    "edge_rbf_centers": (mpnn.EdgeConfig, "rbf_centers"),
+    "edge_rbf_width": (mpnn.EdgeConfig, "rbf_width"),
+    "widths": (mpnn.MpnnModel, "hidden"),
+    **{key: (mpnn.MpnnModel, key) for key in ("n_particles", "layers", "activation", "mode", "readout")},
+    "batch": (mpnn.TrainConfig, "batch_size"),
+    **{key: (mpnn.TrainConfig, key) for key in ("seed", "epochs", "lr")},
 }
+_REQUIRED = ("n_particles", "n_samples", "seed")
+_CONFIG_KEYS = choice(_TRAIN_KEYS)
+# The text of edge_inv_sqrt: true and false, or 1 and 0.
+_BOOLS = {"true": True, "false": False, 1: True, 0: False}
+_BOOL_TEXT = choice(_BOOLS, "true, false, 1 or 0")
 
 
 def _train_kwargs(cfg):
-    """Constructor -> its keyword arguments from the parsed config, every
-    value checked against its key's kind."""
-    kwargs = {None: {}, mpnn.EdgeConfig: {}, mpnn.MpnnModel: {}, mpnn.TrainConfig: {}}
+    """The keyword arguments of each of ``_TRAIN_OWNERS`` from the parsed
+    config, each value checked by its keyword's rule and named by its key."""
+    kwargs = {owner: {} for owner in _TRAIN_OWNERS}
     for key, value in cfg.items():
-        if key not in _TRAIN_KEYS:
-            raise ValueError(f"unknown config key {key!r}")
-        cls, name, (what, ok, convert) = _TRAIN_KEYS[key]
-        if not ok(value):
-            raise ShapeError(f"config key {key} must be {what}, got {value!r}")
-        kwargs[cls][name] = convert(value) if convert else value
-    for key, (cls, _, (what, _, _)) in _TRAIN_KEYS.items():
-        if cls is None and key not in cfg:
-            raise ShapeError(f"config must set {key}, {what}")
-    return kwargs
+        owner, name = _TRAIN_KEYS[_CONFIG_KEYS(key, "config key")]
+        if key == "edge_inv_sqrt":
+            value = _BOOLS[_BOOL_TEXT(value, key)]
+        kwargs[owner][name] = owner._rules[name](value, key)
+    for key in _REQUIRED:
+        if key not in cfg:
+            owner, name = _TRAIN_KEYS[key]
+            raise ShapeError(f"config must set {key}, {owner._rules[name].kind}")
+    return [kwargs[owner] for owner in _TRAIN_OWNERS]
 
 
 @main.command("train")
@@ -548,12 +533,11 @@ def _train_kwargs(cfg):
 @_input_errors
 def train_cmd(config_path, model_path, report_path):
     """Train the scalar message-passing network on generated force data."""
-    kwargs = _train_kwargs(_parse_kv_config(config_path))
-    n, n_samples, seed = (kwargs[None][k] for k in ("n_particles", "n_samples", "seed"))
-    model = mpnn.MpnnModel(n, edge_config=mpnn.EdgeConfig(**kwargs[mpnn.EdgeConfig]), seed=seed,
-                           **kwargs[mpnn.MpnnModel])
-    tcfg = mpnn.TrainConfig(seed=seed, **kwargs[mpnn.TrainConfig])
-    dataset = mpnn.generate_dataset(groups.make_rng(seed), n, n_samples)
+    data, edges, net, fit = _train_kwargs(_parse_kv_config(config_path))
+    n, seed = net["n_particles"], fit["seed"]
+    model = mpnn.MpnnModel(edge_config=mpnn.EdgeConfig(**edges), seed=seed, **net)
+    tcfg = mpnn.TrainConfig(**fit)
+    dataset = mpnn.generate_dataset(groups.make_rng(seed), n, **data)
     spec_list = _mpnn_specs(n)
     residuals = []
 
@@ -615,9 +599,14 @@ def _block_target(f):
 # -- certify ----------------------------------------------------------------
 
 
+_TARGETS = choice(("gram", "energy", "emforce"), "one of gram, energy, emforce, model:FILE or einsum:EXPR")
+
+
 def _certify_target(target, spec_dicts):
     """Build (fn, specs) for a named certification target."""
     specs = [harness.SymmetrySpec(**d) for d in spec_dicts]
+    if not target.startswith(("model:", "einsum:")):
+        _TARGETS(target, "target")
     if target == "gram":
         # The first spec's family sets the metric (certify_joint rejects an empty list).
         metric = next((Metric(groups.FAMILIES[s.group].metric or EUCLIDEAN, s.dim) for s in specs), None)
@@ -630,20 +619,21 @@ def _certify_target(target, spec_dicts):
         return _block_target(lambda q, r, v: physics.em_forces(r, v, q, 1.0, 1.0)), specs
     if target.startswith("model:"):
         return _block_target(mpnn.MpnnModel.load(target[len("model:"):]).forward), specs
-    if target.startswith("einsum:"):
-        parsed = einsum.parse(target[len("einsum:"):])
-        names = []
-        for term in parsed.terms:
-            for f in term.factors:
-                if not (f.is_epsilon or f.is_delta) and f.name not in names:
-                    names.append(f.name)
+    parsed = einsum.parse(target[len("einsum:"):])  # the target left: einsum:EXPR
+    names = []
+    for term in parsed.terms:
+        for f in term.factors:
+            if not (f.is_epsilon or f.is_delta) and f.name not in names:
+                names.append(f.name)
 
-        def einsum_fn(x):
-            bindings = {name: x.vectors[i] for i, name in enumerate(names)}
-            return einsum.evaluate(parsed, bindings, x.d)
+    def einsum_fn(x):
+        bindings = {name: x.vectors[i] for i, name in enumerate(names)}
+        return einsum.evaluate(parsed, bindings, x.d)
 
-        return einsum_fn, specs
-    raise ValueError(f"unknown certify target {target!r}")
+    return einsum_fn, specs
+
+
+_TOLERANCE = real(lambda t: t >= 0, " >= 0")
 
 
 @main.command("certify")
@@ -656,8 +646,7 @@ def _certify_target(target, spec_dicts):
 @_input_errors
 def certify_cmd(target, spec_path, trials, seed, tolerance, outfile):
     """Run randomized equivariance certification on a named target."""
-    if as_scalar(tolerance, "tolerance") < 0:
-        raise ShapeError(f"tolerance must be >= 0, got {tolerance}")
+    _TOLERANCE(tolerance, "tolerance")
     with open(spec_path) as fh:
         spec_obj = json.load(fh)
     fn, specs = _certify_target(target, spec_obj if isinstance(spec_obj, list) else [spec_obj])

@@ -14,14 +14,15 @@ from __future__ import annotations
 import functools
 import json
 import math
+import numbers
 from dataclasses import dataclass, field
 from functools import cached_property
-from numbers import Real
 
 import numpy as np
 from numpy.linalg import _umath_linalg
 
-from .errors import DimensionMismatchError, NonFiniteError, RoleError, ShapeError
+from .errors import (ChoiceError, DimensionMismatchError, NonFiniteError, NonFiniteValueError, RoleError,
+                     ShapeError)
 
 POSITION = "position"
 FREE = "free"
@@ -31,13 +32,89 @@ EUCLIDEAN = "euclidean"
 MINKOWSKI = "minkowski"
 
 
+# -- field rules ---------------------------------------------------------------
+# Every public object checks its fields by these rules when it is built, and
+# the CLI's config keys and a saved model's fields borrow the rule of the
+# field they set. One rule decides what a number is: a bool never is, numpy
+# integers and floats are, and a real must be finite.
+
+
+class Rule:
+    """The values of a field: ``rule(value, field)`` returns ``value`` if
+    ``takes(value)`` (or it is None and ``or_none``), else raises ``error``
+    (for a NaN or infinite number, NonFiniteValueError) in one form,
+    ``<field> must be <kind>, got <value!r>``. ``plural`` names a list of them."""
+
+    def __init__(self, takes, kind, plural=None, or_none=False, error=ShapeError):
+        self.takes, self.plural, self.or_none, self.error = takes, plural, or_none, error
+        self.kind = "None or " + kind if or_none else kind
+
+    def __call__(self, value, field):
+        if self.takes(value) or (value is None and self.or_none):
+            return value
+        error = self.error
+        if error is ShapeError and _is_number(value) and not _finite(value):
+            error = NonFiniteValueError
+        raise error(f"{field} must be {self.kind}, got {value!r}")
+
+
+def _is_number(value) -> bool:
+    """An int or a float, a numpy one or a 0-d numpy array of one; not a bool."""
+    if isinstance(value, np.ndarray):
+        return value.shape == () and value.dtype.kind in "iuf"
+    return isinstance(value, numbers.Real) and not isinstance(value, bool)
+
+
+def _finite(value) -> bool:
+    try:
+        return math.isfinite(value)
+    except OverflowError:  # an int past float64's range
+        return False
+
+
+def integer(least, or_none=False) -> Rule:
+    """An int or a numpy integer (not a bool) of at least ``least``."""
+    return Rule(lambda v: (type(v) is int or isinstance(v, np.integer)) and v >= least,
+                f"an integer >= {least}", f"integers >= {least}", or_none)
+
+
+def real(within=None, bounds="", or_none=False) -> Rule:
+    """A finite number for which ``within``, if given, holds: the interval
+    that ``bounds`` spells (``" in [0, 1)"``)."""
+    def takes(v):
+        if isinstance(v, float):  # float first: the common case, and fast
+            return math.isfinite(v) and (within is None or within(v))
+        return _is_number(v) and _finite(v) and (within is None or within(v))
+    return Rule(takes, "a finite number" + bounds, "finite numbers" + bounds, or_none)
+
+
+def choice(options, kind=None, error=ChoiceError) -> Rule:
+    """One of ``options``, matched by type and value, so 1 is not True."""
+    options = tuple(options)
+    types = frozenset(map(type, options))
+    return Rule(lambda v: type(v) in types and v in options,
+                kind or "one of " + ", ".join(map(repr, options)), error=error)
+
+
+def list_of(item: Rule) -> Rule:
+    """A list or tuple of values that ``item`` takes."""
+    return Rule(lambda v: isinstance(v, (list, tuple)) and all(map(item.takes, v)), "a list of " + item.plural)
+
+
+def check_fields(values, rules) -> None:
+    """Check each value of the mapping ``values`` by its field's rule in ``rules``."""
+    for name, rule in rules.items():
+        rule(values[name], name)
+
+
+_FINITE = real()
+
+
 def as_scalar(value, what) -> float:
-    """Validate and return a finite real number; ``what`` names it in errors."""
-    if not isinstance(value, (float, Real)):  # float first: the common case, and fast
-        raise ShapeError(f"{what} must be a number, got {value!r}")
-    if not math.isfinite(value):
-        raise NonFiniteError(f"{what} is NaN or Inf")
-    return float(value)
+    """``value`` as a float, if it is a finite number; ``what`` names it in errors."""
+    if isinstance(value, float) and math.isfinite(value):  # float first: the common case, and fast
+        return float(value)
+    return float(_FINITE(value, what))
 
 
 def as_vector(v, d=None) -> np.ndarray:
@@ -111,6 +188,10 @@ def as_matrix(m, rows=None, cols=None) -> np.ndarray:
     return a
 
 
+_METRIC_KINDS = choice((EUCLIDEAN, MINKOWSKI))
+_AT_LEAST_1 = integer(1)
+
+
 @dataclass(frozen=True)
 class Metric:
     """Euclidean or Minkowski signature descriptor.
@@ -123,10 +204,8 @@ class Metric:
     dim: int
 
     def __post_init__(self):
-        if self.kind not in (EUCLIDEAN, MINKOWSKI):
-            raise ValueError(f"unknown metric kind {self.kind!r}")
-        if self.dim < 1:
-            raise ValueError("metric dimension must be >= 1")
+        _METRIC_KINDS(self.kind, "metric kind")
+        _AT_LEAST_1(self.dim, "metric dimension")
 
     @property
     def matrix(self) -> np.ndarray:

@@ -20,6 +20,18 @@ class NonFiniteError(EquiscalarError):
     pass
 
 
+class ChoiceError(ShapeError, ValueError):
+    """A field value that is not one of its choices; a ValueError, as it was."""
+
+
+class ChoiceTypeError(ShapeError, TypeError):
+    """A value whose type is not one of its choices; a TypeError, as it was."""
+
+
+class NonFiniteValueError(ShapeError, NonFiniteError):
+    """NaN or an infinity given to a field that takes a finite number."""
+
+
 class RoleError(EquiscalarError):
     """Missing or incompatible position/free role tags."""
 

@@ -24,11 +24,12 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .core import FREE, MINKOWSKI, Metric, VectorTuple, _kept, as_matrix, det
+from .core import FREE, MINKOWSKI, Metric, VectorTuple, _kept, as_matrix, choice, det
 from .errors import DegenerateInputError, IndefiniteMatrixError, NonFiniteError, RoleError, ShapeError
 
 FIRST_POSITION = "first-position"
 CENTER_OF_POSITIONS = "center-of-positions"
+_PIVOTS = choice((FIRST_POSITION, CENTER_OF_POSITIONS))
 
 LIGHTLIKE_REL_TOL = 1e-10
 MAX_GS_RESTARTS = 50
@@ -248,8 +249,7 @@ def translation_reduce(x: VectorTuple, pivot: str = FIRST_POSITION) -> VectorTup
     pos = x.position_indices()
     if pos.size == 0:
         raise RoleError("translation_reduce requires at least one position vector")
-    if pivot not in (FIRST_POSITION, CENTER_OF_POSITIONS):
-        raise ValueError(f"unknown pivot rule {pivot!r}")
+    _PIVOTS(pivot, "pivot")
     # Differencing finite positions gives Inf only by overflowing, which raises here.
     try:
         with np.errstate(over="raise"):

@@ -34,13 +34,15 @@ from typing import Callable, NamedTuple
 
 import numpy as np
 
-from .core import EUCLIDEAN, MINKOWSKI, POSITION, Metric, VectorTuple, as_vector, minkowski
-from .errors import DimensionMismatchError, NonFiniteError, ShapeError
+from .core import EUCLIDEAN, MINKOWSKI, POSITION, Metric, VectorTuple, as_vector, choice, integer, minkowski, real
+from .errors import ChoiceTypeError, DimensionMismatchError, NonFiniteError, ShapeError
 
 ORTHO_TOL = 1e-12
 LORENTZ_TOL = 1e-13
 DEFAULT_RAPIDITY_MAX = 2.0
 _MAX_RAPIDITY = np.finfo(np.float64).max / 2
+# Past finfo.max / 2, rng.uniform(-rapidity_max, rapidity_max) overflows.
+_RAPIDITY = real(lambda r: 0 < r <= _MAX_RAPIDITY, f" in (0, {_MAX_RAPIDITY:g}]")
 
 
 def make_rng(seed) -> np.random.Generator:
@@ -307,21 +309,20 @@ FAMILIES = {
 }
 
 
+_GROUPS = choice(FAMILIES)
+
+
 def _family(family: str) -> _Family:
-    if family not in FAMILIES:
-        raise ShapeError(f"unknown group {family!r}")
-    return FAMILIES[family]
+    return FAMILIES[_GROUPS(family, "group")]
 
 
 def draw_record(family: str, dim: int, rapidity_max: float = DEFAULT_RAPIDITY_MAX) -> _Family:
-    """The record of ``family`` after the one check of every sampling path (past finfo.max / 2,
-    rng.uniform(-rapidity_max, rapidity_max) overflows); its ``draw(rng, dim, rapidity_max)``
-    then takes elements' raw numbers with these arguments, unchecked."""
+    """The record of ``family`` after the one check of every sampling path; its
+    ``draw(rng, dim, rapidity_max)`` then takes elements' raw numbers with
+    these arguments, unchecked."""
     record = _family(family)
-    if dim < record.least_dim:
-        raise ShapeError(f"dim must be >= {record.least_dim} for group {family!r}, got {dim}")
-    if not 0 < rapidity_max <= _MAX_RAPIDITY:
-        raise ShapeError(f"rapidity_max must be finite and in (0, {_MAX_RAPIDITY:.6g}], got {rapidity_max}")
+    integer(record.least_dim)(dim, "dim")
+    _RAPIDITY(rapidity_max, "rapidity_max")
     return record
 
 
@@ -382,8 +383,8 @@ def apply(g: GroupElement, x: VectorTuple) -> VectorTuple:
 
 def compose(g1: GroupElement, g2: GroupElement) -> GroupElement:
     """Composition of single elements: apply(compose(g1, g2), x) == apply(g1, apply(g2, x))."""
-    if type(g1) is not type(g2):
-        raise TypeError(f"cannot compose {type(g1).__name__} with {type(g2).__name__}")
+    family = type(g1).__name__
+    choice((family,), f"a {family}, as g1 is", ChoiceTypeError)(type(g2).__name__, "g2")
     if isinstance(g1, Permutation):
         # apply(g2) then apply(g1) selects x[sigma2[sigma1[i]]].
         return Permutation(g2.sigma[g1.sigma])

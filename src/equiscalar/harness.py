@@ -34,11 +34,10 @@ from __future__ import annotations
 
 import json
 from dataclasses import dataclass, field
-from numbers import Integral, Real
 
 import numpy as np
 
-from .core import FREE, MINKOWSKI, ROLES, VectorTuple, det
+from .core import FREE, MINKOWSKI, ROLES, VectorTuple, check_fields, choice, det, integer
 from .errors import NonFiniteError, RoleError, ShapeError
 from . import groups
 
@@ -47,12 +46,10 @@ VECTOR_EQUIVARIANT = "vector-equivariant"
 VECTOR_TRANSLATION_INVARIANT = "vector-translation-invariant"
 PSEUDO_VECTOR = "pseudo-vector"
 
-_OUTPUT_KINDS = (
-    SCALAR_INVARIANT,
-    VECTOR_EQUIVARIANT,
-    VECTOR_TRANSLATION_INVARIANT,
-    PSEUDO_VECTOR,
-)
+_OUTPUT_KIND = choice((SCALAR_INVARIANT, VECTOR_EQUIVARIANT, VECTOR_TRANSLATION_INVARIANT, PSEUDO_VECTOR))
+# The rules of a spec's counts; its group, dim and rapidity_max are checked
+# as the draw arguments of its family.
+_COUNTS = {"n_vectors": integer(1), "blocks": integer(1, or_none=True), "scalars_per_block": integer(0)}
 
 
 @dataclass(frozen=True)
@@ -75,30 +72,13 @@ class SymmetrySpec:
     scalars_per_block: int = 0
 
     def __post_init__(self):
-        if self.group not in groups.FAMILIES:
-            raise ShapeError(f"unknown group {self.group!r}")
-        if self.output_kind not in _OUTPUT_KINDS:
-            raise ShapeError(f"unknown output kind {self.output_kind!r}")
-        for name in ("dim", "n_vectors", "blocks", "scalars_per_block"):
-            value = getattr(self, name)
-            if not _is_count(value) and not (name == "blocks" and value is None):
-                raise ShapeError(f"{name} must be an integer, got {value!r}")
-        least = groups.FAMILIES[self.group].least_dim
-        if self.dim < least:
-            raise ShapeError(f"dim must be >= {least} for group {self.group!r}, got {self.dim}")
-        if self.n_vectors < 1:
-            raise ShapeError(f"n_vectors must be >= 1, got {self.n_vectors}")
-        if self.blocks is not None and (self.blocks < 1 or self.n_vectors % self.blocks):
+        groups.draw_record(self.group, self.dim, self.rapidity_max)
+        _OUTPUT_KIND(self.output_kind, "output_kind")
+        check_fields(vars(self), _COUNTS)
+        if self.blocks is not None and self.n_vectors % self.blocks:
             raise ShapeError(f"{self.n_vectors} vectors do not split into {self.blocks} blocks")
-        if self.scalars_per_block < 0:
-            raise ShapeError(f"scalars_per_block must be >= 0, got {self.scalars_per_block}")
         if self.scalars_per_block and self.blocks is None:
             raise ShapeError("scalars_per_block needs blocks")
-        rapidity = self.rapidity_max
-        if (isinstance(rapidity, bool) or not isinstance(rapidity, Real)
-                or not 0 < rapidity <= groups._MAX_RAPIDITY):
-            raise ShapeError(f"rapidity_max must be a real number in (0, {groups._MAX_RAPIDITY:.6g}], "
-                             f"got {rapidity!r}")
         roles = self.roles
         if roles is None:
             roles = (FREE,) * self.n_vectors
@@ -108,11 +88,6 @@ class SymmetrySpec:
             if role not in ROLES:
                 raise RoleError(f"roles must each be one of {ROLES}, got {role!r}")
         object.__setattr__(self, "roles", tuple(roles))
-
-
-def _is_count(value) -> bool:
-    """An int or numpy integer, not a bool."""
-    return isinstance(value, Integral) and not isinstance(value, bool)
 
 
 # Trials drawn, moved and compared as one stack. Bounds a run's memory to
@@ -425,8 +400,7 @@ def certify_joint(fn, specs, trials: int, rng) -> CertReport:
     specs = list(specs)
     if not specs:
         raise ShapeError("certify_joint needs at least one spec")
-    if not _is_count(trials) or trials < 1:
-        raise ShapeError(f"trials must be an integer >= 1, got {trials!r}")
+    integer(1)(trials, "trials")
     report = CertReport(trials=int(trials))
     n = specs[0].n_vectors
     total, worst = 0.0, None

@@ -54,7 +54,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .core import _kept
+from .core import _kept, check_fields, choice, integer, list_of, real
 from .errors import DegenerateInputError, NonFiniteError, ShapeError
 from .physics import Particle, em_force_scalar
 
@@ -68,28 +68,22 @@ READOUT_VELOCITY = "velocity"
 # -- edge features -----------------------------------------------------------
 
 
-def _is_finite_real(value):
-    if isinstance(value, bool) or not isinstance(value, (int, float, np.integer, np.floating)):
-        return False
-    return isinstance(value, (int, np.integer)) or math.isfinite(value)
-
-
 @dataclass(frozen=True)
 class EdgeConfig:
-    """The optional edge channels. The values are checked as given, not
-    converted, so a model saves the numbers it was built with."""
+    """The optional edge channels. The numbers are checked as given, not
+    converted, so a model saves the numbers it was built with; the centers
+    are kept as a tuple."""
 
     include_inv_sqrt: bool = False
     rbf_centers: tuple = ()
     rbf_width: float = 0.5
 
+    _rules = {"include_inv_sqrt": choice((True, False), "true or false"), "rbf_centers": list_of(real()),
+              "rbf_width": real(lambda w: w > 0, " > 0")}
+
     def __post_init__(self):
-        if type(self.include_inv_sqrt) is not bool:
-            raise ShapeError(f"include_inv_sqrt must be true or false, got {self.include_inv_sqrt!r}")
-        if not (isinstance(self.rbf_centers, (tuple, list)) and all(map(_is_finite_real, self.rbf_centers))):
-            raise ShapeError(f"rbf_centers must be a list of finite numbers, got {self.rbf_centers!r}")
-        if not (_is_finite_real(self.rbf_width) and self.rbf_width > 0):
-            raise ShapeError(f"rbf_width must be a finite number > 0, got {self.rbf_width!r}")
+        check_fields(vars(self), self._rules)
+        object.__setattr__(self, "rbf_centers", tuple(self.rbf_centers))
 
     @property
     def dim(self) -> int:
@@ -173,13 +167,14 @@ def _row_grads(dg, shape, off):
 # -- scalar feedforward net ---------------------------------------------------
 
 
+_ACTIVATION = choice(("tanh", "softplus"))
+
+
 def _act(name, x):
-    """Apply the activation to x in place and return it."""
+    """Apply the activation, tanh or softplus, to x in place and return it."""
     if name == "tanh":
         return np.tanh(x, out=x)
-    if name == "softplus":
-        return np.logaddexp(0.0, x, out=x)
-    raise ValueError(f"unknown activation {name!r}")
+    return np.logaddexp(0.0, x, out=x)
 
 
 def _act_grad(name, a):
@@ -188,10 +183,8 @@ def _act_grad(name, a):
     if name == "tanh":
         g = np.square(a)
         return np.subtract(1.0, g, out=g)
-    if name == "softplus":
-        g = np.expm1(np.negative(a))  # sigmoid(x) = 1 - exp(-softplus(x))
-        return np.negative(g, out=g)
-    raise ValueError(f"unknown activation {name!r}")
+    g = np.expm1(np.negative(a))  # sigmoid(x) = 1 - exp(-softplus(x))
+    return np.negative(g, out=g)
 
 
 # Bytes of one float64 hidden-layer temporary of a block: 128 rows of the
@@ -205,6 +198,7 @@ def _act_grad(name, a):
 # of more than one block also holds a tile per layer, a block's rows of
 # that layer's biases, which is at most this size too.
 BLOCK_BYTES = 64 * 1024
+_WIDTHS = list_of(integer(1))
 
 
 class ScalarNet:
@@ -241,16 +235,13 @@ class ScalarNet:
 
     def _allocate(self, widths, activation, stack):
         """Check the shape, then hold weights not yet drawn and zero biases."""
+        _WIDTHS(widths, "widths")
         if len(widths) < 2:
             raise ShapeError(f"widths must hold an input and an output width, got {list(widths)}")
-        if any(w < 1 for w in widths):
-            raise ShapeError(f"widths must be at least 1, got {list(widths)}")
         if widths[-1] != 1:
             raise ShapeError("scalar net output width must be 1")
-        if stack is not None and (not isinstance(stack, (int, np.integer)) or stack < 1):
-            raise ShapeError(f"stack must be an integer of at least 1, got {stack!r}")
-        if activation not in ("tanh", "softplus"):
-            raise ValueError(f"unknown activation {activation!r}")
+        integer(1, or_none=True)(stack, "stack")
+        _ACTIVATION(activation, "activation")
         self.widths = list(widths)
         self.activation = activation
         self.lead = () if stack is None else (int(stack),)
@@ -401,6 +392,9 @@ class MpnnModel:
     equivariance by construction). ``nets[layer][name]`` is one net, its
     arrays views into the layer's stack."""
 
+    _rules = {"n_particles": integer(1), "layers": integer(1), "hidden": _WIDTHS, "activation": _ACTIVATION,
+              "mode": choice((CONCAT, POOLED)), "readout": choice((READOUT_POSITION, READOUT_VELOCITY))}
+
     def __init__(
         self,
         n_particles,
@@ -419,27 +413,15 @@ class MpnnModel:
 
     def _allocate(self, n_particles, layers, hidden, activation, mode, edge_config, readout):
         """Check the configuration, then hold its stacks, weights not yet drawn."""
-        if n_particles < 1:
-            raise ShapeError(f"n_particles must be at least 1, got {n_particles}")
-        if layers < 1:
-            raise ShapeError(f"layers must be at least 1, got {layers}")
-        if mode not in (CONCAT, POOLED):
-            raise ValueError(f"unknown mode {mode!r}")
-        if readout not in (READOUT_POSITION, READOUT_VELOCITY):
-            raise ValueError(f"unknown readout {readout!r}")
-        self.n_particles = n_particles
-        self.layers = layers
-        self.mode = mode
-        self.edge_config = edge_config
-        self.readout = readout
-        self.activation = activation
-        self.hidden = tuple(hidden)
-        in_width = (
-            edge_config.dim * n_particles if mode == CONCAT else 2 * edge_config.dim
-        )
-        self.stacks = [ScalarNet.__new__(ScalarNet) for _ in range(layers)]
+        check_fields(dict(n_particles=n_particles, layers=layers, hidden=hidden, activation=activation,
+                          mode=mode, readout=readout), self._rules)
+        # Counts as ints, so that a model built with numpy integers saves as JSON.
+        self.n_particles, self.layers, self.hidden = int(n_particles), int(layers), tuple(map(int, hidden))
+        self.mode, self.readout, self.activation, self.edge_config = mode, readout, activation, edge_config
+        in_width = edge_config.dim * self.n_particles if mode == CONCAT else 2 * edge_config.dim
+        self.stacks = [ScalarNet.__new__(ScalarNet) for _ in range(self.layers)]
         for stack in self.stacks:
-            stack._allocate([in_width, *hidden, 1], activation, len(NET_NAMES))
+            stack._allocate([in_width, *self.hidden, 1], activation, len(NET_NAMES))
         self._view_stacks()
 
     def _view_stacks(self):
@@ -614,11 +596,14 @@ class MpnnModel:
         without drawing any first."""
         if not isinstance(obj, dict):
             raise ShapeError(f"a saved model must be an object, got {type(obj).__name__}")
-        n, layers, hidden, activation, mode, readout, _, inv_sqrt, centers, width = (
-            _saved_field(obj, path) for path in _SAVED_FIELDS)
+        # Each field is checked by its object's rule and named by its path; a missing one reads None.
+        fields = {name: rule(obj.get(name), name) for name, rule in cls._rules.items()}
+        edges = obj.get("edge_config")
+        if not isinstance(edges, dict):
+            raise ShapeError(f"edge_config must be an object, got {edges!r}")
+        edges = {name: rule(edges.get(name), f"edge_config.{name}") for name, rule in EdgeConfig._rules.items()}
         model = cls.__new__(cls)
-        model._allocate(n, layers, tuple(hidden), activation, mode,
-                        EdgeConfig(inv_sqrt, tuple(centers), width), readout)
+        model._allocate(edge_config=EdgeConfig(**edges), **fields)
         saved = obj.get("nets")
         if not isinstance(saved, list) or len(saved) != model.layers:
             raise ShapeError(f"nets must be a list of {model.layers} layers, one per model layer")
@@ -654,42 +639,6 @@ class MpnnModel:
             return cls.from_dict(json.load(fh))
 
 
-def _is_integer(value):
-    return isinstance(value, int) and not isinstance(value, bool)
-
-
-def _is_number(value):
-    return isinstance(value, (int, float)) and not isinstance(value, bool)
-
-
-# A saved model's fields other than its nets, each object before its own
-# fields: the type each must have, and the check of it.
-_SAVED_FIELDS = {
-    "n_particles": ("an integer", _is_integer),
-    "layers": ("an integer", _is_integer),
-    "hidden": ("a list of integers", lambda v: isinstance(v, list) and all(map(_is_integer, v))),
-    "activation": ("a string", lambda v: isinstance(v, str)),
-    "mode": ("a string", lambda v: isinstance(v, str)),
-    "readout": ("a string", lambda v: isinstance(v, str)),
-    "edge_config": ("an object", lambda v: isinstance(v, dict)),
-    "edge_config.include_inv_sqrt": ("true or false", lambda v: isinstance(v, bool)),
-    "edge_config.rbf_centers": ("a list of numbers", lambda v: isinstance(v, list) and all(map(_is_number, v))),
-    "edge_config.rbf_width": ("a number", _is_number),
-}
-
-
-def _saved_field(obj, path):
-    """The field at ``path`` (``"edge_config.rbf_width"``) of the saved model
-    ``obj``, or ShapeError naming it and its type; a missing one reads None."""
-    value = obj
-    for key in path.split("."):
-        value = value.get(key)  # the objects on the path are checked first
-    what, check = _SAVED_FIELDS[path]
-    if not check(value):
-        raise ShapeError(f"{path} must be {what}, got {value!r}")
-    return value
-
-
 # -- dataset -------------------------------------------------------------
 
 
@@ -716,8 +665,7 @@ def generate_dataset(rng, n_particles: int, n_samples: int, k=1.0, c=1.0) -> Dat
     (whole-configuration rejection), velocities Gaussian sigma 0.3, charges
     uniform in {-1, +1}. Targets recompute exactly as em_force_scalar.
     """
-    if n_particles < 2:
-        raise ShapeError("need at least 2 particles")
+    check_fields(dict(n_particles=n_particles, n_samples=n_samples), generate_dataset._rules)
     qs = np.empty((n_samples, n_particles))
     rs = np.empty((n_samples, n_particles, 3))
     vs = np.empty((n_samples, n_particles, 3))
@@ -738,6 +686,10 @@ def generate_dataset(rng, n_particles: int, n_samples: int, k=1.0, c=1.0) -> Dat
         vs[s] = rng.normal(0.0, 0.3, size=(n_particles, 3))
         targets[s] = forces_for(qs[s], rs[s], vs[s], k, c)
     return Dataset(qs, rs, vs, targets)
+
+
+# Its counts' rules, held where the train config reads a class's.
+generate_dataset._rules = {"n_particles": integer(2), "n_samples": integer(0)}
 
 
 def forces_for(qs, rs, vs, k=1.0, c=1.0) -> np.ndarray:
@@ -762,20 +714,12 @@ class TrainConfig:
     # Stop once val MSE <= ratio * epoch-0 val MSE (None = run all epochs).
     stop_at_val_ratio: float | None = None
 
+    _rules = {"epochs": integer(0), "lr": real(), "batch_size": integer(1), "seed": integer(0),
+              "val_fraction": real(lambda f: 0 <= f < 1, " in [0, 1)"),
+              "stop_at_val_ratio": real(lambda r: r >= 0, " >= 0", or_none=True)}
+
     def __post_init__(self):
-        for name, least in (("epochs", 0), ("batch_size", 1)):
-            value = getattr(self, name)
-            if isinstance(value, bool) or not isinstance(value, (int, np.integer)):
-                raise ShapeError(f"{name} must be an integer, got {value!r}")
-            if value < least:
-                raise ShapeError(f"{name} must be at least {least}, got {value}")
-        if not _is_finite_real(self.lr):
-            raise ShapeError(f"lr must be a finite number, got {self.lr!r}")
-        if not (_is_finite_real(self.val_fraction) and 0 <= self.val_fraction < 1):
-            raise ShapeError(f"val_fraction must be a finite number in [0, 1), got {self.val_fraction!r}")
-        ratio = self.stop_at_val_ratio
-        if ratio is not None and not (_is_finite_real(ratio) and ratio >= 0):
-            raise ShapeError(f"stop_at_val_ratio must be None or a finite number of at least 0, got {ratio!r}")
+        check_fields(vars(self), self._rules)
 
 
 @dataclass

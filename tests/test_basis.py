@@ -106,6 +106,26 @@ def test_select_vector_returns_it():
     assert np.array_equal(basis.evaluate(model, x), x.vectors[1])
 
 
+def test_select_vector_is_the_identity_row_in_linear_memory():
+    # Bit for bit np.eye(n)[t], with its IndexError, at small n and every t.
+    for n in (1, 2, 5):
+        for t in range(-n - 2, n + 2):
+            fn = basis.select_vector(t).fn
+            feats = ScalarFeatureSet.from_tuple(euclidean(3), VectorTuple(np.zeros((n, 3))))
+            try:
+                want = np.eye(n)[t]
+            except IndexError as exc:
+                with pytest.raises(IndexError, match=re.escape(str(exc))):
+                    fn(feats)
+                continue
+            assert np.array_equal(fn(feats).view(np.uint64), want.view(np.uint64))
+    # At n = 10^5 np.eye(n) would take 80 GB.
+    x = VectorTuple(np.arange(300_000, dtype=np.float64).reshape(100_000, 3))
+    for t in (7, -1):
+        model = basis.EquivariantModel("o", euclidean(3), basis.select_vector(t))
+        assert np.array_equal(basis.evaluate(model, x), x.vectors[t])
+
+
 def test_o_family_equivariance():
     rng = groups.make_rng(3)
     model = basis.EquivariantModel("o", euclidean(3), basis.FixedClosure(_gram_closure))

@@ -575,12 +575,12 @@ def test_certify_a_model_file_that_does_not_fit_its_model_exits_2(runner, tmp_pa
 
 # Edits of the golden concat model file whose fields do not have their type.
 _BAD_MODEL_FIELDS = {
-    "n-particles-a-string": ({"n_particles": "4"}, "n_particles must be an integer, got '4'"),
-    "layers-a-float": ({"layers": 2.0}, "layers must be an integer, got 2.0"),
-    "layers-a-bool": ({"layers": True}, "layers must be an integer, got True"),
-    "hidden-a-string": ({"hidden": "16"}, "hidden must be a list of integers, got '16'"),
-    "hidden-a-float-width": ({"hidden": [16.5, 16]}, "hidden must be a list of integers, got [16.5, 16]"),
-    "activation-a-number": ({"activation": 3}, "activation must be a string, got 3"),
+    "n-particles-a-string": ({"n_particles": "4"}, "n_particles must be an integer >= 1, got '4'"),
+    "layers-a-float": ({"layers": 2.0}, "layers must be an integer >= 1, got 2.0"),
+    "layers-a-bool": ({"layers": True}, "layers must be an integer >= 1, got True"),
+    "hidden-a-string": ({"hidden": "16"}, "hidden must be a list of integers >= 1, got '16'"),
+    "hidden-a-float-width": ({"hidden": [16.5, 16]}, "hidden must be a list of integers >= 1, got [16.5, 16]"),
+    "activation-a-number": ({"activation": 3}, "activation must be one of 'tanh', 'softplus', got 3"),
 }
 
 
@@ -814,13 +814,13 @@ BAD_INPUT = {
                               ["tolerance"]),
     "certify-tolerance-minus-1": ("certify", lambda p: _certify_args(p, _CERTIFY_O3, "--tolerance", "-1"),
                                   ["tolerance"]),
-    "spec-o-dim-minus-1": ("certify", lambda p: _spec_args(p, dim=-1), ["dim must be >= 1"]),
+    "spec-o-dim-minus-1": ("certify", lambda p: _spec_args(p, dim=-1), ["dim must be an integer >= 1"]),
     "spec-dim-2.5": ("certify", lambda p: _spec_args(p, dim=2.5), ["dim must be an integer"]),
-    "spec-n-vectors-0": ("certify", lambda p: _spec_args(p, n_vectors=0), ["n_vectors must be >= 1"]),
+    "spec-n-vectors-0": ("certify", lambda p: _spec_args(p, n_vectors=0), ["n_vectors must be an integer >= 1"]),
     "spec-n-vectors-2.0": ("certify", lambda p: _spec_args(p, n_vectors=2.0),
                            ["n_vectors must be an integer"]),
     "spec-blocks-2.0": ("certify", lambda p: _spec_args(p, group="perm", n_vectors=4, blocks=2.0),
-                        ["blocks must be an integer"]),
+                        ["blocks must be None or an integer"]),
     "spec-scalars-per-block-minus-1": ("certify", lambda p: _spec_args(
         p, group="perm", n_vectors=4, blocks=2, scalars_per_block=-1), ["scalars_per_block must be"]),
     "spec-scalars-per-block-without-blocks": ("certify", lambda p: _spec_args(
@@ -850,12 +850,12 @@ BAD_INPUT = {
         p, "edge_inv_sqrt = 1", "edge_inv_sqrt = 2"), ["edge_inv_sqrt", "true, false, 1 or 0"]),
     "train-activation-relu": ("train", lambda p: _train_args(
         p, 'activation = "tanh"', "activation = relu"), ["activation", "'relu'"]),
-    "train-batch-0": ("train", lambda p: _train_args(p, "batch = 4", "batch = 0"), ["batch", "at least 1"]),
+    "train-batch-0": ("train", lambda p: _train_args(p, "batch = 4", "batch = 0"), ["batch", "an integer >= 1"]),
     "train-epochs-negative": ("train", lambda p: _train_args(p, "epochs = 1", "epochs = -1"),
-                              ["epochs", "at least 0"]),
-    "train-layers-0": ("train", lambda p: _train_args(p, "layers = 1", "layers = 0"), ["layers", "at least 1"]),
+                              ["epochs", "an integer >= 0"]),
+    "train-layers-0": ("train", lambda p: _train_args(p, "layers = 1", "layers = 0"), ["layers", "an integer >= 1"]),
     "train-widths-0": ("train", lambda p: _train_args(p, "widths = [4]", "widths = [0]"),
-                       ["widths", "at least 1"]),
+                       ["widths", "a list of integers >= 1"]),
     "spec-roles-pos": ("certify", lambda p: _spec_args(p, n_vectors=2, roles=["pos", "free"]),
                        ["roles", "'pos'"]),
 }

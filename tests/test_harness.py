@@ -43,31 +43,31 @@ def test_spec_rejects_non_positive_blocks(blocks):
 
 # group, dim, n_vectors, keywords, the field the message names
 BAD_SPECS = {
-    "lorentz-dim-1": ("lorentz", 1, 3, {}, "dim must be >= 2"),
-    "poincare-dim-1": ("poincare", 1, 3, {}, "dim must be >= 2"),
-    "o-dim-0": ("o", 0, 2, {}, "dim must be >= 1"),
-    "o-dim-minus-1": ("o", -1, 2, {}, "dim must be >= 1"),
+    "lorentz-dim-1": ("lorentz", 1, 3, {}, "dim must be an integer >= 2"),
+    "poincare-dim-1": ("poincare", 1, 3, {}, "dim must be an integer >= 2"),
+    "o-dim-0": ("o", 0, 2, {}, "dim must be an integer >= 1"),
+    "o-dim-minus-1": ("o", -1, 2, {}, "dim must be an integer >= 1"),
     "o-dim-2.5": ("o", 2.5, 2, {}, "dim must be an integer"),
     "o-dim-3.0": ("o", 3.0, 2, {}, "dim must be an integer"),
     "o-dim-true": ("o", True, 2, {}, "dim must be an integer"),
-    "n-vectors-0": ("o", 3, 0, {}, "n_vectors must be >= 1"),
-    "n-vectors-minus-1": ("so", 3, -1, {}, "n_vectors must be >= 1"),
+    "n-vectors-0": ("o", 3, 0, {}, "n_vectors must be an integer >= 1"),
+    "n-vectors-minus-1": ("so", 3, -1, {}, "n_vectors must be an integer >= 1"),
     "n-vectors-2.0": ("e", 3, 2.0, {}, "n_vectors must be an integer"),
-    "blocks-1.5": ("perm", 3, 4, {"blocks": 1.5}, "blocks must be an integer"),
-    "blocks-2.0": ("perm", 3, 4, {"blocks": 2.0}, "blocks must be an integer"),
+    "blocks-1.5": ("perm", 3, 4, {"blocks": 1.5}, "blocks must be None or an integer"),
+    "blocks-2.0": ("perm", 3, 4, {"blocks": 2.0}, "blocks must be None or an integer"),
     "scalars-per-block-minus-1": ("perm", 3, 4, {"blocks": 2, "scalars_per_block": -1},
-                                  "scalars_per_block must be >= 0"),
+                                  "scalars_per_block must be an integer >= 0"),
     "scalars-per-block-0.5": ("perm", 3, 4, {"blocks": 2, "scalars_per_block": 0.5},
                               "scalars_per_block must be an integer"),
     "scalars-per-block-without-blocks": ("perm", 3, 4, {"scalars_per_block": 1},
                                          "scalars_per_block needs blocks"),
-    "rapidity-string": ("lorentz", 4, 3, {"rapidity_max": "x"}, "rapidity_max must be a real number"),
-    "rapidity-none": ("lorentz", 4, 3, {"rapidity_max": None}, "rapidity_max must be a real number"),
-    "rapidity-true": ("lorentz", 4, 3, {"rapidity_max": True}, "rapidity_max must be a real number"),
-    "rapidity-nan": ("poincare", 4, 3, {"rapidity_max": float("nan")}, "rapidity_max must be a real number"),
-    "rapidity-inf": ("o", 3, 3, {"rapidity_max": float("inf")}, "rapidity_max must be a real number"),
-    "rapidity-0": ("lorentz", 4, 3, {"rapidity_max": 0}, "rapidity_max must be a real number"),
-    "rapidity-past-max": ("lorentz", 4, 3, {"rapidity_max": 1e308}, "rapidity_max must be a real number"),
+    "rapidity-string": ("lorentz", 4, 3, {"rapidity_max": "x"}, "rapidity_max must be a finite number"),
+    "rapidity-none": ("lorentz", 4, 3, {"rapidity_max": None}, "rapidity_max must be a finite number"),
+    "rapidity-true": ("lorentz", 4, 3, {"rapidity_max": True}, "rapidity_max must be a finite number"),
+    "rapidity-nan": ("poincare", 4, 3, {"rapidity_max": float("nan")}, "rapidity_max must be a finite number"),
+    "rapidity-inf": ("o", 3, 3, {"rapidity_max": float("inf")}, "rapidity_max must be a finite number"),
+    "rapidity-0": ("lorentz", 4, 3, {"rapidity_max": 0}, "rapidity_max must be a finite number"),
+    "rapidity-past-max": ("lorentz", 4, 3, {"rapidity_max": 1e308}, "rapidity_max must be a finite number"),
 }
 
 

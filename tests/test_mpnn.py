@@ -159,7 +159,7 @@ def test_an_edge_config_keeps_its_values_as_given():
 def test_a_saved_model_with_a_zero_rbf_width_is_rejected():
     obj = json.loads((DATA / "golden_pooled.model.json").read_text())
     obj["edge_config"]["rbf_width"] = 0
-    with pytest.raises(ShapeError, match=r"^rbf_width must be a finite number > 0, got 0$"):
+    with pytest.raises(ShapeError, match=r"^edge_config\.rbf_width must be a finite number > 0, got 0$"):
         mpnn.MpnnModel.from_dict(obj)
 
 
@@ -667,30 +667,30 @@ def test_from_dict_rejects_nets_that_do_not_fit_the_declared_model(case):
 # do not have their type.
 BAD_FIELDS = {
     "n-particles-a-string": (lambda m: m.update(n_particles="4"),
-                             "n_particles must be an integer, got '4'"),
-    "n-particles-missing": (lambda m: m.pop("n_particles"), "n_particles must be an integer, got None"),
+                             "n_particles must be an integer >= 1, got '4'"),
+    "n-particles-missing": (lambda m: m.pop("n_particles"), "n_particles must be an integer >= 1, got None"),
     "nets-missing": (lambda m: m.pop("nets"), "nets must be a list of 2 layers, one per model layer"),
-    "layers-a-float": (lambda m: m.update(layers=2.0), "layers must be an integer, got 2.0"),
-    "layers-a-bool": (lambda m: m.update(layers=True), "layers must be an integer, got True"),
-    "hidden-a-string": (lambda m: m.update(hidden="16"), "hidden must be a list of integers, got '16'"),
+    "layers-a-float": (lambda m: m.update(layers=2.0), "layers must be an integer >= 1, got 2.0"),
+    "layers-a-bool": (lambda m: m.update(layers=True), "layers must be an integer >= 1, got True"),
+    "hidden-a-string": (lambda m: m.update(hidden="16"), "hidden must be a list of integers >= 1, got '16'"),
     "hidden-a-float-width": (lambda m: m.update(hidden=[16.5, 16]),
-                             "hidden must be a list of integers, got [16.5, 16]"),
+                             "hidden must be a list of integers >= 1, got [16.5, 16]"),
     "hidden-a-bool-width": (lambda m: m.update(hidden=[True, 6]),
-                            "hidden must be a list of integers, got [True, 6]"),
-    "activation-a-number": (lambda m: m.update(activation=3), "activation must be a string, got 3"),
-    "mode-a-list": (lambda m: m.update(mode=["concat"]), "mode must be a string, got ['concat']"),
-    "readout-null": (lambda m: m.update(readout=None), "readout must be a string, got None"),
+                            "hidden must be a list of integers >= 1, got [True, 6]"),
+    "activation-a-number": (lambda m: m.update(activation=3), "activation must be one of 'tanh', 'softplus', got 3"),
+    "mode-a-list": (lambda m: m.update(mode=["concat"]), "mode must be one of 'concat', 'pooled', got ['concat']"),
+    "readout-null": (lambda m: m.update(readout=None), "readout must be one of 'position', 'velocity', got None"),
     "edge-config-a-list": (lambda m: m.update(edge_config=[]), "edge_config must be an object, got []"),
     "inv-sqrt-an-integer": (lambda m: m["edge_config"].update(include_inv_sqrt=1),
                             "edge_config.include_inv_sqrt must be true or false, got 1"),
     "rbf-centers-a-number": (lambda m: m["edge_config"].update(rbf_centers=0.5),
-                             "edge_config.rbf_centers must be a list of numbers, got 0.5"),
+                             "edge_config.rbf_centers must be a list of finite numbers, got 0.5"),
     "rbf-centers-hold-a-bool": (lambda m: m["edge_config"].update(rbf_centers=[False]),
-                                "edge_config.rbf_centers must be a list of numbers, got [False]"),
+                                "edge_config.rbf_centers must be a list of finite numbers, got [False]"),
     "rbf-width-a-string": (lambda m: m["edge_config"].update(rbf_width="0.5"),
-                           "edge_config.rbf_width must be a number, got '0.5'"),
+                           "edge_config.rbf_width must be a finite number > 0, got '0.5'"),
     "rbf-width-a-bool": (lambda m: m["edge_config"].update(rbf_width=True),
-                         "edge_config.rbf_width must be a number, got True"),
+                         "edge_config.rbf_width must be a finite number > 0, got True"),
 }
 
 
@@ -909,7 +909,7 @@ def test_model_rejects_unknown_mode_and_readout():
 
 @pytest.mark.parametrize("build, field", [
     (lambda: mpnn.ScalarNet([3, 0, 1]), "widths"),
-    (lambda: mpnn.MpnnModel(3, hidden=(4, 0)), "widths"),
+    (lambda: mpnn.MpnnModel(3, hidden=(4, 0)), "hidden"),
     (lambda: mpnn.MpnnModel(3, layers=0), "layers"),
     (lambda: mpnn.TrainConfig(batch_size=0), "batch_size"),
 ], ids=["scalar-net-width-0", "mpnn-width-0", "mpnn-layers-0", "train-batch-0"])
