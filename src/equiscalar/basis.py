@@ -28,7 +28,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from . import groups
-from .core import _FINITE, Metric, VectorTuple, _identity, as_vector, choice, det, sort_sign
+from .core import _FINITE, Metric, VectorTuple, _identity, array, as_vector, choice, det, sort_sign
 from .errors import ShapeError
 from .features import (
     CENTER_OF_POSITIONS,
@@ -51,20 +51,15 @@ MAX_EXPLICIT_SYMMETRIZE = 8
 SYMMETRIZE_CHUNK = 720
 
 
+_CROSS_FACTORS = array("d - 1 finite vectors of length d, d >= 2", lambda s: len(s) == 2 and s[1] == s[0] + 1 >= 2)
+
+
 def generalized_cross(vs) -> np.ndarray:
     """Cross product of d-1 vectors in R^d, given as a sequence of vectors or
     a (d-1, d) array: the unique x with <x, y> = det(v_1, ..., v_{d-1}, y)
     for all y."""
-    vs = vs if isinstance(vs, np.ndarray) else list(vs)
-    if not len(vs):
-        raise ShapeError("generalized cross product needs at least one vector")
-    d = len(vs) + 1
-    try:
-        a = np.asarray(vs, dtype=np.float64)
-    except (TypeError, ValueError):  # ragged or not numbers: as_vector names the vector
-        a = None
-    if a is None or a.shape != (d - 1, d) or not all(map(math.isfinite, a.ravel().tolist())):
-        a = np.array([as_vector(v, d) for v in vs])
+    a = _CROSS_FACTORS(vs, "vs")
+    d = a.shape[1]
     # x_k = <x, e_k> = det(v_1, ..., v_{d-1}, e_k): one batched det over k.
     mats = np.empty((d, d, d))
     mats[:, :, :-1] = a.T
@@ -281,7 +276,7 @@ def symmetrize_permutation(coeffs, n: int):
 
 def span_check(x: VectorTuple, h_out) -> float:
     """Euclidean norm of h_out's residual off span(v_1..v_n)."""
-    h = np.asarray(h_out, dtype=np.float64)
+    h = as_vector(h_out, x.d, "h_out")
     if x.n == 0:
         return float(np.linalg.norm(h))
     basis = x.vectors.T  # (d, n)

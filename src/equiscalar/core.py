@@ -21,12 +21,12 @@ from functools import cached_property
 import numpy as np
 from numpy.linalg import _umath_linalg
 
-from .errors import (ChoiceError, DimensionMismatchError, NonFiniteError, NonFiniteValueError, RoleError,
-                     ShapeError)
+from .errors import ChoiceError, DimensionMismatchError, NonFiniteValueError, RoleError, ShapeError
 
 POSITION = "position"
 FREE = "free"
 ROLES = (POSITION, FREE)
+_ROLE_SET = frozenset(ROLES)
 
 EUCLIDEAN = "euclidean"
 MINKOWSKI = "minkowski"
@@ -72,10 +72,11 @@ def _finite(value) -> bool:
         return False
 
 
-def integer(least, or_none=False) -> Rule:
-    """An int or a numpy integer (not a bool) of at least ``least``."""
-    return Rule(lambda v: (type(v) is int or isinstance(v, np.integer)) and v >= least,
-                f"an integer >= {least}", f"integers >= {least}", or_none)
+def integer(least=None, or_none=False) -> Rule:
+    """An int or a numpy integer (not a bool), of at least ``least`` if given."""
+    bound = "" if least is None else f" >= {least}"
+    return Rule(lambda v: (type(v) is int or isinstance(v, np.integer)) and (least is None or v >= least),
+                "an integer" + bound, "integers" + bound, or_none)
 
 
 def real(within=None, bounds="", or_none=False) -> Rule:
@@ -117,15 +118,70 @@ def as_scalar(value, what) -> float:
     return float(_FINITE(value, what))
 
 
-def as_vector(v, d=None) -> np.ndarray:
-    """Validate and return a finite 1-d float64 array of length >= 1."""
-    a = np.asarray(v, dtype=np.float64)
-    if a.ndim != 1 or a.size < 1:
-        raise ShapeError(f"expected a 1-d vector, got shape {a.shape}")
-    # The d entries as Python floats: at the dimensions of a vector here
-    # this is several times faster than a numpy reduction.
-    if not all(map(math.isfinite, a.tolist())):
-        raise NonFiniteError("vector contains NaN or Inf")
+class array:
+    """The arrays of a field: ``rule(value, field)`` returns ``np.asarray(value)`` as
+    ``dtype`` if it holds finite numbers (not bools, complex numbers, strings or None;
+    integral ones for an integer dtype) in a shape that ``shape(a.shape)`` takes. Else
+    it raises as every rule does, naming the array by its dtype, shape or first bad entry."""
+
+    def __init__(self, kind, shape, dtype=np.float64):
+        self.kind, self.shape, self.dtype = kind, shape, np.dtype(dtype)
+
+    def __call__(self, value, field):
+        try:
+            a = np.asarray(value)
+        except (TypeError, ValueError):  # ragged rows
+            raise ShapeError(f"{field} must be {self.kind}, got a ragged {type(value).__name__}") from None
+        if a.dtype.kind not in "iuf":
+            raise ShapeError(f"{field} must be {self.kind}, got dtype {a.dtype}")
+        if not self.shape(a.shape):
+            raise ShapeError(f"{field} must be {self.kind}, got shape {a.shape}")
+        if self.dtype.kind == "f" and a.dtype is not self.dtype:
+            a = a.astype(self.dtype)  # rounds first: a longdouble can overflow float64
+        if a.dtype.kind == "f":
+            # Up to 64 entries test faster as Python floats than by a numpy reduction.
+            if not (all(map(math.isfinite, a.ravel().tolist())) if a.size <= 64 else np.isfinite(a).all()):
+                self._refuse(~np.isfinite(a), a, field, NonFiniteValueError)
+            if a.dtype is not self.dtype:  # integers, each within the dtype's range
+                self._refuse((a % 1 != 0) | (abs(a) >= -float(np.iinfo(self.dtype).min)), a, field, ShapeError)
+        return a if a.dtype is self.dtype else a.astype(self.dtype)
+
+    def _refuse(self, bad, a, field, error):
+        """Raise ``error`` naming the first entry of ``a`` that ``bad`` marks, if any."""
+        if bad.any():
+            at = np.argwhere(bad)[0]
+            raise error(f"{field} must be {self.kind}, got {float(a[tuple(at)])!r} at index {at.tolist()}")
+
+
+def check_roles(roles, n) -> tuple:
+    """``roles`` as a tuple of ``n`` roles (None: n FREE ones), else RoleError naming
+    their count or the first that is not a role; one set test passes them all."""
+    roles = (FREE,) * n if roles is None else tuple(roles)
+    if len(roles) != n:
+        raise RoleError(f"roles must be one role for each of {n} vectors, got {len(roles)}")
+    try:
+        if _ROLE_SET.issuperset(roles):
+            return roles
+    except TypeError:  # an unhashable role
+        pass
+    bad = next(r for r in roles if not (isinstance(r, str) and r in _ROLE_SET))
+    raise RoleError(f"roles must each be one of {ROLES}, got {bad!r}")
+
+
+_VECTOR = array("a finite 1-d array of numbers, of length >= 1", lambda s: len(s) == 1 and s[0] >= 1)
+_MATRIX = array("a finite 2-d array of numbers", lambda s: len(s) == 2)
+
+
+def as_vector(v, d=None, field="vector") -> np.ndarray:
+    """``v`` as a finite 1-d float64 array of length >= 1 (and d, if given)."""
+    try:
+        a = np.asarray(v)
+    except (TypeError, ValueError):  # ragged rows: the rule names them
+        a = None
+    # A list of floats, the common case, skips the rule: a few Python floats test faster than numpy.
+    if not (a is not None and a.dtype is _VECTOR.dtype and a.ndim == 1 and a.size
+            and all(map(math.isfinite, a.tolist()))):
+        a = _VECTOR(v, field)
     if d is not None and a.size != d:
         raise DimensionMismatchError(d, a.size)
     return a
@@ -175,17 +231,9 @@ def sort_sign(a) -> tuple[np.ndarray, np.ndarray]:
     return np.sort(a, axis=-1), 1.0 - 2.0 * (inversions % 2)
 
 
-def as_matrix(m, rows=None, cols=None) -> np.ndarray:
-    a = np.asarray(m, dtype=np.float64)
-    if a.ndim != 2:
-        raise ShapeError(f"expected a 2-d matrix, got shape {a.shape}")
-    if not np.all(np.isfinite(a)):
-        raise NonFiniteError("matrix contains NaN or Inf")
-    if rows is not None and a.shape[0] != rows:
-        raise ShapeError(f"expected {rows} rows, got {a.shape[0]}")
-    if cols is not None and a.shape[1] != cols:
-        raise ShapeError(f"expected {cols} columns, got {a.shape[1]}")
-    return a
+def as_matrix(m, field="matrix") -> np.ndarray:
+    """``m`` as a finite 2-d float64 array."""
+    return _MATRIX(m, field)
 
 
 _METRIC_KINDS = choice((EUCLIDEAN, MINKOWSKI))
@@ -236,8 +284,8 @@ def minkowski(d_plus_1: int) -> Metric:
 
 def inner(metric: Metric, a, b) -> float:
     """Invariant scalar product: a^T b or a^T diag(1,-1,...,-1) b."""
-    a = as_vector(a, metric.dim)
-    b = as_vector(b, metric.dim)
+    a = as_vector(a, metric.dim, "a")
+    b = as_vector(b, metric.dim, "b")
     return float(np.dot(a * metric.signature, b))
 
 
@@ -253,22 +301,8 @@ class VectorTuple:
     roles: tuple = field(default=None)
 
     def __post_init__(self):
-        a = np.asarray(self.vectors, dtype=np.float64)
-        if a.ndim != 2:
-            raise ShapeError(f"expected an (n, d) array of vectors, got shape {a.shape}")
-        if not np.isfinite(a).all():
-            raise NonFiniteError("vector tuple contains NaN or Inf")
-        object.__setattr__(self, "vectors", a)
-        roles = self.roles
-        if roles is None:
-            roles = (FREE,) * a.shape[0]
-        roles = tuple(roles)
-        if len(roles) != a.shape[0]:
-            raise RoleError(f"{len(roles)} roles for {a.shape[0]} vectors")
-        for r in roles:
-            if r not in ROLES:
-                raise RoleError(f"unknown role {r!r}")
-        object.__setattr__(self, "roles", roles)
+        a = _MATRIX(self.vectors, "vectors")
+        self.__dict__.update(vectors=a, roles=check_roles(self.roles, len(a)))
 
     @property
     def n(self) -> int:
@@ -322,13 +356,10 @@ class VectorTuple:
         if not (isinstance(obj, dict) and {"d", "vectors"} <= obj.keys()
                 and isinstance(obj.get("roles"), list)):
             raise ShapeError("a JSON vector tuple must be an object with 'd', 'vectors' and a 'roles' list")
-        try:
-            vecs = np.asarray(obj["vectors"], dtype=np.float64)
-        except (TypeError, ValueError) as exc:
-            raise ShapeError(f"JSON vectors are not a numeric array: {exc}") from None
-        if vecs.ndim != 2 or vecs.shape[1] != obj["d"]:
+        x = cls(obj["vectors"], tuple(obj["roles"]))
+        if x.d != obj["d"]:
             raise ShapeError("JSON vectors inconsistent with declared dimension d")
-        return cls(vecs, tuple(obj["roles"]))
+        return x
 
     def to_csv(self) -> str:
         tags = {POSITION: "p", FREE: "f"}
@@ -360,5 +391,4 @@ class VectorTuple:
             if rows and len(row) != len(rows[0]):
                 raise ShapeError(f"CSV line {lineno} has {len(row)} fields, the first row {len(rows[0])}")
             rows.append(row)
-        vecs = np.asarray(rows, dtype=np.float64)
-        return cls(vecs, roles)
+        return cls(rows, roles)

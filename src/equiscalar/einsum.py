@@ -22,8 +22,8 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .core import Metric, _kept, sort_sign
-from .errors import NonFiniteError, ParseError, PatternError, ShapeError
+from .core import Metric, _kept, array, sort_sign
+from .errors import ParseError, PatternError, ShapeError
 
 LOWER = "lower"
 UPPER = "upper"
@@ -268,19 +268,8 @@ def _bound_tensor(factor: Factor, bindings: dict, d: int, lam: np.ndarray) -> np
     """The bound array of a named factor, its upper indices raised through lam."""
     if factor.name not in bindings:
         raise ShapeError(f"no binding for tensor {factor.name!r}")
-    try:
-        a = np.asarray(bindings[factor.name], dtype=np.float64)
-    except (TypeError, ValueError) as exc:
-        raise ShapeError(f"tensor {factor.name!r} is not a numeric array: {exc}") from None
-    if not np.all(np.isfinite(a)):
-        raise NonFiniteError(f"tensor {factor.name!r} contains NaN or Inf")
-    if a.ndim != len(factor.indices):
-        raise ShapeError(
-            f"tensor {factor.name!r} has order {a.ndim}, "
-            f"expression uses {len(factor.indices)} indices"
-        )
-    if any(s != d for s in a.shape):
-        raise ShapeError(f"tensor {factor.name!r} has shape {a.shape}, expected all axes = {d}")
+    axes = (d,) * len(factor.indices)
+    a = array(f"a finite array of shape {axes}", axes.__eq__)(bindings[factor.name], f"tensor {factor.name!r}")
     for axis, (_, var) in enumerate(factor.indices):
         if var == UPPER:
             a = np.tensordot(lam, a, axes=([1], [axis]))

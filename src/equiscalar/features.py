@@ -24,7 +24,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .core import FREE, MINKOWSKI, Metric, VectorTuple, _kept, as_matrix, choice, det
+from .core import FREE, MINKOWSKI, Metric, VectorTuple, _kept, array, as_vector, choice, det, integer
 from .errors import DegenerateInputError, IndefiniteMatrixError, NonFiniteError, RoleError, ShapeError
 
 FIRST_POSITION = "first-position"
@@ -277,6 +277,17 @@ def _band_keys(n: int, d: int) -> list:
     return [(i, (i + s) % n) for i in range(n) for s in range(d + 1)]
 
 
+_SQUARE_MATRIX = array("a finite square matrix of at least one row", lambda s: len(s) == 2 and s[0] == s[1] >= 1)
+_INTEGER = integer()
+
+
+def _band_width(n, d) -> None:
+    _INTEGER(n, "n")
+    _INTEGER(d, "d")
+    if not 0 <= d < n:
+        raise ShapeError(f"band width d+1={d + 1} must lie in 1..n={n}")
+
+
 @dataclass(frozen=True)
 class OmegaSample:
     """Wrap-around band of a square matrix: entries (i, (i+s) mod n), s = 0..d.
@@ -290,22 +301,19 @@ class OmegaSample:
     entries: dict  # (i, j) -> value
 
     def __post_init__(self):
-        if not 0 <= self.d < self.n:
-            raise ShapeError(f"band width d+1={self.d + 1} must lie in 1..n={self.n}")
+        _band_width(self.n, self.d)
         if self.entries.keys() != set(_band_keys(self.n, self.d)):
             raise ShapeError(
                 f"omega sample must hold exactly the n(d+1)={self.n * (self.d + 1)} band "
                 f"entries (i, (i+s) mod n), s = 0..{self.d}"
             )
-        if not np.all(np.isfinite(np.fromiter(self.entries.values(), float))):
-            raise NonFiniteError("omega sample contains NaN or Inf")
+        as_vector(list(self.entries.values()), None, "entries")
 
 
 def omega_sample(m, d: int) -> OmegaSample:
-    m = as_matrix(m)
+    m = _SQUARE_MATRIX(m, "m")
     n = m.shape[0]
-    if m.shape[1] != n:
-        raise ShapeError("omega_sample requires a square matrix")
+    _band_width(n, d)
     rows = np.arange(n)[:, None]
     band = m[rows, (rows + np.arange(d + 1)) % n]
     return OmegaSample(n, d, dict(zip(_band_keys(n, d), band.ravel().tolist())))
@@ -395,6 +403,7 @@ def omega_complete(sample: OmegaSample, seed: int = 0, max_iter: int = 500) -> C
     source of rank above d a rank-d W H^T can fit the band and still be
     wrong off it.
     """
+    _INTEGER(max_iter, "max_iter")
     n, d = sample.n, sample.d
     band = np.array([sample.entries[k] for k in _band_keys(n, d)]).reshape(n, d + 1)
     scale = float(np.abs(band).max()) or 1.0
@@ -443,10 +452,7 @@ def cholesky_reconstruct(m) -> VectorTuple:
     tolerates rank deficiency): eigenvalues sorted descending, so a rank-r
     input yields vectors supported on the first r ambient coordinates.
     """
-    m = as_matrix(m)
-    n = m.shape[0]
-    if m.shape[1] != n:
-        raise ShapeError("gram matrix must be square")
+    m = _SQUARE_MATRIX(m, "m")
     sym = 0.5 * (m + m.T)
     eigvals, eigvecs = np.linalg.eigh(sym)
     floor = -1e-9 * max(1.0, float(np.max(np.abs(eigvals))))

@@ -34,8 +34,9 @@ from typing import Callable, NamedTuple
 
 import numpy as np
 
-from .core import EUCLIDEAN, MINKOWSKI, POSITION, Metric, VectorTuple, as_vector, choice, integer, minkowski, real
-from .errors import ChoiceTypeError, DimensionMismatchError, NonFiniteError, ShapeError
+from .core import (EUCLIDEAN, MINKOWSKI, POSITION, Metric, VectorTuple, array, as_scalar, as_vector, choice, integer,
+                   minkowski, real)
+from .errors import ChoiceTypeError, DimensionMismatchError, ShapeError
 
 ORTHO_TOL = 1e-12
 LORENTZ_TOL = 1e-13
@@ -56,28 +57,17 @@ def make_rng(seed) -> np.random.Generator:
 # runs over a whole stack at once.
 
 
-def _square(m) -> np.ndarray:
-    q = np.asarray(m, dtype=np.float64)
-    if q.ndim not in (2, 3) or q.shape[-1] != q.shape[-2]:
-        raise ShapeError(f"group matrix must be square (d, d) or a (T, d, d) stack, got shape {q.shape}")
-    if not np.isfinite(q).all():
-        raise NonFiniteError("matrix contains NaN or Inf")
-    return q
-
-
-def _shift(v) -> np.ndarray:
-    w = np.asarray(v, dtype=np.float64)
-    if w.ndim not in (1, 2) or w.shape[-1] < 1:
-        raise ShapeError(f"expected a 1-d vector or a (T, d) stack, got shape {w.shape}")
-    if not np.isfinite(w).all():
-        raise NonFiniteError("vector contains NaN or Inf")
-    return w
+_SQUARE = array("a finite square (d, d) matrix or (T, d, d) stack of them, T, d >= 1",
+                lambda s: len(s) in (2, 3) and s[-1] == s[-2] and min(s) >= 1)
+_SHIFT = array("a finite 1-d vector or (T, d) stack of them, d >= 1", lambda s: len(s) in (1, 2) and s[-1] >= 1)
+_SIGMA = array("a permutation of 0..n-1 or a (T, n) stack of them", lambda s: len(s) in (1, 2), np.intp)
 
 
 def _orthogonal(m) -> np.ndarray:
-    q = _square(m)
-    if np.abs(q.mT @ q - np.eye(q.shape[-1])).max() > ORTHO_TOL:
-        raise ShapeError("matrix is not orthogonal within 1e-12")
+    q = _SQUARE(m, "q")
+    with np.errstate(over="ignore", invalid="ignore"):  # past max|q| ~ 1e154 the defect overflows: it rejects
+        if not np.abs(q.mT @ q - np.eye(q.shape[-1])).max() <= ORTHO_TOL:
+            raise ShapeError("matrix is not orthogonal within 1e-12")
     return q
 
 
@@ -91,7 +81,7 @@ def _lorentz(g, m, scale=None) -> np.ndarray:
     q2. Sampled elements stay below 1e-15 of their scale squared at
     rapidity 12, and g composed with inverse(g) below 2e-15; a boost
     scaled by 1 + 1e-6 at rapidity 9 is at 1.2e-13."""
-    q = _square(m)
+    q = _SQUARE(m, "q")
     lam = minkowski(q.shape[-1]).matrix
     if scale is None:
         scale = np.maximum(1.0, np.abs(q).max(axis=(-2, -1)))
@@ -151,7 +141,7 @@ class Translation:
     w: np.ndarray
 
     def __post_init__(self):
-        w = _shift(self.w)
+        w = _SHIFT(self.w, "w")
         d = w.shape[-1]
         _set_affine(self, np.broadcast_to(np.eye(d), w.shape + (d,)), w)
 
@@ -161,10 +151,9 @@ class Permutation:
     sigma: np.ndarray  # sigma[i] = source index of output slot i
 
     def __post_init__(self):
-        sigma = np.asarray(self.sigma, dtype=np.intp)
-        if sigma.ndim not in (1, 2) or not np.array_equal(
-                np.sort(sigma, axis=-1), np.broadcast_to(np.arange(sigma.shape[-1]), sigma.shape)):
-            raise ShapeError("permutation is not a bijection on 0..n-1")
+        sigma = _SIGMA(self.sigma, "sigma")
+        if not np.array_equal(np.sort(sigma, axis=-1), np.broadcast_to(np.arange(sigma.shape[-1]), sigma.shape)):
+            raise ShapeError(f"sigma must be {_SIGMA.kind}, got a repeated or out-of-range index")
         object.__setattr__(self, "sigma", sigma)
 
 
@@ -174,7 +163,7 @@ class Euclidean:
     q: np.ndarray
 
     def __post_init__(self):
-        _set_affine(self, _orthogonal(self.q), _shift(self.w))
+        _set_affine(self, _orthogonal(self.q), _SHIFT(self.w, "w"))
 
 
 @dataclass(frozen=True)
@@ -184,7 +173,7 @@ class Poincare:
     scale: InitVar[np.ndarray | None] = None  # see _lorentz
 
     def __post_init__(self, scale):
-        _set_affine(self, _lorentz(self, self.q, scale), _shift(self.w), MINKOWSKI)
+        _set_affine(self, _lorentz(self, self.q, scale), _SHIFT(self.w, "w"), MINKOWSKI)
 
 
 GroupElement = Orthogonal | Rotation | Lorentz | Translation | Permutation | Euclidean | Poincare
@@ -256,8 +245,8 @@ def _boosts(phi, u):
 
 def boost(phi: float, axis, d_plus_1: int) -> np.ndarray:
     """Lorentz boost of rapidity phi along the spatial unit direction `axis`."""
-    u = as_vector(axis, d_plus_1 - 1)
-    return _boosts(np.array([phi], dtype=np.float64), (u / np.linalg.norm(u))[None])[0]
+    u = as_vector(axis, d_plus_1 - 1, "axis")
+    return _boosts(np.array([as_scalar(phi, "phi")]), (u / np.linalg.norm(u))[None])[0]
 
 
 def _build_lorentz(a, phi, u):

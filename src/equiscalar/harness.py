@@ -37,8 +37,8 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .core import FREE, MINKOWSKI, ROLES, VectorTuple, check_fields, choice, det, integer
-from .errors import NonFiniteError, RoleError, ShapeError
+from .core import MINKOWSKI, VectorTuple, check_fields, check_roles, choice, det, integer
+from .errors import NonFiniteError, ShapeError
 from . import groups
 
 SCALAR_INVARIANT = "scalar-invariant"
@@ -79,15 +79,7 @@ class SymmetrySpec:
             raise ShapeError(f"{self.n_vectors} vectors do not split into {self.blocks} blocks")
         if self.scalars_per_block and self.blocks is None:
             raise ShapeError("scalars_per_block needs blocks")
-        roles = self.roles
-        if roles is None:
-            roles = (FREE,) * self.n_vectors
-        if len(roles) != self.n_vectors:
-            raise ShapeError("roles length must equal n_vectors")
-        for role in roles:
-            if role not in ROLES:
-                raise RoleError(f"roles must each be one of {ROLES}, got {role!r}")
-        object.__setattr__(self, "roles", tuple(roles))
+        object.__setattr__(self, "roles", check_roles(self.roles, self.n_vectors))
 
 
 # Trials drawn, moved and compared as one stack. Bounds a run's memory to

@@ -54,7 +54,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .core import _kept, check_fields, choice, integer, list_of, real
+from .core import Rule, _kept, array, check_fields, choice, integer, list_of, real
 from .errors import DegenerateInputError, NonFiniteError, ShapeError
 from .physics import Particle, em_force_scalar
 
@@ -394,6 +394,8 @@ class MpnnModel:
 
     _rules = {"n_particles": integer(1), "layers": integer(1), "hidden": _WIDTHS, "activation": _ACTIVATION,
               "mode": choice((CONCAT, POOLED)), "readout": choice((READOUT_POSITION, READOUT_VELOCITY))}
+    # Checked when built, not read from a saved model: it has no seed, and its edge_config is an object.
+    _built = {"seed": integer(0), "edge_config": Rule(lambda v: isinstance(v, EdgeConfig), "an EdgeConfig")}
 
     def __init__(
         self,
@@ -406,6 +408,7 @@ class MpnnModel:
         readout=READOUT_POSITION,
         seed=0,
     ):
+        check_fields(dict(seed=seed, edge_config=edge_config), self._built)
         self._allocate(n_particles, layers, hidden, activation, mode, edge_config, readout)
         rng = np.random.default_rng(seed)
         for stack in self.stacks:
@@ -617,16 +620,8 @@ class MpnnModel:
                     if not isinstance(values, list) or len(values) != len(arrays):
                         raise ShapeError(f"layer {layer} net {name} must hold {len(arrays)} {kind}")
                     for idx, (arr, value) in enumerate(zip(arrays, values)):
-                        where = f"layer {layer} net {name} {kind}[{idx}]"
-                        try:
-                            value = np.asarray(value, dtype=np.float64)
-                        except (TypeError, ValueError):
-                            raise ShapeError(f"{where} is not an array of numbers") from None
-                        if value.shape != arr.shape:
-                            raise ShapeError(f"{where} has shape {value.shape}, expected {arr.shape}")
-                        if not np.isfinite(value).all():
-                            raise NonFiniteError(f"{where} holds NaN or Inf")
-                        arr[...] = value
+                        arr[...] = array(f"a finite array of shape {arr.shape}", arr.shape.__eq__)(
+                            value, f"layer {layer} net {name} {kind}[{idx}]")
         return model
 
     def save(self, path):

@@ -26,9 +26,9 @@ class Particle:
     charge: float = 0.0
 
     def __post_init__(self):
-        r = as_vector(self.r)
+        r = as_vector(self.r, None, "particle r")
         # The fields of a frozen instance, set in one step.
-        self.__dict__.update(r=r, v=as_vector(self.v, r.size), mass=as_scalar(self.mass, "particle mass"),
+        self.__dict__.update(r=r, v=as_vector(self.v, r.size, "particle v"), mass=as_scalar(self.mass, "particle mass"),
                              charge=as_scalar(self.charge, "particle charge"))
 
 
@@ -144,9 +144,9 @@ _others = _kept(lambda n: np.arange(n - 1) + (np.arange(n - 1) >= np.arange(n)[:
 
 def triple_product_check(a, b, c) -> float:
     """Max-norm of a x (b x c) - [(a.c) b - (a.b) c]; identically zero in exact arithmetic."""
-    a = as_vector(a, 3)
-    b = as_vector(b, 3)
-    c = as_vector(c, 3)
+    a = as_vector(a, 3, "a")
+    b = as_vector(b, 3, "b")
+    c = as_vector(c, 3, "c")
     lhs = generalized_cross([a, generalized_cross([b, c])])
     rhs = float(np.dot(a, c)) * b - float(np.dot(a, b)) * c
     return float(np.max(np.abs(lhs - rhs)))

@@ -552,9 +552,9 @@ def test_certify_trained_model(runner, tmp_path):
 # fit the model it declares.
 _BAD_MODEL_NETS = {
     "weight-row-dropped": (lambda nets: nets[0]["g_v"]["weights"][1].pop(),
-                           "layer 0 net g_v weights[1] has shape (5, 6), expected (6, 6)"),
+                           "layer 0 net g_v weights[1] must be a finite array of shape (6, 6), got shape (5, 6)"),
     "bias-entry-added": (lambda nets: nets[1]["gt_r"]["biases"][0].append(0.5),
-                         "layer 1 net gt_r biases[0] has shape (7,), expected (6,)"),
+                         "layer 1 net gt_r biases[0] must be a finite array of shape (6,), got shape (7,)"),
     "one-of-two-layers": (lambda nets: nets.pop(), "nets must be a list of 2 layers, one per model layer"),
 }
 
@@ -609,7 +609,8 @@ def test_certify_a_model_file_with_a_nan_weight_exits_2_naming_it(runner, tmp_pa
     result = runner.invoke(main, ["certify", "--target", f"model:{model_path}", "--spec",
                                   _block_spec_file(tmp_path), "--trials", "5", "--seed", "1"])
     assert result.exit_code == 2
-    assert result.stderr == "certify: layer 0 net g_r biases[1] holds NaN or Inf\n"
+    assert result.stderr == ("certify: layer 0 net g_r biases[1] must be a finite array of shape (6,), "
+                             "got nan at index [0]\n")
 
 
 def test_certify_a_model_whose_outputs_overflow_fails_with_exit_1(runner, tmp_path):

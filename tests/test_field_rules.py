@@ -18,6 +18,7 @@ DATA = Path(__file__).parent / "data"
 _TUPLE = core.VectorTuple(np.eye(3), ("position", "free", "free"))
 _ZERO = [0.0, 0.0, 0.0]
 _TRANSLATION = groups.Translation(np.ones(3))
+_BAND = features.omega_sample(np.eye(4), 1)
 
 # The values each kind of field refuses; ``or None`` fields take None.
 _BAD = {
@@ -25,6 +26,7 @@ _BAD = {
     "real": [True, float("nan"), float("inf"), -float("inf"), "1", None],
     "choice": [True, float("nan"), float("inf"), -float("inf"), "1", None, 2.5],
     "bool": [float("nan"), float("inf"), -float("inf"), "1", None, 2.5, 1, np.True_],
+    "object": [True, float("nan"), "1", None, 2.5, {}],
 }
 
 # case -> (the field as its message names it, the kind of its rule, the call
@@ -80,6 +82,13 @@ FIELDS = {
     "MpnnModel.activation": ("activation", "choice", lambda v: mpnn.MpnnModel(3, activation=v), None),
     "MpnnModel.mode": ("mode", "choice", lambda v: mpnn.MpnnModel(3, mode=v), None),
     "MpnnModel.readout": ("readout", "choice", lambda v: mpnn.MpnnModel(3, readout=v), None),
+    "MpnnModel.seed": ("seed", "integer", lambda v: mpnn.MpnnModel(3, seed=v), np.uint32(7)),
+    "MpnnModel.edge_config": ("edge_config", "object", lambda v: mpnn.MpnnModel(3, edge_config=v), None),
+    "omega_sample.d": ("d", "integer", lambda v: features.omega_sample(np.eye(4), v), np.int64(1)),
+    "omega_complete.max_iter": ("max_iter", "integer", lambda v: features.omega_complete(_BAND, max_iter=v),
+                                np.int64(2)),
+    "OmegaSample.n": ("n", "integer", lambda v: features.OmegaSample(v, 1, _BAND.entries), np.int64(4)),
+    "OmegaSample.d": ("d", "integer", lambda v: features.OmegaSample(4, v, _BAND.entries), np.int8(1)),
     "generate_dataset.n_particles": ("n_particles", "integer",
                                      lambda v: mpnn.generate_dataset(groups.make_rng(0), v, 2), np.int64(2)),
     "generate_dataset.n_samples": ("n_samples", "integer",

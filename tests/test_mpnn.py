@@ -645,7 +645,7 @@ BAD_NETS = {
     "net-missing": (lambda nets: nets[1].pop("gt_v"), ["layer 1", "g_r, g_v, gt_r, gt_v"]),
     "weight-missing": (lambda nets: nets[0]["g_r"]["weights"].pop(), ["layer 0 net g_r", "3 weights"]),
     "weight-ragged": (lambda nets: nets[1]["g_v"]["weights"][1][0].append(1.0),
-                      ["layer 1 net g_v weights[1]", "not an array of numbers"]),
+                      ["layer 1 net g_v weights[1]", "got a ragged list"]),
     "net-not-an-object": (lambda nets: nets[0].update(g_r=5), ["layer 0 net g_r", "3 weights"]),
     "weights-key-missing": (lambda nets: nets[1]["gt_v"].pop("weights"), ["layer 1 net gt_v", "3 weights"]),
     "biases-not-a-list": (lambda nets: nets[0]["g_v"].update(biases={"0": [0.0]}),
@@ -714,7 +714,8 @@ def test_from_dict_rejects_non_finite_weights_naming_the_array(net, kind, idx, v
         array[0][0] = value
     else:
         array[0] = value
-    with pytest.raises(NonFiniteError, match=rf"^layer 1 net {net} {kind}\[{idx}\] holds NaN or Inf$"):
+    message = rf"^layer 1 net {net} {kind}\[{idx}\] must be a finite array of shape .+, got {value} at index "
+    with pytest.raises(NonFiniteError, match=message):
         mpnn.MpnnModel.from_dict(json.loads(json.dumps(obj)))
 
 
