@@ -21,7 +21,7 @@ from functools import cached_property
 import numpy as np
 from numpy.linalg import _umath_linalg
 
-from .errors import ChoiceError, DimensionMismatchError, NonFiniteValueError, RoleError, ShapeError
+from .errors import ChoiceError, DimensionMismatchError, NonFiniteError, NonFiniteValueError, RoleError, ShapeError
 
 POSITION = "position"
 FREE = "free"
@@ -283,10 +283,15 @@ def minkowski(d_plus_1: int) -> Metric:
 
 
 def inner(metric: Metric, a, b) -> float:
-    """Invariant scalar product: a^T b or a^T diag(1,-1,...,-1) b."""
+    """Invariant scalar product: a^T b or a^T diag(1,-1,...,-1) b. Raises
+    NonFiniteError when it overflows float64."""
     a = as_vector(a, metric.dim, "a")
     b = as_vector(b, metric.dim, "b")
-    return float(np.dot(a * metric.signature, b))
+    with np.errstate(over="ignore", invalid="ignore"):
+        value = float(np.dot(a * metric.signature, b))
+    if not math.isfinite(value):
+        raise NonFiniteError("the inner product of a and b overflows float64")
+    return value
 
 
 _positions = _kept(lambda roles: np.flatnonzero([r == POSITION for r in roles]), lambda roles: len(roles) <= 32)

@@ -451,10 +451,13 @@ def cholesky_reconstruct(m) -> VectorTuple:
     Uses the symmetric eigendecomposition (a Cholesky-style square root that
     tolerates rank deficiency): eigenvalues sorted descending, so a rank-r
     input yields vectors supported on the first r ambient coordinates.
+    Raises NonFiniteError naming m when an eigenvalue overflows float64.
     """
     m = _SQUARE_MATRIX(m, "m")
-    sym = 0.5 * (m + m.T)
+    sym = 0.5 * m + 0.5 * m.T  # 0.5 (m + m^T) without its overflow: the same bits where no subnormal occurs
     eigvals, eigvecs = np.linalg.eigh(sym)
+    if not np.isfinite(eigvals).all():
+        raise NonFiniteError("m's eigenvalues overflow float64: its entries are too large to reconstruct")
     floor = -1e-9 * max(1.0, float(np.max(np.abs(eigvals))))
     if eigvals.min() < floor:
         raise IndefiniteMatrixError(float(eigvals.min()))

@@ -36,7 +36,7 @@ import numpy as np
 
 from .core import (EUCLIDEAN, MINKOWSKI, POSITION, Metric, VectorTuple, array, as_scalar, as_vector, choice, integer,
                    minkowski, real)
-from .errors import ChoiceTypeError, DimensionMismatchError, ShapeError
+from .errors import ChoiceTypeError, DegenerateInputError, DimensionMismatchError, NonFiniteError, ShapeError
 
 ORTHO_TOL = 1e-12
 LORENTZ_TOL = 1e-13
@@ -244,9 +244,23 @@ def _boosts(phi, u):
 
 
 def boost(phi: float, axis, d_plus_1: int) -> np.ndarray:
-    """Lorentz boost of rapidity phi along the spatial unit direction `axis`."""
+    """Lorentz boost of rapidity phi along the spatial direction `axis`, any
+    nonzero vector. Raises DegenerateInputError for a zero axis and
+    NonFiniteError for a rapidity whose cosh overflows (|phi| > ~710)."""
     u = as_vector(axis, d_plus_1 - 1, "axis")
-    return _boosts(np.array([as_scalar(phi, "phi")]), (u / np.linalg.norm(u))[None])[0]
+    phi = as_scalar(phi, "phi")
+    if not u.any():
+        raise DegenerateInputError("axis must be a nonzero vector, got only zeros")
+    with np.errstate(over="ignore", under="ignore"):
+        norm = np.linalg.norm(u)
+    if not 0.0 < norm < np.inf:  # entries past ~1e154 or below ~1e-162: their squares leave float64
+        u = u / np.abs(u).max()
+        norm = np.linalg.norm(u)
+    with np.errstate(over="ignore", invalid="ignore"):
+        b = _boosts(np.array([phi]), (u / norm)[None])[0]
+    if not np.isfinite(b).all():
+        raise NonFiniteError(f"phi must have a finite cosh(phi), |phi| <= ~710, got {phi!r}")
+    return b
 
 
 def _build_lorentz(a, phi, u):

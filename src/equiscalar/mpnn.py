@@ -18,32 +18,37 @@ each net fills a (B, n, n) pair-coefficient matrix G with a zero diagonal,
 and m_i = rowsum(G)_i h_i - (G h)_i. Its reverse is dG_ij = dm_i . (h_i - h_j)
 and dh += rowsum(G) dm - G^T dm. The four matrices of a layer are stacked as
 (2, 2, B, n, n), indexed by message channel and hidden channel, so that each
-of these is one array expression per layer. The four nets of a layer are
-likewise one `ScalarNet` stack of K = 4 nets, with (4, out, in) weights and
-(4, out) biases: one `forward` call per layer gives the (4, B * n * k)
-coefficients that reshape to those matrices, one `backward` call gives the
-stacked gradients, and one SGD update per array covers all four nets.
-The output is one channel c of the last layer (c = 0, position, or 1,
-velocity, by the readout), so that layer runs only the two nets of message
-channel c, a sub-stack that cuts its rows into the same blocks as the whole
-stack, and computes the message and dG of channel c alone. Its other two
-nets never reach the output: they are not run, and their gradients are
-zeros in the (4, ...) arrays of the layer. `backward` does not update the
-input gradient dh below layer 0, where nothing reads it.
-`nets[layer][name]` is each net as views into its stack, for parameter
-access and the saved-model format. `MpnnModel.forward` takes one sample,
-(n,) charges with (n, 3) positions and velocities, or stacks (B, n) and
-(B, n, 3). Its cache keeps only the net input rows z, the G matrices and
+of these is one array expression per layer. The nets of every layer read
+the same input rows z, since only the hidden vectors h pass messages, so
+all 4 * layers nets are one `ScalarNet` stack, layer by layer in NET_NAMES
+order, with (4 * layers, out, in) weights and (4 * layers, out) biases;
+`stacks[layer]` is a layer's four as views into it, and
+`nets[layer][name]` one net, for parameter access and the saved-model
+format. The output is one channel c of the last layer (c = 0, position, or
+1, velocity, by the readout), so that layer computes the message and dG of
+channel c alone, and its other two nets never reach the output. So one
+`forward` call runs the live nets, every net but those two, gathered by a
+fixed index, and gives the coefficients of every layer at once; the layer
+loop then makes only the message updates. `backward` first runs every
+layer's message adjoint, then one `backward` call of the live nets gives
+their gradients, scattered into (4 * layers, ...) arrays that are zero for
+the two dead nets and whose layer slices are the `LayerGrads`. The stack
+cuts its rows into the blocks of one layer's four nets, so every net meets
+the arithmetic of a layer stack run on its own, bit for bit. `backward`
+does not update the input gradient dh below layer 0, where nothing reads
+it. `MpnnModel.forward` takes one sample, (n,) charges with (n, 3)
+positions and velocities, or stacks (B, n) and (B, n, 3). Its cache keeps only the net input rows z, the G matrices and
 each layer's input h: keeping the nets' activations would hold every hidden
 layer for every pair of the minibatch at once (about four times the peak
 memory of a training step at n = 12). `ScalarNet.backward` recomputes them
 from z one row block at a time and drops each block's before the next
 (gradient checkpointing per block); a block holds as many rows as keep a
-stacked hidden-layer temporary within BLOCK_BYTES. So that no operation in
-a block repeats an operand along its rows, a call of more than one block
-builds one contiguous tile of a block's rows of each layer's biases (and,
-in `backward`, of the output weights) and every block reads it; a call of
-one block, as every single-sample call is, broadcasts them instead.
+hidden-layer temporary of one layer's four nets within BLOCK_BYTES. So
+that no operation in a block repeats an operand along its rows, a call of
+more than one block builds one contiguous tile of a block's rows of each
+layer's biases (and, in `backward`, of the output weights) and every block
+reads it; a call of one block, as every single-sample call is, broadcasts
+them instead.
 Everything is float64 numpy with hand-rolled reverse-mode gradients.
 """
 from __future__ import annotations
@@ -187,16 +192,20 @@ def _act_grad(name, a):
     return np.negative(g, out=g)
 
 
-# Bytes of one float64 hidden-layer temporary of a block: 128 rows of the
-# four width-16 nets of a layer (K = 4), 512 rows of one such net. A
-# temporary this small stays in L2 and below glibc's 128 KiB mmap threshold,
-# so it is reused from the heap instead of page-faulted in afresh on every
-# call; sized in bytes, a wider net or a larger stack takes fewer rows. Rows
-# go by multiples of 4, the rows that the BLAS matrix-vector kernel of the
-# output layer takes at a time, so every row meets the same arithmetic
-# whatever the block size (2-row blocks move some outputs by an ulp). A call
-# of more than one block also holds a tile per layer, a block's rows of
-# that layer's biases, which is at most this size too.
+# Bytes of one float64 hidden-layer temporary of a block of the nets that
+# size it: 128 rows of the four width-16 nets of a layer (K = 4), 512 rows
+# of one such net. A temporary this small stays in L2 and below glibc's
+# 128 KiB mmap threshold, so it is reused from the heap instead of
+# page-faulted in afresh on every call; sized in bytes, a wider net or a
+# larger stack takes fewer rows. An MpnnModel sizes its blocks by one
+# layer's four nets, so that its rows are cut as a layer stack's, and a
+# block's temporaries span the live nets of all its layers: 96 KB for the
+# six of 2 layers of width 16. Rows go by multiples of 4, the rows that the
+# BLAS matrix-vector kernel of the output layer takes at a time, so every
+# row meets the same arithmetic whatever the block size (2-row blocks move
+# some outputs by an ulp). A call of more than one block also holds a tile
+# per layer, a block's rows of that layer's biases, which is the size of
+# a temporary.
 BLOCK_BYTES = 64 * 1024
 _WIDTHS = list_of(integer(1))
 
@@ -208,7 +217,9 @@ class ScalarNet:
     batched matmul over the K nets. Indexing a stack gives one of its nets
     as a ScalarNet whose arrays are views into the stack's.
 
-    The input rows run in blocks of BLOCK_BYTES per hidden-layer temporary.
+    The input rows run in blocks of BLOCK_BYTES per hidden-layer temporary
+    of ``_block_nets`` nets: all K of a stack built here, and of a stack
+    that indexing takes, those of the stack it was taken from.
     `backward` stores nothing from `forward`: it recomputes each block's
     activations from the input rows and adds the block's gradients to the
     totals. An operand repeated along a block's rows makes numpy run one
@@ -257,16 +268,18 @@ class ScalarNet:
                 w[net] = rng.standard_normal(w.shape[-2:]) / np.sqrt(w.shape[-1])
 
     def __getitem__(self, k):
-        """Net k of a stack, or for a slice k the stack of those nets, its
-        arrays views into the stack's. A slice cuts its rows into the same
-        blocks as the whole stack, so its outputs and its gradients, summed
-        block by block, are the whole stack's for those nets bit for bit."""
+        """Net k of a stack, its arrays views into the stack's, or for a
+        slice or an index array k the stack of those nets: views for a
+        slice, copies gathered for an index array. Such a stack cuts its
+        rows into the same blocks as the whole stack, so its outputs and its
+        gradients, summed block by block, are the whole stack's for those
+        nets bit for bit."""
         net = object.__new__(ScalarNet)
         net.widths, net.activation = self.widths, self.activation
         net.weights = [w[k] for w in self.weights]
         net.biases = [b[k] for b in self.biases]
         net.lead = net.biases[0].shape[:-1]
-        net._block_nets = self._block_nets if isinstance(k, slice) else 1
+        net._block_nets = self._block_nets if net.lead else 1
         return net
 
     def _rows(self, x):
@@ -361,19 +374,9 @@ class ScalarNet:
 NET_NAMES = ("g_r", "g_v", "gt_r", "gt_v")
 
 
-def _on_all_nets(grad, live):
-    """A layer stack's (4, ...) gradient from that of its nets ``live``,
-    zero for the others."""
-    if len(grad) == len(NET_NAMES):
-        return grad
-    full = np.zeros((len(NET_NAMES), *grad.shape[1:]))
-    full[live] = grad
-    return full
-
-
 @dataclass(frozen=True)
 class LayerGrads:
-    """One layer's parameter gradients, stacked as its ScalarNet's
+    """One layer's parameter gradients, stacked as its layer stack's
     parameters; ``grads[name]`` is net ``name``'s (weights, biases) as views.
     In the last layer the two nets of the channel not read out are not run,
     and their gradients are zeros."""
@@ -387,10 +390,11 @@ class LayerGrads:
 
 
 class MpnnModel:
-    """T message-passing layers, four scalar nets per layer held as one
-    stacked ScalarNet, weights shared across nodes and pairs (permutation
-    equivariance by construction). ``nets[layer][name]`` is one net, its
-    arrays views into the layer's stack."""
+    """T message-passing layers of four scalar nets each, weights shared
+    across nodes and pairs (permutation equivariance by construction).
+    ``stack`` holds all 4T nets as one stacked ScalarNet; ``stacks[layer]``
+    is a layer's four and ``nets[layer][name]`` one net, their arrays views
+    into it."""
 
     _rules = {"n_particles": integer(1), "layers": integer(1), "hidden": _WIDTHS, "activation": _ACTIVATION,
               "mode": choice((CONCAT, POOLED)), "readout": choice((READOUT_POSITION, READOUT_VELOCITY))}
@@ -410,38 +414,41 @@ class MpnnModel:
     ):
         check_fields(dict(seed=seed, edge_config=edge_config), self._built)
         self._allocate(n_particles, layers, hidden, activation, mode, edge_config, readout)
-        rng = np.random.default_rng(seed)
-        for stack in self.stacks:
-            stack._draw(rng)
+        # Net by net, as the draws of the layer stacks built one after another.
+        self.stack._draw(np.random.default_rng(seed))
 
     def _allocate(self, n_particles, layers, hidden, activation, mode, edge_config, readout):
-        """Check the configuration, then hold its stacks, weights not yet drawn."""
+        """Check the configuration, then hold its stack, weights not yet drawn."""
         check_fields(dict(n_particles=n_particles, layers=layers, hidden=hidden, activation=activation,
                           mode=mode, readout=readout), self._rules)
         # Counts as ints, so that a model built with numpy integers saves as JSON.
         self.n_particles, self.layers, self.hidden = int(n_particles), int(layers), tuple(map(int, hidden))
         self.mode, self.readout, self.activation, self.edge_config = mode, readout, activation, edge_config
         in_width = edge_config.dim * self.n_particles if mode == CONCAT else 2 * edge_config.dim
-        self.stacks = [ScalarNet.__new__(ScalarNet) for _ in range(self.layers)]
-        for stack in self.stacks:
-            stack._allocate([in_width, *self.hidden, 1], activation, len(NET_NAMES))
+        k = len(NET_NAMES)
+        self.stack = ScalarNet.__new__(ScalarNet)
+        self.stack._allocate([in_width, *self.hidden, 1], activation, k * self.layers)
+        self.stack._block_nets = k  # its rows cut into the blocks of one layer's stack
+        # Per layer, the message channels it computes: both below the last
+        # layer, and in the last only the one read out, c, whose nets are
+        # 2c and 2c + 1 of the layer. The live nets write those channels.
+        c = 0 if self.readout == READOUT_POSITION else 1
+        self._channels = [slice(0, 2)] * (self.layers - 1) + [slice(c, c + 1)]
+        last = k * (self.layers - 1)
+        self._live = np.r_[:last, last + 2 * c:last + 2 * c + 2]
         self._view_stacks()
 
     def _view_stacks(self):
-        """Hold the nets that are views into the stacks."""
-        self.nets = [{name: stack[k] for k, name in enumerate(NET_NAMES)} for stack in self.stacks]
-        # Per layer, the message channels it computes and the nets that write
-        # them (those of channel c are nets 2c and 2c + 1): both channels
-        # below the last layer, and in the last only the one read out.
-        c = 0 if self.readout == READOUT_POSITION else 1
-        self._runs = [(slice(0, 2), stack) for stack in self.stacks[:-1]]
-        self._runs.append((slice(c, c + 1), self.stacks[-1][2 * c:2 * c + 2]))
+        """Hold the layer stacks and the nets that are views into the stack."""
+        k = len(NET_NAMES)
+        self.stacks = [self.stack[k * layer:k * (layer + 1)] for layer in range(self.layers)]
+        self.nets = [{name: stack[i] for i, name in enumerate(NET_NAMES)} for stack in self.stacks]
 
     def __getstate__(self):
         # A copy or pickle of a view holds its own data: the views are rebuilt
-        # from the copied stacks instead, so that they follow them.
+        # from the copied stack instead, so that they follow it.
         state = dict(self.__dict__)
-        del state["nets"], state["_runs"]
+        del state["stacks"], state["nets"]
         return state
 
     def __setstate__(self, state):
@@ -504,9 +511,11 @@ class MpnnModel:
         cache = {"n": n, "z": z, "h": [], "G": []}
         # Overflowing weights give an Inf or NaN output, which callers check.
         with np.errstate(over="ignore", invalid="ignore"):
-            for channels, nets in self._runs:
-                vals = nets.forward(rows)
-                g = _pair_matrix(vals.reshape(len(vals) // 2, 2, -1), z.shape, off)  # (k, 2, B, n, n)
+            vals = self.stack[self._live].forward(rows)
+            # (2 * layers - 1, 2, B, n, n): per message channel of each layer, by hidden channel
+            gs = _pair_matrix(vals.reshape(len(vals) // 2, 2, -1), z.shape, off)
+            for layer, channels in enumerate(self._channels):
+                g = gs[2 * layer:2 * layer + 2]  # both message channels; in the last layer, one
                 if want_cache:
                     cache["h"].append(h)
                     cache["G"].append(g)
@@ -524,29 +533,38 @@ class MpnnModel:
     def backward(self, cache, dout):
         """Reverse-mode parameter gradients for upstream d(loss)/d(output),
         summed over the samples of the cached forward, as one LayerGrads per
-        layer. Each layer runs the nets its forward ran, recomputing their
-        activations from the cached input rows one block at a time: in the
-        last layer the two nets of the channel read out. The other two
-        never reach the output, and their gradients are zeros."""
+        layer. The live nets that forward ran recompute their activations
+        from the cached input rows one block at a time. The last layer's
+        other two nets never reach the output, and their gradients are
+        zeros."""
         z = cache["z"]
         rows = z.reshape(-1, z.shape[-1])
         off = _off_diagonal(cache["n"])
         dh = np.zeros((2, *z.shape[:2], 3))
         dh[0 if self.readout == READOUT_POSITION else 1] = dout
-        grads = [None] * self.layers
+        dvals = [None] * self.layers
         with np.errstate(over="ignore", invalid="ignore"):
             for layer in reversed(range(self.layers)):
-                (channels, nets), h, g = self._runs[layer], cache["h"][layer], cache["G"][layer]
+                channels, h, g = self._channels[layer], cache["h"][layer], cache["G"][layer]
                 dm = dh[channels, None]  # residual update: gradient reaches both h and m
                 # dG_ij = dm_i . (h_i - h_j);  dh += rowsum(G) dm - G^T dm, unread below layer 0
                 dg = (dm * h).sum(axis=-1)[..., None] - dm @ np.swapaxes(h, -1, -2)
                 if layer:
                     dh = dh + (g.sum(axis=-1)[..., None] * dm - np.swapaxes(g, -1, -2) @ dm).sum(axis=0)
-                dvals = _row_grads(dg, z.shape, off).reshape(2 * len(dg), -1)
-                live = slice(2 * channels.start, 2 * channels.stop)
-                grads[layer] = LayerGrads(*([_on_all_nets(p, live) for p in part]
-                                            for part in nets.backward(rows, dvals)))
-        return grads
+                dvals[layer] = _row_grads(dg, z.shape, off).reshape(2 * len(dg), -1)
+            # np.concatenate keeps the layers' memory order (a net's rows are strided for one
+            # sample), whose dot products over the rows round otherwise than contiguous ones;
+            # the layers' arrays are freed before the nets run.
+            dvals = np.concatenate(dvals)
+            live = self.stack[self._live].backward(rows, dvals)
+        # Stacked as the stack's (weights, biases), zero for the nets not run.
+        full = ([np.zeros(p.shape) for p in self.stack.weights], [np.zeros(p.shape) for p in self.stack.biases])
+        for part, grads in zip(full, live):
+            for f, g in zip(part, grads):
+                f[self._live] = g
+        k = len(NET_NAMES)
+        return [LayerGrads(*([f[k * layer:k * (layer + 1)] for f in part] for part in full))
+                for layer in range(self.layers)]
 
     # -- parameter access --------------------------------------------------
 

@@ -40,6 +40,14 @@ def test_inner_dimension_mismatch():
         core.inner(m, [1.0, 2.0], [1.0, 2.0, 3.0])
 
 
+def test_an_inner_product_that_overflows_is_a_non_finite_error():
+    # Each term is 1e400: the sum is Inf, and with opposite signs Inf - Inf is NaN.
+    with pytest.raises(NonFiniteError, match="overflows"):
+        core.inner(core.euclidean(2), [1e200, 1e200], [1e200, 1e200])
+    with pytest.raises(NonFiniteError, match="overflows"):
+        core.inner(core.minkowski(2), [1e200, 1e200], [1e200, 1e200])
+
+
 @given(
     st.lists(st.floats(-1e6, 1e6), min_size=4, max_size=4),
     st.lists(st.floats(-1e6, 1e6), min_size=4, max_size=4),

@@ -689,6 +689,18 @@ def test_cholesky_round_trip_random_psd():
         )
 
 
+@pytest.mark.parametrize("entry", [1e308, 1.7e308])
+def test_cholesky_of_a_matrix_whose_eigenvalue_overflows_is_a_non_finite_error(entry):
+    # [[a, a], [a, a]] has the eigenvalue 2a, past float64's largest.
+    with pytest.raises(NonFiniteError, match="^m's eigenvalues overflow"):
+        features.cholesky_reconstruct([[entry, entry], [entry, entry]])
+
+
+def test_cholesky_of_entries_near_the_largest_float_whose_eigenvalues_fit():
+    x = features.cholesky_reconstruct(np.diag([1.7e308, 1e308]))
+    assert np.array_equal(np.abs(x.vectors), np.diag(np.sqrt([1.7e308, 1e308])))
+
+
 def test_cholesky_rank_deficient_zero_padding():
     rng = np.random.default_rng(11)
     v = rng.standard_normal((2, 6))  # rank 2 gram on 6 vectors

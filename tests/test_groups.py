@@ -3,7 +3,7 @@ import pytest
 
 from equiscalar import groups, harness
 from equiscalar.core import FREE, MINKOWSKI, POSITION, VectorTuple, minkowski
-from equiscalar.errors import DimensionMismatchError, NonFiniteError, ShapeError
+from equiscalar.errors import DegenerateInputError, DimensionMismatchError, NonFiniteError, ShapeError
 
 FAMILIES = ["o", "so", "lorentz", "e", "poincare", "perm", "translation"]
 
@@ -72,6 +72,23 @@ def test_lorentz_preserves_lightlike():
 def test_lorentz_zero_rapidity_identity():
     b = groups.boost(0.0, [0.0, 1.0, 0.0], 4)
     assert np.array_equal(b, np.eye(4))
+
+
+def test_a_boost_along_a_zero_axis_is_refused():
+    with pytest.raises(DegenerateInputError, match="^axis must be a nonzero vector"):
+        groups.boost(0.5, [0.0, 0.0, 0.0], 4)
+
+
+@pytest.mark.parametrize("phi", [1e6, -711.0])
+def test_a_boost_whose_cosh_overflows_is_a_non_finite_error(phi):
+    with pytest.raises(NonFiniteError, match="^phi must have a finite cosh"):
+        groups.boost(phi, [1.0, 0.0, 0.0], 4)
+
+
+@pytest.mark.parametrize("scale", [1e200, 1e-200])
+def test_a_boost_axis_whose_norm_leaves_float64_is_rescaled(scale):
+    want = groups.boost(0.7, [1.0, 2.0, 0.0], 4)
+    assert np.max(np.abs(groups.boost(0.7, [scale, 2 * scale, 0.0], 4) - want)) <= 1e-15 * np.max(want)
 
 
 def test_translation_touches_positions_only():

@@ -566,10 +566,34 @@ def test_one_scalar_net_forward_per_layer_and_one_pass_per_block(monkeypatch):
     monkeypatch.setattr(mpnn.ScalarNet, "_activations",
                         counted("blocks", mpnn.ScalarNet._activations))
     qs, rs, vs = _random_batch(np.random.default_rng(30), 2, 12)
-    # 2 * 132 pair rows in blocks of 128 rows of a stack of four width-16 nets
+    # 2 * 132 pair rows in blocks of 128 rows of a layer's stack of four
+    # width-16 nets, every live net of both layers in one pass per block
     assert mpnn.BLOCK_BYTES // (8 * 4 * 16) == 128
     _pooled_n12_model().forward(qs, rs, vs)
-    assert calls == {"forward": 2, "blocks": 2 * 3}
+    assert calls == {"forward": 1, "blocks": 3}
+
+
+@pytest.mark.parametrize("layers", [1, 2, 3])
+@pytest.mark.parametrize("readout", [mpnn.READOUT_POSITION, mpnn.READOUT_VELOCITY])
+@pytest.mark.parametrize("mode", [mpnn.CONCAT, mpnn.POOLED])
+def test_one_scalar_net_call_per_model_forward_and_backward(monkeypatch, mode, readout, layers):
+    calls = {"forward": 0, "backward": 0}
+
+    def counted(key, fn):
+        def wrapper(*args, **kwargs):
+            calls[key] += 1
+            return fn(*args, **kwargs)
+        return wrapper
+
+    for key in calls:
+        monkeypatch.setattr(mpnn.ScalarNet, key, counted(key, getattr(mpnn.ScalarNet, key)))
+    model = mpnn.MpnnModel(4, layers=layers, hidden=(5,), mode=mode, readout=readout, seed=layers)
+    qs, rs, vs = _random_batch(np.random.default_rng(41), 3, 4)
+    out, cache = model.forward(qs, rs, vs, want_cache=True)
+    model.backward(cache, np.ones_like(out))
+    assert calls == {"forward": 1, "backward": 1}
+    model.forward(qs[0], rs[0], vs[0])
+    assert calls == {"forward": 2, "backward": 1}
 
 
 @pytest.mark.parametrize("widths, stack", [
@@ -617,14 +641,30 @@ def test_per_net_weights_are_views_into_the_layer_stacks():
     model = _small_model(mpnn.POOLED)
     qs, rs, vs = _random_system(rng)
     before = model.forward(qs, rs, vs)
-    for stack, nets in zip(model.stacks, model.nets):
+    whole = model.stack.weights + model.stack.biases
+    for layer, (stack, nets) in enumerate(zip(model.stacks, model.nets)):
         for k, name in enumerate(mpnn.NET_NAMES):
-            for view, stacked in zip(nets[name].weights + nets[name].biases,
-                                     stack.weights + stack.biases):
-                assert view.base is stacked and np.array_equal(view, stacked[k])
+            for view, stacked, one in zip(nets[name].weights + nets[name].biases,
+                                          stack.weights + stack.biases, whole):
+                assert view.base is one and stacked.base is one
+                assert np.array_equal(view, stacked[k]) and np.array_equal(view, one[4 * layer + k])
     model.nets[1]["g_r"].biases[-1] += 0.25
     assert np.all(model.stacks[1].biases[-1][0] == model.nets[1]["g_r"].biases[-1])
+    assert np.all(model.stack.biases[-1][4] == model.nets[1]["g_r"].biases[-1])
     assert not np.array_equal(model.forward(qs, rs, vs), before)
+
+
+@pytest.mark.parametrize("layers", [1, 2, 3])
+@pytest.mark.parametrize("mode", [mpnn.CONCAT, mpnn.POOLED])
+def test_a_model_holds_the_layer_stacks_drawn_one_after_another(mode, layers):
+    model = mpnn.MpnnModel(5, layers=layers, hidden=(16, 16), mode=mode,
+                           edge_config=mpnn.EdgeConfig(include_inv_sqrt=True), seed=23)
+    rng = np.random.default_rng(23)
+    assert len(model.stacks) == layers
+    for stack in model.stacks:
+        drawn = mpnn.ScalarNet(stack.widths, rng=rng, stack=len(mpnn.NET_NAMES))
+        for got, want in zip(stack.weights + stack.biases, drawn.weights + drawn.biases):
+            assert got.shape == want.shape and got.tobytes() == want.tobytes()
 
 
 @pytest.mark.parametrize("tag", ["concat", "pooled"])
