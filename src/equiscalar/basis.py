@@ -28,7 +28,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from . import groups
-from .core import _FINITE, Metric, VectorTuple, _identity, array, as_vector, choice, det, sort_sign
+from .core import _FINITE, Metric, VectorTuple, _identity, array, as_vector, choice, det, integer, sort_sign
 from .errors import ShapeError
 from .features import (
     CENTER_OF_POSITIONS,
@@ -45,6 +45,9 @@ MODE_EQUIVARIANT = "equivariant"
 # coefficient as subtracting the mean does when the sum is +0.0.
 _POSITION_SUMS = {MODE_INVARIANT: -0.0, MODE_EQUIVARIANT: 1.0}
 _MODES = choice(_POSITION_SUMS)
+_MODEL_FAMILIES = [name for name, record in groups.FAMILIES.items() if record.metric]
+_FAMILY = choice(_MODEL_FAMILIES, "a model family, one of " + ", ".join(map(repr, _MODEL_FAMILIES)))
+_SLOTS = integer(0)
 
 MAX_EXPLICIT_SYMMETRIZE = 8
 # Permutations gathered and sign-mapped as one array at a time.
@@ -127,11 +130,7 @@ class EquivariantModel:
     permutation_symmetric: bool = False
 
     def __post_init__(self):
-        record = groups.FAMILIES.get(self.family)
-        if record is None or record.metric is None:
-            names = (name for name, r in groups.FAMILIES.items() if r.metric)
-            raise ShapeError(f"unknown model family {self.family!r}, expected one of {', '.join(names)}")
-        kind = record.metric
+        kind = groups.FAMILIES[_FAMILY(self.family, "family")].metric
         if getattr(self.metric, "kind", None) != kind:
             raise ShapeError(f"family {self.family!r} needs a {kind} metric, got {self.metric!r}")
         _MODES(self.mode, "mode")
@@ -269,6 +268,7 @@ def _permuted_subdets(subdets: dict | None, idx: np.ndarray) -> list:
 
 def symmetrize_permutation(coeffs, n: int):
     """Wrap a coefficient function so the resulting model is S_n-invariant."""
+    _SLOTS(n, "n")
     if isinstance(coeffs, _SymmetrizedCoefficients):
         return coeffs
     return _SymmetrizedCoefficients(coeffs, n)

@@ -22,7 +22,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .core import Metric, _kept, array, sort_sign
+from .core import EUCLIDEAN, Metric, _kept, array, choice, integer, sort_sign
 from .errors import ParseError, PatternError, ShapeError
 
 LOWER = "lower"
@@ -177,9 +177,12 @@ class ValidationReport:
 
 MODE_PLAIN = "plain"
 MODE_METRIC_AWARE = "metric-aware"
+_MODES = choice((MODE_PLAIN, MODE_METRIC_AWARE))
+_DIM = integer(1)
 
 
 def validate(expr: IndexExpr, metric: Metric, mode: str = MODE_PLAIN) -> ValidationReport:
+    _MODES(mode, "mode")
     d = metric.dim
     violations = []
     free_per_term = []
@@ -285,16 +288,17 @@ def evaluate(expr: IndexExpr, bindings: dict, d: int, metric: Metric | None = No
     Returns a float for scalar output, otherwise an array whose axes follow
     the first appearance of each free label.
     """
+    _DIM(d, "d")
     if d > MAX_EVAL_DIM:
         raise ShapeError(f"evaluation supports d <= {MAX_EVAL_DIM}, got {d}")
-    metric = metric if metric is not None else Metric("euclidean", d)
-    report = validate(expr, Metric(metric.kind, d))
+    metric = Metric(EUCLIDEAN if metric is None else metric.kind, d)
+    report = validate(expr, metric)
     if not report.valid:
         raise ShapeError(
             "cannot evaluate an invalid expression: "
             + "; ".join(v.message for v in report.violations)
         )
-    lam = Metric(metric.kind, d).matrix
+    lam = metric.matrix
     free = "".join(report.free_indices)
     out = np.zeros((d,) * len(free))
     for term in expr.terms:

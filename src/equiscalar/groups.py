@@ -373,7 +373,8 @@ def apply(g: GroupElement, x: VectorTuple) -> VectorTuple:
             raise ShapeError(f"permutation on {slots} slots applied to {n} vectors")
         idx = (g.sigma + n * np.arange(count)[:, None]).ravel() if stack else g.sigma
         roles = x.roles
-        return VectorTuple(v[idx], tuple([roles[i] for i in idx.tolist()]))
+        # A permutation of a valid tuple's rows and roles is valid: nothing to check again.
+        return VectorTuple._trusted(v[idx], tuple([roles[i] for i in idx.tolist()]))
     d = g.q.shape[-1]
     if d != x.d:
         raise DimensionMismatchError(d, x.d)

@@ -21,22 +21,25 @@ and dh += rowsum(G) dm - G^T dm. The four matrices of a layer are stacked as
 of these is one array expression per layer. The nets of every layer read
 the same input rows z, since only the hidden vectors h pass messages, so
 all 4 * layers nets are one `ScalarNet` stack, layer by layer in NET_NAMES
-order, with (4 * layers, out, in) weights and (4 * layers, out) biases;
-`stacks[layer]` is a layer's four as views into it, and
-`nets[layer][name]` one net, for parameter access and the saved-model
-format. The output is one channel c of the last layer (c = 0, position, or
-1, velocity, by the readout), so that layer computes the message and dG of
-channel c alone, and its other two nets never reach the output. So one
+order, with (4 * layers, out, in) weights and (4 * layers, out) biases,
+the model's only parameter store: each read of `stacks[layer]` (a layer's
+four) or `nets[layer][name]` (one net) makes views into it, for parameter
+access and the saved-model format. The output is one channel c of the
+last layer (c = 0, position, or 1, velocity, by the readout), so that
+layer computes the message and dG of channel c alone, and its other two
+nets never reach the output. So one
 `forward` call runs the live nets, every net but those two, gathered by a
 fixed index, and gives the coefficients of every layer at once; the layer
 loop then makes only the message updates. `backward` first runs every
 layer's message adjoint, then one `backward` call of the live nets gives
-their gradients, scattered into (4 * layers, ...) arrays that are zero for
-the two dead nets and whose layer slices are the `LayerGrads`. The stack
-cuts its rows into the blocks of one layer's four nets, so every net meets
-the arithmetic of a layer stack run on its own, bit for bit. `backward`
-does not update the input gradient dh below layer 0, where nothing reads
-it. `MpnnModel.forward` takes one sample, (n,) charges with (n, 3)
+their gradients, returned as `ScalarNet.backward` returns them, (weights,
+biases) shaped as the stack's, with zero rows for the two dead nets: net
+`name` of a layer is row 4 * layer + NET_NAMES.index(name), and an SGD step
+is one in-place update per stack array. The stack cuts its rows into the
+blocks of one layer's four nets, so every net meets the arithmetic of a
+layer stack run on its own, bit for bit. `backward` does not update the
+input gradient dh below layer 0, where nothing reads it.
+`MpnnModel.forward` takes one sample, (n,) charges with (n, 3)
 positions and velocities, or stacks (B, n) and (B, n, 3). Its cache keeps only the net input rows z, the G matrices and
 each layer's input h: keeping the nets' activations would hold every hidden
 layer for every pair of the minibatch at once (about four times the peak
@@ -95,19 +98,18 @@ class EdgeConfig:
         return 3 + int(self.include_inv_sqrt) + len(self.rbf_centers)
 
 
+_CHARGES = array("a finite array of numbers, one per particle", lambda s: len(s) >= 1)
+
+
 def edge_features(qs, rs, vs, config: EdgeConfig = EdgeConfig()) -> np.ndarray:
     """(..., n, n, C) invariant scalars per ordered pair, for (..., n)
     charges and (..., n, 3) positions and velocities; diagonal entries use
     delta = 0 (the inverse channel is defined as 0 there)."""
-    qs = np.asarray(qs, dtype=np.float64)
-    rs = np.asarray(rs, dtype=np.float64)
-    vs = np.asarray(vs, dtype=np.float64)
-    if qs.ndim == 0 or rs.shape != (*qs.shape, 3) or vs.shape != rs.shape:
-        raise ShapeError(
-            f"expected positions and velocities of shape {(*qs.shape, 3)}, "
-            f"got {rs.shape} and {vs.shape}"
-        )
-    # Non-finite or overflowing input reaches q_i^2, |v_i|^2 or dist_sq, and a
+    qs = _CHARGES(qs, "qs")
+    shape = (*qs.shape, 3)
+    vectors = array(f"a finite array of shape {shape}", shape.__eq__)
+    rs, vs = vectors(rs, "rs"), vectors(vs, "vs")
+    # Finite input that overflows reaches q_i^2, |v_i|^2 or dist_sq, and a
     # coincident pair the inverse channel: one output check finds them all.
     with np.errstate(over="ignore", invalid="ignore", divide="ignore"):
         delta = rs[..., :, None, :] - rs[..., None, :, :]
@@ -130,7 +132,7 @@ def edge_features(qs, rs, vs, config: EdgeConfig = EdgeConfig()) -> np.ndarray:
     if not np.isfinite(e).all():
         if config.include_inv_sqrt and np.any(dist_sq == 0.0, where=off_diag):
             raise DegenerateInputError("coincident positions with the inverse-sqrt channel enabled")
-        raise NonFiniteError("charges, positions and velocities must be finite, with finite edge features")
+        raise NonFiniteError("charges, positions and velocities must give finite edge features")
     return e
 
 
@@ -374,27 +376,15 @@ class ScalarNet:
 NET_NAMES = ("g_r", "g_v", "gt_r", "gt_v")
 
 
-@dataclass(frozen=True)
-class LayerGrads:
-    """One layer's parameter gradients, stacked as its layer stack's
-    parameters; ``grads[name]`` is net ``name``'s (weights, biases) as views.
-    In the last layer the two nets of the channel not read out are not run,
-    and their gradients are zeros."""
-
-    weights: list
-    biases: list
-
-    def __getitem__(self, name):
-        k = NET_NAMES.index(name)
-        return [w[k] for w in self.weights], [b[k] for b in self.biases]
+_SAMPLE_CHARGES = array("a finite (n,) or (B, n) array of numbers, n >= 1", lambda s: len(s) in (1, 2) and s[-1] >= 1)
 
 
 class MpnnModel:
     """T message-passing layers of four scalar nets each, weights shared
     across nodes and pairs (permutation equivariance by construction).
-    ``stack`` holds all 4T nets as one stacked ScalarNet; ``stacks[layer]``
-    is a layer's four and ``nets[layer][name]`` one net, their arrays views
-    into it."""
+    ``stack`` holds all 4T nets as one stacked ScalarNet and is the only
+    parameter store; each read of ``stacks[layer]`` (a layer's four) or
+    ``nets[layer][name]`` (one net) makes views into it."""
 
     _rules = {"n_particles": integer(1), "layers": integer(1), "hidden": _WIDTHS, "activation": _ACTIVATION,
               "mode": choice((CONCAT, POOLED)), "readout": choice((READOUT_POSITION, READOUT_VELOCITY))}
@@ -436,24 +426,17 @@ class MpnnModel:
         self._channels = [slice(0, 2)] * (self.layers - 1) + [slice(c, c + 1)]
         last = k * (self.layers - 1)
         self._live = np.r_[:last, last + 2 * c:last + 2 * c + 2]
-        self._view_stacks()
 
-    def _view_stacks(self):
-        """Hold the layer stacks and the nets that are views into the stack."""
+    @property
+    def stacks(self):
+        """Each layer's four nets as a stack, its arrays views into ``stack``."""
         k = len(NET_NAMES)
-        self.stacks = [self.stack[k * layer:k * (layer + 1)] for layer in range(self.layers)]
-        self.nets = [{name: stack[i] for i, name in enumerate(NET_NAMES)} for stack in self.stacks]
+        return [self.stack[k * layer:k * (layer + 1)] for layer in range(self.layers)]
 
-    def __getstate__(self):
-        # A copy or pickle of a view holds its own data: the views are rebuilt
-        # from the copied stack instead, so that they follow it.
-        state = dict(self.__dict__)
-        del state["stacks"], state["nets"]
-        return state
-
-    def __setstate__(self, state):
-        self.__dict__.update(state)
-        self._view_stacks()
+    @property
+    def nets(self):
+        """``nets[layer][name]``: each net, its arrays views into ``stack``."""
+        return [{name: stack[i] for i, name in enumerate(NET_NAMES)} for stack in self.stacks]
 
     # -- forward ---------------------------------------------------------
 
@@ -487,23 +470,17 @@ class MpnnModel:
         multiple of 4 and the first layer is narrow, as for n = 4 in either
         mode and pooled n = 5 or 8; concat models at n = 2, 3 and 5 to 12
         and pooled ones at n = 2, 3, 6 and 7 differ."""
-        qs = np.asarray(qs, dtype=np.float64)
-        rs = np.asarray(rs, dtype=np.float64)
-        vs = np.asarray(vs, dtype=np.float64)
+        qs = _SAMPLE_CHARGES(qs, "qs")
+        n = qs.shape[-1]
+        if self.mode == CONCAT and n != self.n_particles:
+            raise ShapeError(f"concat-mode model built for n={self.n_particles}, got n={n}")
+        e = edge_features(qs, rs, vs, self.edge_config)  # checks rs and vs by the array rule too
+        rs, vs = np.asarray(rs, dtype=np.float64), np.asarray(vs, dtype=np.float64)
         single = qs.ndim == 1
         if single:
-            qs, rs, vs = qs[None], rs[None], vs[None]
-        if qs.ndim != 2:
-            raise ShapeError(f"expected (n,) or (B, n) charges, got shape {qs.shape}")
-        n = qs.shape[1]
-        if n < 1:
-            raise ShapeError("need at least 1 particle")
-        if self.mode == CONCAT and n != self.n_particles:
-            raise ShapeError(
-                f"concat-mode model built for n={self.n_particles}, got n={n}"
-            )
+            rs, vs, e = rs[None], vs[None], e[None]
         off = _off_diagonal(n)
-        z = self._net_input(edge_features(qs, rs, vs, self.edge_config), off)
+        z = self._net_input(e, off)
         rows = z.reshape(-1, z.shape[-1])
         h = np.empty((2, *rs.shape))  # (2, B, n, 3): centred positions (numpy's mean, bit for bit), velocities
         np.subtract(rs, np.add.reduce(rs, axis=1, keepdims=True) / n, out=h[0])
@@ -531,12 +508,13 @@ class MpnnModel:
     # -- backward ----------------------------------------------------------
 
     def backward(self, cache, dout):
-        """Reverse-mode parameter gradients for upstream d(loss)/d(output),
-        summed over the samples of the cached forward, as one LayerGrads per
-        layer. The live nets that forward ran recompute their activations
-        from the cached input rows one block at a time. The last layer's
-        other two nets never reach the output, and their gradients are
-        zeros."""
+        """Reverse-mode parameter gradients (weights, biases) for upstream
+        d(loss)/d(output), summed over the samples of the cached forward,
+        each shaped as its ``stack`` array: net ``name`` of ``layer`` is row
+        4 * layer + NET_NAMES.index(name). The live nets that forward ran
+        recompute their activations from the cached input rows one block at
+        a time. The last layer's other two nets never reach the output, and
+        their gradients are zeros."""
         z = cache["z"]
         rows = z.reshape(-1, z.shape[-1])
         off = _off_diagonal(cache["n"])
@@ -557,34 +535,27 @@ class MpnnModel:
             # the layers' arrays are freed before the nets run.
             dvals = np.concatenate(dvals)
             live = self.stack[self._live].backward(rows, dvals)
-        # Stacked as the stack's (weights, biases), zero for the nets not run.
-        full = ([np.zeros(p.shape) for p in self.stack.weights], [np.zeros(p.shape) for p in self.stack.biases])
-        for part, grads in zip(full, live):
-            for f, g in zip(part, grads):
-                f[self._live] = g
-        k = len(NET_NAMES)
-        return [LayerGrads(*([f[k * layer:k * (layer + 1)] for f in part] for part in full))
-                for layer in range(self.layers)]
+        # Shaped as the stack's (weights, biases), zero for the nets not run.
+        grads = ([np.zeros(p.shape) for p in self.stack.weights], [np.zeros(p.shape) for p in self.stack.biases])
+        for part, got in zip(grads, live):
+            for g, live_g in zip(part, got):
+                g[self._live] = live_g
+        return grads
 
     # -- parameter access --------------------------------------------------
 
     def parameters(self):
         """Flat list of (layer, name, 'w'|'b', index, array) views."""
-        out = []
-        for layer in range(self.layers):
-            for name in NET_NAMES:
-                net = self.nets[layer][name]
-                for idx, w in enumerate(net.weights):
-                    out.append((layer, name, "w", idx, w))
-                for idx, b in enumerate(net.biases):
-                    out.append((layer, name, "b", idx, b))
-        return out
+        return [(layer, name, kind, idx, p) for layer, nets in enumerate(self.nets) for name, net in nets.items()
+                for kind, params in (("w", net.weights), ("b", net.biases)) for idx, p in enumerate(params)]
 
     def apply_gradients(self, grads, lr):
+        """One SGD step for ``grads`` as `backward` returns them: one in-place
+        update per stack array."""
+        weights, biases = grads
         with np.errstate(over="ignore", invalid="ignore"):
-            for stack, layer in zip(self.stacks, grads):
-                for p, g in zip(stack.weights + stack.biases, layer.weights + layer.biases):
-                    p -= lr * g
+            for p, g in zip(self.stack.weights + self.stack.biases, weights + biases):
+                p -= lr * g
 
     def to_dict(self):
         return {
@@ -601,13 +572,10 @@ class MpnnModel:
             },
             "nets": [
                 {
-                    name: {
-                        "weights": [w.tolist() for w in self.nets[layer][name].weights],
-                        "biases": [b.tolist() for b in self.nets[layer][name].biases],
-                    }
-                    for name in NET_NAMES
+                    name: {"weights": [w.tolist() for w in net.weights], "biases": [b.tolist() for b in net.biases]}
+                    for name, net in nets.items()
                 }
-                for layer in range(self.layers)
+                for nets in self.nets
             ],
         }
 
@@ -628,11 +596,10 @@ class MpnnModel:
         saved = obj.get("nets")
         if not isinstance(saved, list) or len(saved) != model.layers:
             raise ShapeError(f"nets must be a list of {model.layers} layers, one per model layer")
-        for layer, nets in enumerate(saved):
+        for layer, (nets, views) in enumerate(zip(saved, model.nets)):
             if not isinstance(nets, dict) or sorted(nets) != sorted(NET_NAMES):
                 raise ShapeError(f"layer {layer} must hold exactly the nets {', '.join(NET_NAMES)}")
-            for name in NET_NAMES:
-                net = model.nets[layer][name]
+            for name, net in views.items():
                 for kind, arrays in (("weights", net.weights), ("biases", net.biases)):
                     values = nets[name].get(kind) if isinstance(nets[name], dict) else None
                     if not isinstance(values, list) or len(values) != len(arrays):
@@ -678,7 +645,7 @@ def generate_dataset(rng, n_particles: int, n_samples: int, k=1.0, c=1.0) -> Dat
     (whole-configuration rejection), velocities Gaussian sigma 0.3, charges
     uniform in {-1, +1}. Targets recompute exactly as em_force_scalar.
     """
-    check_fields(dict(n_particles=n_particles, n_samples=n_samples), generate_dataset._rules)
+    check_fields(dict(n_particles=n_particles, n_samples=n_samples, k=k, c=c), generate_dataset._rules)
     qs = np.empty((n_samples, n_particles))
     rs = np.empty((n_samples, n_particles, 3))
     vs = np.empty((n_samples, n_particles, 3))
@@ -701,8 +668,8 @@ def generate_dataset(rng, n_particles: int, n_samples: int, k=1.0, c=1.0) -> Dat
     return Dataset(qs, rs, vs, targets)
 
 
-# Its counts' rules, held where the train config reads a class's.
-generate_dataset._rules = {"n_particles": integer(2), "n_samples": integer(0)}
+# Its rules, held where the train config reads a class's.
+generate_dataset._rules = {"n_particles": integer(2), "n_samples": integer(0), "k": real(), "c": real()}
 
 
 def forces_for(qs, rs, vs, k=1.0, c=1.0) -> np.ndarray:

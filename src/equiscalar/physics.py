@@ -14,7 +14,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .basis import generalized_cross
-from .core import _kept, as_scalar, as_vector
+from .core import _kept, array, as_scalar, as_vector
 from .errors import DegenerateInputError, DimensionMismatchError, ShapeError
 
 
@@ -47,13 +47,32 @@ def total_energy(particles, G: float) -> float:
     r = np.array([p.r for p in particles])
     v = np.array([p.v for p in particles])
     m = np.array([p.mass for p in particles], dtype=np.float64)
-    return float(total_energies(r, v, m, G))
+    return float(_energies(r, v, m, G))
+
+
+_SETS = array("a finite (..., n, d) array of numbers", lambda s: len(s) >= 2)
+
+
+def _particle_arrays(r, v, values, field):
+    """Positions r (..., n, d), velocities v of r's shape and per-particle
+    ``values`` of shape r.shape[:-1] or its last axes (one set's values for
+    a stack of sets), as float64 arrays, each checked by the array rule."""
+    r = _SETS(r, "r")
+    v = array(f"a finite array of shape {r.shape}", r.shape.__eq__)(v, "v")
+    lead = r.shape[:-1]
+    per_particle = array(f"a finite array of shape {lead} or of its last axes",
+                         lambda s: len(s) >= 1 and lead[len(lead) - len(s):] == s)
+    return r, v, per_particle(values, field)
 
 
 def total_energies(r, v, m, G: float) -> np.ndarray:
     """``total_energy`` of the particles at positions r (n, d), velocities v
     (n, d) and masses m (n,), or of each set in stacks (T, n, d), (T, n, d),
     (T, n) of them, bit for bit as on one set."""
+    return _energies(*_particle_arrays(r, v, m, "m"), G)
+
+
+def _energies(r, v, m, G):
     sep = _norms(r[..., :, None, :] - r[..., None, :, :])
     sep.reshape(*sep.shape[:-2], -1)[..., :: sep.shape[-1] + 1] = np.inf  # the diagonals
     if not sep.all():
@@ -117,6 +136,7 @@ def em_forces(r, v, q, k: float, c: float) -> np.ndarray:
     """``em_force_scalar`` on each of n particles from the other n - 1, for
     positions r (n, 3), velocities v (n, 3) and charges q (n,), or for each
     set in stacks (T, n, 3), (T, n, 3), (T, n) of them, bit for bit."""
+    r, v, q = _particle_arrays(r, v, q, "q")
     n, d = r.shape[-2:]
     if d != 3:
         raise ShapeError("electromagnetic force is defined for d=3")

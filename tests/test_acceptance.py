@@ -347,7 +347,7 @@ def test_criterion_8_mpnn():
         grads = model.backward(cache, probe)
         flat = []
         for layer, name, kind, idx, arr in model.parameters():
-            g = grads[layer][name][0 if kind == "w" else 1][idx]
+            g = grads[0 if kind == "w" else 1][idx][4 * layer + mpnn.NET_NAMES.index(name)]
             flat.extend((arr, g, pos) for pos in np.ndindex(arr.shape))
         eps = 1e-5
         for p in rng.choice(len(flat), size=60, replace=False):

@@ -22,6 +22,9 @@ _BAND_KEYS = [(i, (i + s) % 4) for i in range(4) for s in range(2)]
 _SAVED = json.loads((DATA / "golden_concat.model.json").read_text())
 
 
+_MODEL = mpnn.MpnnModel(3, hidden=(4,), mode=mpnn.POOLED)
+
+
 def _saved_with_bias(v):
     saved = json.loads(json.dumps(_SAVED))
     saved["nets"][0]["g_r"]["biases"][0] = v
@@ -57,6 +60,18 @@ SITES = {
     "span_check": ("h_out", np.ones(3), lambda v: basis.span_check(core.VectorTuple(np.eye(3)), v)),
     "MpnnModel.from_dict": ("layer 0 net g_r biases[0]", np.zeros(6),
                             lambda v: mpnn.MpnnModel.from_dict(_saved_with_bias(v))),
+    "edge_features.qs": ("qs", np.ones(3), lambda v: mpnn.edge_features(v, np.eye(3), np.zeros((3, 3)))),
+    "edge_features.rs": ("rs", np.eye(3), lambda v: mpnn.edge_features(np.ones(3), v, np.zeros((3, 3)))),
+    "edge_features.vs": ("vs", np.zeros((3, 3)), lambda v: mpnn.edge_features(np.ones(3), np.eye(3), v)),
+    "MpnnModel.forward.qs": ("qs", np.ones(3), lambda v: _MODEL.forward(v, np.eye(3), np.zeros((3, 3)))),
+    "MpnnModel.forward.rs": ("rs", np.eye(3)[None], lambda v: _MODEL.forward(np.ones((1, 3)), v, np.zeros((1, 3, 3)))),
+    "MpnnModel.forward.vs": ("vs", np.zeros((3, 3)), lambda v: _MODEL.forward(np.ones(3), np.eye(3), v)),
+    "em_forces.r": ("r", np.eye(3), lambda v: physics.em_forces(v, np.zeros((3, 3)), np.ones(3), 1.0, 1.0)),
+    "em_forces.v": ("v", np.zeros((3, 3)), lambda v: physics.em_forces(np.eye(3), v, np.ones(3), 1.0, 1.0)),
+    "em_forces.q": ("q", np.ones(3), lambda v: physics.em_forces(np.eye(3), np.zeros((3, 3)), v, 1.0, 1.0)),
+    "total_energies.r": ("r", np.eye(3), lambda v: physics.total_energies(v, np.zeros((3, 3)), np.ones(3), 1.0)),
+    "total_energies.v": ("v", np.zeros((3, 3)), lambda v: physics.total_energies(np.eye(3), v, np.ones(3), 1.0)),
+    "total_energies.m": ("m", np.ones(3), lambda v: physics.total_energies(np.eye(3), np.zeros((3, 3)), v, 1.0)),
 }
 
 
@@ -101,6 +116,24 @@ def test_a_bad_array_is_refused_naming_its_field(site, bad):
     assert re.match(rf"{re.escape(field)} must be .+, got ", message), message
     assert "[[" not in message and "array(" not in message, message  # never the array's repr
     assert isinstance(info.value, NonFiniteError) == (bad in ("nan", "inf")), type(info.value)
+
+
+@pytest.mark.parametrize("call", [
+    lambda q: physics.em_forces(np.eye(3), np.zeros((3, 3)), q, 1.0, 1.0),
+    lambda q: physics.total_energies(np.eye(3), np.zeros((3, 3)), q, 1.0),
+], ids=["em_forces", "total_energies"])
+@pytest.mark.parametrize("values", [np.ones(2), np.ones(4), np.ones((2, 3)), np.float64(1.0)],
+                         ids=["short", "long", "extra-axis", "scalar"])
+def test_per_particle_values_of_the_wrong_shape_are_refused(call, values):
+    message = r"^[qm] must be a finite array of shape \(3,\) or of its last axes, got shape "
+    with pytest.raises(ShapeError, match=message):
+        call(values)
+
+
+def test_a_stack_of_sets_may_share_one_set_of_per_particle_values():
+    r, v = np.stack([np.eye(3), 2.0 * np.eye(3)]), np.ones((2, 3, 3))
+    for call in (lambda q: physics.total_energies(r, v, q, 1.0), lambda q: physics.em_forces(r, v, q, 1.0, 1.0)):
+        assert np.array_equal(call(np.ones(3)), call(np.ones((2, 3))))
 
 
 def test_a_json_bool_array_is_refused():

@@ -661,6 +661,7 @@ def test_evaluate_matches_the_family_ladder_bit_for_bit(family, metric, mode, sy
 _FIXTURE = basis.uniform_mixture()
 BAD_MODELS = {
     "unknown-family": (("u2", euclidean(3), _FIXTURE), {}, "model family"),
+    "family-a-list": (([], euclidean(3), _FIXTURE), {}, "model family"),
     "perm-is-no-model-family": (("perm", euclidean(3), _FIXTURE), {}, "model family"),
     "translation-is-no-model-family": (("translation", euclidean(3), _FIXTURE), {}, "model family"),
     "o-on-minkowski": (("o", minkowski(4), _FIXTURE), {}, "metric"),
@@ -693,5 +694,5 @@ def test_model_families_are_the_families_with_a_metric():
         if record.metric:
             basis.EquivariantModel(family, metric, _FIXTURE)
         else:
-            with pytest.raises(ShapeError, match="expected one of o, so, e, lorentz, poincare$"):
+            with pytest.raises(ShapeError, match=f"one of 'o', 'so', 'e', 'lorentz', 'poincare', got {family!r}$"):
                 basis.EquivariantModel(family, metric, _FIXTURE)

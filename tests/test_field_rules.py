@@ -9,7 +9,7 @@ import numpy as np
 import pytest
 from click.testing import CliRunner
 
-from equiscalar import basis, core, features, groups, harness, mpnn, physics
+from equiscalar import basis, core, einsum, features, groups, harness, mpnn, physics
 from equiscalar.cli import main
 from equiscalar.errors import EquiscalarError
 
@@ -57,6 +57,14 @@ FIELDS = {
     "compose.g2": ("g2", "choice", lambda v: groups.compose(_TRANSLATION, v), None),
     "EquivariantModel.mode": ("mode", "choice", lambda v: basis.EquivariantModel(
         "e", core.euclidean(3), basis.uniform_mixture(), mode=v), None),
+    "EquivariantModel.family": ("family", "choice", lambda v: basis.EquivariantModel(
+        v, core.euclidean(3), basis.uniform_mixture()), None),
+    "symmetrize_permutation.n": ("n", "integer", lambda v: basis.symmetrize_permutation(basis.uniform_mixture(), v),
+                                 np.int64(3)),
+    "einsum.evaluate.d": ("d", "integer", lambda v: einsum.evaluate(einsum.parse("u_i u_i"), {"u": np.ones(3)}, v),
+                          np.int64(3)),
+    "einsum.validate.mode": ("mode", "choice", lambda v: einsum.validate(
+        einsum.parse("u_i v_i"), core.euclidean(3), v), None),
     "Particle.mass": ("particle mass", "real", lambda v: physics.Particle(_ZERO, _ZERO, mass=v), np.float64(2.0)),
     "Particle.charge": ("particle charge", "real", lambda v: physics.Particle(_ZERO, _ZERO, charge=v),
                         np.float32(-1.0)),
@@ -93,6 +101,9 @@ FIELDS = {
                                      lambda v: mpnn.generate_dataset(groups.make_rng(0), v, 2), np.int64(2)),
     "generate_dataset.n_samples": ("n_samples", "integer",
                                    lambda v: mpnn.generate_dataset(groups.make_rng(0), 2, v), np.int64(2)),
+    "generate_dataset.k": ("k", "real", lambda v: mpnn.generate_dataset(groups.make_rng(0), 2, 1, k=v),
+                           np.float64(2.0)),
+    "generate_dataset.c": ("c", "real", lambda v: mpnn.generate_dataset(groups.make_rng(0), 2, 1, c=v), np.int64(3)),
 }
 
 

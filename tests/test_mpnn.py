@@ -36,7 +36,7 @@ def _random_batch(rng, b, n):
 
 def _flat_grads(model, grads):
     return np.concatenate([
-        grads[layer][name][0 if kind == "w" else 1][idx].ravel()
+        grads[0 if kind == "w" else 1][idx][4 * layer + mpnn.NET_NAMES.index(name)].ravel()
         for layer, name, kind, idx, _ in model.parameters()
     ])
 
@@ -323,7 +323,7 @@ def test_gradient_matches_central_differences(mode, activation):
     params = model.parameters()
     flat = []
     for layer, name, kind, idx, arr in params:
-        g = grads[layer][name][0 if kind == "w" else 1][idx]
+        g = grads[0 if kind == "w" else 1][idx][4 * layer + mpnn.NET_NAMES.index(name)]
         flat.extend(
             (arr, g, pos) for pos in np.ndindex(arr.shape)
         )
@@ -484,14 +484,17 @@ def _oracle_backward(model, cache, dout):
     off = mpnn._off_diagonal(cache["n"])
     dh = np.zeros((2, *z.shape[:2], 3))
     dh[0 if model.readout == mpnn.READOUT_POSITION else 1] = dout
-    grads = [{} for _ in range(model.layers)]
+    # Shaped as the model's stack: net name of a layer is row 4 * layer + its index.
+    grads = [np.zeros(p.shape) for p in model.stack.weights], [np.zeros(p.shape) for p in model.stack.biases]
     for layer in reversed(range(model.layers)):
         h, g, nets = cache["h"][layer], cache["G"][layer], model.nets[layer]
         dm = dh[:, None]
         dg = (dm * h).sum(axis=-1)[..., None] - dm @ np.swapaxes(h, -1, -2)
         dh = dh + (g.sum(axis=-1)[..., None] * dm - np.swapaxes(g, -1, -2) @ dm).sum(axis=0)
-        for name, dvals in zip(mpnn.NET_NAMES, mpnn._row_grads(dg, z.shape, off).reshape(4, -1)):
-            grads[layer][name] = _oracle_net_backward(nets[name], rows, dvals)
+        for k, (name, dvals) in enumerate(zip(mpnn.NET_NAMES, mpnn._row_grads(dg, z.shape, off).reshape(4, -1))):
+            for part, net_grads in zip(grads, _oracle_net_backward(nets[name], rows, dvals)):
+                for g, net_g in zip(part, net_grads):
+                    g[4 * layer + k] = net_g
     return grads
 
 

@@ -49,7 +49,7 @@ def _oracle_backward(model, cache, dout):
         dg = (dm * h).sum(axis=-1)[..., None] - dm @ np.swapaxes(h, -1, -2)
         dh = dh + (g.sum(axis=-1)[..., None] * dm - np.swapaxes(g, -1, -2) @ dm).sum(axis=0)
         dvals = mpnn._row_grads(dg, z.shape, off).reshape(len(mpnn.NET_NAMES), -1)
-        grads[layer] = mpnn.LayerGrads(*model.stacks[layer].backward(rows, dvals))
+        grads[layer] = model.stacks[layer].backward(rows, dvals)
     return grads
 
 
@@ -77,8 +77,8 @@ def _oracle_train(model, dataset, config):
             pred, cache = _oracle_forward(model, dataset.qs[batch], dataset.rs[batch], dataset.vs[batch])
             diff = pred - dataset.targets[batch]
             epoch_loss += float(np.mean(diff * diff)) * len(batch)
-            for stack, layer in zip(model.stacks, _oracle_backward(model, cache, 2.0 * diff / diff.size)):
-                for p, g in zip(stack.weights + stack.biases, layer.weights + layer.biases):
+            for stack, (weights, biases) in zip(model.stacks, _oracle_backward(model, cache, 2.0 * diff / diff.size)):
+                for p, g in zip(stack.weights + stack.biases, weights + biases):
                     p -= config.lr * g
         epochs.append((epoch, epoch_loss / len(order),
                        _oracle_evaluate_mse(model, dataset, val_idx, config.batch_size)))
@@ -98,10 +98,16 @@ def _batch(seed, b, n):
             rng.normal(0.0, 0.3, (b, n, 3)))
 
 
+def _net(grads, row):
+    """The (weights, biases) gradients of net ``row`` of a stack's gradients."""
+    return [[p[row] for p in part] for part in grads]
+
+
 def _assert_same_grads(got, want):
-    for layer, (g, w) in enumerate(zip(got, want)):
-        for name in mpnn.NET_NAMES:
-            for got_part, want_part in zip(g[name], w[name]):
+    # got is shaped as the model's stack, want as each layer stack of the oracle.
+    for layer, w in enumerate(want):
+        for k, name in enumerate(mpnn.NET_NAMES):
+            for got_part, want_part in zip(_net(got, 4 * layer + k), _net(w, k)):
                 for a, b in zip(got_part, want_part):
                     assert a.shape == b.shape and np.array_equal(a, b), (layer, name)
 
@@ -131,7 +137,8 @@ def test_outputs_and_gradients_match_the_full_stack_oracle_bit_for_bit(mode, rea
         grads = model.backward(cache, dout)
         _assert_same_grads(grads, _oracle_backward(model, want_cache, dout))
         for name in _dead_nets(model):
-            assert not any(np.any(p) for part in grads[-1][name] for p in part)
+            row = 4 * (layers - 1) + mpnn.NET_NAMES.index(name)
+            assert not any(np.any(p) for part in _net(grads, row) for p in part)
 
 
 @pytest.mark.parametrize("mode", MODES)
@@ -193,6 +200,8 @@ def test_nets_that_never_reach_the_output_are_not_run(mode, readout, layers):
     poisoned_out, poisoned_cache = model.forward(qs, rs, vs, want_cache=True)
     assert np.array_equal(poisoned_out, out)
     poisoned = model.backward(poisoned_cache, dout)
-    _assert_same_grads(poisoned, grads)
+    for got, want in zip(poisoned[0] + poisoned[1], grads[0] + grads[1]):
+        assert got.shape == want.shape and np.array_equal(got, want)
     for name in _dead_nets(model):
-        assert not any(np.any(p) for part in poisoned[-1][name] for p in part)
+        row = 4 * (layers - 1) + mpnn.NET_NAMES.index(name)
+        assert not any(np.any(p) for part in _net(poisoned, row) for p in part)
