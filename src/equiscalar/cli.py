@@ -3,11 +3,15 @@
 Conventions: structured output is JSON on stdout, diagnostics go to stderr.
 Exit codes: 0 success, 1 validation/certification failure, 2 usage or input
 error, which ``_input_errors`` reports as ``<command>: <message>`` on stderr.
+It is also the one place that sets numpy's floating-point state: commands
+run with overflow, division by zero and invalid operations ignored, so none
+writes a numpy warning, and ``features``, ``demo`` and ``einsum eval`` exit 2
+by one check, ``_check_finite``, on a printed number that is NaN or Inf.
 Every randomized subcommand requires an explicit --seed; there is no
 wall-clock default, so identical invocations are byte-identical for the
 same numpy build, BLAS kernel and CPU SIMD features. Across those the last
 bits can differ: forcing OpenBLAS's AVX2 kernel (OPENBLAS_CORETYPE=Haswell)
-failed 49 of 1830 tests on an AVX-512 host, and limiting numpy's dispatch to
+failed 49 of 2018 tests on an AVX-512 host, and limiting numpy's dispatch to
 AVX2 (NPY_DISABLE_CPU_FEATURES="X86_V4 AVX512_ICL AVX512_SPR") failed 11,
 all golden-file, oracle or report comparisons. CI logs that configuration first.
 """
@@ -30,13 +34,22 @@ def _emit(obj):
     click.echo(json.dumps(obj, indent=2))
 
 
+def _check_finite(**results):
+    """Raise NonFiniteError naming each of ``results`` that holds NaN or Inf."""
+    bad = [name for name, value in results.items() if not np.isfinite(value).all()]
+    if bad:
+        raise NonFiniteError(f"{' and '.join(bad)} not finite: NaN or Inf")
+
+
 def _input_errors(callback):
     """Exit 2 with ``<command>: <message>`` (``einsum check: ...``) on an input
-    error in a command callback; the callback's own ``sys.exit`` passes."""
+    error in a command callback, run with numpy's floating-point warnings
+    off; the callback's own ``sys.exit`` passes."""
     @functools.wraps(callback)
     def run(*args, **kwargs):
         try:
-            return callback(*args, **kwargs)
+            with np.errstate(over="ignore", divide="ignore", invalid="ignore"):
+                return callback(*args, **kwargs)
         except (EquiscalarError, OSError, ValueError, KeyError, IndexError, TypeError) as exc:
             ctx = click.get_current_context()
             click.echo(f"{ctx.command_path[len(ctx.find_root().info_name) + 1:]}: {exc}", err=True)
@@ -85,14 +98,9 @@ def features_cmd(metric_kind, subdets, omega_d, infile, outfile):
         text = fh.read()
     x = VectorTuple.from_csv(text) if infile.endswith(".csv") else VectorTuple.from_json(text)
     metric = Metric(metric_kind, x.d)
-    # A finite input can overflow; that is reported below, not warned about.
-    with np.errstate(over="ignore", invalid="ignore"):
-        g = features.gram(metric, x)
-        dets = features.subdeterminants(x) if subdets else {}
-    if not np.isfinite(g).all():
-        raise NonFiniteError("gram matrix contains NaN or Inf")
-    if not np.isfinite(list(dets.values())).all():
-        raise NonFiniteError("subdeterminants contain NaN or Inf")
+    g = features.gram(metric, x)
+    dets = features.subdeterminants(x) if subdets else {}
+    _check_finite(gram=g, subdets=list(dets.values()))
     out = {"n": x.n, "d": x.d, "metric": metric.kind, "gram": g}
     if subdets:
         out["subdets"] = [{"indices": list(k), "value": v} for k, v in dets.items()]
@@ -377,40 +385,33 @@ def demo(which, infile, trials, seed):
     obj, particles = _load_particles(infile)
     G, k, c = (as_scalar(obj.get(name, 1.0), name) for name in ("G", "k", "c"))
     out = {}
-    # Finite input can overflow or divide by a vanishing distance; a number
-    # that comes out NaN or Inf is reported below instead of printed.
-    with np.errstate(over="ignore", divide="ignore", invalid="ignore"):
+    if which == "energy":
+        a = out["energy"] = physics.total_energy(particles, G)
+    else:
+        test, sources = particles[0], particles[1:]
+        a = physics.em_force_scalar(test, sources, k, c)
+        out["force_cross"] = physics.em_force_cross(test, sources, k, c).tolist()
+        out["force_scalar"] = a.tolist()
+    if trials > 0:
+        rng = groups.make_rng(seed)
+        d = particles[0].r.size
+        draws = [(groups.sample("so", rng, d).q, rng.standard_normal(d)) for _ in range(trials)]
+        q, w = (np.array(x) for x in zip(*draws))  # (T, d, d), (T, d)
+        # Every trial's moved particles as one (T, n, d) stack of mat-vecs;
+        # a moved vector that overflows makes the residual NaN or Inf.
+        r = (q[:, None] @ np.array([p.r for p in particles])[..., None])[..., 0] + w[:, None]
+        v = (q[:, None] @ np.array([p.v for p in particles])[..., None])[..., 0]
         if which == "energy":
-            a = out["energy"] = physics.total_energy(particles, G)
+            b = physics._energies(r, v, np.array([p.mass for p in particles]), G)
+            residuals = abs(a - b) / (1.0 + abs(a))
         else:
-            test, sources = particles[0], particles[1:]
-            a = physics.em_force_scalar(test, sources, k, c)
-            out["force_cross"] = physics.em_force_cross(test, sources, k, c).tolist()
-            out["force_scalar"] = a.tolist()
-        if trials > 0:
-            rng = groups.make_rng(seed)
-            d = particles[0].r.size
-            draws = [(groups.sample("so", rng, d).q, rng.standard_normal(d)) for _ in range(trials)]
-            q, w = (np.array(x) for x in zip(*draws))  # (T, d, d), (T, d)
-            # Every trial's moved particles as one (T, n, d) stack of mat-vecs.
-            r = (q[:, None] @ np.array([p.r for p in particles])[..., None])[..., 0] + w[:, None]
-            v = (q[:, None] @ np.array([p.v for p in particles])[..., None])[..., 0]
-            if not (np.isfinite(r).all() and np.isfinite(v).all()):
-                raise NonFiniteError("vector contains NaN or Inf")
-            if which == "energy":
-                b = physics.total_energies(r, v, np.array([p.mass for p in particles]), G)
-                residuals = abs(a - b) / (1.0 + abs(a))
-            else:
-                physics._check_sources(r[:, 0], r[:, 1:])
-                charges = np.array([p.charge for p in particles])
-                b = physics._em_force(r[:, 0], v[:, 0], charges[0], r[:, 1:], v[:, 1:], charges[1:], k, c)
-                residuals = np.linalg.norm(b - q @ a, axis=-1) / (1.0 + np.linalg.norm(a))
-            out["equivariance"] = {"trials": trials, "max_residual": float(residuals.max())}
-    numbers = {key: value for key, value in out.items() if key != "equivariance"}
-    numbers.update(out.get("equivariance", {}))
-    bad = [key for key, value in numbers.items() if not np.isfinite(value).all()]
-    if bad:
-        raise NonFiniteError(f"{' and '.join(bad)} not finite: NaN or Inf")
+            physics._check_sources(r[:, 0], r[:, 1:])
+            charges = np.array([p.charge for p in particles])
+            b = physics._em_force(r[:, 0], v[:, 0], charges[0], r[:, 1:], v[:, 1:], charges[1:], k, c)
+            residuals = np.linalg.norm(b - q @ a, axis=-1) / (1.0 + np.linalg.norm(a))
+        out["equivariance"] = {"trials": trials, "max_residual": float(residuals.max())}
+    _check_finite(**{key: value for key, value in out.items() if key != "equivariance"},
+                  **out.get("equivariance", {}))
     _emit(out)
 
 
@@ -446,11 +447,8 @@ def einsum_eval(expr, bindfile, dim, metric_kind):
     parsed = einsum.parse(expr)
     with open(bindfile) as fh:
         bindings = json.load(fh)
-    # Finite bindings whose products overflow: one check of the value.
-    with np.errstate(over="ignore", invalid="ignore"):
-        value = einsum.evaluate(parsed, bindings, dim, Metric(metric_kind, dim))
-    if not np.isfinite(value).all():
-        raise NonFiniteError("value not finite: NaN or Inf")
+    value = einsum.evaluate(parsed, bindings, dim, Metric(metric_kind, dim))
+    _check_finite(value=value)
     _emit({"value": value if np.isscalar(value) else np.asarray(value).tolist()})
 
 

@@ -24,7 +24,11 @@ the target is called per trial on row views of the input stack: on the
 input, then on its image, in trial order, so a failure names its trial.
 Residuals of the outputs of one shape are computed as one stack; an output
 that is NaN or infinite, or a residual that is NaN, fails its trial with
-``NonFiniteError``. Residuals and components are added up once per stack,
+``NonFiniteError``. Each stack runs under one ``np.errstate`` with
+overflow, division by zero and invalid operations ignored: the element
+build and determinants, the apply, the target's calls, the transform and
+the compare. So a report is the same whether numpy's warnings print or
+raise, and none escapes. Residuals and components are added up once per stack,
 the residuals one at a time in trial order, as ``mean_residual``'s bits
 depend on that order. A trial is
 otherwise carried as its index in the stack; row views are built for the
@@ -327,38 +331,36 @@ def _chunk_results(fn, specs, chunk, rng):
 
     # Transform the outputs of each shape as one stack, spec by spec, and
     # compare those of the trials whose image output came back. Outputs that
-    # are not finite are found from their norms; the arithmetic on them stays
-    # quiet, as their trials fail.
+    # are not finite are found from their norms.
     residuals = [None] * count
-    with np.errstate(invalid="ignore", over="ignore"):
-        for idx, stack, done, outs2 in shapes:
-            norms = _norms(stack)
-            for k in _non_finite(stack, norms):
-                errors[idx[k]] = NonFiniteError("output on the input is NaN or Inf")
-            expected = stack
-            try:
-                for j, (g, dg, s) in enumerate(zip(elements, dets, specs)):
-                    if j == applied:
-                        raise apply_error
-                    expected = _transform(g, dg, s, expected,
-                                          slice(None) if len(idx) == count else idx)
-            except Exception as exc:  # noqa: BLE001
-                for t in idx:
-                    if errors[t] is None:
-                        errors[t] = exc
-                continue
-            if not done:
-                continue
-            if len(done) < len(idx):
-                norms, expected = norms[done], expected[done]
-            for j in _non_finite(outs2, _norms(outs2)):
-                late[idx[done[j]]] = NonFiniteError("output on the image is NaN or Inf")
-            stacked = _norms(outs2 - expected) / (1.0 + norms)
-            for k, residual in zip(done, stacked.tolist()):
-                if residual == residual:
-                    residuals[idx[k]] = residual
-                elif late[idx[k]] is None:  # finite outputs whose squared norms overflow
-                    late[idx[k]] = NonFiniteError("residual is NaN: the outputs overflow its arithmetic")
+    for idx, stack, done, outs2 in shapes:
+        norms = _norms(stack)
+        for k in _non_finite(stack, norms):
+            errors[idx[k]] = NonFiniteError("output on the input is NaN or Inf")
+        expected = stack
+        try:
+            for j, (g, dg, s) in enumerate(zip(elements, dets, specs)):
+                if j == applied:
+                    raise apply_error
+                expected = _transform(g, dg, s, expected,
+                                      slice(None) if len(idx) == count else idx)
+        except Exception as exc:  # noqa: BLE001
+            for t in idx:
+                if errors[t] is None:
+                    errors[t] = exc
+            continue
+        if not done:
+            continue
+        if len(done) < len(idx):
+            norms, expected = norms[done], expected[done]
+        for j in _non_finite(outs2, _norms(outs2)):
+            late[idx[done[j]]] = NonFiniteError("output on the image is NaN or Inf")
+        stacked = _norms(outs2 - expected) / (1.0 + norms)
+        for k, residual in zip(done, stacked.tolist()):
+            if residual == residual:
+                residuals[idx[k]] = residual
+            elif late[idx[k]] is None:  # finite outputs whose squared norms overflow
+                late[idx[k]] = NonFiniteError("residual is NaN: the outputs overflow its arithmetic")
     errors = [late[t] if error is None else error for t, error in enumerate(errors)]
     return x, scalars, errors, residuals, positive
 
@@ -398,7 +400,8 @@ def certify_joint(fn, specs, trials: int, rng) -> CertReport:
     total, worst = 0.0, None
     for start in range(0, trials, CHUNK_TRIALS):
         chunk = range(start, min(trials, start + CHUNK_TRIALS))
-        x, scalars, errors, residuals, positive = _chunk_results(fn, specs, chunk, rng)
+        with np.errstate(over="ignore", divide="ignore", invalid="ignore"):
+            x, scalars, errors, residuals, positive = _chunk_results(fn, specs, chunk, rng)
         passed = []
         for t, error in enumerate(errors):
             if error is None:

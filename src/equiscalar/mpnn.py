@@ -125,7 +125,7 @@ def edge_features(qs, rs, vs, config: EdgeConfig = EdgeConfig()) -> np.ndarray:
         if config.rbf_centers:
             dist = np.sqrt(dist_sq)
             for c in config.rbf_centers:
-                channels.append(np.exp(-((dist - c) ** 2) / (2.0 * config.rbf_width**2)))
+                channels.append(np.exp(-((dist - c) ** 2) / (2.0 * np.float64(config.rbf_width) ** 2)))
         e = np.empty((*dist_sq.shape, len(channels)))
         for i, channel in enumerate(channels):
             e[..., i] = channel
@@ -643,7 +643,9 @@ def generate_dataset(rng, n_particles: int, n_samples: int, k=1.0, c=1.0) -> Dat
 
     Positions uniform in [-1, 1]^3 with minimum pairwise distance 0.1
     (whole-configuration rejection), velocities Gaussian sigma 0.3, charges
-    uniform in {-1, +1}. Targets recompute exactly as em_force_scalar.
+    uniform in {-1, +1}. Targets recompute exactly as em_force_scalar, with
+    numpy's floating-point warnings off; a k or c that makes one NaN or Inf
+    (c = 0, or a c whose square underflows) raises NonFiniteError.
     """
     check_fields(dict(n_particles=n_particles, n_samples=n_samples, k=k, c=c), generate_dataset._rules)
     qs = np.empty((n_samples, n_particles))
@@ -664,7 +666,11 @@ def generate_dataset(rng, n_particles: int, n_samples: int, k=1.0, c=1.0) -> Dat
         qs[s] = rng.choice([-1.0, 1.0], size=n_particles)
         rs[s] = pos
         vs[s] = rng.normal(0.0, 0.3, size=(n_particles, 3))
-        targets[s] = forces_for(qs[s], rs[s], vs[s], k, c)
+    with np.errstate(over="ignore", divide="ignore", invalid="ignore"):
+        for s in range(n_samples):
+            targets[s] = forces_for(qs[s], rs[s], vs[s], k, c)
+    if not np.isfinite(targets).all():
+        raise NonFiniteError(f"k = {k!r} and c = {c!r} give force targets that are not finite")
     return Dataset(qs, rs, vs, targets)
 
 

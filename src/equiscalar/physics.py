@@ -100,17 +100,18 @@ def _check_em_inputs(test, sources):
 def em_force_cross(test: Particle, sources, k: float, c: float) -> np.ndarray:
     """Coulomb plus magnetic force, magnetic term as v x (v_i x (r - r_i))."""
     _check_em_inputs(test, sources)
+    c2 = np.float64(c) ** 2  # float64 powers: past its range inf, not OverflowError
     f = np.zeros(3)
     for s in sources:
         delta = test.r - s.r
-        dist3 = float(np.linalg.norm(delta)) ** 3
+        dist3 = np.linalg.norm(delta) ** 3
         f += k * test.charge * s.charge * delta / dist3
         f += (
             k
             * test.charge
             * s.charge
             * generalized_cross([test.v, generalized_cross([s.v, delta])])
-            / (c**2 * dist3)
+            / (c2 * dist3)
         )
     return f
 
@@ -124,7 +125,8 @@ def _em_force(r, v, q, rs, vs, qs, k: float, c: float) -> np.ndarray:
     coef = (k * q)[..., None] * qs / _norms(delta) ** 3
     test_v = v[..., None]
     vv, vd = vs @ test_v, delta @ test_v
-    return (coef[..., None, :] @ ((1.0 - vv / c**2) * delta + (vd / c**2) * vs))[..., 0, :]
+    c2 = np.float64(c) ** 2  # inf past float64's range, not OverflowError: no magnetic term
+    return (coef[..., None, :] @ ((1.0 - vv / c2) * delta + (vd / c2) * vs))[..., 0, :]
 
 
 def em_force_scalar(test: Particle, sources, k: float, c: float) -> np.ndarray:

@@ -155,11 +155,11 @@ def test_features_malformed_json_tuple_exits_2(runner, tmp_path, text):
 
 
 @pytest.mark.parametrize("vectors, args, message", [
-    ([[1e200, 0, 0], [1, 2, 3]], [], "gram matrix contains NaN or Inf"),
-    ([[1e200, 0, 0], [1, 2, 3]], ["--omega", "1"], "gram matrix contains NaN or Inf"),
-    ([[1e200, 0, 0], [1, 2, 3]], ["--metric", "minkowski"], "gram matrix contains NaN or Inf"),
+    ([[1e200, 0, 0], [1, 2, 3]], [], "gram not finite: NaN or Inf"),
+    ([[1e200, 0, 0], [1, 2, 3]], ["--omega", "1"], "gram not finite: NaN or Inf"),
+    ([[1e200, 0, 0], [1, 2, 3]], ["--metric", "minkowski"], "gram not finite: NaN or Inf"),
     ([[1e110, 0, 0], [0, 1e110, 0], [0, 0, 1e110]], ["--subdets"],
-     "subdeterminants contain NaN or Inf"),
+     "subdets not finite: NaN or Inf"),
 ], ids=["gram", "gram-omega", "gram-minkowski", "subdets"])
 def test_features_non_finite_result_exits_2(runner, tmp_path, vectors, args, message):
     text = json.dumps({"d": 3, "vectors": vectors, "roles": ["free"] * len(vectors)})
@@ -316,6 +316,25 @@ def test_demo_prints_the_vanishing_force_of_a_source_past_float64_range(runner, 
         result = runner.invoke(main, ["demo", "emforce", "--in", infile])
     assert result.exit_code == 0 and result.stderr == "" and caught == []
     assert json.loads(result.stdout) == {"force_cross": [0.0] * 3, "force_scalar": [0.0] * 3}
+
+
+@pytest.mark.parametrize("particles, force", [
+    ({"c": 1e200, "particles": [
+        {"r": [0.0, 0.0, 0.0], "v": [0.1, 0.0, 0.0], "charge": 1.0},
+        {"r": [1.0, 0.0, 0.0], "v": [0.0, 0.2, 0.0], "charge": 1.0},
+    ]}, [-1.0, 0.0, 0.0]),
+    ({"particles": [
+        {"r": [5e109, 0.0, 0.0], "v": [0.1, 0.0, 0.0], "charge": 1.0},
+        {"r": [-5e109, 0.0, 0.0], "v": [0.0, 0.2, 0.0], "charge": 1.0},
+    ]}, [0.0, 0.0, 0.0]),
+], ids=["c-1e200-no-magnetic-term", "distance-cubed-overflows"])
+def test_demo_emforce_powers_past_float64_range_reach_their_limits(runner, tmp_path, particles, force):
+    infile = _write(tmp_path / "p.json", json.dumps(particles))
+    with warnings.catch_warnings(record=True) as caught:
+        warnings.simplefilter("always")
+        result = runner.invoke(main, ["demo", "emforce", "--in", infile])
+    assert result.exit_code == 0 and result.stderr == "" and caught == []
+    assert json.loads(result.stdout) == {"force_cross": force, "force_scalar": force}
 
 
 def test_demo_equivariance_requires_seed(runner, tmp_path):

@@ -1,10 +1,11 @@
 import itertools
 import json
+import warnings
 
 import numpy as np
 import pytest
 
-from equiscalar import basis, groups, harness
+from equiscalar import basis, features, groups, harness
 from equiscalar.core import FREE, POSITION, VectorTuple, euclidean, minkowski
 from equiscalar.errors import RoleError, ShapeError
 
@@ -398,6 +399,26 @@ def test_outputs_too_large_for_the_residual_fail_quietly():
     report = harness.certify(lambda x: 1e150 * x.vectors[0], harness.SymmetrySpec("o", 3, 2), 4,
                              groups.make_rng(2))
     assert not report.failures and report.max_residual < 1e-15
+
+
+def test_a_boost_whose_determinant_overflows_reports_alike_under_any_warning_filter():
+    # At rapidity 354 a boost's entries near 1e153 overflow det(q) and the
+    # image's Gram: the whole stack runs with numpy's warnings off, so the
+    # report is the same whether warnings print or raise, and none escapes.
+    spec = harness.SymmetrySpec("lorentz", 4, 3, output_kind="scalar-invariant", rapidity_max=354)
+
+    def report():
+        fn = lambda x: features.gram(minkowski(4), x)
+        return json.dumps(harness.certify_joint(fn, [spec], 50, groups.make_rng(1)).to_dict())
+
+    with warnings.catch_warnings(record=True) as caught:
+        warnings.simplefilter("always")
+        printed = report()
+    with warnings.catch_warnings():
+        warnings.simplefilter("error", RuntimeWarning)
+        raised = report()
+    assert caught == [] and printed == raised
+    assert json.loads(printed)["trials"] == 50
 
 
 # -- the stacked loop against the per-trial loop it replaced ----------------------

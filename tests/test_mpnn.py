@@ -3,6 +3,7 @@ import json
 import pathlib
 import pickle
 import tracemalloc
+import warnings
 
 import numpy as np
 import pytest
@@ -88,6 +89,14 @@ def test_edge_features_rbf_channels():
     assert e.shape[-1] == 5
     dist = np.linalg.norm(rs[0] - rs[1])
     assert e[0, 1, 4] == pytest.approx(np.exp(-((dist - 1.0) ** 2) / 0.5))
+
+
+def test_an_rbf_width_past_float64_range_gives_a_channel_of_one():
+    cfg = mpnn.EdgeConfig(rbf_centers=(1.0,), rbf_width=1e200)
+    qs, rs, vs = np.ones(3), np.eye(3), np.zeros((3, 3))
+    assert (mpnn.edge_features(qs, rs, vs, cfg)[..., 3] == 1.0).all()
+    out = mpnn.MpnnModel(3, mode="pooled", edge_config=cfg).forward(qs, rs, vs)
+    assert out.shape == (3, 3) and np.isfinite(out).all()
 
 
 def test_edge_features_euclidean_invariance():
@@ -822,6 +831,24 @@ def test_dataset_min_separation():
         d = np.linalg.norm(ds.rs[s][:, None] - ds.rs[s][None, :], axis=-1)
         np.fill_diagonal(d, np.inf)
         assert d.min() >= mpnn.MIN_SEPARATION
+
+
+@pytest.mark.parametrize("c", [0.0, 1e-200], ids=["c-zero", "c-squared-underflows"])
+def test_a_c_that_makes_the_targets_not_finite_is_refused(c):
+    with warnings.catch_warnings(record=True) as caught:
+        warnings.simplefilter("always")
+        with pytest.raises(NonFiniteError, match=f"^k = 1.0 and c = {c!r} give force targets that are not finite$"):
+            mpnn.generate_dataset(np.random.default_rng(0), 3, 2, c=c)
+    assert caught == []
+
+
+def test_a_c_past_float64_range_leaves_the_coulomb_targets():
+    ds = mpnn.generate_dataset(np.random.default_rng(0), 3, 2, c=1e200)
+    delta = ds.rs[:, :, None] - ds.rs[:, None]  # (S, n, n, 3)
+    dist = np.linalg.norm(delta, axis=-1)
+    dist[:, range(3), range(3)] = np.inf
+    coulomb = (ds.qs[:, :, None, None] * ds.qs[:, None, :, None] * delta / dist[..., None] ** 3).sum(axis=2)
+    np.testing.assert_allclose(ds.targets, coulomb, rtol=1e-12)
 
 
 def test_dataset_targets_are_forces():
