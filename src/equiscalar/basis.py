@@ -61,7 +61,11 @@ def generalized_cross(vs) -> np.ndarray:
     """Cross product of d-1 vectors in R^d, given as a sequence of vectors or
     a (d-1, d) array: the unique x with <x, y> = det(v_1, ..., v_{d-1}, y)
     for all y."""
-    a = _CROSS_FACTORS(vs, "vs")
+    return _cross(_CROSS_FACTORS(vs, "vs"))
+
+
+def _cross(a) -> np.ndarray:
+    """`generalized_cross` of the float64 (d - 1, d) array ``a``, unchecked."""
     d = a.shape[1]
     # x_k = <x, e_k> = det(v_1, ..., v_{d-1}, e_k): one batched det over k.
     mats = np.empty((d, d, d))

@@ -11,7 +11,7 @@ Every randomized subcommand requires an explicit --seed; there is no
 wall-clock default, so identical invocations are byte-identical for the
 same numpy build, BLAS kernel and CPU SIMD features. Across those the last
 bits can differ: forcing OpenBLAS's AVX2 kernel (OPENBLAS_CORETYPE=Haswell)
-failed 49 of 2018 tests on an AVX-512 host, and limiting numpy's dispatch to
+failed 49 of 2024 tests on an AVX-512 host, and limiting numpy's dispatch to
 AVX2 (NPY_DISABLE_CPU_FEATURES="X86_V4 AVX512_ICL AVX512_SPR") failed 11,
 all golden-file, oracle or report comparisons. CI logs that configuration first.
 """

@@ -128,6 +128,17 @@ class array:
         self.kind, self.shape, self.dtype = kind, shape, np.dtype(dtype)
 
     def __call__(self, value, field):
+        a = self.unscanned(value, field)
+        if a.dtype.kind == "f":
+            self.scan(a, field)
+            if a.dtype is not self.dtype:  # integers, each within the dtype's range
+                self._refuse((a % 1 != 0) | (abs(a) >= -float(np.iinfo(self.dtype).min)), a, field, ShapeError)
+        return a if a.dtype is self.dtype else a.astype(self.dtype)
+
+    def unscanned(self, value, field):
+        """``np.asarray(value)``, refused for its dtype or shape as the rule
+        refuses it and, for a float dtype, converted to it; its entries not
+        yet scanned, which `scan` does for a float array."""
         try:
             a = np.asarray(value)
         except (TypeError, ValueError):  # ragged rows
@@ -138,13 +149,14 @@ class array:
             raise ShapeError(f"{field} must be {self.kind}, got shape {a.shape}")
         if self.dtype.kind == "f" and a.dtype is not self.dtype:
             a = a.astype(self.dtype)  # rounds first: a longdouble can overflow float64
-        if a.dtype.kind == "f":
-            # Up to 64 entries test faster as Python floats than by a numpy reduction.
-            if not (all(map(math.isfinite, a.ravel().tolist())) if a.size <= 64 else np.isfinite(a).all()):
-                self._refuse(~np.isfinite(a), a, field, NonFiniteValueError)
-            if a.dtype is not self.dtype:  # integers, each within the dtype's range
-                self._refuse((a % 1 != 0) | (abs(a) >= -float(np.iinfo(self.dtype).min)), a, field, ShapeError)
-        return a if a.dtype is self.dtype else a.astype(self.dtype)
+        return a
+
+    def scan(self, a, field):
+        """Refuse the float array ``a`` as the rule does if it holds a NaN or
+        an infinity, naming the first."""
+        # Up to 64 entries test faster as Python floats than by a numpy reduction.
+        if not (all(map(math.isfinite, a.ravel().tolist())) if a.size <= 64 else np.isfinite(a).all()):
+            self._refuse(~np.isfinite(a), a, field, NonFiniteValueError)
 
     def _refuse(self, bad, a, field, error):
         """Raise ``error`` naming the first entry of ``a`` that ``bad`` marks, if any."""

@@ -40,12 +40,20 @@ blocks of one layer's four nets, so every net meets the arithmetic of a
 layer stack run on its own, bit for bit. `backward` does not update the
 input gradient dh below layer 0, where nothing reads it.
 `MpnnModel.forward` takes one sample, (n,) charges with (n, 3)
-positions and velocities, or stacks (B, n) and (B, n, 3). Its cache keeps only the net input rows z, the G matrices and
-each layer's input h: keeping the nets' activations would hold every hidden
-layer for every pair of the minibatch at once (about four times the peak
-memory of a training step at n = 12). `ScalarNet.backward` recomputes them
-from z one row block at a time and drops each block's before the next
-(gradient checkpointing per block); a block holds as many rows as keep a
+positions and velocities, or stacks (B, n) and (B, n, 3). What its pass
+reads of them, the net input rows z and the layer-0 hidden vectors, does
+not depend on the weights, so `train` reads its dataset once, at its
+start: it builds every sample's inputs a batch of samples at a time into
+one array and keeps them for the whole call, samples x rows per sample x
+input width x 8 bytes of rows: 0.54 MB for 64 pooled samples at n = 12
+with the inverse channel, 1.5 MB for acceptance criterion 8's 2000 at
+n = 4. The cache of `forward` keeps only the net
+input rows z, the G matrices and each layer's input h: keeping the nets'
+activations would hold every hidden layer for every pair of the minibatch
+at once (about four times the peak memory of a training step at n = 12).
+`ScalarNet.backward` recomputes them from z one row block at a time and
+drops each block's before the next (gradient checkpointing per block); a
+block holds as many rows as keep a
 hidden-layer temporary of one layer's four nets within BLOCK_BYTES. So
 that no operation in a block repeats an operand along its rows, a call of
 more than one block builds one contiguous tile of a block's rows of each
@@ -105,12 +113,13 @@ def edge_features(qs, rs, vs, config: EdgeConfig = EdgeConfig()) -> np.ndarray:
     """(..., n, n, C) invariant scalars per ordered pair, for (..., n)
     charges and (..., n, 3) positions and velocities; diagonal entries use
     delta = 0 (the inverse channel is defined as 0 there)."""
-    qs = _CHARGES(qs, "qs")
+    qs = _CHARGES.unscanned(qs, "qs")
     shape = (*qs.shape, 3)
     vectors = array(f"a finite array of shape {shape}", shape.__eq__)
-    rs, vs = vectors(rs, "rs"), vectors(vs, "vs")
-    # Finite input that overflows reaches q_i^2, |v_i|^2 or dist_sq, and a
-    # coincident pair the inverse channel: one output check finds them all.
+    rs, vs = vectors.unscanned(rs, "rs"), vectors.unscanned(vs, "vs")
+    # A NaN or an infinity in the input, finite input that overflows, and a
+    # coincident pair under the inverse channel all reach e: one output check
+    # finds them, and only then are the inputs scanned, to name the first.
     with np.errstate(over="ignore", invalid="ignore", divide="ignore"):
         delta = rs[..., :, None, :] - rs[..., None, :, :]
         dist_sq = np.einsum("...ijk,...ijk->...ij", delta, delta)
@@ -130,6 +139,10 @@ def edge_features(qs, rs, vs, config: EdgeConfig = EdgeConfig()) -> np.ndarray:
         for i, channel in enumerate(channels):
             e[..., i] = channel
     if not np.isfinite(e).all():
+        # Each non-finite input entry reaches a diagonal: q_i^2, r_i - r_i, |v_i|^2.
+        _CHARGES.scan(qs, "qs")
+        vectors.scan(rs, "rs")
+        vectors.scan(vs, "vs")
         if config.include_inv_sqrt and np.any(dist_sq == 0.0, where=off_diag):
             raise DegenerateInputError("coincident positions with the inverse-sqrt channel enabled")
         raise NonFiniteError("charges, positions and velocities must give finite edge features")
@@ -379,6 +392,24 @@ NET_NAMES = ("g_r", "g_v", "gt_r", "gt_v")
 _SAMPLE_CHARGES = array("a finite (n,) or (B, n) array of numbers, n >= 1", lambda s: len(s) in (1, 2) and s[-1] >= 1)
 
 
+@dataclass
+class _Inputs:
+    """What `MpnnModel.forward` reads of a stack of B samples of n
+    particles, none of it depending on the weights: the (B, n, k, W) net
+    input rows z and the (2, B, n, 3) hidden vectors h of layer 0 (centred
+    positions, velocities), and the samples' (B, n, 3) force targets when
+    built of a `Dataset`. Indexing by samples gathers theirs."""
+
+    n: int
+    z: np.ndarray
+    h: np.ndarray
+    targets: np.ndarray | None = None
+
+    def __getitem__(self, samples):
+        targets = None if self.targets is None else self.targets[samples]
+        return _Inputs(self.n, self.z[samples], self.h[:, samples], targets)
+
+
 class MpnnModel:
     """T message-passing layers of four scalar nets each, weights shared
     across nodes and pairs (permutation equivariance by construction).
@@ -455,10 +486,29 @@ class MpnnModel:
         z[..., c:] = e.sum(axis=2)[:, :, None, :]
         return z
 
+    def _inputs(self, qs, rs, vs):
+        """The `_Inputs` of the samples given as `forward` takes them,
+        checked as `forward` checks them."""
+        qs = _SAMPLE_CHARGES(qs, "qs")
+        n = qs.shape[-1]
+        if self.mode == CONCAT and n != self.n_particles:
+            raise ShapeError(f"concat-mode model built for n={self.n_particles}, got n={n}")
+        e = edge_features(qs, rs, vs, self.edge_config)  # checks rs and vs by the array rule too
+        rs, vs = np.asarray(rs, dtype=np.float64), np.asarray(vs, dtype=np.float64)
+        if qs.ndim == 1:
+            rs, vs, e = rs[None], vs[None], e[None]
+        z = self._net_input(e, _off_diagonal(n))
+        h = np.empty((2, *rs.shape))  # (2, B, n, 3): centred positions (numpy's mean, bit for bit), velocities
+        np.subtract(rs, np.add.reduce(rs, axis=1, keepdims=True) / n, out=h[0])
+        h[1] = vs
+        return _Inputs(n, z, h)
+
     def forward(self, qs, rs, vs, want_cache=False):
         """Output vectors: (n, 3) for one sample given as (n,) charges and
         (n, 3) positions and velocities, (B, n, 3) for stacks of B samples.
-        With want_cache, returns (output, cache) for `backward`.
+        With want_cache, returns (output, cache) for `backward`. ``qs`` may
+        instead be the built inputs of a stack of samples, which `train`
+        and `evaluate_mse` gather from what they built, with rs and vs None.
 
         A sample's output alone and in a stack can differ in the last bits
         (up to a few 1e-15 relative at n <= 12 with OpenBLAS): the nets'
@@ -470,21 +520,14 @@ class MpnnModel:
         multiple of 4 and the first layer is narrow, as for n = 4 in either
         mode and pooled n = 5 or 8; concat models at n = 2, 3 and 5 to 12
         and pooled ones at n = 2, 3, 6 and 7 differ."""
-        qs = _SAMPLE_CHARGES(qs, "qs")
-        n = qs.shape[-1]
-        if self.mode == CONCAT and n != self.n_particles:
-            raise ShapeError(f"concat-mode model built for n={self.n_particles}, got n={n}")
-        e = edge_features(qs, rs, vs, self.edge_config)  # checks rs and vs by the array rule too
-        rs, vs = np.asarray(rs, dtype=np.float64), np.asarray(vs, dtype=np.float64)
-        single = qs.ndim == 1
-        if single:
-            rs, vs, e = rs[None], vs[None], e[None]
+        if isinstance(qs, _Inputs):
+            inputs, single = qs, False
+        else:
+            inputs = self._inputs(qs, rs, vs)
+            single = np.ndim(qs) == 1
+        n, z, h = inputs.n, inputs.z, inputs.h
         off = _off_diagonal(n)
-        z = self._net_input(e, off)
         rows = z.reshape(-1, z.shape[-1])
-        h = np.empty((2, *rs.shape))  # (2, B, n, 3): centred positions (numpy's mean, bit for bit), velocities
-        np.subtract(rs, np.add.reduce(rs, axis=1, keepdims=True) / n, out=h[0])
-        h[1] = vs
         cache = {"n": n, "z": z, "h": [], "G": []}
         # Overflowing weights give an Inf or NaN output, which callers check.
         with np.errstate(over="ignore", invalid="ignore"):
@@ -731,21 +774,50 @@ def mse_loss(pred, target):
         return float(np.mean(diff * diff))
 
 
+def _built(model, dataset: Dataset, chunk) -> _Inputs:
+    """The `_Inputs` of every sample of `dataset`, targets included, built
+    by `MpnnModel._inputs` ``chunk`` samples at a time into one array: only
+    the built rows outlive one chunk's edge features and temporaries."""
+    size = len(dataset.qs)
+    for start in range(0, size, chunk):
+        part = model._inputs(*(a[start : start + chunk] for a in (dataset.qs, dataset.rs, dataset.vs)))
+        if start == 0:
+            z, h = np.empty((size, *part.z.shape[1:])), np.empty((2, size, *part.h.shape[2:]))
+        z[start : start + chunk], h[:, start : start + chunk] = part.z, part.h
+    return _Inputs(part.n, z, h, dataset.targets)
+
+
 def evaluate_mse(model, dataset, indices, batch_size=TrainConfig.batch_size):
     """Mean per-sample force MSE over `indices`, evaluated `batch_size`
-    samples per forward call."""
+    samples per forward call. ``dataset`` is a `Dataset`, whose indexed
+    samples are built first, or the inputs that `train` built of one."""
     if len(indices) == 0:
         raise ShapeError("no samples to evaluate")
+    if isinstance(dataset, Dataset):
+        dataset = _built(model, Dataset(*(a[indices] for a in (dataset.qs, dataset.rs, dataset.vs, dataset.targets))),
+                         batch_size)
+        indices = np.arange(len(indices))
     total = 0.0
     for start in range(0, len(indices), batch_size):
         batch = indices[start : start + batch_size]
-        pred = model.forward(dataset.qs[batch], dataset.rs[batch], dataset.vs[batch])
-        total += mse_loss(pred, dataset.targets[batch]) * len(batch)
+        samples = dataset[batch]
+        total += mse_loss(model.forward(samples, None, None), samples.targets) * len(batch)
     return total / len(indices)
 
 
 def train(model: MpnnModel, dataset: Dataset, config: TrainConfig, on_epoch=None) -> TrainReport:
     """Plain SGD on per-particle force MSE; deterministic given the seed.
+
+    The dataset is read once, at the start: every sample's inputs are
+    checked and built as `MpnnModel.forward` builds them, so a bad sample
+    raises before any SGD step, and kept for the call, samples x rows per
+    sample x input width x 8 bytes of net input rows and samples x n x 48
+    bytes of centred positions and velocities. They are built
+    ``batch_size`` samples at a time, so the build's temporaries are one
+    batch's; a criterion-8 run peaks at 2.9 MB (tracemalloc), the kept
+    1.9 MB and one SGD step's temporaries. Each batch gathers its own
+    inputs by sample index and goes through `MpnnModel.forward`, `backward`
+    and `evaluate_mse` as its raw arrays would, bit for bit.
 
     ``on_epoch(epoch, model)``, when given, runs after each epoch's losses are
     recorded, epoch 0 (the untrained model) included.
@@ -761,9 +833,10 @@ def train(model: MpnnModel, dataset: Dataset, config: TrainConfig, on_epoch=None
     perm = rng.permutation(dataset.size)
     val_idx = perm[:n_val]
     train_idx = perm[n_val:]
+    inputs = _built(model, dataset, config.batch_size)
     report = TrainReport()
-    val0 = evaluate_mse(model, dataset, val_idx, config.batch_size)
-    train0 = evaluate_mse(model, dataset, train_idx, config.batch_size)
+    val0 = evaluate_mse(model, inputs, val_idx, config.batch_size)
+    train0 = evaluate_mse(model, inputs, train_idx, config.batch_size)
     report.epochs.append((0, train0, val0))
     if on_epoch is not None:
         on_epoch(0, model)
@@ -771,18 +844,16 @@ def train(model: MpnnModel, dataset: Dataset, config: TrainConfig, on_epoch=None
         order = rng.permutation(train_idx)
         epoch_loss = 0.0
         for start in range(0, len(order), config.batch_size):
-            batch = order[start : start + config.batch_size]
-            pred, cache = model.forward(
-                dataset.qs[batch], dataset.rs[batch], dataset.vs[batch], want_cache=True
-            )
+            samples = inputs[order[start : start + config.batch_size]]
+            pred, cache = model.forward(samples, None, None, want_cache=True)
             with np.errstate(over="ignore", invalid="ignore"):
-                diff = pred - dataset.targets[batch]
-                epoch_loss += float(np.mean(diff * diff)) * len(batch)
+                diff = pred - samples.targets
+                epoch_loss += float(np.mean(diff * diff)) * len(diff)
                 # d(mean over the batch of per-sample MSE)/d(pred)
                 dout = 2.0 * diff / diff.size
             model.apply_gradients(model.backward(cache, dout), config.lr)
         train_mse = epoch_loss / len(order)
-        val_mse = evaluate_mse(model, dataset, val_idx, config.batch_size)
+        val_mse = evaluate_mse(model, inputs, val_idx, config.batch_size)
         report.epochs.append((epoch, train_mse, val_mse))
         if on_epoch is not None:
             on_epoch(epoch, model)

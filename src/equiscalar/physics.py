@@ -9,11 +9,12 @@ particles, written once for one set and for stacks of sets.
 """
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 
 import numpy as np
 
-from .basis import generalized_cross
+from .basis import _cross, generalized_cross
 from .core import _kept, array, as_scalar, as_vector
 from .errors import DegenerateInputError, DimensionMismatchError, ShapeError
 
@@ -100,20 +101,28 @@ def _check_em_inputs(test, sources):
 def em_force_cross(test: Particle, sources, k: float, c: float) -> np.ndarray:
     """Coulomb plus magnetic force, magnetic term as v x (v_i x (r - r_i))."""
     _check_em_inputs(test, sources)
-    c2 = np.float64(c) ** 2  # float64 powers: past its range inf, not OverflowError
+    c2 = _c_squared(c)
     f = np.zeros(3)
     for s in sources:
         delta = test.r - s.r
         dist3 = np.linalg.norm(delta) ** 3
         f += k * test.charge * s.charge * delta / dist3
-        f += (
-            k
-            * test.charge
-            * s.charge
-            * generalized_cross([test.v, generalized_cross([s.v, delta])])
-            / (c2 * dist3)
-        )
+        # generalized_cross's kernel without its input check: an inner cross
+        # product that overflows gives a force that is not finite, which the
+        # caller checks, not an error that names generalized_cross's input.
+        f += k * test.charge * s.charge * _cross(np.array([test.v, _cross(np.array([s.v, delta]))])) / (c2 * dist3)
     return f
+
+
+def _c_squared(c):
+    """c squared, inf past float64's range (c beyond about 1.3e154): the
+    force then has no magnetic term. Python's float power raises there
+    instead of warning as numpy's does."""
+    c = float(c)
+    try:
+        return c ** 2
+    except OverflowError:
+        return math.inf
 
 
 def _em_force(r, v, q, rs, vs, qs, k: float, c: float) -> np.ndarray:
@@ -125,7 +134,7 @@ def _em_force(r, v, q, rs, vs, qs, k: float, c: float) -> np.ndarray:
     coef = (k * q)[..., None] * qs / _norms(delta) ** 3
     test_v = v[..., None]
     vv, vd = vs @ test_v, delta @ test_v
-    c2 = np.float64(c) ** 2  # inf past float64's range, not OverflowError: no magnetic term
+    c2 = _c_squared(c)
     return (coef[..., None, :] @ ((1.0 - vv / c2) * delta + (vd / c2) * vs))[..., 0, :]
 
 

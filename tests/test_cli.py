@@ -290,11 +290,21 @@ _CLOSE = {"particles": [
 ]}
 
 
+# A source velocity near 1e300 whose cross product with the separation
+# overflows: the cross form's magnetic term is inf * 0 = NaN, while the
+# scalar form, with no cross products, stays finite.
+_CROSSED = {"particles": [
+    {"r": [0.0, 0.0, 0.0], "v": [0.0, 0.0, 0.1], "charge": 1.0},
+    {"r": [1e10, 0.0, 0.0], "v": [0.0, 1e300, 0.0], "charge": 1.0},
+]}
+
+
 @pytest.mark.parametrize("which, particles, args, names", [
     ("energy", _HUGE, [], "energy"),
     ("energy", _HUGE, ["--check-equivariance", "3", "--seed", "1"], "energy and max_residual"),
     ("emforce", _CLOSE, [], "force_cross and force_scalar"),
-], ids=["energy-1e200", "energy-1e200-checked", "emforce-1e-200-apart"])
+    ("emforce", _CROSSED, [], "force_cross"),
+], ids=["energy-1e200", "energy-1e200-checked", "emforce-1e-200-apart", "emforce-cross-product-overflows"])
 def test_demo_exits_2_on_a_result_that_is_not_finite(runner, tmp_path, which, particles, args, names):
     infile = _write(tmp_path / "p.json", json.dumps(particles))
     with warnings.catch_warnings(record=True) as caught:

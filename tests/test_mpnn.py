@@ -900,6 +900,43 @@ def test_train_early_stop_on_val_ratio():
     assert seen == [(0, model), (1, model)]
 
 
+@pytest.mark.parametrize("mode", [mpnn.CONCAT, mpnn.POOLED])
+def test_train_builds_edge_features_once_per_sample_and_runs_every_batch_through_the_public_calls(monkeypatch, mode):
+    # The benchmark's spans count these calls, and its work count reads "n"
+    # from backward's cache.
+    calls = {"edge_features": 0, "evaluate_mse": 0, "forward": 0, "backward": 0, "apply_gradients": 0}
+
+    def spy(name, fn):
+        def wrapper(*args, **kwargs):
+            calls[name] += 1
+            if name == "backward":
+                assert args[1]["n"] == 3
+            return fn(*args, **kwargs)
+        return wrapper
+
+    for name in ("edge_features", "evaluate_mse"):
+        monkeypatch.setattr(mpnn, name, spy(name, getattr(mpnn, name)))
+    for name in ("forward", "backward", "apply_gradients"):
+        monkeypatch.setattr(mpnn.MpnnModel, name, spy(name, getattr(mpnn.MpnnModel, name)))
+    ds = mpnn.generate_dataset(np.random.default_rng(17), 3, 20)
+    mpnn.train(_small_model(mode), ds, mpnn.TrainConfig(epochs=2, lr=1e-3, batch_size=4, seed=3))
+    # The 20 samples are built once, four at a time, not once per forward.
+    # 4 validation samples, one batch, and 16 training samples, four: epoch 0
+    # evaluates both splits, and each epoch steps four times and evaluates one.
+    assert calls == {"edge_features": 5, "evaluate_mse": 2 + 2, "forward": 5 + 2 * 5, "backward": 2 * 4,
+                     "apply_gradients": 2 * 4}
+
+
+def test_train_refuses_a_coincident_pair_before_any_sgd_step(monkeypatch):
+    steps = []
+    monkeypatch.setattr(mpnn.MpnnModel, "apply_gradients", lambda *args: steps.append(args))
+    ds = mpnn.generate_dataset(np.random.default_rng(17), 3, 20)
+    ds.rs[-1, 1] = ds.rs[-1, 0]
+    with pytest.raises(DegenerateInputError, match="^coincident positions with the inverse-sqrt channel enabled$"):
+        mpnn.train(_small_model(mpnn.POOLED), ds, mpnn.TrainConfig(epochs=2, batch_size=4, seed=3))
+    assert steps == []
+
+
 @pytest.mark.parametrize("n_samples, batch_size", [(1, 32), (10, 0)])
 def test_train_rejects_no_training_samples_or_empty_batches(n_samples, batch_size):
     ds = mpnn.generate_dataset(np.random.default_rng(25), 3, n_samples)

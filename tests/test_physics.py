@@ -231,6 +231,20 @@ def test_em_cross_and_scalar_forms_agree():
         assert np.max(np.abs(a - b)) <= 1e-12 * max(1.0, np.max(np.abs(a)))
 
 
+@pytest.mark.parametrize("c", [1e200, -1e200])
+def test_a_c_whose_square_overflows_gives_the_force_at_infinite_c(c):
+    # Run under the suite's error::RuntimeWarning filter: c^2 reaches inf
+    # without numpy's overflow warning, and the magnetic term vanishes.
+    rng = np.random.default_rng(5)
+    parts = [_particle(rng, charge=float(rng.standard_normal())) for _ in range(4)]
+    r, v = np.array([p.r for p in parts]), np.array([p.v for p in parts])
+    q = np.array([p.charge for p in parts])
+    for force in (lambda c: physics.em_force_scalar(parts[0], parts[1:], 1.3, c),
+                  lambda c: physics.em_force_cross(parts[0], parts[1:], 1.3, c),
+                  lambda c: physics.em_forces(r, v, q, 1.3, c)):
+        assert force(c).tobytes() == force(np.inf).tobytes()
+
+
 def test_em_force_rotation_equivariance():
     rng = groups.make_rng(2)
     test = _particle(rng)
