@@ -240,14 +240,6 @@ def _permutation_chunks(n: int):
         yield np.array(sigmas, dtype=np.intp)
 
 
-def _permuted_grams(gram, n: int):
-    """Each chunk of ``_permutation_chunks`` with its P permuted grams,
-    gathered at once: the eager form of the Grams of
-    ``ScalarFeatureSet.permuted``."""
-    for idx in _permutation_chunks(n):
-        yield idx, gram[idx[:, :, None], idx[:, None, :]]
-
-
 def _permuted_subdets(subdets: dict | None, idx: np.ndarray) -> list:
     """Subdeterminants of each sigma-permuted tuple, sigma a row of idx, by
     the sort-and-sign rule; KeyError for a sorted image that is not stored."""

@@ -7,6 +7,8 @@ It is also the one place that sets numpy's floating-point state: commands
 run with overflow, division by zero and invalid operations ignored, so none
 writes a numpy warning, and ``features``, ``demo`` and ``einsum eval`` exit 2
 by one check, ``_check_finite``, on a printed number that is NaN or Inf.
+``features`` writes only what it has passed: a finite, exactly symmetric
+Gram and Ω values read from it.
 Every randomized subcommand requires an explicit --seed; there is no
 wall-clock default, so identical invocations are byte-identical for the
 same numpy build, BLAS kernel and CPU SIMD features. Across those the last
@@ -121,11 +123,6 @@ def features_cmd(metric_kind, subdets, omega_d, infile, outfile):
 _OMEGA_ENTRY = '{\n      "i": %d,\n      "j": %d,\n      "value": %r\n    }'
 
 
-def _json_floats(text):
-    """json's spelling of the non-finite floats in a text of float reprs."""
-    return text.replace("inf", "Infinity").replace("nan", "NaN")
-
-
 # float64 texts as float.__repr__ spells them, computed as array operations.
 # Digits: Schubfach (R. Giulietti, "The Schubfach way to render doubles",
 # 2020; the algorithm of Java 19's Double.toString) finds the shortest digits
@@ -135,7 +132,6 @@ def _json_floats(text):
 # are spelled by float.__repr__ one by one.
 
 _REPR_CHUNK = 8192  # entries per kernel pass; its temporaries stay in cache
-_REPR_SMALL = 256  # below this many entries float.__repr__ is the faster path
 
 
 def _schubfach_table():
@@ -250,13 +246,12 @@ def _repr_tables():
 
 
 def _float_reprs(x):
-    """``float.__repr__`` of each entry of the float64 array ``x``, as a flat
-    S24 array (24 bytes hold the longest repr), made in chunks of
-    _REPR_CHUNK entries: Schubfach's digits, then each entry's 17 digits and
-    exponent laid out by one gather of its source row through its layout."""
+    """``float.__repr__`` of each entry of the float64 array ``x``, of any
+    size, as a flat S24 array (24 bytes hold the longest repr), made in
+    chunks of _REPR_CHUNK entries: Schubfach's digits, then each entry's 17
+    digits and exponent laid out by one gather of its source row through its
+    layout."""
     x = np.ascontiguousarray(x, np.float64).ravel()
-    if x.size < _REPR_SMALL:
-        return np.array(list(map(float.__repr__, x.tolist())), "S24")
     table, layouts, layout_index, quad_chars, quad_digits = _repr_tables()
     out = np.empty(x.size, "S24")
     sources = np.empty((min(x.size, _REPR_CHUNK), 32), np.uint8)
@@ -302,33 +297,34 @@ _ROW_END = np.frombuffer(b"\n    ]\0\0", np.uint8)
 
 
 def _write_features(out, write):
-    """Write ``json.dumps(out, indent=2)`` through ``write``, with ``out["gram"]``
-    a square float64 ndarray and ``out["omega"]``, if present, a list of
-    ``{"i", "j", "value"}`` dicts.
+    """Write ``json.dumps(out, indent=2)`` through ``write`` for the payload
+    of ``features_cmd``: ``out["gram"]`` a finite square float64 ndarray
+    whose lower triangle is a bit copy of its upper one, as ``features.gram``
+    makes it and ``_check_finite`` passes it, and ``out["omega"]``, if
+    present, a list of ``{"i", "j", "value"}`` dicts of its entries. Other
+    input gets wrong texts: ``inf`` and ``nan``, and mirror texts below the
+    diagonal.
 
-    json's pure-Python encoder (the one ``indent`` selects) spells a float as
-    ``float.__repr__`` does, except ``Infinity``, ``-Infinity`` and ``NaN``;
-    ``_float_reprs`` makes those texts for whole arrays at once. The Gram goes
-    out in blocks of rows, and each entry on or above the diagonal is
-    formatted once: the texts are kept in an S24 array (``S24`` holds the
-    longest float64 repr) whose row k holds row k's entries from column k
-    on, and whose column k, below row k, the same texts again, so that row
-    k's part left of the diagonal is already there when its block comes. An
-    entry whose bits differ from its mirror's is formatted on its own. Each
-    block is written as one text: its rows' texts and separators laid out in
-    fixed-width slots and the NUL padding dropped. The Ω band goes through a
-    template, the other keys through json."""
+    json's pure-Python encoder (the one ``indent`` selects) spells a finite
+    float as ``float.__repr__`` does; ``_float_reprs`` makes those texts for
+    whole arrays at once. The Gram goes out in blocks of rows, and each
+    entry on or above the diagonal is formatted once: the texts are kept in
+    an S24 array (``S24`` holds the longest float64 repr) whose row k holds
+    row k's entries from column k on, and whose column k, below row k, the
+    same texts again, so that row k's part left of the diagonal is already
+    there when its block comes. Each block is written as one text: its rows'
+    texts and separators laid out in fixed-width slots and the NUL padding
+    dropped. The Ω band goes through a template, the other keys through
+    json."""
     g, omega = out["gram"], out.get("omega")
     rest = json.dumps({k: None if k in ("gram", "omega") else v for k, v in out.items()}, indent=2)
     head, _, tail = rest.partition('"gram": null')
     if omega is not None:
         entries = ",\n    ".join(_OMEGA_ENTRY % (e["i"], e["j"], e["value"]) for e in omega)
         tail = tail.replace('"omega": null', '"omega": ' + (
-            "[\n    " + _json_floats(entries) + "\n  ]" if omega else "[]"))
+            "[\n    " + entries + "\n  ]" if omega else "[]"))
     n = len(g)
-    bits = g.view(np.uint64)
     texts = np.zeros(g.shape, "S24")
-    finite = np.isfinite(g).all()
     step = max(1, min(n, _ROWS_OF // max(n, 1)))
     slots = np.zeros((step, n + 1, 32), np.uint8)  # a row's opening, then its entries
     slots[:, 0, :14] = _ROW_OPEN
@@ -337,19 +333,14 @@ def _write_features(out, write):
     write(head + '"gram": [')
     for k0 in range(0, n, step):
         k1 = min(n, k0 + step)
-        rows, column = np.arange(k0, k1)[:, None], np.arange(n)
         block = texts[k0:k1]
-        upper = column[k0:] >= rows
+        upper = np.arange(k0, n) >= np.arange(k0, k1)[:, None]
         block[:, k0:][upper] = _float_reprs(g[k0:k1, k0:][upper])
         texts[k1:, k0:k1] = block[:, k1:].T
         square, lower = block[:, k0:k1], ~upper[:, :k1 - k0]
         square[lower] = square.T[lower]
-        odd = (bits[k0:k1, :k1] != bits[:k1, k0:k1].T) & (column[:k1] < rows)
-        if odd.any():
-            block[:, :k1][odd] = _float_reprs(g[k0:k1, :k1][odd])
         slots[:k1 - k0, 1:, :24] = block.view(np.uint8).reshape(k1 - k0, n, 24)
         text = slots[:k1 - k0].tobytes().translate(None, b"\0").decode()
-        text = text if finite else _json_floats(text)
         write(text[1:] if k0 == 0 else text)  # no comma before the first row
     write(("\n  ]" if n else "]") + tail)
 

@@ -306,7 +306,8 @@ def inner(metric: Metric, a, b) -> float:
     return value
 
 
-_positions = _kept(lambda roles: np.flatnonzero([r == POSITION for r in roles]), lambda roles: len(roles) <= 32)
+_positions = _kept(lambda roles: np.flatnonzero(np.array(roles, dtype=object) == POSITION),
+                   lambda roles: len(roles) <= 32)
 _identity = _kept(np.eye, lambda d: d <= 32)
 
 
@@ -332,8 +333,8 @@ class VectorTuple:
     def position_indices(self) -> np.ndarray:
         """Ascending indices of the position vectors, as a read-only array,
         found on the first call and kept: at large n finding them is a
-        Python pass over the roles, and a translation-family model reads
-        them twice per evaluation."""
+        pass over the roles, and a translation-family model reads them
+        twice per evaluation."""
         pos = self.__dict__.get("_positions")
         if pos is None:
             pos = self.__dict__["_positions"] = _positions(self.roles)

@@ -557,7 +557,13 @@ class MpnnModel:
         4 * layer + NET_NAMES.index(name). The live nets that forward ran
         recompute their activations from the cached input rows one block at
         a time. The last layer's other two nets never reach the output, and
-        their gradients are zeros."""
+        their gradients are zeros.
+
+        The bits depend on the memory order of the nets' row gradients. For
+        one sample (B = 1) the rows that ``_row_grads`` gives each net are
+        strided, and the output bias's gradient, a dot product over them,
+        rounds otherwise than over a contiguous copy. A change of this
+        layout must keep that order, or say here which bits it moves."""
         z = cache["z"]
         rows = z.reshape(-1, z.shape[-1])
         off = _off_diagonal(cache["n"])
@@ -573,9 +579,8 @@ class MpnnModel:
                 if layer:
                     dh = dh + (g.sum(axis=-1)[..., None] * dm - np.swapaxes(g, -1, -2) @ dm).sum(axis=0)
                 dvals[layer] = _row_grads(dg, z.shape, off).reshape(2 * len(dg), -1)
-            # np.concatenate keeps the layers' memory order (a net's rows are strided for one
-            # sample), whose dot products over the rows round otherwise than contiguous ones;
-            # the layers' arrays are freed before the nets run.
+            # np.concatenate keeps the layers' memory order (see above); the layers'
+            # arrays are freed before the nets run.
             dvals = np.concatenate(dvals)
             live = self.stack[self._live].backward(rows, dvals)
         # Shaped as the stack's (weights, biases), zero for the nets not run.

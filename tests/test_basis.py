@@ -27,6 +27,8 @@ from equiscalar.features import (
     translation_reduce,
 )
 
+from test_trial_oracles import permuted_grams
+
 
 # -- generalized_cross -------------------------------------------------------
 
@@ -461,7 +463,7 @@ def _so_features(x):
 def test_symmetrized_so_matches_the_per_subset_oracle_bit_for_bit(n, d):
     feats = _so_features(VectorTuple(np.random.default_rng(100 * n + d).standard_normal((n, d))))
     want_subdets = [_permute_subdets(feats.subdets, s) for s in itertools.permutations(range(n))]
-    got_subdets = [sd for idx, _ in basis._permuted_grams(feats.gram, n)
+    got_subdets = [sd for idx, _ in permuted_grams(feats.gram, n)
                    for sd in basis._permuted_subdets(feats.subdets, idx)]
     assert _bits(got_subdets) == _bits(want_subdets)
     fixture = _pseudo_fixture(d)
@@ -474,7 +476,7 @@ def test_permuted_subdets_follow_the_keys_of_a_hand_built_dict():
     feats = _so_features(VectorTuple(np.random.default_rng(31).standard_normal((5, 3))))
     shuffled = dict(reversed(list(feats.subdets.items())))
     shuffled[(2, 0, 1)] = 7.0  # unsorted: never a sorted image, so never read
-    idx = next(basis._permuted_grams(feats.gram, 5))[0]
+    idx = next(permuted_grams(feats.gram, 5))[0]
     got = basis._permuted_subdets(shuffled, idx)
     want = [_permute_subdets(shuffled, tuple(sigma.tolist())) for sigma in idx]
     assert _bits(got) == _bits(want)

@@ -5,11 +5,14 @@ nothing on stdout. No traceback, and no warning."""
 import json
 import warnings
 
+import numpy as np
 from click.testing import CliRunner
 from hypothesis import given, seed, settings
 from hypothesis import strategies as st
 
+from equiscalar import features
 from equiscalar.cli import main
+from equiscalar.core import VectorTuple, euclidean, minkowski
 
 # Finite floats at the edges of float64: ±1e±300, the largest, subnormals and
 # signed zeros, with ordinary values; any finite float besides.
@@ -77,7 +80,26 @@ def test_features_prints_finite_json_or_exits_2(tmp_path_factory, tup, metric, s
     def args(path):
         return ["features", "--metric", metric, "--in", path, *(["--subdets"] if subdets else []),
                 *(["--omega", str(omega)] if omega is not None else [])]
-    _assert_contract(*_run(tmp_path_factory, "x.json", tup, args), "features")
+    result, caught = _run(tmp_path_factory, "x.json", tup, args)
+    _assert_contract(result, caught, "features")
+    if result.exit_code == 0:  # the streamed writer prints what json.dumps would
+        assert result.stdout == json.dumps(_features_payload(tup, metric, subdets, omega), indent=2) + "\n"
+
+
+def _features_payload(tup, metric, subdets, omega):
+    """The payload ``features`` prints for ``tup``, built from the library."""
+    x = VectorTuple(tup["vectors"])
+    kind = (euclidean if metric == "euclid" else minkowski)(x.d)
+    with np.errstate(over="ignore", divide="ignore", invalid="ignore"):
+        g = features.gram(kind, x)
+        payload = {"n": x.n, "d": x.d, "metric": kind.kind, "gram": g.tolist()}
+        if subdets:
+            payload["subdets"] = [{"indices": list(k), "value": v}
+                                  for k, v in features.subdeterminants(x).items()]
+        if omega is not None:
+            payload["omega"] = [{"i": i, "j": j, "value": v}
+                                for (i, j), v in sorted(features.omega_sample(g, omega).entries.items())]
+    return payload
 
 
 @st.composite

@@ -7,13 +7,14 @@ written by ``json.dump(out, fh, indent=2)`` of the whole payload. Any change
 to how ``features`` writes its JSON must reproduce them exactly.
 
 The command writes the Gram in blocks of rows, formatting each entry on or
-above the diagonal once, with ``cli._float_reprs`` (array arithmetic for the
-normal doubles of arrays of 256 entries or more, ``float.__repr__`` for the
-rest), and reusing its text for the mirror entry, and the Omega band through
-a template; the tests below also check that writer against
-``json.dumps(out, indent=2)`` directly, on symmetric Grams and on matrices
-whose mirror entries differ. ``tests/test_float_reprs.py`` checks the
-formatter itself against ``float.__repr__``.
+above the diagonal once, with ``cli._float_reprs`` (array arithmetic for
+normal doubles, ``float.__repr__`` for zeros and subnormals), and reusing
+its text for the mirror entry, and the Omega band through a template; the
+tests below also check that writer against ``json.dumps(out, indent=2)``
+directly, on the finite, exactly symmetric Grams the command gives it.
+``tests/test_cli_contract.py`` checks it through the command on extreme
+finite input, and ``tests/test_float_reprs.py`` checks the formatter itself
+against ``float.__repr__``.
 
 Regenerate (only when a change is meant to move the output) with
 
@@ -111,17 +112,16 @@ def test_writer_equals_json_dumps(n, metric):
     assert _written(out) == _json_text(out)
 
 
-def test_writer_spells_non_finite_and_signed_zero_entries_as_json_does():
-    g = np.array([[np.inf, -np.inf, -0.0], [np.nan, 0.0, 1e-320], [-np.nan, 1e300, -2.5e-8]])
-    out = {"n": 3, "d": 2, "metric": "minkowski", "gram": g,
-           "subdets": [{"indices": [0, 1], "value": -np.inf}]}
+def test_writer_spells_signed_zero_subnormal_and_extreme_entries_as_json_does():
+    g = np.array([[-0.0, 1e300, 0.0, 1e-320],
+                  [1e300, 0.0, -1e300, -2.5e-8],
+                  [0.0, -1e300, 1e-320, -0.0],
+                  [1e-320, -2.5e-8, -0.0, -1e300]])
+    out = {"n": 4, "d": 2, "metric": "minkowski", "gram": g,
+           "subdets": [{"indices": [0, 1], "value": -0.0}]}
     text = _written(out)
     assert text == _json_text(out)
-    assert "-Infinity" in text and "NaN" in text and "-0.0" in text
-
-
-def _nan(payload):
-    return np.array([payload], dtype=np.uint64).view(np.float64)[0]
+    assert "-0.0" in text and "1e-320" in text and "-1e+300" in text
 
 
 def _symmetric(n, seed):
@@ -130,19 +130,11 @@ def _symmetric(n, seed):
 
 
 def _off_the_happy_path():
-    """name -> square matrix on which reusing a mirror entry's text is wrong
-    or would truncate."""
-    cases = {"non-symmetric": np.random.default_rng(7).standard_normal((9, 9))}
-    g = cases["signed-zero"] = _symmetric(6, 8)
-    g[1, 4], g[4, 1] = 0.0, -0.0
-    g[5, 0], g[0, 5] = 0.0, -0.0
-    g = cases["nan-payloads"] = _symmetric(5, 9)
-    g[0, 3], g[3, 0] = _nan(0x7FF8000000000001), _nan(0xFFF8000000000002)
-    g[2, 2] = np.nan
+    """name -> symmetric matrix at the edges of the writer's store: texts
+    that fill it, and none at all."""
+    cases = {}
     # 24-character reprs fill the writer's S24 store; a narrower one would
-    # cut their texts in the lower triangle. At 28 entries on or above the
-    # diagonal they are float.__repr__'s own; the array formatter's 24-byte
-    # layouts get the same values in tests/float_repr_sweep.py.
+    # cut their texts in the lower triangle.
     g = cases["longest-reprs"] = _symmetric(7, 10)
     for i, j, v in [(0, 1, -2.2250738585072014e-308), (2, 5, -1.7976931348623157e+308),
                     (3, 3, -2.2250738585072014e-308), (6, 4, -1.7976931348623157e+308)]:

@@ -70,6 +70,14 @@ def _oracle_subdeterminants(x):
     return dict(zip(subsets, np.linalg.det(minors).tolist()))
 
 
+def permuted_grams(gram, n):
+    """Each chunk of ``basis._permutation_chunks`` with its P permuted grams,
+    gathered at once: the eager form of the Grams of
+    ``ScalarFeatureSet.permuted``."""
+    for idx in basis._permutation_chunks(n):
+        yield idx, gram[idx[:, :, None], idx[:, None, :]]
+
+
 class _OracleSymmetrized:
     """The explicit S_n orbit average, one ``total[sigma] += coeffs`` per sigma."""
 
@@ -81,7 +89,7 @@ class _OracleSymmetrized:
         total = np.zeros(n)
         cross_total = {}
         count = math.factorial(n)
-        for idx, grams in basis._permuted_grams(features_.gram, n):
+        for idx, grams in permuted_grams(features_.gram, n):
             subdets = basis._permuted_subdets(features_.subdets, idx)
             mapped, values = [], []
             for sigma, g, sd in zip(idx, grams, subdets):
