@@ -11,31 +11,44 @@ An element may also be a stack of T elements of one family (``q`` of shape
 blockwise on a tuple of T*n rows, element t on rows t*n ... t*n + n - 1.
 
 ``FAMILIES`` is the one place that says what a family is. It maps each
-``SymmetrySpec.group`` name to its record: its draw, its build, its element
-class, the metric kind its matrices preserve, whether its elements shift
-positions and whether its matrices all have determinant +1; from these
-follow its least dim and whether it acts on slots. Code elsewhere reads the record and
-never tests a family's name.
+``SymmetrySpec.group`` name to its record: its draw, its build, the number
+of generators its draw reads, its element class, the metric kind its
+matrices preserve, whether its elements shift positions and whether its
+matrices all have determinant +1; from these follow its least dim and
+whether it acts on slots. Code elsewhere reads the record and never tests a
+family's name.
 
-Sampling takes two steps, both by family name. ``draw`` takes one element's
-raw numbers from the generator; ``sample_stack`` builds T draws at once,
-with one batched QR, determinant and boost. ``sample``, the one sampler of
-single elements, is that build at T = 1, so an element has the same bits
-whether it is sampled alone or as element t of a stack drawn at the same
-point of the stream. Sampling is uniform (Haar) for the compact groups;
-Lorentz elements come from a boost-times-rotation family with bounded
-rapidity (the group is non-compact, so no Haar measure exists there).
+Sampling takes two steps, both by family name. A family's draw takes the
+raw numbers of a stack of T elements: each kind of number (a Gaussian
+matrix, a column, a sign, a rapidity, an axis, a shift, a permutation) for
+the whole stack in one call, on the next generator of an iterator, in the
+family's fixed order. Within one generator, T stacked draws of one kind
+equal T single draws bit for bit; so a caller that gives each kind a
+stream of its own, as the harness does, gets the same numbers however many
+elements it draws at a time. A Lorentz axis of norm below 1e-8 (about
+1e-24 per draw) is replaced from the family's last generator, its redraw
+stream, axis by axis in stack order. ``sample_stack`` builds a stack from
+the stacked arrays with one batched QR, determinant and boost. ``draw`` is
+the draw at T = 1 with every kind taken from the one generator, which
+reads that stream in the family's order; ``sample``, the one sampler of
+single elements, is the stacked build of that draw. Sampling is uniform
+(Haar) for the compact groups; Lorentz elements come from a
+boost-times-rotation family with bounded rapidity (the group is
+non-compact, so no Haar measure exists there).
 """
 from __future__ import annotations
 
+import itertools
 import math
 from dataclasses import InitVar, dataclass, fields
 from typing import Callable, NamedTuple
 
 import numpy as np
 
-from .core import (EUCLIDEAN, MINKOWSKI, POSITION, Metric, VectorTuple, array, as_scalar, as_vector, choice, integer,
-                   minkowski, real)
+from numpy.linalg import _umath_linalg
+
+from .core import (EUCLIDEAN, MINKOWSKI, POSITION, Metric, VectorTuple, array, as_scalar, as_vector, choice, det,
+                   integer, minkowski, real)
 from .errors import ChoiceTypeError, DegenerateInputError, DimensionMismatchError, NonFiniteError, ShapeError
 
 ORTHO_TOL = 1e-12
@@ -180,40 +193,57 @@ GroupElement = Orthogonal | Rotation | Lorentz | Translation | Permutation | Euc
 
 
 # -- sampling --------------------------------------------------------------
-# ``_draw_*`` takes one element's raw numbers in the order the family has
-# always drawn them; ``_build_*`` turns those numbers, each stacked over T
-# draws, into the element's fields.
+# ``_draw_*`` takes the raw numbers of a stack of t elements, each kind of
+# number for the whole stack in one call on the next generator of ``rngs``,
+# in the family's fixed order; ``_build_*`` turns those stacked numbers into
+# the element's fields.
 
 
-def _draw_orthogonal(rng, d, rapidity_max):
-    a = rng.standard_normal((d, d))
-    col = int(rng.integers(d))
-    sign = 1.0 if rng.integers(2) == 0 else -1.0
+def _draw_orthogonal(rngs, t, d, rapidity_max):
+    a = next(rngs).standard_normal((t, d, d))
+    col = next(rngs).integers(d, size=t)
+    sign = np.where(next(rngs).integers(2, size=t) == 0, 1.0, -1.0)
     return a, col, sign
 
 
-def _draw_rotation(rng, d, rapidity_max):
-    return (rng.standard_normal((d, d)),)
+def _draw_rotation(rngs, t, d, rapidity_max):
+    return (next(rngs).standard_normal((t, d, d)),)
 
 
-def _draw_lorentz(rng, d_plus_1, rapidity_max):
+def _draw_lorentz(rngs, t, d_plus_1, rapidity_max):
     d = d_plus_1 - 1
-    a = rng.standard_normal((d, d)) if d >= 2 else np.empty((0, 0))
-    phi = rng.uniform(-rapidity_max, rapidity_max)
-    axis = rng.standard_normal(d)
-    norm = math.sqrt(axis.dot(axis))  # np.linalg.norm(axis), bit for bit
-    while norm < 1e-8:
-        axis = rng.standard_normal(d)
-        norm = math.sqrt(axis.dot(axis))
-    # Each axis is normalised on its own: a norm over a stack of axes
-    # differs from the per-vector norm in the last bit.
-    return a, phi, axis / norm
+    a = next(rngs).standard_normal((t, d, d)) if d >= 2 else np.empty((t, 0, 0))
+    phi = next(rngs).uniform(-rapidity_max, rapidity_max, t)
+    axes = next(rngs).standard_normal((t, d))
+    redraw = next(rngs)
+    # Each axis is normalised by its own norm, the root of its own dot
+    # product (np.linalg.norm(axis), bit for bit); a sum of squares over
+    # the stack would differ in the last bit.
+    norms = np.sqrt(axes[:, None, :] @ axes[:, :, None])[:, 0, 0]
+    for k in np.flatnonzero(norms < 1e-8).tolist():  # about 1e-24 per axis
+        while norms[k] < 1e-8:
+            axes[k] = redraw.standard_normal(d)
+            norms[k] = math.sqrt(axes[k].dot(axes[k]))
+    return a, phi, axes / norms[:, None]
+
+
+def _draw_permutation(rngs, t, n, rapidity_max):
+    return (next(rngs).permuted(np.tile(np.arange(n), (t, 1)), axis=1),)
+
+
+# The gufunc that ``np.linalg.qr`` calls first on square matrices: numpy 2.0
+# names it ``qr_r_raw_m`` (m <= n), later versions ``qr_r_raw``.
+_QR_R_RAW = getattr(_umath_linalg, "qr_r_raw", None) or _umath_linalg.qr_r_raw_m
 
 
 def _qr_signs(a):
     """Q of the QR of Gaussian matrices and the signs of R's diagonal: Q
-    times those signs is Haar-distributed on O(d)."""
-    q, r = np.linalg.qr(a)
+    times those signs is Haar-distributed on O(d). Calls the LAPACK gufuncs
+    of ``np.linalg.qr``, bit for bit, without its checks and dispatch; the
+    first writes R over its (copied) input."""
+    r = np.array(a, dtype=np.float64)
+    tau = _QR_R_RAW(r, signature="d->d")
+    q = _umath_linalg.qr_reduced(r, tau, signature="dd->d")
     return q, np.where(np.diagonal(r, axis1=-2, axis2=-1) < 0, -1.0, 1.0)
 
 
@@ -228,7 +258,7 @@ def _build_orthogonal(a, col, sign):
 def _build_rotation(a):
     q, signs = _qr_signs(a)
     q = q * signs[:, None, :]
-    q[:, :, 0] *= np.where(np.linalg.det(q) < 0, -1.0, 1.0)[:, None]
+    q[:, :, 0] *= np.where(det(q) < 0, -1.0, 1.0)[:, None]
     return (q,)
 
 
@@ -273,15 +303,19 @@ def _build_lorentz(a, phi, u):
         return (_boosts(phi, u) @ r,)
 
 
-def _translated(draw, build):
-    """Draw and build of a semidirect family: its shift first, then its linear part."""
-    return (lambda rng, d, rapidity_max: (rng.standard_normal(d), *draw(rng, d, rapidity_max)),
-            lambda w, *linear: (w, *build(*linear)))
+def _translated(draw, build, roles):
+    """Draw, build and role count of a semidirect family: its shift first,
+    from a generator of its own, then its linear part."""
+    def translated(rngs, t, d, rapidity_max):
+        return (next(rngs).standard_normal((t, d)), *draw(rngs, t, d, rapidity_max))
+
+    return translated, lambda w, *linear: (w, *build(*linear)), roles + 1
 
 
 class _Family(NamedTuple):
-    draw: Callable  # (rng, dim, rapidity_max) -> raw numbers of one element; dim is n on slots
-    build: Callable  # (*raw numbers stacked over T draws) -> the fields of cls
+    draw: Callable  # (rngs, t, dim, rapidity_max) -> raw numbers of t elements; dim is n on slots
+    build: Callable  # (*raw numbers stacked over t draws) -> the fields of cls
+    roles: int  # the generators its draw takes from ``rngs``, one per kind of number
     cls: type
     metric: str | None  # the kind its matrices preserve; None: acts under either
     translates: bool = False  # its elements shift positions, so a model centres them before the Gram
@@ -298,17 +332,16 @@ class _Family(NamedTuple):
 
 
 FAMILIES = {
-    "o": _Family(_draw_orthogonal, _build_orthogonal, Orthogonal, EUCLIDEAN),
-    "so": _Family(_draw_rotation, _build_rotation, Rotation, EUCLIDEAN, proper=True),
-    "e": _Family(*_translated(_draw_orthogonal, _build_orthogonal), Euclidean, EUCLIDEAN,
+    "o": _Family(_draw_orthogonal, _build_orthogonal, 3, Orthogonal, EUCLIDEAN),
+    "so": _Family(_draw_rotation, _build_rotation, 1, Rotation, EUCLIDEAN, proper=True),
+    "e": _Family(*_translated(_draw_orthogonal, _build_orthogonal, 3), Euclidean, EUCLIDEAN,
                  translates=True),
-    "lorentz": _Family(_draw_lorentz, _build_lorentz, Lorentz, MINKOWSKI),
-    "poincare": _Family(*_translated(_draw_lorentz, _build_lorentz), Poincare, MINKOWSKI,
+    "lorentz": _Family(_draw_lorentz, _build_lorentz, 4, Lorentz, MINKOWSKI),
+    "poincare": _Family(*_translated(_draw_lorentz, _build_lorentz, 4), Poincare, MINKOWSKI,
                         translates=True),
-    "perm": _Family(lambda rng, n, rapidity_max: (rng.permutation(n),), lambda sigma: (sigma,),
-                    Permutation, None),
-    "translation": _Family(lambda rng, d, rapidity_max: (rng.standard_normal(d),), lambda w: (w,),
-                           Translation, None, translates=True, proper=True),
+    "perm": _Family(_draw_permutation, lambda sigma: (sigma,), 1, Permutation, None),
+    "translation": _Family(lambda rngs, t, d, rapidity_max: (next(rngs).standard_normal((t, d)),),
+                           lambda w: (w,), 1, Translation, None, translates=True, proper=True),
 }
 
 
@@ -330,21 +363,23 @@ def draw_record(family: str, dim: int, rapidity_max: float = DEFAULT_RAPIDITY_MA
 
 
 def draw(family: str, rng, dim: int, rapidity_max: float = DEFAULT_RAPIDITY_MAX) -> tuple:
-    """The raw numbers of one element of ``family``, from ``rng``, checked by ``draw_record``."""
-    return draw_record(family, dim, rapidity_max).draw(rng, dim, rapidity_max)
+    """The raw numbers of one element of ``family``, checked by ``draw_record``:
+    its draw at t = 1, every kind of number from ``rng``, so the stream is
+    read in the order of the per-element draw."""
+    return draw_record(family, dim, rapidity_max).draw(itertools.repeat(rng), 1, dim, rapidity_max)
 
 
 def sample_stack(family: str, draws) -> GroupElement:
-    """The elements of ``draws`` (a list of ``draw`` results) as one stack."""
+    """The elements of ``draws``, the raw numbers of a family's draw stacked
+    over t elements, as one stack."""
     record = _family(family)
-    return record.cls(*record.build(*(np.array(column) for column in zip(*draws))))
+    return record.cls(*record.build(*draws))
 
 
 def sample(family: str, rng, dim: int, rapidity_max: float = DEFAULT_RAPIDITY_MAX) -> GroupElement:
-    """One element of ``family``: the stacked build of a single draw."""
+    """One element of ``family``: the stacked build of ``draw``."""
     record = _family(family)
-    stacked = record.build(*(np.array([r]) for r in draw(family, rng, dim, rapidity_max)))
-    return record.cls(*(f[0] for f in stacked))
+    return record.cls(*(f[0] for f in record.build(*draw(family, rng, dim, rapidity_max))))
 
 
 # -- actions ---------------------------------------------------------------

@@ -5,13 +5,24 @@ reports relative residuals between f(g * x) and the expected transform of
 f(x). Statistical evidence at fixed tolerance, never a proof; trial
 failures are recorded in the report rather than aborting the run.
 
-RNG order: each trial draws its input (and its scalars), then one element
-per spec, in spec order, before the next trial draws anything. Trials run
-in stacks of ``CHUNK_TRIALS``: the draws of a stack are taken in that
-order first, then its elements are built, applied to all inputs and
-compared as array operations. Stacking moves no draw, so a seeded report is
-the same whatever the chunk size. Each spec's draw arguments are checked
-once per stack; its family's draw then runs unchecked per trial.
+RNG order: a call derives one stream per role from the caller's generator,
+once, before its first trial: it takes one raw 64-bit word per role from
+that generator in one call and seeds a PCG64 generator with each. The
+roles, in that order, are the input vectors with their block scalars; the
+lightlike stress draws, when a spec has a Minkowski metric; and, spec by
+spec, each kind of number its family draws (a Gaussian matrix, a column, a
+sign, a rapidity, an axis, its redraw, a shift, a permutation). Trials run
+in stacks of ``CHUNK_TRIALS``, and each role takes its draws for a stack in
+one call on its stream, trial by trial: a trial's vectors then its scalars,
+each stressed trial's (trial % 4 == 3) near-lightlike vectors, each
+trial's element numbers. A Lorentz axis of norm below 1e-8 takes its
+replacement from its spec's redraw stream, in trial order. Within one
+stream, a stack of draws of one kind equals the same draws taken one trial
+at a time, bit for bit, so stacking moves no draw and a seeded report is
+the same whatever the chunk size. Then the stack's elements are built,
+applied to all inputs and compared as array operations. Each spec's draw
+arguments are checked once per stack; its family's draw then runs
+unchecked.
 
 The stacked inputs form one ``VectorTuple`` of T*n rows, built without a
 check: the generator draws finite floats, and the spec checked its roles. A
@@ -120,24 +131,42 @@ def _stressed(specs) -> bool:
     return any(groups.FAMILIES[s.group].metric == MINKOWSKI for s in specs)
 
 
-def _sample_input(spec: SymmetrySpec, rng, lightlike: bool):
-    """One trial's (n, d) input vectors, near-lightlike if ``lightlike``, and
-    its (blocks, k) scalars or None."""
-    n, d = spec.n_vectors, spec.dim
-    vecs = rng.standard_normal((n, d))
-    if lightlike:
+def _role_streams(rng, specs):
+    """The call's role streams, derived from ``rng`` once: (input vectors
+    with their block scalars, lightlike stress draws or None when no trial
+    is stressed, per spec the list of its family's element draw streams).
+    Each is a PCG64 generator seeded by one of the raw 64-bit words that
+    ``rng`` gives in one call, in that order."""
+    stressed = _stressed(specs)
+    counts = [groups.FAMILIES[s.group].roles for s in specs]
+    seeds = rng.bit_generator.random_raw(1 + stressed + sum(counts)).tolist()
+    streams = iter([np.random.Generator(np.random.PCG64(seed)) for seed in seeds])
+    inputs, stress = next(streams), next(streams) if stressed else None
+    return inputs, stress, [[next(streams) for _ in range(count)] for count in counts]
+
+
+def _sample_inputs(spec: SymmetrySpec, chunk: range, rng, stress):
+    """The (T*n, d) input vectors of the trials of ``chunk`` and their
+    (T, blocks, k) scalars or None: trial by trial, its vectors then its
+    scalars, from ``rng`` in one call. Each trial with trial % 4 == 3 gets a
+    near-lightlike input from ``stress`` instead, unless that is None."""
+    n, d, count = spec.n_vectors, spec.dim, len(chunk)
+    if spec.scalars_per_block:
+        draw = rng.standard_normal((count, n * d + spec.blocks * spec.scalars_per_block))
+        vecs = draw[:, :n * d].reshape(count * n, d)
+        scalars = draw[:, n * d:].reshape(count, spec.blocks, spec.scalars_per_block)
+    else:
+        vecs, scalars = rng.standard_normal((count * n, d)), None
+    stressed = list(range((3 - chunk.start) % 4, count, 4)) if stress is not None else []
+    if stressed:
         # Near-lightlike stress inputs: timelike plus 0.999 spacelike. Row i
-        # draws its spatial direction, then its scale.
-        draw = rng.standard_normal((n, d))
-        u, scale = draw[:, :-1], draw[:, -1]
-        u = u / np.sqrt(u[:, None, :] @ u[:, :, None])[:, 0]
-        vecs[:, 0] = scale
-        vecs[:, 1:] = (0.999 * scale)[:, None] * u
-    scalars = (
-        rng.standard_normal((spec.blocks, spec.scalars_per_block))
-        if spec.scalars_per_block
-        else None
-    )
+        # of a stressed trial draws its spatial direction, then its scale.
+        draw = stress.standard_normal((len(stressed), n, d))
+        u, scale = draw[..., :-1], draw[..., -1]
+        u = u / np.sqrt(u[..., None, :] @ u[..., :, None])[..., 0]
+        rows = vecs.reshape(count, n, d)
+        rows[stressed, :, 0] = scale
+        rows[stressed, :, 1:] = (0.999 * scale)[..., None] * u
     return vecs, scalars
 
 
@@ -283,24 +312,21 @@ def _non_finite(stack, norms) -> list:
     return [k for k in np.flatnonzero(~np.isfinite(norms)).tolist() if not np.isfinite(stack[k]).all()]
 
 
-def _chunk_results(fn, specs, chunk, rng):
+def _chunk_results(fn, specs, chunk, streams):
     """The chunk's input stack, its (T, blocks, k) scalars or None, for each
     trial of ``chunk`` in order its error (None if it passed) and residual
     (None if it failed), and per spec with a determinant whether each
     trial's element has det > 0."""
-    # Draw: each trial's input, then one element per spec, in spec order.
-    # The draw arguments are checked here, once for the chunk.
-    spec = specs[0]
-    stressed = _stressed(specs)
-    inputs, per_spec = [], []
-    for s in specs:
+    # Draw: each role's numbers for the whole chunk in one call on its own
+    # stream. The draw arguments are checked here, once for the chunk.
+    spec, count = specs[0], len(chunk)
+    inputs, stress, per_spec = streams
+    vecs, scalars = _sample_inputs(spec, chunk, inputs, stress)
+    elements = []
+    for s, rngs in zip(specs, per_spec):
         dim = _element_dim(s)
-        per_spec.append((groups.draw_record(s.group, dim, s.rapidity_max).draw, dim, s.rapidity_max, []))
-    for trial in chunk:
-        inputs.append(_sample_input(spec, rng, stressed and trial % 4 == 3))
-        for draw, dim, rapidity_max, drawn in per_spec:
-            drawn.append(draw(rng, dim, rapidity_max))
-    elements = [groups.sample_stack(s.group, drawn) for s, (*_, drawn) in zip(specs, per_spec)]
+        draws = groups.draw_record(s.group, dim, s.rapidity_max).draw(iter(rngs), count, dim, s.rapidity_max)
+        elements.append(groups.sample_stack(s.group, draws))
     dets = [None if isinstance(g, groups.Permutation) else det(g.q) for g in elements]
     positive = [(dg > 0).tolist() for g, dg in zip(elements, dets)
                 if not isinstance(g, (groups.Permutation, groups.Translation))]
@@ -308,9 +334,7 @@ def _chunk_results(fn, specs, chunk, rng):
     # Apply: stack the inputs as one tuple, then move them by each spec in
     # turn; ``groups.apply`` checks each image, as a boost can overflow.
     # Failing there fails every trial whose output reaches that spec.
-    count = len(chunk)
-    x = VectorTuple._trusted(np.concatenate([v for v, _ in inputs]), spec.roles * count)
-    scalars = None if inputs[0][1] is None else np.array([s for _, s in inputs])
+    x = VectorTuple._trusted(vecs, spec.roles * count)
     images, image_scalars = x, scalars
     applied, apply_error = len(specs), None
     for j, (g, s) in enumerate(zip(elements, specs)):
@@ -397,11 +421,12 @@ def certify_joint(fn, specs, trials: int, rng) -> CertReport:
     integer(1)(trials, "trials")
     report = CertReport(trials=int(trials))
     n = specs[0].n_vectors
+    streams = _role_streams(rng, specs)
     total, worst = 0.0, None
     for start in range(0, trials, CHUNK_TRIALS):
         chunk = range(start, min(trials, start + CHUNK_TRIALS))
         with np.errstate(over="ignore", divide="ignore", invalid="ignore"):
-            x, scalars, errors, residuals, positive = _chunk_results(fn, specs, chunk, rng)
+            x, scalars, errors, residuals, positive = _chunk_results(fn, specs, chunk, streams)
         passed = []
         for t, error in enumerate(errors):
             if error is None:

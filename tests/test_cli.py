@@ -1,6 +1,5 @@
 import csv
 import importlib
-import itertools
 import json
 import os
 import re
@@ -778,15 +777,16 @@ def test_batched_target_matches_the_per_trial_target_bit_for_bit(target, spec, r
 
 def test_emforce_stack_with_a_coincident_trial_reports_like_the_per_trial_target(monkeypatch):
     fn, specs = _certify_target("emforce", BLOCK_SPECS)
-    sample, calls = harness._sample_input, itertools.count()
+    sample = harness._sample_inputs
 
-    def coincident_at_trial_5(spec, rng, lightlike):
-        vectors, scalars = sample(spec, rng, lightlike)
-        if next(calls) % 20 == 5:  # trial 5 of each 20-trial run
-            vectors[2] = vectors[0]  # particle 1 sits on particle 0
+    def coincident_at_trial_5(spec, chunk, rng, stress):
+        vectors, scalars = sample(spec, chunk, rng, stress)
+        if 5 in chunk:  # particle 1 sits on particle 0 in trial 5 of each run
+            row = (5 - chunk.start) * spec.n_vectors
+            vectors[row + 2] = vectors[row]
         return vectors, scalars
 
-    monkeypatch.setattr(harness, "_sample_input", coincident_at_trial_5)
+    monkeypatch.setattr(harness, "_sample_inputs", coincident_at_trial_5)
     report = harness.certify_joint(fn, specs, 20, groups.make_rng(3)).to_dict()
     per_trial = harness.certify_joint(lambda x, s: fn(x, s), specs, 20, groups.make_rng(3))
     assert json.dumps(report) == json.dumps(per_trial.to_dict())

@@ -2,8 +2,11 @@
 
 ``tests/data/golden_certify.json`` holds ``json.dumps(report.to_dict())`` of
 each API case below and the stdout of each ``equiscalar certify`` case, as
-written by the per-trial harness loop. Any change to how the harness draws,
-applies, transforms or compares must reproduce them exactly.
+written by the harness with one random stream per role (the module
+docstring of ``equiscalar.harness`` defines them), which gives the same
+report at every chunk size. Any change to how the harness draws, applies,
+transforms or compares must reproduce them exactly. CI runs the generator
+below and then fails if the committed file differs from what it wrote.
 
 Regenerate (only when a change is meant to move seeded output) with
 

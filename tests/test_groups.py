@@ -251,22 +251,48 @@ def test_rapidity_max_changes_only_lorentz_and_poincare_elements(family, sampler
     assert changed == (family in ("lorentz", "poincare"))
 
 
+def _role_rngs(family, seed):
+    return [groups.make_rng([seed, k]) for k in range(groups.FAMILIES[family].roles)]
+
+
 def _stack_and_singles(family, dim, trials, seed, rapidity_max=groups.DEFAULT_RAPIDITY_MAX):
-    """A stack of ``trials`` elements and the elements a fresh generator
-    samples one by one at the same points of the stream; both streams also
-    draw a 3 x dim input before each element, as the harness does."""
-    rng = groups.make_rng(seed)
-    draws = []
-    for _ in range(trials):
-        rng.standard_normal((3, dim))
-        draws.append(groups.draw(family, rng, dim, rapidity_max))
-    fresh = groups.make_rng(seed)
-    singles = []
-    for _ in range(trials):
-        fresh.standard_normal((3, dim))
-        singles.append(groups.sample(family, fresh, dim, rapidity_max))
-    assert rng.standard_normal() == fresh.standard_normal()
-    return groups.sample_stack(family, draws), singles
+    """A stack of ``trials`` elements, each kind of number drawn for the
+    whole stack in one call on its own stream, and the elements built one by
+    one from fresh copies of those streams, each drawn alone."""
+    record = groups.draw_record(family, dim, rapidity_max)
+    rngs = _role_rngs(family, seed)
+    stack = groups.sample_stack(family, record.draw(iter(rngs), trials, dim, rapidity_max))
+    fresh = _role_rngs(family, seed)
+    singles = [record.cls(*(f[0] for f in record.build(*record.draw(iter(fresh), 1, dim, rapidity_max))))
+               for _ in range(trials)]
+    assert [r.standard_normal() for r in rngs] == [r.standard_normal() for r in fresh]
+    return stack, singles
+
+
+def _stacked(draws):
+    """The per-element ``groups.draw`` results ``draws`` stacked, kind by kind."""
+    return [np.concatenate(column) for column in zip(*draws)]
+
+
+@pytest.mark.parametrize("family", FAMILIES)
+def test_each_family_draws_from_as_many_streams_as_its_record_counts(family):
+    record = groups.FAMILIES[family]
+    rngs = iter(_role_rngs(family, 0))
+    record.draw(rngs, 5, 4, 2.0)
+    assert next(rngs, None) is None
+    # Each stream gives one kind of number: one call per stream, whatever the stack size.
+    calls = []
+
+    class Counted:
+        def __init__(self, rng):
+            self.rng = rng
+
+        def __getattr__(self, name):
+            calls.append(name)
+            return getattr(self.rng, name)
+
+    record.draw(iter([Counted(r) for r in _role_rngs(family, 0)]), 64, 4, 2.0)
+    assert len(calls) == record.roles - (family in ("lorentz", "poincare"))  # no axis is redrawn
 
 
 @pytest.mark.parametrize(
@@ -285,12 +311,23 @@ def test_stacked_element_equals_the_single_draw_bit_for_bit(family, dims):
                     assert np.array_equal(getattr(stack, name), want), (dim, seed, name)
 
 
+@pytest.mark.parametrize("count", [1, 24, 80])
+def test_qr_signs_are_numpy_qr_bit_for_bit(count):
+    rng = groups.make_rng(count)
+    for d in range(1, 7):
+        a = rng.standard_normal((count, d, d))
+        q, r = np.linalg.qr(a)
+        got_q, got_signs = groups._qr_signs(a)
+        assert got_q.tobytes() == q.tobytes()
+        assert np.array_equal(got_signs, np.where(np.diagonal(r, axis1=-2, axis2=-1) < 0, -1.0, 1.0))
+
+
 def test_harness_builds_each_spec_with_one_sample_stack_per_chunk(monkeypatch):
     calls = []
     original = groups.sample_stack
 
     def counted(family, draws):
-        calls.append((family, len(draws)))
+        calls.append((family, len(draws[0])))
         return original(family, draws)
 
     monkeypatch.setattr(groups, "sample_stack", counted)
@@ -450,16 +487,16 @@ def test_stacked_apply_equals_per_element_apply(family):
     roles = (POSITION, FREE, POSITION, FREE)
     xs = [VectorTuple(rng.standard_normal((n, d)), roles) for _ in range(trials)]
     draws = [groups.draw(family, rng, n if family == "perm" else d) for _ in range(trials)]
-    stack = groups.sample_stack(family, draws)
+    stack = groups.sample_stack(family, _stacked(draws))
     moved = groups.apply(stack, VectorTuple(np.concatenate([x.vectors for x in xs]), roles * trials))
-    singles = [groups.apply(groups.sample_stack(family, [dr]), x) for dr, x in zip(draws, xs)]
+    singles = [groups.apply(groups.sample_stack(family, dr), x) for dr, x in zip(draws, xs)]
     assert np.array_equal(moved.vectors, np.concatenate([y.vectors for y in singles]))
     assert moved.roles == sum((y.roles for y in singles), ())
 
 
 def test_stacked_apply_rejects_rows_that_do_not_split_into_the_stack():
     rng = groups.make_rng(16)
-    stack = groups.sample_stack("o", [groups.draw("o", rng, 3) for _ in range(4)])
+    stack = groups.sample_stack("o", _stacked([groups.draw("o", rng, 3) for _ in range(4)]))
     with pytest.raises(ShapeError):
         groups.apply(stack, VectorTuple(rng.standard_normal((10, 3))))
 

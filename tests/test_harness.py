@@ -9,6 +9,8 @@ from equiscalar import basis, features, groups, harness
 from equiscalar.core import FREE, POSITION, VectorTuple, euclidean, minkowski
 from equiscalar.errors import RoleError, ShapeError
 
+from test_trial_oracles import role_streams
+
 
 def _mean_vector(x: VectorTuple) -> np.ndarray:
     return x.vectors.mean(axis=0)
@@ -164,8 +166,8 @@ def test_lorentz_certification_with_lightlike_stress():
 
 
 def _lightlike_loop(rng, n, d):
-    """The near-lightlike stress input drawn one vector at a time."""
-    vecs = rng.standard_normal((n, d))
+    """A near-lightlike stress input drawn one vector at a time."""
+    vecs = np.empty((n, d))
     for i in range(n):
         u = rng.standard_normal(d - 1)
         u /= np.linalg.norm(u)
@@ -177,14 +179,19 @@ def _lightlike_loop(rng, n, d):
 
 @pytest.mark.parametrize("family", ["lorentz", "poincare"])
 def test_lightlike_stress_input_matches_the_loop_bit_for_bit(family):
+    # Trials 3, 7 and 11 of a 13-trial stack take their inputs from the
+    # stress stream, one trial after another, and the rest from the input stream.
     for seed in range(40):
         for n in (1, 2, 5, 13, 30):
             d = 2 + seed % 7
             spec = harness.SymmetrySpec(family, d, n)
-            rng_a, rng_b = groups.make_rng(seed), groups.make_rng(seed)
-            vecs, _ = harness._sample_input(spec, rng_a, lightlike=True)
-            assert np.array_equal(vecs, _lightlike_loop(rng_b, n, d))
-            assert rng_a.standard_normal() == rng_b.standard_normal()
+            stress_a, stress_b = groups.make_rng([seed, 1]), groups.make_rng([seed, 1])
+            vecs, _ = harness._sample_inputs(spec, range(13), groups.make_rng(seed), stress_a)
+            plain = groups.make_rng(seed).standard_normal((13, n, d))
+            for t, trial in enumerate(vecs.reshape(13, n, d)):
+                want = _lightlike_loop(stress_b, n, d) if t % 4 == 3 else plain[t]
+                assert np.array_equal(trial, want)
+            assert stress_a.standard_normal() == stress_b.standard_normal()
 
 
 def test_pseudo_vector_output_kind():
@@ -424,9 +431,16 @@ def test_a_boost_whose_determinant_overflows_reports_alike_under_any_warning_fil
 # -- the stacked loop against the per-trial loop it replaced ----------------------
 
 
+def _element(family, rngs, dim, rapidity_max):
+    """One element of ``family`` drawn alone from its role streams ``rngs``."""
+    record = groups.FAMILIES[family]
+    return record.cls(*(f[0] for f in record.build(*record.draw(iter(rngs), 1, dim, rapidity_max))))
+
+
 def _oracle_certify_joint(fn, specs, trials, rng):
     """The per-trial certification loop: sample, apply, transform and compare
-    one trial at a time, serializing each new worst input."""
+    one trial at a time, serializing each new worst input. Each trial draws
+    its input, then one element per spec, from the call's role streams."""
 
     def serialize(x, scalars):
         obj = json.loads(x.to_json())
@@ -458,11 +472,17 @@ def _oracle_certify_joint(fn, specs, trials, rng):
 
     report = harness.CertReport(trials=trials)
     total = 0.0
+    inputs, stress, per_spec = role_streams(rng, specs)
+    spec0 = specs[0]
     for trial in range(trials):
-        vecs, scalars = harness._sample_input(specs[0], rng, trial % 4 == 3 and harness._stressed(specs))
-        x = VectorTuple(vecs, specs[0].roles)
-        elements = [groups.sample(s.group, rng, (s.blocks or s.n_vectors) if s.group == "perm"
-                                  else s.dim, s.rapidity_max) for s in specs]
+        vecs = inputs.standard_normal((spec0.n_vectors, spec0.dim))
+        if trial % 4 == 3 and stress is not None:
+            vecs = _lightlike_loop(stress, spec0.n_vectors, spec0.dim)
+        scalars = (inputs.standard_normal((spec0.blocks, spec0.scalars_per_block))
+                   if spec0.scalars_per_block else None)
+        x = VectorTuple(vecs, spec0.roles)
+        elements = [_element(s.group, rngs, (s.blocks or s.n_vectors) if s.group == "perm" else s.dim,
+                             s.rapidity_max) for s, rngs in zip(specs, per_spec)]
         try:
             out = np.asarray(fn(x) if scalars is None else fn(x, scalars), dtype=np.float64)
             x2, scalars2, expected = x, scalars, out
@@ -547,12 +567,13 @@ def test_target_is_called_twice_per_trial_in_trial_order():
         return x.vectors[0]
 
     trials = harness.CHUNK_TRIALS + 2
-    harness.certify(fn, harness.SymmetrySpec("o", 3, 2), trials, groups.make_rng(17))
+    spec = harness.SymmetrySpec("o", 3, 2)
+    harness.certify(fn, spec, trials, groups.make_rng(17))
     assert len(seen) == 2 * trials
-    rng = groups.make_rng(17)
+    inputs, _, (rngs,) = role_streams(groups.make_rng(17), [spec])
     for trial in range(trials):
-        vecs, _ = harness._sample_input(harness.SymmetrySpec("o", 3, 2), rng, False)
-        g = groups.sample("o", rng, 3)
+        vecs = inputs.standard_normal((2, 3))
+        g = _element("o", rngs, 3, spec.rapidity_max)
         assert np.array_equal(seen[2 * trial], vecs)
         assert np.array_equal(seen[2 * trial + 1], groups.apply(g, VectorTuple(vecs)).vectors)
 
@@ -582,6 +603,75 @@ def test_report_does_not_depend_on_the_chunk_size(monkeypatch, chunk):
     want = json.dumps(harness.certify_joint(_ragged, specs, 23, groups.make_rng(19)).to_dict())
     monkeypatch.setattr(harness, "CHUNK_TRIALS", chunk)
     assert json.dumps(harness.certify_joint(_ragged, specs, 23, groups.make_rng(19)).to_dict()) == want
+
+
+_CHUNK_CASES = {
+    # Block scalars ride in the input stream; perm, translation and O(3) each draw from their own.
+    "perm-translation-o-blocks": (
+        lambda x, scalars: scalars[:, :1] * (x.vectors[0::2] - x.vectors[0::2].mean(axis=0)) + x.vectors[1::2],
+        [harness.SymmetrySpec(g, 3, 6, roles=(POSITION, FREE) * 3,
+                              output_kind=harness.VECTOR_TRANSLATION_INVARIANT, blocks=3, scalars_per_block=2)
+         for g in ("perm", "translation", "o")]),
+    # Every fourth trial takes a near-lightlike input from the stress stream.
+    "lorentz-lightlike": (_mean_vector, [harness.SymmetrySpec("lorentz", 4, 3)]),
+}
+
+
+@pytest.mark.parametrize("name", sorted(_CHUNK_CASES))
+def test_report_is_the_same_at_every_chunk_size(monkeypatch, name):
+    fn, specs = _CHUNK_CASES[name]
+    trials = 300
+    reports = set()
+    for chunk in (1, 7, 256, trials):
+        monkeypatch.setattr(harness, "CHUNK_TRIALS", chunk)
+        reports.add(json.dumps(harness.certify_joint(fn, specs, trials, groups.make_rng(31)).to_dict()))
+    assert len(reports) == 1
+
+
+class _ZeroFirstAxis:
+    """A Lorentz axis stream whose first axis is zero, so that its element
+    takes a replacement from the redraw stream."""
+
+    def __init__(self, rng):
+        self.rng, self.first = rng, True
+
+    def standard_normal(self, size):
+        out = self.rng.standard_normal(size)
+        if self.first:
+            out[0], self.first = 0.0, False
+        return out
+
+
+class _Counted:
+    def __init__(self, rng, calls):
+        self.rng, self.calls = rng, calls
+
+    def standard_normal(self, size):
+        self.calls.append(size)
+        return self.rng.standard_normal(size)
+
+
+def test_a_zero_lorentz_axis_is_redrawn_alike_at_every_chunk_size(monkeypatch):
+    streams = harness._role_streams
+    spec = harness.SymmetrySpec("lorentz", 4, 3)
+    redraws = []
+
+    def stubbed(rng, specs):
+        inputs, stress, per_spec = streams(rng, specs)
+        a, phi, axes, redraw = per_spec[0]
+        per_spec[0] = [a, phi, _ZeroFirstAxis(axes), _Counted(redraw, redraws)]
+        return inputs, stress, per_spec
+
+    monkeypatch.setattr(harness, "_role_streams", stubbed)
+    reports = []
+    for chunk in (1, 256):
+        monkeypatch.setattr(harness, "CHUNK_TRIALS", chunk)
+        report = harness.certify_joint(_mean_vector, [spec], 20, groups.make_rng(32))
+        reports.append(json.dumps(report.to_dict()))
+    assert reports[0] == reports[1]
+    assert redraws == [3, 3]  # one replacement axis per run, from the redraw stream
+    report = json.loads(reports[0])
+    assert not report["failures"] and report["max_residual"] < 1e-12
 
 
 # -- output shapes, batched targets, validation cost ------------------------------

@@ -6,9 +6,12 @@ with ``translation_reduce``, ``generalized_cross``, ``subdeterminants``,
 the position-coefficient centring and the symmetrized sigma loop;
 ``Particle`` with ``em_force_scalar`` and ``total_energy``; a one-sample
 ``MpnnModel.forward`` with its edge features and net input; and the
-chunked ``certify_joint`` with its per-trial draw checks, row tuples and
-component bookkeeping. Only the library helpers those paths still share
-unchanged are called from the oracles.
+chunked ``certify_joint`` with its row tuples and component bookkeeping.
+That one draws from one stream per role, as the library does, but one
+trial at a time: each trial's input, then each family's draw at one
+element, so it checks that a stack of draws moves none of them. Only the
+library helpers those paths still share unchanged are called from the
+oracles.
 """
 import itertools
 import json
@@ -371,6 +374,7 @@ def _oracle_draw_lorentz(rng, d_plus_1, rapidity_max):
 
 @pytest.mark.parametrize("family", ["lorentz", "poincare"])
 def test_lorentz_draws_match_the_oracle_bit_for_bit(family):
+    # ``groups.draw`` is the stacked draw at one element, every kind from one generator.
     for seed in range(30):
         for dim in (2, 3, 4, 7):
             rng, ref = groups.make_rng(seed), groups.make_rng(seed)
@@ -378,21 +382,36 @@ def test_lorentz_draws_match_the_oracle_bit_for_bit(family):
                 got = groups.draw(family, rng, dim, 1.5)
                 want = ((ref.standard_normal(dim),) if family == "poincare" else ()) + \
                     _oracle_draw_lorentz(ref, dim, 1.5)
-                assert [_bits(g) for g in got] == [_bits(w) for w in want]
+                assert [_bits(g) for g in got] == [_bits(np.asarray(w)[None]) for w in want]
 
 
+def role_streams(rng, specs):
+    """The role streams of one ``certify_joint`` call: a PCG64 generator per
+    role, each seeded by one raw 64-bit word of ``rng``, all taken in one
+    call, in role order: the inputs with their scalars, the lightlike
+    stress draws (when a spec has a Minkowski metric), then each spec's
+    element draws, one per kind of number its family draws."""
+    stressed = any(groups.FAMILIES[s.group].metric == MINKOWSKI for s in specs)
+    counts = [groups.FAMILIES[s.group].roles for s in specs]
+    seeds = rng.bit_generator.random_raw(1 + stressed + sum(counts)).tolist()
+    streams = iter([np.random.Generator(np.random.PCG64(seed)) for seed in seeds])
+    inputs, stress = next(streams), next(streams) if stressed else None
+    return inputs, stress, [[next(streams) for _ in range(count)] for count in counts]
 
-def _oracle_sample_input(specs, rng, trial):
-    spec = specs[0]
+
+def _oracle_sample_input(specs, streams, trial):
+    """One trial's input: its vectors, then its scalars, from the input
+    stream; a stressed trial's vectors are replaced from the stress stream."""
+    spec, (inputs, stress, _) = specs[0], streams
     n, d = spec.n_vectors, spec.dim
-    vecs = rng.standard_normal((n, d))
-    if trial % 4 == 3 and any(groups.FAMILIES[s.group].metric == MINKOWSKI for s in specs):
-        draw = rng.standard_normal((n, d))
+    vecs = inputs.standard_normal((n, d))
+    if trial % 4 == 3 and stress is not None:
+        draw = stress.standard_normal((n, d))
         u, scale = draw[:, :-1], draw[:, -1]
         u = u / np.sqrt(u[:, None, :] @ u[:, :, None])[:, 0]
         vecs[:, 0] = scale
         vecs[:, 1:] = (0.999 * scale)[:, None] * u
-    scalars = rng.standard_normal((spec.blocks, spec.scalars_per_block)) if spec.scalars_per_block else None
+    scalars = inputs.standard_normal((spec.blocks, spec.scalars_per_block)) if spec.scalars_per_block else None
     return vecs, scalars
 
 
@@ -432,15 +451,16 @@ def _oracle_per_trial_outputs(fn, x, scalars, images, image_scalars, count, erro
     return shapes
 
 
-def _oracle_chunk_results(fn, specs, chunk, rng):
+def _oracle_chunk_results(fn, specs, chunk, streams):
     inputs, draws = [], [[] for _ in specs]
-    per_spec = [(spec.group, harness._element_dim(spec), spec.rapidity_max, drawn)
-                for spec, drawn in zip(specs, draws)]
+    per_spec = [(spec.group, harness._element_dim(spec), spec.rapidity_max, rngs, drawn)
+                for spec, rngs, drawn in zip(specs, streams[2], draws)]
     for trial in chunk:
-        inputs.append(_oracle_sample_input(specs, rng, trial))
-        for group, dim, rapidity_max, drawn in per_spec:
-            drawn.append(groups.draw(group, rng, dim, rapidity_max))
-    elements = [groups.sample_stack(spec.group, drawn) for spec, drawn in zip(specs, draws)]
+        inputs.append(_oracle_sample_input(specs, streams, trial))
+        for group, dim, rapidity_max, rngs, drawn in per_spec:
+            drawn.append(groups.FAMILIES[group].draw(iter(rngs), 1, dim, rapidity_max))
+    elements = [groups.sample_stack(spec.group, [np.concatenate(column) for column in zip(*drawn)])
+                for spec, drawn in zip(specs, draws)]
     dets = [None if isinstance(g, groups.Permutation) else np.linalg.det(g.q) for g in elements]
     positive = [(det > 0).tolist() for g, det in zip(elements, dets)
                 if not isinstance(g, (groups.Permutation, groups.Translation))]
@@ -493,10 +513,11 @@ def _oracle_chunk_results(fn, specs, chunk, rng):
 def _oracle_certify_joint(fn, specs, trials, rng, chunk_trials):
     report = harness.CertReport(trials=int(trials))
     n = specs[0].n_vectors
+    streams = role_streams(rng, specs)
     total, worst = 0.0, None
     for start in range(0, trials, chunk_trials):
         chunk = range(start, min(trials, start + chunk_trials))
-        x, scalars, results = _oracle_chunk_results(fn, specs, chunk, rng)
+        x, scalars, results = _oracle_chunk_results(fn, specs, chunk, streams)
         for t, (error, residual, keys) in enumerate(results):
             if error is not None:
                 report.failures.append({"trial": start + t, "error": f"{type(error).__name__}: {error}",
