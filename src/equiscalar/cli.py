@@ -12,10 +12,13 @@ Gram and Ω values read from it.
 Every randomized subcommand requires an explicit --seed; there is no
 wall-clock default, so identical invocations are byte-identical for the
 same numpy build, BLAS kernel and CPU SIMD features. Across those the last
-bits can differ: forcing OpenBLAS's AVX2 kernel (OPENBLAS_CORETYPE=Haswell)
-failed 49 of 2024 tests on an AVX-512 host, and limiting numpy's dispatch to
-AVX2 (NPY_DISABLE_CPU_FEATURES="X86_V4 AVX512_ICL AVX512_SPR") failed 11,
-all golden-file, oracle or report comparisons. CI logs that configuration first.
+bits can differ. On an AVX-512 host, forcing OpenBLAS's AVX2 kernel
+(OPENBLAS_CORETYPE=Haswell) or limiting numpy's dispatch to AVX2
+(NPY_DISABLE_CPU_FEATURES="X86_V4 AVX512_ICL AVX512_SPR") fails only tests
+that compare exact bits: the golden ``sample-group``, ``certify`` and
+``features`` outputs and certification reports, the seeded ``demo`` output,
+and the Gram against its loop oracle (README's CLI section has the counts).
+CI logs that configuration first.
 """
 from __future__ import annotations
 
@@ -609,11 +612,8 @@ def _certify_target(target, spec_dicts):
     if target.startswith("model:"):
         return _block_target(mpnn.MpnnModel.load(target[len("model:"):]).forward), specs
     parsed = einsum.parse(target[len("einsum:"):])  # the target left: einsum:EXPR
-    names = []
-    for term in parsed.terms:
-        for f in term.factors:
-            if not (f.is_epsilon or f.is_delta) and f.name not in names:
-                names.append(f.name)
+    names = list(dict.fromkeys(
+        f.name for t in parsed.terms for f in t.factors if not (f.is_epsilon or f.is_delta)))
 
     def einsum_fn(x):
         bindings = {name: x.vectors[i] for i, name in enumerate(names)}

@@ -9,10 +9,14 @@ The concrete grammar is underscore/caret with single-letter index labels:
 
 ``eps`` and ``delta`` are reserved factor names for the Levi-Civita symbol
 (exactly d indices) and the Kronecker delta (exactly 2 indices). '_' marks
-covariant (lower) indices, '^' contravariant (upper) ones; whitespace is
-insignificant. Validation enforces the once-or-twice rule per additive term,
-matching free-index sets across terms, and (in metric-aware mode) that each
-summed pair is one lower and one upper occurrence.
+covariant (lower) indices, '^' contravariant (upper) ones. Whitespace (what
+``str.isspace`` accepts) may stand before and after a sign or a factor and
+between a name and its marker; the labels follow the marker directly, so
+``u_ i`` is a ParseError. Factors need no space between them, but labels run
+on into a lowercase name: ``u_iV_j`` is two factors, ``u_iv_j`` an error.
+Validation enforces the once-or-twice rule per additive term, matching
+free-index sets across terms, and (in metric-aware mode) that each summed
+pair is one lower and one upper occurrence.
 """
 from __future__ import annotations
 
@@ -64,72 +68,38 @@ class IndexExpr:
     terms: tuple
 
 
-_INDICES = re.compile(r"[a-z]+")
+# One factor and what may follow it: the name and the marker may have
+# whitespace between them, the labels follow the marker directly, and a
+# '+' or '-' after the labels starts the next term.
+_FACTOR = re.compile(r"\s*([a-zA-Z]*)\s*([_^]?)([a-z]*)\s*([-+]?)")
 
 
 def parse(src: str) -> IndexExpr:
-    pos = 0
-    n = len(src)
-
-    def skip_ws(p):
-        while p < n and src[p].isspace():
-            p += 1
-        return p
-
-    def parse_factor(p):
-        p = skip_ws(p)
-        m = re.match(r"[a-zA-Z]+", src[p:])
-        if not m:
-            raise ParseError("expected a tensor name", p, ("NAME",))
-        name = m.group(0)
-        start = p
-        p += len(name)
-        p2 = skip_ws(p)
-        if p2 >= n or src[p2] not in "_^":
-            raise ParseError("expected an index marker", p2, ("'_'", "'^'"))
-        variance = LOWER if src[p2] == "_" else UPPER
-        p = p2 + 1
-        m = _INDICES.match(src[p:])
-        if not m:
-            raise ParseError("expected index labels", p, ("[a-z]+",))
-        labels = m.group(0)
-        p += len(labels)
-        return Factor(name, tuple((c, variance) for c in labels), start), p
-
-    def parse_term(p, sign):
-        factors = []
-        factor, p = parse_factor(p)
-        factors.append(factor)
-        while True:
-            q = skip_ws(p)
-            if q >= n or src[q] in "+-":
-                return Term(sign, tuple(factors)), p
-            factor, p = parse_factor(q)
-            factors.append(factor)
-
-    p = skip_ws(0)
-    if p >= n:
+    rest = src.lstrip()
+    p = len(src) - len(rest)
+    if not rest:
         raise ParseError("empty expression", p, ("NAME",))
     sign = 1
-    if src[p] == "-":
-        sign = -1
-        p += 1
-    terms = []
-    term, p = parse_term(p, sign)
-    terms.append(term)
+    if rest[0] == "-":
+        sign, p = -1, p + 1
+    terms, factors = [], []
     while True:
-        p = skip_ws(p)
-        if p >= n:
-            break
-        if src[p] == "+":
-            sign = 1
-        elif src[p] == "-":
-            sign = -1
-        else:
-            raise ParseError("unexpected input", p, ("'+'", "'-'", "end of input"))
-        term, p = parse_term(p + 1, sign)
-        terms.append(term)
-    return IndexExpr(tuple(terms))
+        m = _FACTOR.match(src, p)
+        name, marker, labels, op = m.groups()
+        if not name:
+            raise ParseError("expected a tensor name", m.start(1), ("NAME",))
+        if not marker:
+            raise ParseError("expected an index marker", m.start(2), ("'_'", "'^'"))
+        if not labels:
+            raise ParseError("expected index labels", m.start(3), ("[a-z]+",))
+        variance = LOWER if marker == "_" else UPPER
+        factors.append(Factor(name, tuple((c, variance) for c in labels), m.start(1)))
+        p = m.end()
+        if op or p == len(src):
+            terms.append(Term(sign, tuple(factors)))
+            if not op:
+                return IndexExpr(tuple(terms))
+            sign, factors = (1 if op == "+" else -1), []
 
 
 def _print_factor(f: Factor) -> str:
@@ -182,76 +152,45 @@ _DIM = integer(1)
 
 
 def validate(expr: IndexExpr, metric: Metric, mode: str = MODE_PLAIN) -> ValidationReport:
+    """Check each term against the index rules; the free indices follow their
+    first appearance in term 0. An expression with no terms, or a term with
+    no factors, is a ShapeError."""
     _MODES(mode, "mode")
+    if not expr.terms:
+        raise ShapeError("an index expression needs at least one term")
     d = metric.dim
-    violations = []
-    free_per_term = []
-    first_free_order = None
+    violations, mismatches = [], []
     for ti, term in enumerate(expr.terms):
-        occurrences = {}  # label -> list of (factor index, variance, offset)
-        order = []
-        for fi, factor in enumerate(term.factors):
-            if factor.is_epsilon and len(set(lbl for lbl, _ in factor.indices)) != d:
-                violations.append(
-                    Violation(
-                        RULE_EPSILON_ARITY,
-                        f"eps must carry exactly {d} distinct labels, "
-                        f"got {''.join(lbl for lbl, _ in factor.indices)!r}",
-                        (factor.offset,),
-                    )
-                )
+        if not term.factors:
+            raise ShapeError(f"term {ti} has no factors")
+        occurrences = {}  # label -> [(variance, factor offset)], in first-appearance order
+        for factor in term.factors:
+            if factor.is_epsilon and len({lbl for lbl, _ in factor.indices}) != d:
+                labels = "".join(lbl for lbl, _ in factor.indices)
+                violations.append(Violation(
+                    RULE_EPSILON_ARITY, f"eps must carry exactly {d} distinct labels, got {labels!r}", (factor.offset,)))
             if factor.is_delta and len(factor.indices) != 2:
-                violations.append(
-                    Violation(
-                        RULE_DELTA_ARITY,
-                        f"delta must carry exactly 2 labels, got {len(factor.indices)}",
-                        (factor.offset,),
-                    )
-                )
+                violations.append(Violation(
+                    RULE_DELTA_ARITY, f"delta must carry exactly 2 labels, got {len(factor.indices)}", (factor.offset,)))
             for lbl, var in factor.indices:
-                if lbl not in occurrences:
-                    order.append(lbl)
-                occurrences.setdefault(lbl, []).append((fi, var, factor.offset))
-        free = []
-        for lbl in order:
-            occ = occurrences[lbl]
-            if len(occ) == 1:
-                free.append(lbl)
-            elif len(occ) == 2:
-                if mode == MODE_METRIC_AWARE:
-                    variances = {v for _, v, _ in occ}
-                    if variances != {LOWER, UPPER}:
-                        violations.append(
-                            Violation(
-                                RULE_VARIANCE_PAIRING,
-                                f"summed index {lbl!r} in term {ti} must pair one lower "
-                                "with one upper occurrence",
-                                tuple(o for _, _, o in occ),
-                            )
-                        )
-            else:
-                violations.append(
-                    Violation(
-                        RULE_ONCE_OR_TWICE,
-                        f"index {lbl!r} appears {len(occ)} times in term {ti}; "
-                        "indices may appear once or twice only",
-                        tuple(o for _, _, o in occ),
-                    )
-                )
-        free_per_term.append(set(free))
-        if first_free_order is None:
-            first_free_order = free
-    for ti, free in enumerate(free_per_term[1:], start=1):
-        if free != free_per_term[0]:
-            violations.append(
-                Violation(
-                    RULE_FREE_MISMATCH,
-                    f"term {ti} has free indices {sorted(free)} but term 0 has "
-                    f"{sorted(free_per_term[0])}",
-                    (),
-                )
-            )
-    free_indices = tuple(first_free_order)
+                occurrences.setdefault(lbl, []).append((var, factor.offset))
+        for lbl, occ in occurrences.items():
+            if len(occ) > 2:
+                violations.append(Violation(
+                    RULE_ONCE_OR_TWICE, f"index {lbl!r} appears {len(occ)} times in term {ti}; "
+                    "indices may appear once or twice only", tuple(o for _, o in occ)))
+            elif len(occ) == 2 and mode == MODE_METRIC_AWARE and {v for v, _ in occ} != {LOWER, UPPER}:
+                violations.append(Violation(
+                    RULE_VARIANCE_PAIRING, f"summed index {lbl!r} in term {ti} must pair one lower "
+                    "with one upper occurrence", tuple(o for _, o in occ)))
+        free = [lbl for lbl, occ in occurrences.items() if len(occ) == 1]
+        if ti == 0:
+            free_indices = tuple(free)
+        elif set(free) != set(free_indices):
+            mismatches.append(Violation(
+                RULE_FREE_MISMATCH, f"term {ti} has free indices {sorted(free)} but term 0 has "
+                f"{sorted(free_indices)}", ()))
+    violations += mismatches
     return ValidationReport(not violations, free_indices, len(free_indices), tuple(violations))
 
 

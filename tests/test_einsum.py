@@ -8,6 +8,7 @@ from equiscalar import einsum, groups
 from equiscalar.basis import generalized_cross
 from equiscalar.core import euclidean, minkowski
 from equiscalar.errors import NonFiniteError, ParseError, PatternError, ShapeError
+from einsum_parse_sweep import sweep
 
 
 # -- independent oracle --------------------------------------------------------
@@ -114,6 +115,10 @@ def test_parse_signs_and_whitespace():
         ("i", einsum.LOWER),
         ("j", einsum.LOWER),
     )
+    # Whitespace is whatever str.isspace accepts; a capital name may follow labels directly.
+    expr = einsum.parse("\x0bu\x1c_i\u3000+\x85v^j\u3000-w_kA_m ")
+    assert expr == einsum.parse("u_i + v^j - w_k A_m")
+    assert [f.offset for t in expr.terms for f in t.factors] == [1, 8, 13, 16]
 
 
 def test_print_round_trip():
@@ -122,10 +127,45 @@ def test_print_round_trip():
         assert einsum.parse(einsum.print_expr(expr)) == expr
 
 
-@pytest.mark.parametrize("bad", ["", "u_", "u_i +", "_i", "u_i *v_j", "u"])
+NAME = ("NAME",)
+MARKER = ("'_'", "'^'")
+LABELS = ("[a-z]+",)
+PARSE_ERRORS = {
+    # source: (message, offset, expected)
+    "": ("empty expression", 0, NAME),
+    "   ": ("empty expression", 3, NAME),
+    "u": ("expected an index marker", 1, MARKER),
+    "u_": ("expected index labels", 2, LABELS),
+    "u_ i": ("expected index labels", 2, LABELS),
+    "_i": ("expected a tensor name", 0, NAME),
+    "u_i +": ("expected a tensor name", 5, NAME),
+    "u_i *v_j": ("expected a tensor name", 4, NAME),
+    "- -u_i": ("expected a tensor name", 2, NAME),
+    "u_i 3": ("expected a tensor name", 4, NAME),
+    "uv i": ("expected an index marker", 3, MARKER),
+    "+u_i": ("expected a tensor name", 0, NAME),
+    "-": ("expected a tensor name", 1, NAME),
+    "u_i + - v_j": ("expected a tensor name", 6, NAME),
+    "u_iv_j": ("expected a tensor name", 4, NAME),
+    "\x0b\x1c\u3000": ("empty expression", 3, NAME),
+    "u\x0b\x1c": ("expected an index marker", 3, MARKER),
+    "u\u3000_\u3000i": ("expected index labels", 3, LABELS),
+    "\x1c_i": ("expected a tensor name", 1, NAME),
+    "u_i\x0b+\x1c": ("expected a tensor name", 6, NAME),
+}
+
+
+@pytest.mark.parametrize("bad", list(PARSE_ERRORS))
 def test_parse_errors(bad):
-    with pytest.raises(ParseError):
+    message, offset, expected = PARSE_ERRORS[bad]
+    with pytest.raises(ParseError) as info:
         einsum.parse(bad)
+    assert (info.value.offset, info.value.expected) == (offset, expected)
+    assert str(info.value) == f"{message} at offset {offset} (expected one of: {', '.join(expected)})"
+
+
+def test_parse_sweep_finds_no_failure():
+    assert sweep(10 ** 4, 29) == []
 
 
 # -- validation corpus ---------------------------------------------------------
@@ -160,6 +200,17 @@ def test_validation_corpus(src, metric, mode, valid, order, rule):
 def test_validate_free_index_order():
     report = einsum.validate(einsum.parse("u_j v_k w_m eps_ijk eps_imn"), euclidean(3))
     assert report.free_indices == ("n",)
+
+
+@pytest.mark.parametrize("expr,problem", [
+    (einsum.IndexExpr(()), "at least one term"),
+    (einsum.IndexExpr((einsum.Term(1, einsum.parse("u_i").terms[0].factors), einsum.Term(-1, ()))), "term 1 has no factors"),
+], ids=["no-terms", "a-term-without-factors"])
+def test_an_expression_with_no_terms_or_a_term_with_no_factors_is_a_shape_error(expr, problem):
+    with pytest.raises(ShapeError, match=problem):
+        einsum.validate(expr, euclidean(3))
+    with pytest.raises(ShapeError, match=problem):
+        einsum.evaluate(expr, {"u": np.ones(3)}, 3)
 
 
 def test_report_to_dict_round_trips_json():
